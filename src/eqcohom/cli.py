@@ -134,7 +134,7 @@ def cmd_periodic(args) -> int:
     w = parse_invariant_cochain(pg, wobj)
     lattices = period_lattices(pg)
     dec = decompose_periodic(pg, w)
-    trunc = truncation_oracle(pg, w, args.radius)
+    trunc = truncation_oracle(pg, w, dec, args.radius)
     report = {
         "command": "periodic",
         "input_digests": {"pgraph": pdigest, "cochain": wdigest},

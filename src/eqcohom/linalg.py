@@ -14,13 +14,21 @@ Rat = Fraction
 
 
 def rat(value) -> Fraction:
-    """Coerce an int, Fraction, or "p/q" string to an exact rational."""
+    """Coerce an int, Fraction, or "p/q" string to an exact rational.
+
+    A bool is not a rational, and "p/0" is not a number: the first raises
+    TypeError and the second ValueError, which the JSON loaders report as
+    input errors.
+    """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if type(value) is int:
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"not an exact rational: {value!r}")
 
 

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .errors import InputError, PreconditionError
 from .graphs import Cochain0, Cochain1, Graph, components, potential
-from .linalg import Mat, column_space, kernel_basis, rat_str, solve, subspace_sum, Subspace
+from .linalg import Mat, column_space, rat_str, solve, subspace_sum, Subspace
 
 
 def hermite_normal_form(rows: Sequence[Sequence[int]], cols: int) -> list[list[int]]:
@@ -240,23 +240,34 @@ def _cycle_sums(pg: PeriodicGraph, w: Cochain1, data: _ForestData):
     return sums
 
 
-def is_invariant_closed(pg: PeriodicGraph, w: Cochain1) -> bool:
-    """Closedness of the G-invariant lift of w: the cycle-sum functional must
-    vanish on every combination of fundamental cycles with zero total
-    voltage."""
+def _period_coefficients(pg: PeriodicGraph, w: Cochain1, data: _ForestData):
+    """Per quotient component k, the coefficients a_k with T_k a_k = sums_k,
+    where the rows of T_k are the voltages of k's fundamental cycles and
+    sums_k their w-sums; None where that system is inconsistent.
+
+    A lift cycle is a zero-voltage cycle inside one component, so the lift
+    of w is closed exactly when every component's system is consistent.
+    Yields lazily, so a caller may stop at the first None.
+    """
     if len(w.values) != pg.quotient.n_edges:
         raise InputError("1-cochain length does not match edge count")
-    data = _forest(pg)
-    voltage_rows = [cv for comp in data.cycles for _, cv in comp]
-    sums = [s for comp in _cycle_sums(pg, w, data) for s in comp]
-    if not voltage_rows:
-        return True
-    # Kernel of the cycle-space -> Z^d voltage map.
-    t_mat = Mat(voltage_rows).transpose()  # d x n_cycles
-    for c in kernel_basis(t_mat).basis_vectors():
-        if sum((ci * si for ci, si in zip(c, sums)), Fraction(0)) != 0:
-            return False
-    return True
+    sums = _cycle_sums(pg, w, data)
+    for k, comp_cycles in enumerate(data.cycles):
+        t_k = Mat([cv for _, cv in comp_cycles], cols=pg.d)
+        a_k = solve(t_k, sums[k])
+        if a_k is not None:
+            # Well-definedness: every fundamental cycle, not just a spanning
+            # subset, must agree with these coefficients.
+            assert t_k.mulvec(a_k) == tuple(sums[k])
+        yield a_k
+
+
+def is_invariant_closed(pg: PeriodicGraph, w: Cochain1) -> bool:
+    """Closedness of the G-invariant lift of w, decided per quotient
+    component: in each component, the w-sum of every combination of its
+    fundamental cycles with zero total voltage must vanish, i.e. the cycle
+    sums must be a linear function of the cycle voltages."""
+    return all(a_k is not None for a_k in _period_coefficients(pg, w, _forest(pg)))
 
 
 @dataclass(frozen=True)
@@ -294,7 +305,12 @@ def parse_invariant_cochain(pg: PeriodicGraph, obj) -> Cochain1:
 def decompose_periodic(pg: PeriodicGraph, w: Cochain1) -> PeriodicDecomposition:
     """Split an invariant closed 1-form into period coefficients plus a
     periodic potential: w(e) = f(te) - f(oe) + sum_j a_{j,k} t(e)_j on each
-    edge of component k, exactly."""
+    edge of component k, exactly.
+
+    Closedness is decided per quotient component, by the same consistency
+    check as is_invariant_closed; the first component whose cycle sums are
+    inconsistent is named in the `not-closed` error.
+    """
     data = _forest(pg)
     lattices = period_lattices(pg)
     for k, lat in enumerate(lattices):
@@ -305,24 +321,14 @@ def decompose_periodic(pg: PeriodicGraph, w: Cochain1) -> PeriodicDecomposition:
                 f"rank {lat.rank} of {pg.d}"
                 + (f", index {lat.index()}" if lat.index() is not None else ""),
             )
-    if not is_invariant_closed(pg, w):
-        raise PreconditionError(
-            "not-closed", "the invariant lift of w is not a closed 1-form"
-        )
-    g = pg.quotient
-    sums = _cycle_sums(pg, w, data)
     per_comp_a: list[tuple[Fraction, ...]] = []
-    for k, comp_cycles in enumerate(data.cycles):
-        t_k = Mat([cv for _, cv in comp_cycles])
-        a_k = solve(t_k, sums[k])
+    for k, a_k in enumerate(_period_coefficients(pg, w, data)):
         if a_k is None:
             raise PreconditionError(
                 "not-closed", f"inconsistent cycle sums in component {k}"
             )
-        # Well-definedness: every fundamental cycle, not just a spanning
-        # subset, must agree with these coefficients.
-        assert t_k.mulvec(a_k) == tuple(sums[k])
         per_comp_a.append(a_k)
+    g = pg.quotient
     residual = []
     for pos, e in enumerate(g.edges):
         k = data.comp_of[e.o]
@@ -356,33 +362,42 @@ def reconstruct(
     return Cochain1(tuple(values))
 
 
-def truncation_oracle(pg: PeriodicGraph, w: Cochain1, radius: int) -> dict:
+def truncation_oracle(
+    pg: PeriodicGraph, w: Cochain1, dec: PeriodicDecomposition, radius: int
+) -> dict:
     """Materialize the lift on the window [-radius, radius]^d and verify the
-    decomposition edge by edge. Any mismatch is an implementation bug and
-    raises; the returned report counts the exact checks performed."""
-    dec = decompose_periodic(pg, w)
+    given decomposition of w edge by edge against w itself.
+
+    The lift potential F(v, cell) = f(v) + sum_j a_{j,k(v)} cell_j is
+    tabulated once per lift vertex of the window; every lift edge whose two
+    ends lie in the window is then checked exactly against the table. Any
+    mismatch means `dec` does not decompose w and raises AssertionError;
+    the returned report counts the checks performed.
+    """
+    if radius < 0:
+        raise InputError(f"truncation radius must be >= 0, got {radius}")
     data = _forest(pg)
     g = pg.quotient
+    m = len(data.comps)
     lo, hi = -radius, radius
-
-    def big_f(v: int, cell: tuple[int, ...]) -> Fraction:
-        k = data.comp_of[v]
-        val = dec.f.values[v]
-        for j in range(pg.d):
-            val += dec.a[j][k] * cell[j]
-        return val
+    big_f: dict[tuple[int, ...], list[Fraction]] = {}
+    for cell in product(range(lo, hi + 1), repeat=pg.d):
+        shift = [
+            sum((dec.a[j][k] * cell[j] for j in range(pg.d)), Fraction(0))
+            for k in range(m)
+        ]
+        big_f[cell] = [
+            fv + shift[k] for fv, k in zip(dec.f.values, data.comp_of)
+        ]
 
     checks = 0
-    for cell in product(range(lo, hi + 1), repeat=pg.d):
-        for pos, e in enumerate(g.edges):
-            target_cell = tuple(
-                c + t for c, t in zip(cell, pg.voltages[e.id])
-            )
-            if any(not (lo <= c <= hi) for c in target_cell):
-                continue
-            lhs = w.values[pos]
-            rhs = big_f(e.t, target_cell) - big_f(e.o, cell)
-            if lhs != rhs:
+    for pos, e in enumerate(g.edges):
+        t = pg.voltages[e.id]
+        # Cells whose translate by t stays in the window.
+        ranges = [range(max(lo, lo - tj), min(hi, hi - tj) + 1) for tj in t]
+        for cell in product(*ranges):
+            target = tuple(c + tj for c, tj in zip(cell, t))
+            if w.values[pos] != big_f[target][e.t] - big_f[cell][e.o]:
                 raise AssertionError(
                     f"truncation mismatch on edge {e.id} at cell {cell}"
                 )

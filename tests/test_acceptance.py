@@ -180,7 +180,7 @@ def test_criterion_6_periodic_correctness(tmp_path):
             assert dec.f.values == f.values
             assert reconstruct(pg, dec.a, dec.f).values == w.values
         _, _, w = random_cochain_pair(rng, pg)
-        assert truncation_oracle(pg, w, 3)["ok"]
+        assert truncation_oracle(pg, w, decompose_periodic(pg, w), 3)["ok"]
     # Non-closed actions are refused with exit code 3.
     for name, wjson in (
         ("square-index2", {"0": "1", "1": "0"}),

@@ -123,6 +123,58 @@ def test_periodic_rank_deficient_exit_3(tmp_path):
     assert "rank 1 of 2" in err
 
 
+def test_periodic_two_components(tmp_path):
+    g = {
+        "vertices": 2,
+        "edges": [{"id": 0, "o": 0, "t": 0}, {"id": 1, "o": 1, "t": 1}],
+        "d": 1,
+        "voltages": {"0": [1], "1": [1]},
+    }
+    gpath = write_json(tmp_path / "two.pgraph.json", g)
+    wpath = write_json(tmp_path / "w.json", {"0": "1", "1": "2"})
+    code, out, err = run_cli(["periodic", gpath, wpath])
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["components"] == 2
+    assert report["decomposition"]["a"] == [["1", "2"]]
+    assert report["truncation"]["ok"]
+
+
+def test_periodic_negative_radius_exit_2(tmp_path):
+    load_fixture(tmp_path, "torus-2")
+    wpath = write_json(tmp_path / "w.json", {"0": "5", "1": "-3"})
+    code, out, err = run_cli(
+        ["periodic", str(tmp_path / "torus-2.pgraph.json"), wpath, "--radius", "-1"]
+    )
+    assert code == 2
+    assert out == ""
+    assert "radius" in err
+
+
+def test_periodic_zero_denominator_exit_2(tmp_path):
+    load_fixture(tmp_path, "torus-2")
+    wpath = write_json(tmp_path / "w.json", {"0": "1/0", "1": "-3"})
+    code, out, err = run_cli(
+        ["periodic", str(tmp_path / "torus-2.pgraph.json"), wpath]
+    )
+    assert code == 2
+    assert "zero denominator" in err
+    assert "Traceback" not in err
+
+
+def test_analyze_bool_entry_exit_2(tmp_path):
+    payload = {
+        "dim_U": 1,
+        "dim_W": 1,
+        "pi": [[True]],
+        "generators": [{"gU": [["1"]], "gW": [["1"]]}],
+    }
+    path = write_json(tmp_path / "bool-instance.json", payload)
+    code, out, err = run_cli(["analyze", path])
+    assert code == 2
+    assert "bad instance JSON" in err
+
+
 def test_verify_clean_run():
     code, out, err = run_cli(["verify", "--seed", "7", "--count", "40"])
     assert code == 0, err

@@ -75,6 +75,15 @@ def test_rat_roundtrip():
         rat(1.5)
 
 
+def test_rat_rejects_bool_and_zero_denominator():
+    for value in (True, False):
+        with pytest.raises(TypeError):
+            rat(value)
+    with pytest.raises(ValueError):
+        rat("1/0")
+    assert rat(0) == 0 and rat(-3) == Fraction(-3)
+
+
 def test_rref_identity():
     ident = Mat.identity(2)
     red, pivots = rref(ident)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -209,18 +210,112 @@ def test_coefficients_independent_of_cycle_choice():
     assert not is_invariant_closed(pg, Cochain1.make([4, 5]))
 
 
+def random_multi_component_quotient(rng, d, n_comps):
+    """Random quotient with n_comps components on interleaved vertex ids.
+
+    Each component has a random spanning tree, a few extra edges with
+    voltages in [-1, 1]^d, and d loops with the unit voltages, so its period
+    lattice is all of Z^d.
+    """
+    sizes = [rng.randint(1, 5) for _ in range(n_comps)]
+    order = list(range(sum(sizes)))
+    rng.shuffle(order)
+    parts = [order[sum(sizes[:k]) : sum(sizes[: k + 1])] for k in range(n_comps)]
+    raw = []
+    for part in parts:
+        pairs = [(part[i], part[rng.randrange(i)]) for i in range(1, len(part))]
+        if len(part) > 1:
+            pairs += [tuple(rng.sample(part, 2)) for _ in range(rng.randint(0, 3))]
+        raw += [(o, t, [rng.randint(-1, 1) for _ in range(d)]) for o, t in pairs]
+        for j in range(d):
+            v = rng.choice(part)
+            raw.append((v, v, [int(i == j) for i in range(d)]))
+    g = Graph.make(len(order), [(i, o, t) for i, (o, t, _) in enumerate(raw)])
+    return PeriodicGraph.make(d, g, {i: t for i, (_, _, t) in enumerate(raw)})
+
+
+def test_decompose_two_components_different_coefficients():
+    # Two unit-voltage loops on separate vertices: each component has its
+    # own period coefficient, and closedness must not tie them together.
+    g = Graph.make(2, [(0, 0, 0), (1, 1, 1)])
+    pg = PeriodicGraph.make(1, g, {0: (1,), 1: (1,)})
+    w = reconstruct(pg, [[1, 2]], Cochain0.make([0, 0]))
+    assert is_invariant_closed(pg, w)
+    dec = decompose_periodic(pg, w)
+    assert dec.a == ((Fraction(1), Fraction(2)),)
+    assert dec.f.values == (Fraction(0), Fraction(0))
+
+
+def test_decompose_roundtrip_multi_component():
+    rng = random.Random(12)
+    seen_comps = set()
+    for trial in range(40):
+        d = rng.randint(1, 3)
+        pg = random_multi_component_quotient(rng, d, rng.randint(2, 3))
+        comps = components(pg.quotient)
+        seen_comps.add(len(comps))
+        a, f, w = random_cochain_pair(rng, pg)
+        assert is_invariant_closed(pg, w)
+        dec = decompose_periodic(pg, w)
+        assert [list(row) for row in dec.a] == [list(map(Fraction, r)) for r in a]
+        assert dec.f.values == f.values
+        assert all(dec.f.values[comp[0]] == 0 for comp in comps)
+        if trial % 8 == 0:
+            assert truncation_oracle(pg, w, dec, 1)["ok"]
+    assert seen_comps == {2, 3}
+
+
+def test_not_closed_names_the_inconsistent_component():
+    # Component 0 (vertex 0) is consistent; component 1 has two loops with
+    # the same voltage but different w-values.
+    g = Graph.make(2, [(0, 0, 0), (1, 1, 1), (2, 1, 1)])
+    pg = PeriodicGraph.make(1, g, {0: (1,), 1: (1,), 2: (1,)})
+    w = Cochain1.make([3, 4, 5])
+    assert not is_invariant_closed(pg, w)
+    with pytest.raises(PreconditionError) as err:
+        decompose_periodic(pg, w)
+    assert err.value.code == "not-closed"
+    assert "component 1" in err.value.detail
+    assert is_invariant_closed(pg, Cochain1.make([3, 5, 5]))
+
+
+def test_truncation_oracle_rejects_wrong_decomposition():
+    pg = hex_periodic()
+    w = Cochain1.make([Fraction(1, 2), 2, -1])
+    dec = decompose_periodic(pg, w)
+    assert truncation_oracle(pg, w, dec, 2)["ok"]
+    f = list(dec.f.values)
+    f[1] += 1
+    with pytest.raises(AssertionError):
+        truncation_oracle(pg, w, replace(dec, f=Cochain0(tuple(f))), 2)
+    a = [list(row) for row in dec.a]
+    a[0][0] += Fraction(1, 3)
+    with pytest.raises(AssertionError):
+        truncation_oracle(pg, w, replace(dec, a=tuple(map(tuple, a))), 2)
+
+
+def test_truncation_oracle_rejects_negative_radius():
+    pg = torus_periodic(2)
+    w = Cochain1.make([5, -3])
+    dec = decompose_periodic(pg, w)
+    assert truncation_oracle(pg, w, dec, 0) == {"radius": 0, "checks": 0, "ok": True}
+    with pytest.raises(InputError):
+        truncation_oracle(pg, w, dec, -1)
+
+
 def test_truncation_oracle_torus():
     pg = torus_periodic(2)
-    report = truncation_oracle(pg, Cochain1.make([5, -3]), 3)
+    w = Cochain1.make([5, -3])
+    report = truncation_oracle(pg, w, decompose_periodic(pg, w), 3)
     assert report["ok"]
     # Per loop: 7 windows in the transverse direction, 6 interior steps.
     assert report["checks"] == 2 * 7 * 6
 
 
 def test_truncation_oracle_hex():
-    report = truncation_oracle(
-        hex_periodic(), Cochain1.make([Fraction(1, 2), 2, -1]), 2
-    )
+    pg = hex_periodic()
+    w = Cochain1.make([Fraction(1, 2), 2, -1])
+    report = truncation_oracle(pg, w, decompose_periodic(pg, w), 2)
     assert report["ok"]
 
 
@@ -228,7 +323,7 @@ def test_truncation_oracle_residual_only():
     pg = hex_periodic()
     f = Cochain0.make([0, 7])
     w = reconstruct(pg, [[0], [0]], f)
-    report = truncation_oracle(pg, w, 2)
+    report = truncation_oracle(pg, w, decompose_periodic(pg, w), 2)
     assert report["ok"]
 
 

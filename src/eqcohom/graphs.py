@@ -10,13 +10,13 @@ abstract quotient-dimension oracle applies directly.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InputError, PreconditionError
 from .instance import LinearInstance, oracle_quotient_dim, validate
-from .linalg import Mat, kernel_basis, rat, rat_str, vec
+from .linalg import Mat, integer, kernel_basis, rat, rat_str, vec
 
 GROUP_CLOSURE_CAP = 100000
 
@@ -69,8 +69,11 @@ class Graph:
     @classmethod
     def from_json(cls, obj: dict) -> "Graph":
         try:
-            n = int(obj["vertices"])
-            edges = [(int(e["id"]), int(e["o"]), int(e["t"])) for e in obj["edges"]]
+            n = integer(obj["vertices"])
+            edges = [
+                (integer(e["id"]), integer(e["o"]), integer(e["t"]))
+                for e in obj["edges"]
+            ]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad graph JSON: {exc}") from exc
         return cls.make(n, edges)
@@ -95,10 +98,6 @@ class Cochain1:
     @classmethod
     def make(cls, values: Sequence) -> "Cochain1":
         return cls(vec(values))
-
-    def value(self, graph: Graph, edge_pos: int, reverse: bool = False) -> Fraction:
-        v = self.values[edge_pos]
-        return -v if reverse else v
 
     @classmethod
     def from_json(cls, graph: Graph, obj, forbid_loop_values: bool = True) -> "Cochain1":
@@ -259,11 +258,11 @@ class GraphAction:
     @classmethod
     def from_json(cls, obj: dict) -> "GraphAction":
         try:
-            gens = tuple(tuple(int(x) for x in p) for p in obj["generators"])
+            gens = tuple(tuple(integer(x) for x in p) for p in obj["generators"])
             orders = {
-                int(i): int(n) for i, n in (obj.get("orders") or {}).items()
+                integer(i): integer(n) for i, n in (obj.get("orders") or {}).items()
             }
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad action JSON: {exc}") from exc
         return cls(gens, orders)
 
@@ -369,7 +368,12 @@ def action_checks(graph: Graph, action: GraphAction) -> ActionChecks:
 
 def to_instance(graph: Graph, action: GraphAction) -> LinearInstance:
     """Compile to a LinearInstance: gU permutes vertices, gW permutes signed
-    edges; equivariance with the coboundary is asserted."""
+    edges; equivariance with the coboundary is asserted.
+
+    The declared orders are the caller's: one that the compiled generator
+    does not have, or one for a generator that does not exist, raises
+    InputError.
+    """
     issues = validate_action(graph, action)
     if issues:
         raise InputError("invalid graph action: " + "; ".join(issues))
@@ -396,7 +400,12 @@ def to_instance(graph: Graph, action: GraphAction) -> LinearInstance:
         dict(action.orders),
     )
     report = validate(inst)
-    assert report.ok, f"graph compilation broke instance invariants: {report.issues}"
+    if not report.ok:
+        compiled = validate(replace(inst, orders={}))
+        assert compiled.ok, (
+            f"graph compilation broke instance invariants: {compiled.issues}"
+        )
+        raise InputError("invalid declared order: " + "; ".join(report.issues))
     return inst
 
 

@@ -11,7 +11,7 @@ preimage part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -20,6 +20,7 @@ from .linalg import (
     Mat,
     Subspace,
     column_space,
+    integer,
     kernel_basis,
     quotient_dim,
     rat,
@@ -63,15 +64,15 @@ class LinearInstance:
     @classmethod
     def from_json(cls, obj: dict) -> "LinearInstance":
         try:
-            dim_u = int(obj["dim_U"])
-            dim_w = int(obj["dim_W"])
+            dim_u = integer(obj["dim_U"])
+            dim_w = integer(obj["dim_W"])
             pi = Mat(obj["pi"])
             gens = []
             orders = {}
             for i, g in enumerate(obj["generators"]):
                 gens.append((Mat(g["gU"]), Mat(g["gW"])))
                 if "order" in g and g["order"] is not None:
-                    orders[i] = int(g["order"])
+                    orders[i] = integer(g["order"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad instance JSON: {exc}") from exc
         return cls(dim_u, dim_w, pi, tuple(gens), orders)
@@ -111,6 +112,8 @@ def validate(inst: LinearInstance) -> ValidationReport:
                     issues.append(f"generator {i}: gU^{n} != identity")
                 if _power(gw, n) != Mat.identity(inst.dim_W):
                     issues.append(f"generator {i}: gW^{n} != identity")
+    for i in sorted(set(inst.orders) - set(range(inst.d))):
+        issues.append(f"declared order for generator {i}, which does not exist")
     return ValidationReport(not issues, tuple(issues))
 
 
@@ -121,9 +124,14 @@ def require_valid(inst: LinearInstance) -> None:
 
 
 def _power(m: Mat, n: int) -> Mat:
+    """m**n for n >= 0 by binary exponentiation: about 2*log2(n) products."""
     acc = Mat.identity(m.rows)
-    for _ in range(n):
-        acc = acc * m
+    while n:
+        if n & 1:
+            acc = acc * m
+        n >>= 1
+        if n:
+            m = m * m
     return acc
 
 
@@ -152,21 +160,10 @@ def u_tilde(inst: LinearInstance) -> Subspace:
     return kernel_basis(Mat.vstack(mats))
 
 
-@dataclass(frozen=True)
-class GbarMap:
-    """Stacked map u -> ((g_1 - id)u, ..., (g_d - id)u) from U to U^d."""
-
-    instance: LinearInstance
-    matrix: Mat  # (d * dim_U) x dim_U
-
-    def apply(self, u: Sequence) -> tuple[Fraction, ...]:
-        return self.matrix.mulvec(u)
-
-
-def gbar_map(inst: LinearInstance) -> GbarMap:
+def gbar_map(inst: LinearInstance) -> Mat:
+    """The (d * dim_U) x dim_U matrix of u -> ((g_1 - id)u, ..., (g_d - id)u)."""
     ident = Mat.identity(inst.dim_U)
-    stacked = Mat.vstack([gu - ident for gu, _ in inst.generators])
-    return GbarMap(inst, stacked)
+    return Mat.vstack([gu - ident for gu, _ in inst.generators])
 
 
 @dataclass(frozen=True)
@@ -208,7 +205,7 @@ def check_condition_ii(inst: LinearInstance) -> bool:
         for u_k in ker.basis_vectors():
             target = [Fraction(0)] * (inst.d * n)
             target[j * n : (j + 1) * n] = list(u_k)
-            if solve(gbar.matrix, target) is None:
+            if solve(gbar, target) is None:
                 return False
     return True
 
@@ -262,7 +259,7 @@ def find_ujk(
         for u_k in basis:
             target = [Fraction(0)] * (inst.d * n)
             target[j * n : (j + 1) * n] = list(u_k)
-            x = solve(gbar.matrix, target)
+            x = solve(gbar, target)
             if x is None:
                 return None
             row.append(x)

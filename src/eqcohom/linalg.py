@@ -1,16 +1,22 @@
 """Exact rational linear algebra: matrices, echelon forms, canonical subspaces.
 
-Everything is built on fractions.Fraction, so all results are exact and no
-tolerance appears anywhere. Subspaces are canonicalized by reduced row
-echelon form, which makes equality and containment purely syntactic.
+Matrix entries are fractions.Fraction, so all results are exact and no
+tolerance appears anywhere. The two kernels, `rref` and `Mat.__mul__`,
+compute on Python ints: they clear denominators per row (and per column of
+a right factor), run integer arithmetic, and make Fractions only for their
+output. Subspaces are canonicalized by reduced row echelon form, which
+makes equality and containment purely syntactic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 Rat = Fraction
+_ZERO = Fraction(0)
+_SMALL = {-1: Fraction(-1), 0: _ZERO, 1: Fraction(1)}
 
 
 def rat(value) -> Fraction:
@@ -23,13 +29,29 @@ def rat(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if type(value) is int:
-        return Fraction(value)
+        small = _SMALL.get(value)
+        return Fraction(value) if small is None else small
     if isinstance(value, str):
         try:
             return Fraction(value)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"not an exact rational: {value!r}")
+
+
+def integer(value) -> int:
+    """Read an exact integer: an int, or a string such as "3" (JSON object
+    keys are strings).
+
+    A bool is not an integer, and neither is a float: both raise TypeError,
+    and a string that is not an integer raises ValueError, which the JSON
+    loaders report as input errors.
+    """
+    if type(value) is int:
+        return value
+    if isinstance(value, str):
+        return int(value)
+    raise TypeError(f"not an integer: {value!r}")
 
 
 def rat_str(x: Fraction) -> str:
@@ -40,7 +62,23 @@ def rat_str(x: Fraction) -> str:
 
 
 def vec(values) -> tuple[Fraction, ...]:
-    return tuple(rat(v) for v in values)
+    return tuple([rat(v) for v in values])
+
+
+def _cleared(row: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(den, ints) with row == ints / den: den is the lcm of the denominators."""
+    den = lcm(*[x.denominator for x in row])
+    if den == 1:
+        return 1, [x.numerator for x in row]
+    return den, [x.numerator * (den // x.denominator) for x in row]
+
+
+def _frac(num: int, den: int) -> Fraction:
+    """num / den as a Fraction, sharing the objects for -1, 0 and 1."""
+    if den == 1:
+        small = _SMALL.get(num)
+        return Fraction(num) if small is None else small
+    return Fraction(num, den) if num else _ZERO
 
 
 class Mat:
@@ -51,7 +89,7 @@ class Mat:
     def __init__(self, rows_of_entries: Iterable[Iterable], cols: Optional[int] = None):
         """`cols` pins the width of a zero-row matrix, which the row data
         cannot convey."""
-        data = tuple(tuple(rat(x) for x in row) for row in rows_of_entries)
+        data = tuple([tuple([rat(x) for x in row]) for row in rows_of_entries])
         self.data = data
         self.rows = len(data)
         self.cols = len(data[0]) if data else (cols or 0)
@@ -60,12 +98,32 @@ class Mat:
                 raise ValueError("ragged rows")
 
     @classmethod
+    def _trusted(cls, data: tuple, cols: int) -> "Mat":
+        """Wrap a tuple of equal-length tuples of Fractions as they are, with
+        no re-coercion: the constructor for rows computed in this module.
+
+        Rows here are built at their known length, by tuple([...]) or zip,
+        never by tuple(<generator>): that allocates by a length guess and
+        resizes, so each freed row lands in the interpreter's free list for
+        its length and is never reused, and over many calls those lists
+        hold megabytes."""
+        m = object.__new__(cls)
+        m.data = data
+        m.rows = len(data)
+        m.cols = cols
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "Mat":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        one = _SMALL[1]
+        return cls._trusted(
+            tuple([tuple([one if i == j else _ZERO for j in range(n)]) for i in range(n)]),
+            n,
+        )
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Mat":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
+        return cls._trusted(((_ZERO,) * cols,) * rows, cols)
 
     @classmethod
     def from_cols(cls, cols: Sequence[Sequence]) -> "Mat":
@@ -75,10 +133,10 @@ class Mat:
 
     @classmethod
     def vstack(cls, mats: Sequence["Mat"]) -> "Mat":
-        rows = []
-        for m in mats:
-            rows.extend(m.data)
-        return cls(rows, cols=mats[0].cols if mats else 0)
+        cols = mats[0].cols if mats else 0
+        if any(m.cols != cols for m in mats):
+            raise ValueError("ragged rows")
+        return cls._trusted(tuple([row for m in mats for row in m.data]), cols)
 
     def __eq__(self, other) -> bool:
         return (
@@ -97,49 +155,81 @@ class Mat:
         return self.data[i]
 
     def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.data)
+        return tuple([row[j] for row in self.data])
 
     def transpose(self) -> "Mat":
         if self.rows == 0:
             return Mat.zeros(self.cols, 0)
         if self.cols == 0:
             return Mat.zeros(0, self.rows)
-        return Mat(zip(*self.data))
+        return Mat._trusted(tuple(zip(*self.data)), self.rows)
 
     def __add__(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return Mat(
-            [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)
+        return Mat._trusted(
+            tuple(
+                [
+                    tuple([a + b if b else a for a, b in zip(ra, rb)])
+                    for ra, rb in zip(self.data, other.data)
+                ]
+            ),
+            self.cols,
         )
 
     def __sub__(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return Mat(
-            [a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)
+        return Mat._trusted(
+            tuple(
+                [
+                    tuple([a - b if b else a for a, b in zip(ra, rb)])
+                    for ra, rb in zip(self.data, other.data)
+                ]
+            ),
+            self.cols,
         )
 
     def __mul__(self, other: "Mat") -> "Mat":
+        """Product on integers: rows of self and columns of other are cleared
+        of denominators, only nonzero entries are multiplied, and each output
+        entry becomes one Fraction(acc, den_i * den_j)."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        if self.rows == 0 or other.cols == 0:
+        if self.rows == 0 or other.cols == 0 or self.cols == 0:
             return Mat.zeros(self.rows, other.cols)
-        if self.cols == 0:
-            return Mat.zeros(self.rows, other.cols)
-        bt = list(zip(*other.data))
-        return Mat(
-            [sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in bt]
-            for row in self.data
-        )
+        col_dens = [lcm(*[x.denominator for x in col]) for col in zip(*other.data)]
+        right = [
+            [
+                (j, x.numerator * (cd // x.denominator))
+                for j, (x, cd) in enumerate(zip(row, col_dens))
+                if x
+            ]
+            for row in other.data
+        ]
+        width = other.cols
+        out = []
+        for row in self.data:
+            den, ints = _cleared(row)
+            acc = [0] * width
+            for a, right_k in zip(ints, right):
+                if a:
+                    for j, b in right_k:
+                        acc[j] += a * b
+            out.append(tuple([_frac(v, den * cd) for v, cd in zip(acc, col_dens)]))
+        return Mat._trusted(tuple(out), width)
 
     def mulvec(self, v: Sequence) -> tuple[Fraction, ...]:
         v = vec(v)
         if len(v) != self.cols:
             raise ValueError("shape mismatch")
-        return tuple(
-            sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in self.data
-        )
+        den_v, v_ints = _cleared(v)
+        nonzero = [(k, b) for k, b in enumerate(v_ints) if b]
+        out = []
+        for row in self.data:
+            den, ints = _cleared(row)
+            out.append(_frac(sum(ints[k] * b for k, b in nonzero), den * den_v))
+        return tuple(out)
 
     def rank(self) -> int:
         return len(rref(self)[1])
@@ -154,8 +244,17 @@ class Mat:
 
 
 def rref(m: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form and pivot columns (deterministic)."""
-    a = [list(row) for row in m.data]
+    """Reduced row echelon form and pivot columns (deterministic).
+
+    Fraction-free Gauss-Jordan on integer rows: each row is cleared of
+    denominators, a pivot row r eliminates column c from row i as
+    p*row_i - f*row_r (p, f divided by their gcd), and every updated row is
+    divided by the gcd of its entries. Each integer row stays a nonzero
+    multiple of the row that Fraction elimination would hold, so the pivots
+    are the same, and dividing each pivot row by its pivot at the end gives
+    the unique RREF.
+    """
+    a = [_cleared(row)[1] for row in m.data]
     n_rows, n_cols = m.rows, m.cols
     pivots: list[int] = []
     r = 0
@@ -164,21 +263,33 @@ def rref(m: Mat) -> tuple[Mat, list[int]]:
             break
         pivot_row = None
         for i in range(r, n_rows):
-            if a[i][c] != 0:
+            if a[i][c]:
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
         a[r], a[pivot_row] = a[pivot_row], a[r]
-        p = a[r][c]
-        a[r] = [x / p for x in a[r]]
+        prow = a[r]
+        p = prow[c]
         for i in range(n_rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            row = a[i]
+            f = row[c]
+            if f and i != r:
+                g = gcd(p, f)
+                pg, fg = p // g, f // g
+                row = [pg * x - fg * y for x, y in zip(row, prow)]
+                g = gcd(*row)
+                if g > 1:
+                    row = [x // g for x in row]
+                a[i] = row
         pivots.append(c)
         r += 1
-    return Mat(a, cols=n_cols), pivots
+    out = [
+        tuple([Fraction(x, a[i][c]) if x else _ZERO for x in a[i]])
+        for i, c in enumerate(pivots)
+    ]
+    out += [(_ZERO,) * n_cols] * (n_rows - r)
+    return Mat._trusted(tuple(out), n_cols), pivots
 
 
 def solve(m: Mat, b: Sequence) -> Optional[tuple[Fraction, ...]]:
@@ -214,7 +325,7 @@ def inverse(m: Mat) -> Mat:
     red, pivots = rref(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return Mat([row[n:] for row in red.data])
+    return Mat._trusted(tuple([row[n:] for row in red.data]), n)
 
 
 def kernel_basis(m: Mat) -> "Subspace":
@@ -244,7 +355,7 @@ class Subspace:
                 raise ValueError("vector length != ambient dimension")
         if rows:
             red, pivots = rref(Mat(rows, cols=ambient_dim))
-            self.basis = Mat(red.data[: len(pivots)], cols=ambient_dim)
+            self.basis = Mat._trusted(red.data[: len(pivots)], ambient_dim)
         else:
             self.basis = Mat.zeros(0, ambient_dim)
         self.ambient_dim = ambient_dim

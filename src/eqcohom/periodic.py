@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .errors import InputError, PreconditionError
 from .graphs import Cochain0, Cochain1, Graph, components, potential
-from .linalg import Mat, column_space, rat_str, solve, subspace_sum, Subspace
+from .linalg import Mat, column_space, integer, rat_str, solve, subspace_sum, Subspace
 
 
 def hermite_normal_form(rows: Sequence[Sequence[int]], cols: int) -> list[list[int]]:
@@ -114,9 +114,11 @@ class PeriodicGraph:
     def from_json(cls, obj: dict) -> "PeriodicGraph":
         graph = Graph.from_json(obj)
         try:
-            d = int(obj["d"])
-            voltages = {int(i): [int(x) for x in t] for i, t in obj["voltages"].items()}
-        except (KeyError, TypeError, ValueError) as exc:
+            d = integer(obj["d"])
+            voltages = {
+                integer(i): [integer(x) for x in t] for i, t in obj["voltages"].items()
+            }
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad periodic graph JSON: {exc}") from exc
         return cls.make(d, graph, voltages)
 

@@ -213,3 +213,109 @@ def test_reports_deterministic(tmp_path):
     args = ["analyze", str(tmp_path / "double-shear.instance.json")]
     outs = {run_cli(args)[1] for _ in range(2)}
     assert len(outs) == 1
+
+
+def _triangle_graph(tmp_path, action):
+    graph = {
+        "vertices": 3,
+        "edges": [{"id": 0, "o": 0, "t": 1}, {"id": 1, "o": 1, "t": 2}, {"id": 2, "o": 2, "t": 0}],
+    }
+    return run_cli(
+        [
+            "graph",
+            write_json(tmp_path / "g.json", graph),
+            write_json(tmp_path / "a.json", action),
+        ]
+    )
+
+
+def test_graph_declared_order_checked(tmp_path):
+    code, out, err = _triangle_graph(tmp_path, {"generators": [[1, 2, 0]], "orders": {"0": 3}})
+    assert code == 0, err
+    assert json.loads(out)["group_order"] == 3
+
+
+def test_graph_wrong_declared_order_exit_2(tmp_path):
+    code, out, err = _triangle_graph(tmp_path, {"generators": [[1, 2, 0]], "orders": {"0": 2}})
+    assert code == 2
+    assert out == ""
+    assert "invalid declared order" in err and "gU^2 != identity" in err
+    assert "Traceback" not in err
+
+
+def test_graph_order_of_missing_generator_exit_2(tmp_path):
+    code, out, err = _triangle_graph(tmp_path, {"generators": [[1, 2, 0]], "orders": {"5": 3}})
+    assert code == 2
+    assert "generator 5" in err
+
+
+@pytest.mark.parametrize(
+    "action",
+    [
+        {"generators": [[1, 2, 0]], "orders": {"0": True}},
+        {"generators": [[True, 2, 0]]},
+        {"generators": [[1, 2, 0]], "orders": [3]},
+    ],
+)
+def test_graph_action_bad_integers_exit_2(tmp_path, action):
+    code, out, err = _triangle_graph(tmp_path, action)
+    assert code == 2
+    assert "bad action JSON" in err and "Traceback" not in err
+
+
+def test_graph_bool_vertex_count_exit_2(tmp_path):
+    graph = {"vertices": True, "edges": []}
+    code, out, err = run_cli(
+        [
+            "graph",
+            write_json(tmp_path / "g.json", graph),
+            write_json(tmp_path / "a.json", {"generators": [[0]]}),
+        ]
+    )
+    assert code == 2
+    assert "bad graph JSON" in err
+
+
+@pytest.mark.parametrize(
+    "d, voltages", [(True, {"0": [True]}), (1, {"0": [1.0]}), (1, [[1]])]
+)
+def test_periodic_bad_integers_exit_2(tmp_path, d, voltages):
+    pgraph = {
+        "vertices": 1,
+        "edges": [{"id": 0, "o": 0, "t": 0}],
+        "d": d,
+        "voltages": voltages,
+    }
+    code, out, err = run_cli(
+        [
+            "periodic",
+            write_json(tmp_path / "pg.json", pgraph),
+            write_json(tmp_path / "w.json", {"0": "1"}),
+        ]
+    )
+    assert code == 2
+    assert "bad periodic graph JSON" in err
+
+
+def test_analyze_bool_dimension_exit_2(tmp_path):
+    payload = {
+        "dim_U": True,
+        "dim_W": 1,
+        "pi": [["1"]],
+        "generators": [{"gU": [["1"]], "gW": [["1"]], "order": 1}],
+    }
+    code, out, err = run_cli(["analyze", write_json(tmp_path / "i.json", payload)])
+    assert code == 2
+    assert "bad instance JSON" in err
+
+
+def test_analyze_huge_declared_order_exit_2(tmp_path):
+    load_fixture(tmp_path, "shear")
+    path = tmp_path / "shear.instance.json"
+    payload = json.loads(path.read_text())
+    payload["generators"][0]["order"] = 100000000
+    code, out, err = run_cli(["analyze", write_json(path, payload)])
+    assert code == 2
+    report = json.loads(out)
+    assert report["valid"] is False
+    assert "generator 0: gU^100000000 != identity" in report["issues"]

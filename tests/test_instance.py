@@ -20,6 +20,7 @@ from eqcohom.fixtures import (
 from eqcohom.graphs import to_instance
 from eqcohom.instance import (
     LinearInstance,
+    _power,
     check_condition_i,
     check_condition_ii,
     check_lemma_commutation,
@@ -70,6 +71,36 @@ def test_validate_flags_bad_order():
     report = validate(inst)
     assert not report.ok
     assert any("gU^2" in issue for issue in report.issues)
+
+
+def test_validate_flags_order_of_missing_generator():
+    inst = LinearInstance(1, 1, Mat([[1]]), ((Mat([[1]]), Mat([[1]])),), {5: 3})
+    report = validate(inst)
+    assert not report.ok
+    assert any("generator 5" in issue for issue in report.issues)
+
+
+def test_power_matches_repeated_multiplication():
+    rng = random.Random(31)
+    mats = [Mat([[0, -1], [1, 0]]), Mat([[1, 0], [Fraction(1, 3), 1]])]
+    mats += [random_linear_instance(rng).generators[0][0] for _ in range(4)]
+    for g in mats:
+        assert _power(g, 0) == Mat.identity(g.rows)
+        acc = g
+        for n in range(1, 10):
+            assert _power(g, n) == acc
+            acc = acc * g
+
+
+def test_validate_huge_declared_order():
+    rot = Mat([[0, -1], [1, 0]])
+    ok = LinearInstance(2, 2, Mat.identity(2), ((rot, rot),), {0: 10**8})
+    assert validate(ok).ok
+    bad = LinearInstance(2, 2, Mat.identity(2), ((rot, rot),), {0: 10**8 + 2})
+    assert validate(bad).issues == (
+        f"generator 0: gU^{10**8 + 2} != identity",
+        f"generator 0: gW^{10**8 + 2} != identity",
+    )
 
 
 def test_invariant_subspace_identity_action():
@@ -284,11 +315,10 @@ def test_decompose_basis_covariance():
 def test_gbar_map_blocks():
     inst = double_shear_instance()
     gbar = gbar_map(inst)
-    u = [1, 2, 3, 4]
-    out = gbar.apply(u)
+    assert (gbar.rows, gbar.cols) == (4 * inst.d, 4)
     ident = Mat.identity(4)
     for i, (gu, _) in enumerate(inst.generators):
-        assert out[4 * i : 4 * (i + 1)] == (gu - ident).mulvec(u)
+        assert gbar.data[4 * i : 4 * (i + 1)] == (gu - ident).data
 
 
 def test_lemma_commutation_abelian():

@@ -6,6 +6,7 @@ import pytest
 from eqcohom.linalg import (
     Mat,
     Subspace,
+    integer,
     inverse,
     kernel_basis,
     quotient_dim,
@@ -82,6 +83,95 @@ def test_rat_rejects_bool_and_zero_denominator():
     with pytest.raises(ValueError):
         rat("1/0")
     assert rat(0) == 0 and rat(-3) == Fraction(-3)
+
+
+def test_integer_reader():
+    assert integer(7) == 7 and integer("-3") == -3
+    for value in (True, False, 2.0, None, [1]):
+        with pytest.raises(TypeError):
+            integer(value)
+    for value in ("1/2", "2.5", ""):
+        with pytest.raises(ValueError):
+            integer(value)
+
+
+def mixed_matrix(rng, rows, cols):
+    """Entries with mixed and negative denominators, many zeros, and rows
+    that repeat combinations of earlier rows, so rank deficits occur."""
+    data = []
+    for _ in range(rows):
+        if data and rng.random() < 0.3:
+            a, b = rng.choice(data), rng.choice(data)
+            k = Fraction(rng.randint(-3, 3), rng.choice((1, -2, 5)))
+            data.append([x + k * y for x, y in zip(a, b)])
+        else:
+            data.append(
+                [
+                    Fraction(rng.randint(-6, 6), rng.choice((1, 2, -3, 4, -7, 9)))
+                    if rng.random() < 0.6
+                    else Fraction(0)
+                    for _ in range(cols)
+                ]
+            )
+    return Mat(data, cols=cols)
+
+
+SHAPES = [(0, 0), (0, 4), (3, 0), (1, 1), (1, 5), (5, 1), (4, 4), (6, 3), (3, 7), (8, 8)]
+
+
+def test_rref_output_is_reduced_row_echelon_form():
+    rng = random.Random(2024)
+    for rows, cols in SHAPES * 6:
+        m = mixed_matrix(rng, rows, cols)
+        red, pivots = rref(m)
+        assert (red.rows, red.cols) == (rows, cols)
+        assert all(type(x) is Fraction for row in red.data for x in row)
+        assert all(a < b for a, b in zip(pivots, pivots[1:]))
+        for i, c in enumerate(pivots):
+            assert all(x == 0 for x in red.data[i][:c])
+            assert red.data[i][c] == 1
+            assert all(red.data[k][c] == 0 for k in range(rows) if k != i)
+        for row in red.data[len(pivots):]:
+            assert all(x == 0 for x in row)
+
+
+def test_rref_is_row_equivalent_to_input():
+    # Every input row is the combination sum_i row[p_i] * red_i of the
+    # nonzero RREF rows, and the rank agrees with the independent
+    # fraction-free oracle, so both row spaces are equal.
+    rng = random.Random(99)
+    for rows, cols in SHAPES * 6:
+        m = mixed_matrix(rng, rows, cols)
+        red, pivots = rref(m)
+        for row in m.data:
+            combo = [Fraction(0)] * cols
+            for i, p in enumerate(pivots):
+                combo = [x + row[p] * y for x, y in zip(combo, red.data[i])]
+            assert tuple(combo) == row
+        assert len(pivots) == fraction_free_rank([list(r) for r in m.data])
+
+
+def test_mat_mul_matches_definition():
+    rng = random.Random(5150)
+    for _ in range(40):
+        n, k, p = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
+        a, b = mixed_matrix(rng, n, k), mixed_matrix(rng, k, p)
+        expected = tuple(
+            tuple(
+                sum((a.data[i][t] * b.data[t][j] for t in range(k)), Fraction(0))
+                for j in range(p)
+            )
+            for i in range(n)
+        )
+        product = a * b
+        assert (product.rows, product.cols) == (n, p)
+        assert product.data == expected
+        v = [Fraction(rng.randint(-4, 4), rng.choice((1, -3, 8))) for _ in range(k)]
+        assert a.mulvec(v) == tuple(
+            sum((a.data[i][t] * v[t] for t in range(k)), Fraction(0)) for i in range(n)
+        )
+    with pytest.raises(ValueError):
+        Mat.identity(2) * Mat.identity(3)
 
 
 def test_rref_identity():

@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 assertion/property violation, 2 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -183,7 +184,10 @@ def cmd_fixtures(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process on first use and shared by
+    every `main` call; parsing never mutates it, and callers must not."""
     parser = argparse.ArgumentParser(
         prog="eqcohom",
         description=(
@@ -230,8 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

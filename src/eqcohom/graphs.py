@@ -2,6 +2,8 @@
 
 A graph stores one chosen orientation per geometric edge; the reversed edge
 is implicit and 1-cochains obey w(reversed e) = -w(e) through accessors.
+Components, potentials and the periodic cycle voltages all read one BFS
+spanning forest per graph (`Graph.forest`), built on first use.
 Vertex permutations that induce graph automorphisms compile into a
 LinearInstance (0-cochains as U, 1-cochains as W, coboundary as pi) so the
 abstract quotient-dimension oracle applies directly.
@@ -9,8 +11,8 @@ abstract quotient-dimension oracle applies directly.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -19,6 +21,10 @@ from .instance import LinearInstance, oracle_quotient_dim, validate
 from .linalg import Mat, integer, kernel_basis, rat, rat_str, vec
 
 GROUP_CLOSURE_CAP = 100000
+# Most lift-window table entries plus edge checks that one
+# periodic.truncation_oracle call may predict before it refuses with
+# PreconditionError("budget", ...).
+TRUNCATION_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -60,6 +66,11 @@ class Graph:
     def edge_index(self) -> dict[int, int]:
         return {e.id: i for i, e in enumerate(self.edges)}
 
+    @cached_property
+    def forest(self) -> "Forest":
+        """The BFS spanning forest, built on first use and kept with the graph."""
+        return Forest.build(self)
+
     def to_json(self) -> dict:
         return {
             "vertices": self.n_vertices,
@@ -77,6 +88,73 @@ class Graph:
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad graph JSON: {exc}") from exc
         return cls.make(n, edges)
+
+
+@dataclass(frozen=True)
+class Forest:
+    """BFS spanning forest of a graph: the one traversal that components,
+    potentials and the periodic cycle voltages all read.
+
+    Each component is searched from its smallest vertex id, neighbours in
+    (vertex, edge position) order; loops are never tree edges.
+    """
+
+    comps: tuple[tuple[int, ...], ...]  # sorted, ordered by smallest vertex
+    comp_of: tuple[int, ...]  # vertex -> component index
+    order: tuple[int, ...]  # BFS order: every vertex after its parent
+    # vertex -> (parent vertex, edge position, +1 if the edge points to the
+    # vertex else -1), or None for a root
+    parent: tuple[Optional[tuple[int, int, int]], ...]
+    tree_positions: frozenset[int]
+
+    @classmethod
+    def build(cls, graph: Graph) -> "Forest":
+        n = graph.n_vertices
+        adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        for pos, e in enumerate(graph.edges):
+            if e.o != e.t:
+                adj[e.o].append((e.t, pos, +1))
+                adj[e.t].append((e.o, pos, -1))
+        comp_of = [-1] * n
+        parent: list[Optional[tuple[int, int, int]]] = [None] * n
+        order: list[int] = []
+        comps = []
+        for root in range(n):
+            if comp_of[root] >= 0:
+                continue
+            k = len(comps)
+            comp_of[root] = k
+            start = len(order)
+            order.append(root)
+            i = start
+            while i < len(order):  # `order` doubles as the BFS queue
+                v = order[i]
+                i += 1
+                for u, pos, sign in sorted(adj[v]):
+                    if comp_of[u] < 0:
+                        comp_of[u] = k
+                        parent[u] = (v, pos, sign)
+                        order.append(u)
+            comps.append(tuple(sorted(order[start:])))
+        return cls(
+            tuple(comps),
+            tuple(comp_of),
+            tuple(order),
+            tuple(parent),
+            frozenset(link[1] for link in parent if link is not None),
+        )
+
+    def integrate(self, labels: Sequence, zero=0) -> list:
+        """Tree potential of edge labels (numbers of any exact type): `zero`
+        at each root, and p(u) = p(parent) +/- labels[pos] along each tree
+        edge, with the sign of the edge's orientation toward u."""
+        out = [zero] * len(self.parent)
+        for u in self.order:
+            link = self.parent[u]
+            if link is not None:
+                p, pos, sign = link
+                out[u] = out[p] + labels[pos] if sign > 0 else out[p] - labels[pos]
+        return out
 
 
 @dataclass(frozen=True)
@@ -136,28 +214,8 @@ def coboundary(graph: Graph) -> Mat:
 
 
 def components(graph: Graph) -> list[list[int]]:
-    """Connected components by BFS from the smallest unvisited vertex id."""
-    adj: list[list[int]] = [[] for _ in range(graph.n_vertices)]
-    for e in graph.edges:
-        adj[e.o].append(e.t)
-        adj[e.t].append(e.o)
-    seen = [False] * graph.n_vertices
-    comps = []
-    for start in range(graph.n_vertices):
-        if seen[start]:
-            continue
-        comp = []
-        queue = deque([start])
-        seen[start] = True
-        while queue:
-            v = queue.popleft()
-            comp.append(v)
-            for u in sorted(adj[v]):
-                if not seen[u]:
-                    seen[u] = True
-                    queue.append(u)
-        comps.append(sorted(comp))
-    return comps
+    """Connected components, each sorted, ordered by their smallest vertex id."""
+    return [list(comp) for comp in graph.forest.comps]
 
 
 def kernel_indicators(graph: Graph) -> list[Cochain0]:
@@ -172,66 +230,15 @@ def kernel_indicators(graph: Graph) -> list[Cochain0]:
     return out
 
 
-def _spanning_forest(graph: Graph) -> tuple[list[Optional[tuple[int, int]]], list[int]]:
-    """BFS forest: per vertex (edge position, +1/-1 toward the vertex) or None
-    for roots; plus the list of roots (smallest id per component)."""
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(graph.n_vertices)]
-    for pos, e in enumerate(graph.edges):
-        if e.o == e.t:
-            continue
-        adj[e.o].append((e.t, pos, +1))  # traverse forward: f(t) = f(o) + w
-        adj[e.t].append((e.o, pos, -1))
-    parent_edge: list[Optional[tuple[int, int]]] = [None] * graph.n_vertices
-    roots = []
-    seen = [False] * graph.n_vertices
-    for start in range(graph.n_vertices):
-        if seen[start]:
-            continue
-        roots.append(start)
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for u, pos, sign in sorted(adj[v]):
-                if not seen[u]:
-                    seen[u] = True
-                    parent_edge[u] = (pos, sign)
-                    queue.append(u)
-    return parent_edge, roots
-
-
 def potential(graph: Graph, w: Cochain1) -> Optional[Cochain0]:
-    """Integrate w along a BFS spanning forest, 0 at each component root.
+    """Integrate w along the BFS spanning forest, 0 at each component root.
 
     Returns None when w is not closed (some non-tree edge disagrees).
     """
-    parent_edge, _ = _spanning_forest(graph)
-    f: list[Optional[Fraction]] = [None] * graph.n_vertices
-    # Resolve each vertex by walking up to its root.
-    def value_at(v: int) -> Fraction:
-        chain = []
-        while f[v] is None and parent_edge[v] is not None:
-            chain.append(v)
-            pos, sign = parent_edge[v]
-            e = graph.edges[pos]
-            v = e.o if sign > 0 else e.t
-        base = f[v] if f[v] is not None else Fraction(0)
-        f[v] = base
-        for u in reversed(chain):
-            pos, sign = parent_edge[u]
-            base = base + sign * w.values[pos]
-            f[u] = base
-        return f[chain[0]] if chain else base
-
-    for v in range(graph.n_vertices):
-        value_at(v)
-    tree_positions = {
-        parent_edge[v][0] for v in range(graph.n_vertices) if parent_edge[v]
-    }
+    forest = graph.forest
+    f = forest.integrate(w.values, Fraction(0))
     for pos, e in enumerate(graph.edges):
-        if pos in tree_positions:
-            continue
-        if w.values[pos] != f[e.t] - f[e.o]:
+        if pos not in forest.tree_positions and w.values[pos] != f[e.t] - f[e.o]:
             return None
     return Cochain0(tuple(f))
 
@@ -354,10 +361,7 @@ def action_checks(graph: Graph, action: GraphAction) -> ActionChecks:
         for p in group
         if p != ident
     )
-    comp_of = [0] * graph.n_vertices
-    for k, comp in enumerate(components(graph)):
-        for v in comp:
-            comp_of[v] = k
+    comp_of = graph.forest.comp_of
     closed = all(
         comp_of[p[v]] == comp_of[v]
         for p in group

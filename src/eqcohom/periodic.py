@@ -7,18 +7,27 @@ translation action is closed in lift components, and an invariant closed
 1-form decomposes into period coefficients (one per generator and quotient
 component) plus a periodic potential. The lift is only ever materialized by
 the finite-window truncation oracle.
+
+Every traversal reads the quotient's one spanning forest (`Graph.forest`),
+and a PeriodicGraph keeps its fundamental-cycle voltages and period lattices
+once computed. No elimination runs beyond one small solve per component: the
+realized quotient dimension is the sum of the period lattices' ranks, and
+the truncation oracle compares Python ints after clearing one common
+denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
+from math import lcm, prod
 from typing import Optional, Sequence
 
 from .errors import InputError, PreconditionError
-from .graphs import Cochain0, Cochain1, Graph, components, potential
-from .linalg import Mat, column_space, integer, rat_str, solve, subspace_sum, Subspace
+from .graphs import TRUNCATION_BUDGET, Cochain0, Cochain1, Graph, potential
+from .linalg import Mat, integer, rat_str, solve
 
 
 def hermite_normal_form(rows: Sequence[Sequence[int]], cols: int) -> list[list[int]]:
@@ -122,85 +131,53 @@ class PeriodicGraph:
             raise InputError(f"bad periodic graph JSON: {exc}") from exc
         return cls.make(d, graph, voltages)
 
+    @cached_property
+    def cycles(self) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
+        """Per quotient component, (edge position, cycle voltage) of each
+        non-tree edge of the quotient's spanning forest: the cycle voltage
+        is the Z^d label summed around that edge's fundamental cycle."""
+        g = self.quotient
+        forest = g.forest
+        volts = [self.voltages[e.id] for e in g.edges]
+        # Tree translation b(v) of each vertex, one coordinate at a time.
+        b = list(zip(*(forest.integrate([t[j] for t in volts]) for j in range(self.d))))
+        cycles: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in forest.comps]
+        for pos, e in enumerate(g.edges):
+            if pos not in forest.tree_positions:
+                cv = tuple(
+                    bo + tj - bt for bo, tj, bt in zip(b[e.o], volts[pos], b[e.t])
+                )
+                cycles[forest.comp_of[e.o]].append((pos, cv))
+        return tuple(map(tuple, cycles))
 
-@dataclass(frozen=True)
-class _ForestData:
-    comp_of: tuple[int, ...]  # vertex -> component index
-    comps: tuple[tuple[int, ...], ...]
-    tree_positions: frozenset[int]
-    b: tuple[tuple[int, ...], ...]  # vertex -> Z^d translation along the tree
-    # per component: list of (edge position, cycle voltage) for non-tree edges
-    cycles: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
-
-
-def _forest(pg: PeriodicGraph) -> _ForestData:
-    g = pg.quotient
-    comps = components(g)
-    comp_of = [0] * g.n_vertices
-    for k, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = k
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n_vertices)]
-    for pos, e in enumerate(g.edges):
-        if e.o == e.t:
-            continue
-        adj[e.o].append((e.t, pos, +1))
-        adj[e.t].append((e.o, pos, -1))
-    from collections import deque
-
-    b: list[Optional[tuple[int, ...]]] = [None] * g.n_vertices
-    tree_positions: set[int] = set()
-    for comp in comps:
-        root = comp[0]
-        b[root] = (0,) * pg.d
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for u, pos, sign in sorted(adj[v]):
-                if b[u] is None:
-                    t = pg.voltages[g.edges[pos].id]
-                    b[u] = tuple(x + sign * y for x, y in zip(b[v], t))
-                    tree_positions.add(pos)
-                    queue.append(u)
-    cycles: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in comps]
-    for pos, e in enumerate(g.edges):
-        if pos in tree_positions:
-            continue
-        t = pg.voltages[e.id]
-        cv = tuple(bo + ti - bt for bo, ti, bt in zip(b[e.o], t, b[e.t]))
-        cycles[comp_of[e.o]].append((pos, cv))
-    return _ForestData(
-        tuple(comp_of),
-        tuple(tuple(c) for c in comps),
-        frozenset(tree_positions),
-        tuple(b),  # type: ignore[arg-type]
-        tuple(tuple(c) for c in cycles),
-    )
+    @cached_property
+    def lattices(self) -> tuple["PeriodLattice", ...]:
+        """Per quotient component, its period lattice; see period_lattices."""
+        return tuple(
+            PeriodLattice(
+                self.d,
+                tuple(map(tuple, hermite_normal_form([cv for _, cv in comp], self.d))),
+            )
+            for comp in self.cycles
+        )
 
 
 def period_lattices(pg: PeriodicGraph) -> list[PeriodLattice]:
     """Per quotient component, the sublattice of Z^d spanned by the voltages
     of its fundamental cycles, in canonical HNF."""
-    data = _forest(pg)
-    out = []
-    for comp_cycles in data.cycles:
-        rows = [cv for _, cv in comp_cycles]
-        out.append(
-            PeriodLattice(pg.d, tuple(map(tuple, hermite_normal_form(rows, pg.d))))
-        )
-    return out
+    return list(pg.lattices)
 
 
 def action_is_closed(pg: PeriodicGraph) -> bool:
     """All translations keep every lift vertex in its component, i.e. every
     component's period lattice is all of Z^d."""
-    return all(lat.is_full() for lat in period_lattices(pg))
+    return all(lat.is_full() for lat in pg.lattices)
 
 
 def lift_component_count(pg: PeriodicGraph):
     """Number of connected components of the lift, or "infinite"."""
     total = 0
-    for lat in period_lattices(pg):
+    for lat in pg.lattices:
         idx = lat.index()
         if idx is None:
             return "infinite"
@@ -208,41 +185,18 @@ def lift_component_count(pg: PeriodicGraph):
     return total
 
 
-def _cycle_sums(pg: PeriodicGraph, w: Cochain1, data: _ForestData):
-    """w-sum along each fundamental cycle (per component), using a tree
-    potential of w within each component."""
+def _cycle_sums(pg: PeriodicGraph, w: Cochain1) -> list[list[Fraction]]:
+    """w-sum along each fundamental cycle (per component), using the tree
+    potential of w."""
     g = pg.quotient
-    pw = [Fraction(0)] * g.n_vertices
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n_vertices)]
-    for pos in data.tree_positions:
-        e = g.edges[pos]
-        adj[e.o].append((e.t, pos, +1))
-        adj[e.t].append((e.o, pos, -1))
-    from collections import deque
-
-    seen = [False] * g.n_vertices
-    for comp in data.comps:
-        root = comp[0]
-        seen[root] = True
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for u, pos, sign in adj[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    pw[u] = pw[v] + sign * w.values[pos]
-                    queue.append(u)
-    sums = []
-    for comp_cycles in data.cycles:
-        comp_sums = []
-        for pos, _cv in comp_cycles:
-            e = g.edges[pos]
-            comp_sums.append(w.values[pos] + pw[e.o] - pw[e.t])
-        sums.append(comp_sums)
-    return sums
+    pw = g.forest.integrate(w.values, Fraction(0))
+    return [
+        [w.values[pos] + pw[g.edges[pos].o] - pw[g.edges[pos].t] for pos, _ in comp]
+        for comp in pg.cycles
+    ]
 
 
-def _period_coefficients(pg: PeriodicGraph, w: Cochain1, data: _ForestData):
+def _period_coefficients(pg: PeriodicGraph, w: Cochain1):
     """Per quotient component k, the coefficients a_k with T_k a_k = sums_k,
     where the rows of T_k are the voltages of k's fundamental cycles and
     sums_k their w-sums; None where that system is inconsistent.
@@ -253,8 +207,8 @@ def _period_coefficients(pg: PeriodicGraph, w: Cochain1, data: _ForestData):
     """
     if len(w.values) != pg.quotient.n_edges:
         raise InputError("1-cochain length does not match edge count")
-    sums = _cycle_sums(pg, w, data)
-    for k, comp_cycles in enumerate(data.cycles):
+    sums = _cycle_sums(pg, w)
+    for k, comp_cycles in enumerate(pg.cycles):
         t_k = Mat([cv for _, cv in comp_cycles], cols=pg.d)
         a_k = solve(t_k, sums[k])
         if a_k is not None:
@@ -269,7 +223,7 @@ def is_invariant_closed(pg: PeriodicGraph, w: Cochain1) -> bool:
     component: in each component, the w-sum of every combination of its
     fundamental cycles with zero total voltage must vanish, i.e. the cycle
     sums must be a linear function of the cycle voltages."""
-    return all(a_k is not None for a_k in _period_coefficients(pg, w, _forest(pg)))
+    return all(a_k is not None for a_k in _period_coefficients(pg, w))
 
 
 @dataclass(frozen=True)
@@ -313,9 +267,7 @@ def decompose_periodic(pg: PeriodicGraph, w: Cochain1) -> PeriodicDecomposition:
     check as is_invariant_closed; the first component whose cycle sums are
     inconsistent is named in the `not-closed` error.
     """
-    data = _forest(pg)
-    lattices = period_lattices(pg)
-    for k, lat in enumerate(lattices):
+    for k, lat in enumerate(pg.lattices):
         if not lat.is_full():
             raise PreconditionError(
                 "action-not-closed",
@@ -324,26 +276,26 @@ def decompose_periodic(pg: PeriodicGraph, w: Cochain1) -> PeriodicDecomposition:
                 + (f", index {lat.index()}" if lat.index() is not None else ""),
             )
     per_comp_a: list[tuple[Fraction, ...]] = []
-    for k, a_k in enumerate(_period_coefficients(pg, w, data)):
+    for k, a_k in enumerate(_period_coefficients(pg, w)):
         if a_k is None:
             raise PreconditionError(
                 "not-closed", f"inconsistent cycle sums in component {k}"
             )
         per_comp_a.append(a_k)
     g = pg.quotient
+    comp_of = g.forest.comp_of
     residual = []
     for pos, e in enumerate(g.edges):
-        k = data.comp_of[e.o]
+        a_k = per_comp_a[comp_of[e.o]]
         t = pg.voltages[e.id]
         residual.append(
-            w.values[pos]
-            - sum((per_comp_a[k][j] * t[j] for j in range(pg.d)), Fraction(0))
+            w.values[pos] - sum((a_k[j] * t[j] for j in range(pg.d)), Fraction(0))
         )
     f = potential(g, Cochain1(tuple(residual)))
     assert f is not None, "residual 1-form must be exact on the quotient"
-    m = len(data.comps)
+    m = len(per_comp_a)
     a = tuple(tuple(per_comp_a[k][j] for k in range(m)) for j in range(pg.d))
-    dec = PeriodicDecomposition(a, f, tuple(lattices))
+    dec = PeriodicDecomposition(a, f, pg.lattices)
     assert reconstruct(pg, dec.a, dec.f).values == w.values
     return dec
 
@@ -352,11 +304,11 @@ def reconstruct(
     pg: PeriodicGraph, a: Sequence[Sequence], f: Cochain0
 ) -> Cochain1:
     """Inverse of decompose_periodic: build w from coefficients and potential."""
-    data = _forest(pg)
     g = pg.quotient
+    comp_of = g.forest.comp_of
     values = []
     for e in g.edges:
-        k = data.comp_of[e.o]
+        k = comp_of[e.o]
         val = f.values[e.t] - f.values[e.o]
         for j in range(pg.d):
             val += Fraction(a[j][k]) * pg.voltages[e.id][j]
@@ -372,34 +324,58 @@ def truncation_oracle(
 
     The lift potential F(v, cell) = f(v) + sum_j a_{j,k(v)} cell_j is
     tabulated once per lift vertex of the window; every lift edge whose two
-    ends lie in the window is then checked exactly against the table. Any
-    mismatch means `dec` does not decompose w and raises AssertionError;
-    the returned report counts the checks performed.
+    ends lie in the window is then checked exactly against the table. All
+    values are scaled by one common denominator of w, f and a, so the table
+    and the comparisons are on Python ints. Any mismatch means `dec` does
+    not decompose w and raises AssertionError; the returned report counts
+    the checks performed.
+
+    The work is predicted first, as (2r+1)^d table entries per quotient
+    vertex plus, per edge of voltage t, the prod_j max(0, 2r+1-|t_j|) cells
+    whose translate stays in the window; above TRUNCATION_BUDGET it raises
+    PreconditionError("budget", ...) before anything is tabulated.
     """
     if radius < 0:
         raise InputError(f"truncation radius must be >= 0, got {radius}")
-    data = _forest(pg)
+    side = 2 * radius + 1
+    work = side**pg.d * pg.quotient.n_vertices + sum(
+        prod(max(0, side - abs(tj)) for tj in t) for t in pg.voltages.values()
+    )
+    if work > TRUNCATION_BUDGET:
+        raise PreconditionError(
+            "budget",
+            f"truncation at radius {radius} predicts {work} table entries "
+            f"and checks, over the budget of {TRUNCATION_BUDGET}",
+        )
     g = pg.quotient
-    m = len(data.comps)
+    comp_of = g.forest.comp_of
+    m = len(g.forest.comps)
+    den = lcm(
+        *(x.denominator for x in w.values),
+        *(x.denominator for x in dec.f.values),
+        *(x.denominator for row in dec.a for x in row),
+    )
+
+    def scaled(values) -> list[int]:
+        return [x.numerator * (den // x.denominator) for x in values]
+
+    w_int, f_int = scaled(w.values), scaled(dec.f.values)
+    a_int = [scaled(row) for row in dec.a]
     lo, hi = -radius, radius
-    big_f: dict[tuple[int, ...], list[Fraction]] = {}
+    big_f: dict[tuple[int, ...], list[int]] = {}
     for cell in product(range(lo, hi + 1), repeat=pg.d):
-        shift = [
-            sum((dec.a[j][k] * cell[j] for j in range(pg.d)), Fraction(0))
-            for k in range(m)
-        ]
-        big_f[cell] = [
-            fv + shift[k] for fv, k in zip(dec.f.values, data.comp_of)
-        ]
+        shift = [sum(a_int[j][k] * cell[j] for j in range(pg.d)) for k in range(m)]
+        big_f[cell] = [fv + shift[k] for fv, k in zip(f_int, comp_of)]
 
     checks = 0
     for pos, e in enumerate(g.edges):
         t = pg.voltages[e.id]
+        value = w_int[pos]
         # Cells whose translate by t stays in the window.
         ranges = [range(max(lo, lo - tj), min(hi, hi - tj) + 1) for tj in t]
         for cell in product(*ranges):
             target = tuple(c + tj for c, tj in zip(cell, t))
-            if w.values[pos] != big_f[target][e.t] - big_f[cell][e.o]:
+            if value != big_f[target][e.t] - big_f[cell][e.o]:
                 raise AssertionError(
                     f"truncation mismatch on edge {e.id} at cell {cell}"
                 )
@@ -409,25 +385,14 @@ def truncation_oracle(
 
 def realized_quotient_dim(pg: PeriodicGraph) -> int:
     """Dimension spanned by the d*m period generator forms
-    (e -> t(e)_j on component k) modulo quotient-exact forms."""
-    data = _forest(pg)
-    g = pg.quotient
-    from .graphs import coboundary
+    (e -> t(e)_j on component k) modulo quotient-exact forms.
 
-    exact = column_space(coboundary(g))
-    gens = []
-    for j in range(pg.d):
-        for k in range(len(data.comps)):
-            gens.append(
-                tuple(
-                    Fraction(pg.voltages[e.id][j])
-                    if data.comp_of[e.o] == k
-                    else Fraction(0)
-                    for e in g.edges
-                )
-            )
-    span = subspace_sum(exact, Subspace(g.n_edges, gens))
-    return span.dim - exact.dim
+    It equals sum_k rank(L_k) over the period lattices: a 1-form is exact
+    iff its sum over every fundamental cycle vanishes, and the period form
+    (j, k) sums over component k's fundamental cycles to column j of the
+    cycle-voltage matrix whose rows span L_k (and to 0 elsewhere).
+    """
+    return sum(lat.rank for lat in pg.lattices)
 
 
 def change_of_basis(pg: PeriodicGraph, b: Sequence[Sequence[int]]) -> PeriodicGraph:

@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+from eqcohom.cli import main
 from eqcohom.instance import check_condition_ii
 from eqcohom.randomized import run_verification
 
@@ -160,6 +162,36 @@ def test_periodic_zero_denominator_exit_2(tmp_path):
     assert code == 2
     assert "zero denominator" in err
     assert "Traceback" not in err
+
+
+def test_periodic_truncation_budget_exit_3(tmp_path):
+    load_fixture(tmp_path, "torus-9")
+    wpath = write_json(tmp_path / "w.json", {str(j): str(j + 1) for j in range(9)})
+    start = time.perf_counter()
+    code, out, err = run_cli(["periodic", str(tmp_path / "torus-9.pgraph.json"), wpath])
+    assert time.perf_counter() - start < 10
+    assert code == 3
+    assert out == ""
+    assert "precondition not met (budget)" in err
+    # 5^9 table entries plus 9 loops * 5^8 cells * 4 steps.
+    assert str(5**9 + 9 * 5**8 * 4) in err
+
+
+def test_in_process_main_calls_do_not_leak_flags(tmp_path, capsys):
+    load_fixture(tmp_path, "torus-2")
+    gpath = str(tmp_path / "torus-2.pgraph.json")
+    wpath = write_json(tmp_path / "w.json", {"0": "5", "1": "-3"})
+    assert main(["--text", "periodic", gpath, wpath]) == 0
+    assert capsys.readouterr().out.startswith("command: ")
+    assert main(["periodic", gpath, wpath]) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == "periodic"
+    assert main(["periodic", gpath, wpath, "--radius", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["truncation"]["checks"] == 0
+    assert main(["periodic", gpath, wpath]) == 0
+    # Radius 2: per loop, 5 transverse cells times 4 interior steps.
+    assert json.loads(capsys.readouterr().out)["truncation"] == {
+        "radius": 2, "checks": 2 * 5 * 4, "ok": True,
+    }
 
 
 def test_analyze_bool_entry_exit_2(tmp_path):

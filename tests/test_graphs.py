@@ -85,6 +85,7 @@ def test_indicators_span_kernel():
 
 def test_potential_recovers_function():
     rng = random.Random(5)
+    perturbed = 0
     for _ in range(20):
         g = random_graph(rng)
         f = Cochain0.make([rng.randint(-5, 5) for _ in range(g.n_vertices)])
@@ -97,6 +98,14 @@ def test_potential_recovers_function():
             for v in comp:
                 assert rec.values[v] == f.values[v] - f.values[root]
         assert apply_coboundary(g, rec).values == w.values
+        # Editing any non-tree edge (loops included) breaks closedness.
+        for pos in range(g.n_edges):
+            if pos not in g.forest.tree_positions:
+                vals = list(w.values)
+                vals[pos] += Fraction(1, 3)
+                assert potential(g, Cochain1(tuple(vals))) is None
+                perturbed += 1
+    assert perturbed > 20
 
 
 def test_triangle_circulation_not_closed():
@@ -226,3 +235,45 @@ def test_multigraph_automorphism_matching():
     g = Graph.make(2, [(0, 0, 1), (1, 0, 1)])
     inst = to_instance(g, GraphAction(((1, 0),), {0: 2}))
     assert validate(inst).ok
+
+
+def union_find_partition(g):
+    """Components of g by union-find, as sorted vertex lists ordered by their
+    smallest vertex: an independent reference for the BFS forest."""
+    root = list(range(g.n_vertices))
+
+    def find(v):
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for e in g.edges:
+        root[find(e.o)] = find(e.t)
+    parts: dict[int, list[int]] = {}
+    for v in range(g.n_vertices):
+        parts.setdefault(find(v), []).append(v)
+    return sorted(parts.values())
+
+
+def test_components_match_union_find():
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(200):
+        g = random_graph(rng, 12)
+        comps = components(g)
+        assert comps == union_find_partition(g)
+        forest = g.forest
+        assert forest is g.forest  # built once per graph
+        assert all(forest.comp_of[v] == k for k, c in enumerate(comps) for v in c)
+        # A spanning forest has |V| - (number of components) tree edges.
+        assert len(forest.tree_positions) == g.n_vertices - len(comps)
+        if len(comps) > 1:
+            seen.add("components")
+        if any(len(c) == 1 for c in comps):
+            seen.add("singleton")
+        if any(e.o == e.t for e in g.edges):
+            seen.add("loop")
+        if len({(e.o, e.t) for e in g.edges}) < g.n_edges:
+            seen.add("multi-edge")
+    assert seen == {"components", "singleton", "loop", "multi-edge"}

@@ -11,8 +11,8 @@ from eqcohom.fixtures import (
     square_index2_periodic,
     torus_periodic,
 )
-from eqcohom.graphs import Cochain0, Cochain1, Graph, components
-from eqcohom.linalg import Mat, solve
+from eqcohom.graphs import Cochain0, Cochain1, Graph, coboundary, components
+from eqcohom.linalg import Mat, Subspace, column_space, solve, subspace_sum
 from eqcohom.periodic import (
     PeriodicGraph,
     action_is_closed,
@@ -303,6 +303,30 @@ def test_truncation_oracle_rejects_negative_radius():
         truncation_oracle(pg, w, dec, -1)
 
 
+def test_truncation_oracle_integer_scaling():
+    # w, a and f carry pairwise-coprime denominators 2, 3 and 5, so only
+    # their common denominator (30) clears all of them; shifting a by 1/7 or
+    # f by 1/11 brings in a denominator that w does not have.
+    g = Graph.make(2, [(0, 0, 0), (1, 0, 0), (2, 0, 1), (3, 1, 0)])
+    pg = PeriodicGraph.make(2, g, {0: (1, 0), 1: (0, 1), 2: (0, 0), 3: (1, 1)})
+    a = [[Fraction(1, 2)], [Fraction(1, 3)]]
+    f = Cochain0.make([0, Fraction(1, 5)])
+    w = reconstruct(pg, a, f)
+    assert w.values[:3] == (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
+    dec = decompose_periodic(pg, w)
+    assert [list(row) for row in dec.a] == a and dec.f == f
+    report = truncation_oracle(pg, w, dec, 2)
+    # Per edge of voltage t, prod_j (5 - |t_j|) cells keep both ends inside.
+    assert report == {"radius": 2, "checks": 20 + 20 + 25 + 16, "ok": True}
+    shifted_a = replace(dec, a=((dec.a[0][0] + Fraction(1, 7),), dec.a[1]))
+    with pytest.raises(AssertionError):
+        truncation_oracle(pg, w, shifted_a, 2)
+    f_vals = (dec.f.values[0], dec.f.values[1] + Fraction(1, 11))
+    shifted_f = replace(dec, f=Cochain0(f_vals))
+    with pytest.raises(AssertionError):
+        truncation_oracle(pg, w, shifted_f, 2)
+
+
 def test_truncation_oracle_torus():
     pg = torus_periodic(2)
     w = Cochain1.make([5, -3])
@@ -325,6 +349,69 @@ def test_truncation_oracle_residual_only():
     w = reconstruct(pg, [[0], [0]], f)
     report = truncation_oracle(pg, w, decompose_periodic(pg, w), 2)
     assert report["ok"]
+
+
+def reference_realized_quotient_dim(pg):
+    """The subspace construction: dim(exact + span of the d*m period forms)
+    - dim(exact), with the exact forms as the column space of the
+    coboundary."""
+    g = pg.quotient
+    comps = components(g)
+    comp_of = {v: k for k, comp in enumerate(comps) for v in comp}
+    exact = column_space(coboundary(g))
+    gens = [
+        tuple(
+            Fraction(pg.voltages[e.id][j]) if comp_of[e.o] == k else Fraction(0)
+            for e in g.edges
+        )
+        for j in range(pg.d)
+        for k in range(len(comps))
+    ]
+    return subspace_sum(exact, Subspace(g.n_edges, gens)).dim - exact.dim
+
+
+def random_quotient(rng):
+    """Random voltage graph with loops, zero voltages, multi-edges, isolated
+    vertices and often several components and rank-deficient lattices."""
+    d = rng.randint(1, 3)
+    n = rng.randint(1, 8)
+    raw = []
+    for i in range(rng.randint(0, 2 * n)):
+        o, t = rng.randrange(n), rng.randrange(n)
+        volt = [rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(d)]
+        raw.append((i, o, t, volt))
+    g = Graph.make(n, [(i, o, t) for i, o, t, _ in raw])
+    return PeriodicGraph.make(d, g, {i: v for i, _, _, v in raw})
+
+
+def test_realized_dim_matches_subspace_reference():
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(300):
+        pg = random_quotient(rng)
+        assert realized_quotient_dim(pg) == reference_realized_quotient_dim(pg)
+        g = pg.quotient
+        comps = components(g)
+        lats = period_lattices(pg)
+        if len(comps) > 1:
+            seen.add("components")
+        if any(len(c) == 1 and not any(v in (e.o, e.t) for e in g.edges)
+               for c in comps for v in c):
+            seen.add("isolated")
+        if any(e.o == e.t for e in g.edges):
+            seen.add("loop")
+        if any(not any(t) for t in pg.voltages.values()):
+            seen.add("zero-voltage")
+        if any(0 < lat.rank < pg.d for lat in lats):
+            seen.add("rank-deficient")
+        if any(lat.rank == pg.d and not lat.is_full() for lat in lats):
+            seen.add("index>1")
+    assert seen == {
+        "components", "isolated", "loop", "zero-voltage", "rank-deficient",
+        "index>1",
+    }
+    assert realized_quotient_dim(halfline_periodic()) == 1
+    assert realized_quotient_dim(square_index2_periodic()) == 2
 
 
 def test_realized_dim_equals_d_times_m():

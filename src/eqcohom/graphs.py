@@ -21,10 +21,6 @@ from .instance import LinearInstance, oracle_quotient_dim, validate
 from .linalg import Mat, integer, kernel_basis, rat, rat_str, vec
 
 GROUP_CLOSURE_CAP = 100000
-# Most lift-window table entries plus edge checks that one
-# periodic.truncation_oracle call may predict before it refuses with
-# PreconditionError("budget", ...).
-TRUNCATION_BUDGET = 10**6
 
 
 @dataclass(frozen=True)

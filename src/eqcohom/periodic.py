@@ -26,7 +26,7 @@ from math import lcm, prod
 from typing import Optional, Sequence
 
 from .errors import InputError, PreconditionError
-from .graphs import TRUNCATION_BUDGET, Cochain0, Cochain1, Graph, potential
+from .graphs import Cochain0, Cochain1, Graph, potential
 from .linalg import Mat, integer, rat_str, solve
 
 
@@ -314,6 +314,11 @@ def reconstruct(
             val += Fraction(a[j][k]) * pg.voltages[e.id][j]
         values.append(val)
     return Cochain1(tuple(values))
+
+
+# Most lift-window table entries plus edge checks that one truncation_oracle
+# call may predict before it refuses with PreconditionError("budget", ...).
+TRUNCATION_BUDGET = 10**6
 
 
 def truncation_oracle(

@@ -2,7 +2,7 @@
 linear maps, with graph-cohomology and periodic-graph front ends."""
 
 from .errors import InputError, PreconditionError
-from .linalg import Mat, Subspace, kernel_basis, rat, rat_str, rref, solve
+from .linalg import Mat, Subspace, kernel_basis, rat, rat_str, rref, solve, solve_many
 from .instance import (
     Decomposition,
     LinearInstance,

@@ -59,9 +59,6 @@ class Graph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def edge_index(self) -> dict[int, int]:
-        return {e.id: i for i, e in enumerate(self.edges)}
-
     @cached_property
     def forest(self) -> "Forest":
         """The BFS spanning forest, built on first use and kept with the graph."""

@@ -11,8 +11,9 @@ preimage part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import InputError, PreconditionError
@@ -26,6 +27,7 @@ from .linalg import (
     rat,
     rat_str,
     solve,
+    solve_many,
     subspace_intersection,
     vec,
 )
@@ -43,9 +45,14 @@ class LinearInstance:
     def d(self) -> int:
         return len(self.generators)
 
+    @cached_property
+    def kernel(self) -> Subspace:
+        """ker pi, computed on first use and kept with the instance."""
+        return kernel_basis(self.pi)
+
     @property
     def m(self) -> int:
-        return kernel_basis(self.pi).dim
+        return self.kernel.dim
 
     def to_json(self) -> dict:
         gens = []
@@ -117,12 +124,6 @@ def validate(inst: LinearInstance) -> ValidationReport:
     return ValidationReport(not issues, tuple(issues))
 
 
-def require_valid(inst: LinearInstance) -> None:
-    report = validate(inst)
-    if not report.ok:
-        raise InputError("invalid instance: " + "; ".join(report.issues))
-
-
 def _power(m: Mat, n: int) -> Mat:
     """m**n for n >= 0 by binary exponentiation: about 2*log2(n) products."""
     acc = Mat.identity(m.rows)
@@ -135,35 +136,38 @@ def _power(m: Mat, n: int) -> Mat:
     return acc
 
 
-def _fixed_space(mats: Sequence[Mat], dim: int) -> Subspace:
-    """Common fixed space of the given square matrices: intersect ker(g - I)."""
-    if not mats:
+def _moves(inst: LinearInstance, on_w: bool = False) -> list[Mat]:
+    """The blocks g_i - id, one per generator, on U (or on W)."""
+    ident = Mat.identity(inst.dim_W if on_w else inst.dim_U)
+    return [(gw if on_w else gu) - ident for gu, gw in inst.generators]
+
+
+def _stacked_kernel(blocks: Sequence[Mat], dim: int) -> Subspace:
+    """Common kernel of the blocks, each with `dim` columns. With no blocks
+    (d = 0) nothing constrains the vector, and this is the full space."""
+    if not blocks:
         return Subspace.full(dim)
-    ident = Mat.identity(dim)
-    stacked = Mat.vstack([g - ident for g in mats])
-    return kernel_basis(stacked)
+    return kernel_basis(Mat.vstack(blocks))
 
 
 def invariant_subspace_U(inst: LinearInstance) -> Subspace:
-    return _fixed_space([gu for gu, _ in inst.generators], inst.dim_U)
+    return _stacked_kernel(_moves(inst), inst.dim_U)
 
 
 def invariant_subspace_W(inst: LinearInstance) -> Subspace:
-    return _fixed_space([gw for _, gw in inst.generators], inst.dim_W)
+    return _stacked_kernel(_moves(inst, on_w=True), inst.dim_W)
 
 
 def u_tilde(inst: LinearInstance) -> Subspace:
     """Preimage of the W fixed space under pi: {u : pi u is fixed by all g}."""
-    mats = [(gw - Mat.identity(inst.dim_W)) * inst.pi for _, gw in inst.generators]
-    if not mats:
-        return Subspace.full(inst.dim_U)
-    return kernel_basis(Mat.vstack(mats))
+    return _stacked_kernel(
+        [move * inst.pi for move in _moves(inst, on_w=True)], inst.dim_U
+    )
 
 
 def gbar_map(inst: LinearInstance) -> Mat:
     """The (d * dim_U) x dim_U matrix of u -> ((g_1 - id)u, ..., (g_d - id)u)."""
-    ident = Mat.identity(inst.dim_U)
-    return Mat.vstack([gu - ident for gu, _ in inst.generators])
+    return Mat.vstack(_moves(inst))
 
 
 @dataclass(frozen=True)
@@ -182,32 +186,23 @@ def oracle_quotient_dim(inst: LinearInstance) -> OracleResult:
     pi_of_ug = Subspace(
         inst.dim_W, [inst.pi.mulvec(v) for v in u_fixed.basis_vectors()]
     )
-    assert pi_of_ug.is_subspace_of(pi_u_g), "pi(U^G) must sit inside pi(U)^G"
     return OracleResult(quotient_dim(pi_u_g, pi_of_ug), pi_u_g, pi_of_ug)
 
 
 def check_condition_i(inst: LinearInstance) -> bool:
     """ker pi contained in the U fixed space."""
-    return kernel_basis(inst.pi).is_subspace_of(invariant_subspace_U(inst))
+    return inst.kernel.is_subspace_of(invariant_subspace_U(inst))
 
 
 def check_condition_ii(inst: LinearInstance) -> bool:
     """(ker pi)^d contained in the image of the stacked (g_i - id) map.
 
-    Checked on the basis vectors of ker pi placed in each of the d slots.
+    This is the system that find_ujk solves: it holds iff every slot target
+    (0, ..., u_k, ..., 0), with a basis vector u_k of ker pi in slot j, is
+    hit, and those d*m targets span (ker pi)^d. So it is exactly "find_ujk
+    succeeds on the canonical basis of ker pi", one rref in all.
     """
-    ker = kernel_basis(inst.pi)
-    if ker.dim == 0:
-        return True
-    gbar = gbar_map(inst)
-    n = inst.dim_U
-    for j in range(inst.d):
-        for u_k in ker.basis_vectors():
-            target = [Fraction(0)] * (inst.d * n)
-            target[j * n : (j + 1) * n] = list(u_k)
-            if solve(gbar, target) is None:
-                return False
-    return True
+    return find_ujk(inst, inst.kernel.basis_vectors()) is not None
 
 
 @dataclass(frozen=True)
@@ -227,7 +222,7 @@ def verify_iff(inst: LinearInstance) -> IffReport:
     iff_ok must always be True; a False value flags a genuine violation of
     the characterization and is treated as a hard failure by callers.
     """
-    m = kernel_basis(inst.pi).dim
+    m = inst.m
     d = inst.d
     dim = oracle_quotient_dim(inst).dim
     ci = check_condition_i(inst)
@@ -242,29 +237,31 @@ def find_ujk(
 ) -> Optional[list[list[tuple[Fraction, ...]]]]:
     """Solve (g_i - id) x = delta_{ij} u_k simultaneously over all i.
 
-    Returns ujk[j][k], or None when some system is inconsistent (which
-    happens exactly when the slot condition on (ker pi)^d fails).
+    All d*m slot targets (0, ..., u_k, ..., 0), u_k in slot j, are the
+    right-hand sides of one system in the stacked (g_i - id) map, solved by
+    one solve_many (one rref); a target is consistent iff it is zero in
+    every row of the reduced system whose map part is zero. Returns
+    ujk[j][k], or None when some target is inconsistent, which happens
+    exactly when condition (ii) fails.
     """
     basis = [vec(u) for u in kernel_basis_choice]
-    ker = kernel_basis(inst.pi)
-    if Subspace(inst.dim_U, basis) != ker or len(basis) != ker.dim:
+    ker = inst.kernel
+    # The canonical basis, which condition (ii) passes, needs no rref to check.
+    if len(basis) != ker.dim or (
+        tuple(basis) != ker.basis_vectors() and Subspace(inst.dim_U, basis) != ker
+    ):
         raise PreconditionError(
             "kernel-basis", "supplied vectors are not a basis of ker pi"
         )
-    gbar = gbar_map(inst)
-    n = inst.dim_U
-    out: list[list[tuple[Fraction, ...]]] = []
-    for j in range(inst.d):
-        row = []
-        for u_k in basis:
-            target = [Fraction(0)] * (inst.d * n)
-            target[j * n : (j + 1) * n] = list(u_k)
-            x = solve(gbar, target)
-            if x is None:
-                return None
-            row.append(x)
-        out.append(row)
-    return out
+    n, d, m = inst.dim_U, inst.d, len(basis)
+    blank = (Fraction(0),) * n
+    targets = [
+        blank * j + u_k + blank * (d - 1 - j) for j in range(d) for u_k in basis
+    ]
+    xs = solve_many(gbar_map(inst), targets)
+    if None in xs:
+        return None
+    return [xs[j * m : (j + 1) * m] for j in range(d)]
 
 
 @dataclass(frozen=True)
@@ -303,33 +300,22 @@ def decompose(
         raise PreconditionError("not-invariant", "w is not fixed by the action")
     basis = [vec(u) for u in kernel_basis_choice]
     kmat = Mat.from_cols(basis) if basis else Mat.zeros(inst.dim_U, 0)
-    ident = Mat.identity(inst.dim_U)
-    coeffs: list[tuple[Fraction, ...]] = []
-    for gu, _ in inst.generators:
-        moved = (gu - ident).mulvec(u0)
-        a_j = solve(kmat, moved)
-        if a_j is None:
-            raise PreconditionError(
-                "kernel-escape",
-                "(g - id)u0 left ker pi; conditions (i)/(ii) do not hold",
-            )
-        coeffs.append(a_j)
-    u_inv = list(u0)
+    coeffs = solve_many(kmat, [move.mulvec(u0) for move in _moves(inst)])
+    if None in coeffs:
+        raise PreconditionError(
+            "kernel-escape",
+            "(g - id)u0 left ker pi; conditions (i)/(ii) do not hold",
+        )
+    periods = [Fraction(0)] * inst.dim_U
     for j in range(inst.d):
         for k in range(len(basis)):
-            u_inv = [
-                x - coeffs[j][k] * y for x, y in zip(u_inv, vec(ujk[j][k]))
-            ]
-    u_inv = tuple(u_inv)
+            a = coeffs[j][k]
+            if a:
+                periods = [x + a * y for x, y in zip(periods, vec(ujk[j][k]))]
+    u_inv = tuple([x - y for x, y in zip(u0, periods)])
     for gu, _ in inst.generators:
         assert gu.mulvec(u_inv) == u_inv, "invariant part not fixed"
-    preimage = list(u_inv)
-    for j in range(inst.d):
-        for k in range(len(basis)):
-            preimage = [
-                x + coeffs[j][k] * y for x, y in zip(preimage, vec(ujk[j][k]))
-            ]
-    preimage = tuple(preimage)
+    preimage = tuple([x + y for x, y in zip(u_inv, periods)])
     assert inst.pi.mulvec(preimage) == w, "reconstruction failed"
     return Decomposition(tuple(coeffs), u_inv, preimage, w)
 

@@ -14,7 +14,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-Rat = Fraction
 _ZERO = Fraction(0)
 _SMALL = {-1: Fraction(-1), 0: _ZERO, 1: Fraction(1)}
 
@@ -292,40 +291,56 @@ def rref(m: Mat) -> tuple[Mat, list[int]]:
     return Mat._trusted(tuple(out), n_cols), pivots
 
 
-def solve(m: Mat, b: Sequence) -> Optional[tuple[Fraction, ...]]:
-    """Particular solution of m x = b with free variables set to zero.
+def solve_many(m: Mat, rhs: Sequence[Sequence]) -> list[Optional[tuple[Fraction, ...]]]:
+    """Particular solutions of m x = b for every b in rhs, from one rref of
+    [m | b_1 ... b_k]; None for an inconsistent b.
 
-    Returns None when the system is inconsistent. The free-variables-zero
-    convention makes the result deterministic.
+    The first r rows of the rref carry the r pivots of m, and the rows below
+    have a zero m-part. Column b_j is consistent iff it is zero in every one
+    of those lower rows; its solution reads the pivot entries off the first
+    r rows and sets the free variables to zero, which makes it deterministic
+    and the same as a one-column solve. A pivot in a right-hand-side column
+    only adds a lower row to the others, and a lower row is zero in every
+    consistent column, so it leaves those columns as they are.
     """
-    b = vec(b)
-    if len(b) != m.rows:
+    rhs = [vec(b) for b in rhs]
+    if any(len(b) != m.rows for b in rhs):
         raise ValueError("rhs length mismatch")
-    aug = Mat([list(row) + [bi] for row, bi in zip(m.data, b)]) if m.rows else m
-    if m.rows == 0:
-        return (Fraction(0),) * m.cols
+    n = m.cols
+    if m.rows == 0 or not rhs:
+        return [(_ZERO,) * n for _ in rhs]
+    aug = Mat._trusted(
+        tuple([row + bs for row, bs in zip(m.data, zip(*rhs))]), n + len(rhs)
+    )
     red, pivots = rref(aug)
-    if m.cols in pivots:
-        return None
-    x = [Fraction(0)] * m.cols
-    for r, c in enumerate(pivots):
-        x[c] = red.data[r][m.cols]
-    return tuple(x)
+    rank = sum(1 for c in pivots if c < n)
+    out: list[Optional[tuple[Fraction, ...]]] = []
+    for j in range(n, n + len(rhs)):
+        if any(row[j] for row in red.data[rank:]):
+            out.append(None)
+            continue
+        x = [_ZERO] * n
+        for row, c in zip(red.data, pivots[:rank]):
+            x[c] = row[j]
+        out.append(tuple(x))
+    return out
+
+
+def solve(m: Mat, b: Sequence) -> Optional[tuple[Fraction, ...]]:
+    """Particular solution of m x = b with free variables set to zero, or
+    None when the system is inconsistent; see solve_many."""
+    return solve_many(m, [b])[0]
 
 
 def inverse(m: Mat) -> Mat:
-    """Exact inverse of a square invertible matrix (via rref of [m | I])."""
+    """Exact inverse of a square invertible matrix: its columns solve
+    m x = e_i, all from one rref of [m | I]."""
     if m.rows != m.cols:
         raise ValueError("not square")
-    n = m.rows
-    aug = Mat(
-        [list(row) + [1 if i == j else 0 for j in range(n)]
-         for i, row in enumerate(m.data)]
-    )
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
+    cols = solve_many(m, Mat.identity(m.rows).data)
+    if None in cols:
         raise ValueError("matrix is singular")
-    return Mat._trusted(tuple([row[n:] for row in red.data]), n)
+    return Mat._trusted(tuple(zip(*cols)), m.rows)
 
 
 def kernel_basis(m: Mat) -> "Subspace":

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 from .errors import InputError, PreconditionError
 from .graphs import Cochain0, Cochain1, Graph, potential
-from .linalg import Mat, integer, rat_str, solve
+from .linalg import Mat, integer, rat, rat_str, solve
 
 
 def hermite_normal_form(rows: Sequence[Sequence[int]], cols: int) -> list[list[int]]:
@@ -287,10 +287,8 @@ def decompose_periodic(pg: PeriodicGraph, w: Cochain1) -> PeriodicDecomposition:
     residual = []
     for pos, e in enumerate(g.edges):
         a_k = per_comp_a[comp_of[e.o]]
-        t = pg.voltages[e.id]
-        residual.append(
-            w.values[pos] - sum((a_k[j] * t[j] for j in range(pg.d)), Fraction(0))
-        )
+        periods = [a_j * t_j for a_j, t_j in zip(a_k, pg.voltages[e.id]) if t_j]
+        residual.append(w.values[pos] - sum(periods, Fraction(0)))
     f = potential(g, Cochain1(tuple(residual)))
     assert f is not None, "residual 1-form must be exact on the quotient"
     m = len(per_comp_a)
@@ -303,15 +301,21 @@ def decompose_periodic(pg: PeriodicGraph, w: Cochain1) -> PeriodicDecomposition:
 def reconstruct(
     pg: PeriodicGraph, a: Sequence[Sequence], f: Cochain0
 ) -> Cochain1:
-    """Inverse of decompose_periodic: build w from coefficients and potential."""
+    """Inverse of decompose_periodic: build w from coefficients and potential.
+
+    Every a[j][k] is read once through rat, so a float or a bool raises
+    TypeError rather than entering the exact arithmetic.
+    """
     g = pg.quotient
     comp_of = g.forest.comp_of
+    coeffs = [[rat(x) for x in row] for row in a]
     values = []
     for e in g.edges:
         k = comp_of[e.o]
         val = f.values[e.t] - f.values[e.o]
-        for j in range(pg.d):
-            val += Fraction(a[j][k]) * pg.voltages[e.id][j]
+        for row, t_j in zip(coeffs, pg.voltages[e.id]):
+            if t_j:
+                val += row[k] * t_j
         values.append(val)
     return Cochain1(tuple(values))
 

@@ -11,21 +11,22 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from math import gcd
+from typing import Optional
 
 from .graphs import Graph, GraphAction, to_instance, validate_action
 from .instance import (
     LinearInstance,
-    check_condition_i,
-    check_condition_ii,
     decompose,
     find_ujk,
     invariant_subspace_U,
-    oracle_quotient_dim,
     u_tilde,
     validate,
+    verify_iff,
 )
-from .linalg import Mat, inverse, kernel_basis, vec
+from .linalg import Mat, inverse, vec
+
+MAX_GENS = 3  # most generators of a random linear instance
 
 
 def random_invertible(rng: random.Random, n: int, lo: int = -2, hi: int = 2) -> Mat:
@@ -37,12 +38,10 @@ def random_invertible(rng: random.Random, n: int, lo: int = -2, hi: int = 2) -> 
             return m
 
 
-def random_unimodular(rng: random.Random, n: int, ops: Optional[int] = None) -> Mat:
-    """Product of random elementary integer row operations; det = +-1."""
-    if ops is None:
-        ops = 2 * n
+def random_unimodular(rng: random.Random, n: int) -> Mat:
+    """Product of 2n random elementary integer row operations; det = +-1."""
     rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(ops):
+    for _ in range(2 * n):
         kind = rng.randrange(3)
         i, j = rng.randrange(n), rng.randrange(n)
         if kind == 0 and i != j:
@@ -55,19 +54,17 @@ def random_unimodular(rng: random.Random, n: int, ops: Optional[int] = None) -> 
     return Mat(rows)
 
 
-def random_linear_instance(
-    rng: random.Random, max_dim: int = 6, max_gens: int = 3
-) -> LinearInstance:
+def random_linear_instance(rng: random.Random, max_dim: int = 6) -> LinearInstance:
     """Valid random instance: adapted-basis block construction + conjugation."""
     if rng.random() < 0.35:
-        return _designed_equality_instance(rng, max_dim, max_gens)
+        return _designed_equality_instance(rng, max_dim)
     dim_u = rng.randint(1, max_dim)
     m = rng.randint(0, min(2, dim_u))
     r = dim_u - m
     s_min = 0 if r > 0 else 1
     s = rng.randint(s_min, max_dim - r)
     dim_w = r + s
-    d = rng.randint(1, max_gens)
+    d = rng.randint(1, MAX_GENS)
 
     pi0 = Mat(
         [
@@ -93,32 +90,35 @@ def random_linear_instance(
             + [[0] * r + list(h.row(i)) for i in range(s)]
         )
         gens0.append((gu0, gw0))
+    return _conjugated(rng, pi0, gens0)
 
+
+def _conjugated(
+    rng: random.Random, pi0: Mat, gens0: list[tuple[Mat, Mat]]
+) -> LinearInstance:
+    """Conjugate an adapted-basis instance by random unimodular P on U and Q
+    on W (pi = Q pi0 P^-1, g = P g0 P^-1 and Q g0 Q^-1), then validate it."""
+    dim_u, dim_w = pi0.cols, pi0.rows
     p = random_unimodular(rng, dim_u)
-    q = random_unimodular(rng, dim_w) if dim_w else Mat.zeros(0, 0)
+    q = random_unimodular(rng, dim_w)
     p_inv = inverse(p)
-    q_inv = inverse(q) if dim_w else q
-    pi = q * pi0 * p_inv if dim_w else pi0
-    gens = tuple(
-        (p * gu0 * p_inv, q * gw0 * q_inv if dim_w else gw0)
-        for gu0, gw0 in gens0
-    )
+    q_inv = inverse(q)
+    pi = q * pi0 * p_inv
+    gens = tuple((p * gu0 * p_inv, q * gw0 * q_inv) for gu0, gw0 in gens0)
     inst = LinearInstance(dim_u, dim_w, pi, gens, {})
     report = validate(inst)
     assert report.ok, f"random construction broke invariants: {report.issues}"
     return inst
 
 
-def _designed_equality_instance(
-    rng: random.Random, max_dim: int, max_gens: int
-) -> LinearInstance:
+def _designed_equality_instance(rng: random.Random, max_dim: int) -> LinearInstance:
     """Instance where both sharp conditions hold by construction: each
     generator shears its own block of complement coordinates onto the
     kernel (a multi-generator version of the basic shear)."""
     choices = [
         (m, d)
         for m in (1, 2)
-        for d in range(1, max_gens + 1)
+        for d in range(1, MAX_GENS + 1)
         if m + m * d <= max_dim
     ]
     m, d = rng.choice(choices)
@@ -157,19 +157,7 @@ def _designed_equality_instance(
             cols=dim_w,
         )
         gens0.append((gu0, gw0))
-    p = random_unimodular(rng, dim_u)
-    q = random_unimodular(rng, dim_w)
-    p_inv = inverse(p)
-    q_inv = inverse(q) if dim_w else q
-    pi = (q * pi0 * p_inv) if dim_w else pi0
-    gens = tuple(
-        (p * gu0 * p_inv, (q * gw0 * q_inv) if dim_w else gw0)
-        for gu0, gw0 in gens0
-    )
-    inst = LinearInstance(dim_u, dim_w, pi, gens, {})
-    report = validate(inst)
-    assert report.ok, f"designed construction broke invariants: {report.issues}"
-    return inst
+    return _conjugated(rng, pi0, gens0)
 
 
 def random_graph(rng: random.Random, max_vertices: int = 7) -> Graph:
@@ -193,7 +181,7 @@ def random_graph_instance(rng: random.Random) -> LinearInstance:
         g = Graph.make(n, [(i, i, (i + 1) % n) for i in range(n)])
         shift = rng.randint(1, n - 1)
         perm = tuple((v + shift) % n for v in range(n))
-        act = GraphAction((perm,), {0: n // _gcd(n, shift)})
+        act = GraphAction((perm,), {0: n // gcd(n, shift)})
     elif kind == 1:
         # Two disjoint copies of a random graph, swapped.
         base = random_graph(rng, 3)
@@ -217,12 +205,6 @@ def random_graph_instance(rng: random.Random) -> LinearInstance:
         act = GraphAction((tuple(range(g.n_vertices)),), {0: 1})
     assert not validate_action(g, act)
     return to_instance(g, act)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass
@@ -274,26 +256,21 @@ def _random_invariant_image_vector(
 
 
 def check_one_instance(
-    inst: LinearInstance,
-    rng: random.Random,
-    result: VerifyResult,
-    index: int,
-    cond_ii: Callable[[LinearInstance], bool] = check_condition_ii,
+    inst: LinearInstance, rng: random.Random, result: VerifyResult, index: int
 ) -> None:
-    """Run the bound/iff assertions and, when possible, a decomposition
-    round-trip with a coefficient-invariance shift."""
-    m = kernel_basis(inst.pi).dim
-    d = len(inst.generators)
-    dim = oracle_quotient_dim(inst).dim
-    ci = check_condition_i(inst)
-    cii = cond_ii(inst)
+    """Flag the bound/iff failures that verify_iff reports and, when
+    possible, run a decomposition round-trip with a coefficient-invariance
+    shift."""
+    iff = verify_iff(inst)
+    m, d, dim = iff.m, iff.d, iff.dim
+    ci, cii = iff.condition_i, iff.condition_ii
 
     def flag(kind: str, detail: str) -> None:
         result.violations.append(Violation(index, kind, detail, inst.to_json()))
 
-    if dim > m * d:
+    if not iff.bound_ok:
         flag("bound", f"dim {dim} > m*d = {m * d}")
-    if (dim == m * d) != (ci and cii):
+    if not iff.iff_ok:
         flag(
             "iff",
             f"dim {dim}, m*d {m * d}, condition_i {ci}, condition_ii {cii}",
@@ -302,7 +279,7 @@ def check_one_instance(
 
     if not (ci and cii and m > 0):
         return
-    kernel_vecs = [list(v) for v in kernel_basis(inst.pi).basis_vectors()]
+    kernel_vecs = [list(v) for v in inst.kernel.basis_vectors()]
     ujk = find_ujk(inst, kernel_vecs)
     if ujk is None:
         flag("find-ujk", "condition (ii) holds but the ujk solve failed")
@@ -335,19 +312,13 @@ def check_one_instance(
         flag("shift-invariance", "coefficients changed under a fixed-vector shift")
 
 
-def run_verification(
-    seed: int,
-    count: int,
-    max_dim: int = 6,
-    max_gens: int = 3,
-    cond_ii: Callable[[LinearInstance], bool] = check_condition_ii,
-) -> VerifyResult:
+def run_verification(seed: int, count: int, max_dim: int = 6) -> VerifyResult:
     rng = random.Random(seed)
     result = VerifyResult(seed=seed, count=count)
     for i in range(count):
         if rng.random() < 0.8:
-            inst = random_linear_instance(rng, max_dim=max_dim, max_gens=max_gens)
+            inst = random_linear_instance(rng, max_dim=max_dim)
         else:
             inst = random_graph_instance(rng)
-        check_one_instance(inst, rng, result, i, cond_ii=cond_ii)
+        check_one_instance(inst, rng, result, i)
     return result

@@ -68,7 +68,7 @@ def test_criterion_1_bound_and_iff():
         rep = verify_iff(inst)
         assert rep.bound_ok, name
         assert rep.iff_ok, name
-    result = run_verification(seed=7, count=500, max_dim=6, max_gens=3)
+    result = run_verification(seed=7, count=500, max_dim=6)
     assert result.checked == 500
     assert result.ok, [v.detail for v in result.violations]
     print("ACCEPTANCE 1 (bound and iff, fixtures + 500 random): PASS")

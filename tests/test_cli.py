@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+import eqcohom.instance
 from eqcohom.cli import main
 from eqcohom.instance import check_condition_ii
 from eqcohom.randomized import run_verification
@@ -221,11 +222,13 @@ def test_verify_count_zero():
     assert json.loads(out)["checked"] == 0
 
 
-def test_verify_mutant_condition_ii_detected():
-    # Invert the condition-(ii) check: the harness must catch the lie.
-    result = run_verification(
-        seed=7, count=60, cond_ii=lambda inst: not check_condition_ii(inst)
+def test_verify_mutant_condition_ii_detected(monkeypatch):
+    # Invert the condition-(ii) check that verify_iff reads from its module:
+    # the harness must catch the lie.
+    monkeypatch.setattr(
+        eqcohom.instance, "check_condition_ii", lambda inst: not check_condition_ii(inst)
     )
+    result = run_verification(seed=7, count=60)
     assert not result.ok
     assert any(v.kind == "iff" for v in result.violations)
     assert all(v.instance_json for v in result.violations)

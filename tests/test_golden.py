@@ -1,0 +1,101 @@
+"""Golden reports: sha256 digests of the CLI's stdout, with its exit code.
+
+Each case writes its inputs with the same serialization as `eqcohom
+fixtures`, runs `eqcohom.cli.main` in-process and compares
+"<exit code> <sha256 of stdout>" with the recorded value. The digests pin
+every report byte for byte, so a refactor that changes any answer, key or
+number formatting fails here.
+
+The periodic fixtures ship no cochain; each case builds one from fixed
+integer coefficients a and potential f as w(e) = f(te) - f(oe) + sum_j a_j
+t(e)_j, without calling eqcohom.periodic.reconstruct.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from eqcohom.cli import main
+from eqcohom.fixtures import fixture_files
+from eqcohom.periodic import PeriodicGraph
+
+INSTANCE_FIXTURES = ("shear", "double-shear", "identity")
+GRAPH_FIXTURES = ("c4-rotation", "p2-swap", "k3-s3", "two-triangles-swap")
+PERIODIC_FIXTURES = ("torus-1", "torus-2", "torus-3", "hex")
+A = (2, -1, 3)  # period coefficients, one per translation generator
+F = (0, 5)  # potential, one value per quotient vertex
+
+GOLDEN = {
+    "analyze/shear": "0 d97ca31c6fb7699b6286784bf7393d0bd80f2dec11548d62f696f0a1e6c5f93f",
+    "analyze/double-shear": "0 b98ab28dd70cdc79f24d73a1e3d977e7f1a06add43b44c76611b92c4c7e1ae40",
+    "analyze/identity": "0 b9f9f5c3da4b4fbb7ae7ab0f3f9323c9c44112f1d624be8c33aa373bdb335f5f",
+    "graph/c4-rotation": "0 238732c13f687f2bca2108373709244baa958d647e225164c177942c021f6bd8",
+    "graph/p2-swap": "0 190ae54d5b5e3260c6bd101ca9af3e70e1104738e75e7711444960398c4fef6e",
+    "graph/k3-s3": "0 cbc805e3b6c97d51f5a71bfe54d2faca7acaf4ebaf338d250c83bdb5d53e3d1a",
+    "graph/two-triangles-swap": "0 55fdaf902ea4fcf5be3955215733b44033c46caac0b2855222512ab0e6400929",
+    "periodic/torus-1": "0 f3ffe39ba372f4940a6b505b5fc863d31848aa498e6fa68a455e6f9711fa741b",
+    "periodic/torus-2": "0 b6f4a0703be9d66fec615c2f40d8280b3f29a1f75a3edcff6db8c23b05eb70cf",
+    "periodic/torus-3": "0 3b651803964ea04e4f7e8e69d3cc8e9ab27bb32b61d4faa480aaab624633ccfa",
+    "periodic/hex": "0 99a132775d0efac00d9285f5db909e683f03eae03c6802d43678d2d6ba7c242d",
+    "verify/seed-7-count-200": "0 9f60f36c143824ee8bc995d2f1503ce2c35658108ff422005eef3ac7e1b5f2a2",
+}
+
+
+def _write(path, payload) -> str:
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def _fixture(tmp_path, name) -> dict[str, str]:
+    """Write a fixture's files; returns file name -> path."""
+    return {fname: _write(tmp_path / fname, payload)
+            for fname, payload in sorted(fixture_files(name).items())}
+
+
+def _cochain(pgraph: dict) -> dict[str, int]:
+    pg = PeriodicGraph.from_json(pgraph)
+    return {
+        str(e.id): F[e.t] - F[e.o] + sum(A[j] * pg.voltages[e.id][j] for j in range(pg.d))
+        for e in pg.quotient.edges
+    }
+
+
+def _argv(case: str, tmp_path) -> list[str]:
+    command, name = case.split("/")
+    if command == "verify":
+        return ["verify", "--seed", "7", "--count", "200"]
+    paths = _fixture(tmp_path, name)
+    if command == "analyze":
+        return ["analyze", *paths.values()]
+    if command == "graph":
+        graph = next(p for f, p in paths.items() if f.endswith(".graph.json"))
+        action = next(p for f, p in paths.items() if f.endswith(".action.json"))
+        return ["graph", graph, action]
+    (pgraph,) = paths.values()
+    payload = next(iter(fixture_files(name).values()))
+    cochain = _write(tmp_path / "w.json", _cochain(payload))
+    return ["periodic", pgraph, cochain, "--radius", "1"]
+
+
+def _digest(case: str, tmp_path, capsys) -> str:
+    argv = _argv(case, tmp_path)
+    capsys.readouterr()
+    code = main(argv)
+    out = capsys.readouterr().out
+    return f"{code} {hashlib.sha256(out.encode('utf-8')).hexdigest()}"
+
+
+def test_cases_cover_every_fixture():
+    expected = (
+        [f"analyze/{n}" for n in INSTANCE_FIXTURES]
+        + [f"graph/{n}" for n in GRAPH_FIXTURES]
+        + [f"periodic/{n}" for n in PERIODIC_FIXTURES]
+        + ["verify/seed-7-count-200"]
+    )
+    assert list(GOLDEN) == expected
+
+
+@pytest.mark.parametrize("case", list(GOLDEN))
+def test_report_matches_golden_digest(case, tmp_path, capsys):
+    assert _digest(case, tmp_path, capsys) == GOLDEN[case]

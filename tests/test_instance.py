@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import eqcohom.linalg
 from eqcohom.errors import PreconditionError
 from eqcohom.fixtures import (
     c4_graph,
@@ -222,6 +223,41 @@ def test_find_ujk_double_shear():
 def test_find_ujk_rejects_non_basis():
     with pytest.raises(PreconditionError):
         find_ujk(shear_instance(), [[1, 0]])
+
+
+def test_find_ujk_and_condition_ii_run_one_rref(monkeypatch):
+    # All d*m slot targets share one elimination of [gbar | targets], with
+    # ker pi already cached on the instance; a non-canonical basis costs one
+    # more rref, the check that it spans ker pi.
+    rng = random.Random(41)
+    instances = [double_shear_instance()]
+    while len(instances) < 12:
+        inst = random_linear_instance(rng)
+        if inst.d * inst.m >= 2:
+            instances.append(inst)
+    assert {check_condition_ii(inst) for inst in instances} == {True, False}
+    shapes = []
+    original = eqcohom.linalg.rref
+
+    def counted(m):
+        shapes.append((m.rows, m.cols))
+        return original(m)
+
+    for inst in instances:
+        basis = inst.kernel.basis_vectors()
+        n, d, m = inst.dim_U, inst.d, inst.m
+        monkeypatch.setattr(eqcohom.linalg, "rref", counted)
+        holds = check_condition_ii(inst)
+        assert shapes == [(d * n, n + d * m)]
+        shapes.clear()
+        assert (find_ujk(inst, basis) is not None) == holds
+        assert shapes == [(d * n, n + d * m)]
+        shapes.clear()
+        scaled = [[2 * x for x in u] for u in basis]
+        assert (find_ujk(inst, scaled) is not None) == holds
+        assert len(shapes) == 2
+        shapes.clear()
+        monkeypatch.setattr(eqcohom.linalg, "rref", original)
 
 
 def test_decompose_shear():

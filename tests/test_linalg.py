@@ -14,6 +14,7 @@ from eqcohom.linalg import (
     rat_str,
     rref,
     solve,
+    solve_many,
     subspace_intersection,
     subspace_sum,
 )
@@ -250,6 +251,84 @@ def test_inverse():
     assert m * inverse(m) == Mat.identity(2)
     with pytest.raises(ValueError):
         inverse(Mat([[1, 2], [2, 4]]))
+
+
+def _low_rank_matrix(rng, rows, cols):
+    """Random rows x cols matrix of rank at most a random inner width."""
+    inner = rng.randint(0, min(rows, cols))
+    return random_matrix(rng, rows, inner) * random_matrix(rng, inner, cols)
+
+
+def _free_columns(m):
+    """Columns that raise no rank over the columns before them (the oracle's
+    own pivot test, independent of rref)."""
+    ranks = [fraction_free_rank([row[:c] for row in m.data]) for c in range(m.cols + 1)]
+    return [c for c in range(m.cols) if ranks[c + 1] == ranks[c]]
+
+
+def test_solve_many_matches_the_defining_equation():
+    rng = random.Random(29)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (4, 4)]
+    shapes += [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(80)]
+    kinds = {"consistent": 0, "inconsistent": 0}
+    for rows, cols in shapes:
+        low_rank = rng.random() < 0.7
+        m = (_low_rank_matrix if low_rank else random_matrix)(rng, rows, cols)
+        rhs = []
+        for _ in range(rng.randint(0, 4)):
+            if rng.random() < 0.5:
+                target = [Fraction(rng.randint(-3, 3)) for _ in range(cols)]
+                rhs.append(m.mulvec(target))
+            else:
+                rhs.append([Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(rows)])
+        xs = solve_many(m, rhs)
+        assert len(xs) == len(rhs)
+        rank = fraction_free_rank([list(row) for row in m.data])
+        free = _free_columns(m)
+        for b, x in zip(rhs, xs):
+            assert x == solve(m, b)
+            augmented = [list(row) + [bi] for row, bi in zip(m.data, b)]
+            if x is None:
+                kinds["inconsistent"] += 1
+                assert fraction_free_rank(augmented) > rank
+            else:
+                kinds["consistent"] += 1
+                assert m.mulvec(x) == tuple(b)
+                assert all(x[c] == 0 for c in free)
+    assert min(kinds.values()) > 20, kinds
+
+
+def test_solve_many_inconsistent_column_before_consistent_ones():
+    # The first column lands a pivot in the right-hand side; the later
+    # consistent columns still read their solutions off the pivot rows.
+    m = Mat([[1, 2, 0], [0, 0, 1], [1, 2, 1]])
+    xs = solve_many(m, [[0, 0, 1], [3, 4, 7], [0, 0, 0], [1, 1, 1], [2, -1, 1]])
+    assert xs[0] is None and xs[3] is None
+    assert xs[1] == (3, 0, 4) and xs[2] == (0, 0, 0) and xs[4] == (2, 0, -1)
+    assert solve_many(m, []) == []
+    with pytest.raises(ValueError):
+        solve_many(m, [[1, 2]])
+
+
+def test_inverse_roundtrip_and_singular():
+    rng = random.Random(31)
+    assert inverse(Mat.zeros(0, 0)) == Mat.zeros(0, 0)
+    inverted = 0
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        m = random_matrix(rng, n, n)
+        if fraction_free_rank([list(row) for row in m.data]) < n:
+            with pytest.raises(ValueError):
+                inverse(m)
+            continue
+        inv = inverse(m)
+        assert m * inv == Mat.identity(n) and inv * m == Mat.identity(n)
+        inverted += 1
+    assert inverted > 20
+    for n in range(2, 6):
+        singular = random_matrix(rng, n, n - 1) * random_matrix(rng, n - 1, n)
+        with pytest.raises(ValueError):
+            inverse(singular)
 
 
 def test_subspace_canonical_idempotent():

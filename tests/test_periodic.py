@@ -467,3 +467,17 @@ def test_parse_invariant_cochain_loop_rules():
     pg0 = PeriodicGraph.make(1, g, {0: (0,)})
     with pytest.raises(InputError):
         parse_invariant_cochain(pg0, {"0": "1"})
+
+
+def test_reconstruct_reads_coefficients_exactly():
+    pg = hex_periodic()
+    f = Cochain0.make([0, 3])
+    for bad in ([[0.5], [1]], [[1], [True]]):
+        with pytest.raises(TypeError):
+            reconstruct(pg, bad, f)
+    for a in ([["1/2"], ["-3"]], [[Fraction(1, 2)], [Fraction(-3)]]):
+        w = reconstruct(pg, a, f)
+        assert w.values == (Fraction(3), Fraction(7, 2), Fraction(0))
+        dec = decompose_periodic(pg, w)
+        assert [list(row) for row in dec.a] == [[Fraction(1, 2)], [Fraction(-3)]]
+        assert dec.f == f

@@ -12,8 +12,6 @@ from .instance import (
     check_torsion_trivial,
     decompose,
     find_ujk,
-    invariant_subspace_U,
-    invariant_subspace_W,
     oracle_quotient_dim,
     validate,
     verify_iff,
@@ -26,8 +24,6 @@ from .graphs import (
     analyze_graph_action,
     coboundary,
     components,
-    is_closed,
-    kernel_indicators,
     potential,
     to_instance,
 )

@@ -18,10 +18,9 @@ from pathlib import Path
 
 from .errors import InputError, PreconditionError
 from .fixtures import FIXTURE_NAMES, fixture_files
-from .graphs import Cochain1, Graph, GraphAction, analyze_graph_action
+from .graphs import Graph, GraphAction, analyze_graph_action
 from .instance import (
     LinearInstance,
-    check_condition_i,
     check_lemma_commutation,
     check_torsion_trivial,
     validate,

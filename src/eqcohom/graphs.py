@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .errors import InputError, PreconditionError
 from .instance import LinearInstance, oracle_quotient_dim, validate
-from .linalg import Mat, integer, kernel_basis, rat, rat_str, vec
+from .linalg import Mat, integer, json_list, rat, rat_str, vec
 
 GROUP_CLOSURE_CAP = 100000
 
@@ -76,7 +76,7 @@ class Graph:
             n = integer(obj["vertices"])
             edges = [
                 (integer(e["id"]), integer(e["o"]), integer(e["t"]))
-                for e in obj["edges"]
+                for e in json_list(obj["edges"])
             ]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad graph JSON: {exc}") from exc
@@ -177,7 +177,7 @@ class Cochain1:
                 src = obj.get("values", obj)
                 vals = [rat(src[str(e.id)]) for e in graph.edges]
             else:
-                vals = [rat(x) for x in obj]
+                vals = [rat(x) for x in json_list(obj)]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad 1-cochain JSON: {exc}") from exc
         if len(vals) != graph.n_edges:
@@ -211,18 +211,6 @@ def components(graph: Graph) -> list[list[int]]:
     return [list(comp) for comp in graph.forest.comps]
 
 
-def kernel_indicators(graph: Graph) -> list[Cochain0]:
-    """Component indicator functions; they span ker(coboundary)."""
-    comps = components(graph)
-    out = []
-    for comp in comps:
-        vals = [Fraction(0)] * graph.n_vertices
-        for v in comp:
-            vals[v] = Fraction(1)
-        out.append(Cochain0(tuple(vals)))
-    return out
-
-
 def potential(graph: Graph, w: Cochain1) -> Optional[Cochain0]:
     """Integrate w along the BFS spanning forest, 0 at each component root.
 
@@ -234,14 +222,6 @@ def potential(graph: Graph, w: Cochain1) -> Optional[Cochain0]:
         if pos not in forest.tree_positions and w.values[pos] != f[e.t] - f[e.o]:
             return None
     return Cochain0(tuple(f))
-
-
-def is_closed(graph: Graph, w: Cochain1) -> bool:
-    return potential(graph, w) is not None
-
-
-def apply_coboundary(graph: Graph, f: Cochain0) -> Cochain1:
-    return Cochain1(tuple(coboundary(graph).mulvec(f.values)))
 
 
 @dataclass(frozen=True)
@@ -258,7 +238,10 @@ class GraphAction:
     @classmethod
     def from_json(cls, obj: dict) -> "GraphAction":
         try:
-            gens = tuple(tuple(integer(x) for x in p) for p in obj["generators"])
+            gens = tuple(
+                tuple(integer(x) for x in json_list(p))
+                for p in json_list(obj["generators"])
+            )
             orders = {
                 integer(i): integer(n) for i, n in (obj.get("orders") or {}).items()
             }

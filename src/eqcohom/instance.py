@@ -1,12 +1,12 @@
 """Equivariant linear instances and the quotient-dimension machinery.
 
 A LinearInstance packages a rational linear map pi : U -> W together with a
-finite list of commuting-with-pi generator actions (gU_i, gW_i). The module
-computes the invariant subspaces, the quotient dimension
-dim (im(pi) ^ fixed) / pi(fixed), checks the two sharp conditions that
-characterize when it equals m*d, and performs the constructive decomposition
-of an invariant image vector into period coefficients plus an invariant
-preimage part.
+finite list of commuting-with-pi generator actions (gU_i, gW_i), and keeps
+ker pi and the fixed spaces U^G and W^G once computed. The module computes
+the quotient dimension dim (im(pi) ^ fixed) / pi(fixed), checks the two
+sharp conditions that characterize when it equals m*d, and performs the
+constructive decomposition of an invariant image vector into period
+coefficients plus an invariant preimage part.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from .linalg import (
     Subspace,
     column_space,
     integer,
+    json_list,
     kernel_basis,
     quotient_dim,
-    rat,
     rat_str,
     solve,
     solve_many,
@@ -54,6 +54,16 @@ class LinearInstance:
     def m(self) -> int:
         return self.kernel.dim
 
+    @cached_property
+    def fixed_U(self) -> Subspace:
+        """U^G, the vectors of U fixed by every gU, kept like `kernel`."""
+        return _stacked_kernel(_moves(self), self.dim_U)
+
+    @cached_property
+    def fixed_W(self) -> Subspace:
+        """W^G, the vectors of W fixed by every gW, kept like `kernel`."""
+        return _stacked_kernel(_moves(self, on_w=True), self.dim_W)
+
     def to_json(self) -> dict:
         gens = []
         for i, (gu, gw) in enumerate(self.generators):
@@ -73,16 +83,21 @@ class LinearInstance:
         try:
             dim_u = integer(obj["dim_U"])
             dim_w = integer(obj["dim_W"])
-            pi = Mat(obj["pi"])
+            pi = _matrix(obj["pi"])
             gens = []
             orders = {}
-            for i, g in enumerate(obj["generators"]):
-                gens.append((Mat(g["gU"]), Mat(g["gW"])))
+            for i, g in enumerate(json_list(obj["generators"])):
+                gens.append((_matrix(g["gU"]), _matrix(g["gW"])))
                 if "order" in g and g["order"] is not None:
                     orders[i] = integer(g["order"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad instance JSON: {exc}") from exc
         return cls(dim_u, dim_w, pi, tuple(gens), orders)
+
+
+def _matrix(rows) -> Mat:
+    """A matrix read from JSON: a list of rows, each a list of entries."""
+    return Mat([json_list(row) for row in json_list(rows)])
 
 
 @dataclass(frozen=True)
@@ -150,14 +165,6 @@ def _stacked_kernel(blocks: Sequence[Mat], dim: int) -> Subspace:
     return kernel_basis(Mat.vstack(blocks))
 
 
-def invariant_subspace_U(inst: LinearInstance) -> Subspace:
-    return _stacked_kernel(_moves(inst), inst.dim_U)
-
-
-def invariant_subspace_W(inst: LinearInstance) -> Subspace:
-    return _stacked_kernel(_moves(inst, on_w=True), inst.dim_W)
-
-
 def u_tilde(inst: LinearInstance) -> Subspace:
     """Preimage of the W fixed space under pi: {u : pi u is fixed by all g}."""
     return _stacked_kernel(
@@ -179,19 +186,16 @@ class OracleResult:
 
 def oracle_quotient_dim(inst: LinearInstance) -> OracleResult:
     """Brute-force the quotient dimension from the defining subspaces."""
-    image = column_space(inst.pi)
-    w_fixed = invariant_subspace_W(inst)
-    pi_u_g = subspace_intersection(image, w_fixed)
-    u_fixed = invariant_subspace_U(inst)
+    pi_u_g = subspace_intersection(column_space(inst.pi), inst.fixed_W)
     pi_of_ug = Subspace(
-        inst.dim_W, [inst.pi.mulvec(v) for v in u_fixed.basis_vectors()]
+        inst.dim_W, [inst.pi.mulvec(v) for v in inst.fixed_U.basis_vectors()]
     )
     return OracleResult(quotient_dim(pi_u_g, pi_of_ug), pi_u_g, pi_of_ug)
 
 
 def check_condition_i(inst: LinearInstance) -> bool:
     """ker pi contained in the U fixed space."""
-    return inst.kernel.is_subspace_of(invariant_subspace_U(inst))
+    return inst.kernel.is_subspace_of(inst.fixed_U)
 
 
 def check_condition_ii(inst: LinearInstance) -> bool:
@@ -296,7 +300,7 @@ def decompose(
     u0 = solve(inst.pi, w)
     if u0 is None:
         raise PreconditionError("not-in-image", "w is not in the image of pi")
-    if not invariant_subspace_W(inst).contains(w):
+    if not inst.fixed_W.contains(w):
         raise PreconditionError("not-invariant", "w is not fixed by the action")
     basis = [vec(u) for u in kernel_basis_choice]
     kmat = Mat.from_cols(basis) if basis else Mat.zeros(inst.dim_U, 0)

@@ -53,6 +53,15 @@ def integer(value) -> int:
     raise TypeError(f"not an integer: {value!r}")
 
 
+def json_list(value) -> list:
+    """Read a JSON array as it is. Python iterates a string or an object
+    too, so "10" would pass for [1, 0]; both raise TypeError instead, which
+    the JSON loaders report as input errors."""
+    if type(value) is not list:
+        raise TypeError(f"not a JSON list: {value!r}")
+    return value
+
+
 def rat_str(x: Fraction) -> str:
     """Serialize as "p/q", or "p" when the denominator is 1."""
     if x.denominator == 1:
@@ -152,9 +161,6 @@ class Mat:
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.data[i]
-
-    def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple([row[j] for row in self.data])
 
     def transpose(self) -> "Mat":
         if self.rows == 0:
@@ -332,17 +338,6 @@ def solve(m: Mat, b: Sequence) -> Optional[tuple[Fraction, ...]]:
     return solve_many(m, [b])[0]
 
 
-def inverse(m: Mat) -> Mat:
-    """Exact inverse of a square invertible matrix: its columns solve
-    m x = e_i, all from one rref of [m | I]."""
-    if m.rows != m.cols:
-        raise ValueError("not square")
-    cols = solve_many(m, Mat.identity(m.rows).data)
-    if None in cols:
-        raise ValueError("matrix is singular")
-    return Mat._trusted(tuple(zip(*cols)), m.rows)
-
-
 def kernel_basis(m: Mat) -> "Subspace":
     """Kernel of m as a canonical subspace of the column domain."""
     red, pivots = rref(m)
@@ -417,12 +412,6 @@ class Subspace:
             self.ambient_dim, list(other.basis.data) + list(self.basis.data)
         )
         return joined.dim == other.dim
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    return Subspace(a.ambient_dim, list(a.basis.data) + list(b.basis.data))
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:

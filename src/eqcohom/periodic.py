@@ -27,14 +27,15 @@ from typing import Optional, Sequence
 
 from .errors import InputError, PreconditionError
 from .graphs import Cochain0, Cochain1, Graph, potential
-from .linalg import Mat, integer, rat, rat_str, solve
+from .linalg import Mat, integer, json_list, rat, rat_str, solve
 
 
 def hermite_normal_form(rows: Sequence[Sequence[int]], cols: int) -> list[list[int]]:
     """Row-style HNF of the lattice spanned by integer rows.
 
     Canonical form: positive pivots, entries above a pivot reduced into
-    [0, pivot), zero rows dropped.
+    [0, pivot), zero rows dropped. The column walk stops once every row
+    holds a pivot, so the work is bounded by the rows, not by `cols`.
     """
     a = [list(map(int, r)) for r in rows]
     for r in a:
@@ -43,6 +44,8 @@ def hermite_normal_form(rows: Sequence[Sequence[int]], cols: int) -> list[list[i
     m = len(a)
     r = 0
     for c in range(cols):
+        if r == m:
+            break
         while True:
             nz = [i for i in range(r, m) if a[i][c] != 0]
             if not nz:
@@ -125,7 +128,8 @@ class PeriodicGraph:
         try:
             d = integer(obj["d"])
             voltages = {
-                integer(i): [integer(x) for x in t] for i, t in obj["voltages"].items()
+                integer(i): [integer(x) for x in json_list(t)]
+                for i, t in obj["voltages"].items()
             }
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad periodic graph JSON: {exc}") from exc
@@ -139,15 +143,20 @@ class PeriodicGraph:
         g = self.quotient
         forest = g.forest
         volts = [self.voltages[e.id] for e in g.edges]
-        # Tree translation b(v) of each vertex, one coordinate at a time.
-        b = list(zip(*(forest.integrate([t[j] for t in volts]) for j in range(self.d))))
+        # Tree translation b(v) of each vertex, one coordinate at a time, for
+        # the coordinates some tree edge moves; the others are 0. So the work
+        # follows the voltages given, not d.
+        moved = sorted(
+            {j for pos in forest.tree_positions for j, x in enumerate(volts[pos]) if x}
+        )
+        b = {j: forest.integrate([t[j] for t in volts]) for j in moved}
         cycles: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in forest.comps]
         for pos, e in enumerate(g.edges):
             if pos not in forest.tree_positions:
-                cv = tuple(
-                    bo + tj - bt for bo, tj, bt in zip(b[e.o], volts[pos], b[e.t])
-                )
-                cycles[forest.comp_of[e.o]].append((pos, cv))
+                cv = list(volts[pos])
+                for j, bj in b.items():
+                    cv[j] += bj[e.o] - bj[e.t]
+                cycles[forest.comp_of[e.o]].append((pos, tuple(cv)))
         return tuple(map(tuple, cycles))
 
     @cached_property
@@ -402,20 +411,3 @@ def realized_quotient_dim(pg: PeriodicGraph) -> int:
     cycle-voltage matrix whose rows span L_k (and to 0 elsewhere).
     """
     return sum(lat.rank for lat in pg.lattices)
-
-
-def change_of_basis(pg: PeriodicGraph, b: Sequence[Sequence[int]]) -> PeriodicGraph:
-    """Re-express all voltages in a new Z^d coordinate system t' = B t.
-
-    B must be unimodular. Period coefficients of a decomposition transform by
-    the contragredient (inverse transpose) of B.
-    """
-    rows = [list(map(int, r)) for r in b]
-    h = hermite_normal_form(rows, pg.d)
-    if len(h) != pg.d or any(h[i][i] != 1 for i in range(pg.d)):
-        raise InputError("change-of-basis matrix is not unimodular")
-    bm = Mat(rows)
-    voltages = {
-        eid: tuple(int(x) for x in bm.mulvec(t)) for eid, t in pg.voltages.items()
-    }
-    return PeriodicGraph(pg.d, pg.quotient, voltages)

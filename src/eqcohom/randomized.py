@@ -14,17 +14,10 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
+from .errors import InputError
 from .graphs import Graph, GraphAction, to_instance, validate_action
-from .instance import (
-    LinearInstance,
-    decompose,
-    find_ujk,
-    invariant_subspace_U,
-    u_tilde,
-    validate,
-    verify_iff,
-)
-from .linalg import Mat, inverse, vec
+from .instance import LinearInstance, decompose, find_ujk, u_tilde, verify_iff
+from .linalg import Mat, Subspace
 
 MAX_GENS = 3  # most generators of a random linear instance
 
@@ -38,20 +31,30 @@ def random_invertible(rng: random.Random, n: int, lo: int = -2, hi: int = 2) -> 
             return m
 
 
-def random_unimodular(rng: random.Random, n: int) -> Mat:
-    """Product of 2n random elementary integer row operations; det = +-1."""
+def random_unimodular(rng: random.Random, n: int) -> tuple[Mat, Mat]:
+    """(P, P^-1) for a product P of 2n random elementary integer row
+    operations; det P = +-1.
+
+    P^-1 is built alongside: the inverse of each row operation on P is
+    applied as a column operation on P^-1, so P^-1 = E_1^-1 ... E_2n^-1.
+    Its columns are kept as rows of `inv_cols`.
+    """
     rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    inv_cols = [row[:] for row in rows]
     for _ in range(2 * n):
         kind = rng.randrange(3)
         i, j = rng.randrange(n), rng.randrange(n)
         if kind == 0 and i != j:
             k = rng.choice([-2, -1, 1, 2])
             rows[j] = [x + k * y for x, y in zip(rows[j], rows[i])]
+            inv_cols[i] = [x - k * y for x, y in zip(inv_cols[i], inv_cols[j])]
         elif kind == 1:
             rows[i], rows[j] = rows[j], rows[i]
+            inv_cols[i], inv_cols[j] = inv_cols[j], inv_cols[i]
         else:
             rows[i] = [-x for x in rows[i]]
-    return Mat(rows)
+            inv_cols[i] = [-x for x in inv_cols[i]]
+    return Mat(rows, cols=n), Mat(inv_cols, cols=n).transpose()
 
 
 def random_linear_instance(rng: random.Random, max_dim: int = 6) -> LinearInstance:
@@ -97,18 +100,24 @@ def _conjugated(
     rng: random.Random, pi0: Mat, gens0: list[tuple[Mat, Mat]]
 ) -> LinearInstance:
     """Conjugate an adapted-basis instance by random unimodular P on U and Q
-    on W (pi = Q pi0 P^-1, g = P g0 P^-1 and Q g0 Q^-1), then validate it."""
+    on W: pi = Q pi0 P^-1, g = P g0 P^-1 and Q g0 Q^-1.
+
+    The asserts need no elimination. Each g0 is block triangular with
+    diagonal blocks that are identities or checked by random_invertible, so
+    it is invertible, and so is its conjugate once P P^-1 = I and
+    Q Q^-1 = I hold; equivariance is checked on the conjugates themselves.
+    The full validate runs in the tests, on many seeded draws.
+    """
     dim_u, dim_w = pi0.cols, pi0.rows
-    p = random_unimodular(rng, dim_u)
-    q = random_unimodular(rng, dim_w)
-    p_inv = inverse(p)
-    q_inv = inverse(q)
+    p, p_inv = random_unimodular(rng, dim_u)
+    q, q_inv = random_unimodular(rng, dim_w)
+    assert p * p_inv == Mat.identity(dim_u), "P^-1 is not the inverse of P"
+    assert q * q_inv == Mat.identity(dim_w), "Q^-1 is not the inverse of Q"
     pi = q * pi0 * p_inv
     gens = tuple((p * gu0 * p_inv, q * gw0 * q_inv) for gu0, gw0 in gens0)
-    inst = LinearInstance(dim_u, dim_w, pi, gens, {})
-    report = validate(inst)
-    assert report.ok, f"random construction broke invariants: {report.issues}"
-    return inst
+    for i, (gu, gw) in enumerate(gens):
+        assert pi * gu == gw * pi, f"generator {i}: equivariance fails"
+    return LinearInstance(dim_u, dim_w, pi, gens, {})
 
 
 def _designed_equality_instance(rng: random.Random, max_dim: int) -> LinearInstance:
@@ -241,6 +250,18 @@ class VerifyResult:
         }
 
 
+def _random_combination(
+    rng: random.Random, space: Subspace, bound: int
+) -> list[Fraction]:
+    """sum_i c_i b_i over the canonical basis b_i of `space`, each c_i drawn
+    in turn from [-bound, bound]."""
+    out = [Fraction(0)] * space.ambient_dim
+    for bv in space.basis_vectors():
+        c = rng.randint(-bound, bound)
+        out = [x + c * y for x, y in zip(out, bv)]
+    return out
+
+
 def _random_invariant_image_vector(
     rng: random.Random, inst: LinearInstance
 ) -> Optional[tuple[Fraction, ...]]:
@@ -248,11 +269,7 @@ def _random_invariant_image_vector(
     ut = u_tilde(inst)
     if ut.dim == 0:
         return None
-    u = [Fraction(0)] * inst.dim_U
-    for bv in ut.basis_vectors():
-        c = rng.randint(-3, 3)
-        u = [x + c * y for x, y in zip(u, bv)]
-    return inst.pi.mulvec(u)
+    return inst.pi.mulvec(_random_combination(rng, ut, 3))
 
 
 def check_one_instance(
@@ -294,25 +311,27 @@ def check_one_instance(
         return
     result.decompositions += 1
     # Shift every ujk by a random fixed vector: coefficients must not move.
-    fixed = invariant_subspace_U(inst)
-    if fixed.dim == 0:
+    if inst.fixed_U.dim == 0:
         return
-    shifted = []
-    for j in range(d):
-        row = []
-        for k in range(m):
-            shift = [Fraction(0)] * inst.dim_U
-            for bv in fixed.basis_vectors():
-                c = rng.randint(-2, 2)
-                shift = [x + c * y for x, y in zip(shift, bv)]
-            row.append(tuple(x + y for x, y in zip(vec(ujk[j][k]), shift)))
-        shifted.append(row)
+    shifted = [
+        [
+            tuple(x + y for x, y in zip(u, _random_combination(rng, inst.fixed_U, 2)))
+            for u in row
+        ]
+        for row in ujk
+    ]
     dec2 = decompose(inst, w, shifted, kernel_vecs)
     if dec2.coefficients != dec.coefficients:
         flag("shift-invariance", "coefficients changed under a fixed-vector shift")
 
 
 def run_verification(seed: int, count: int, max_dim: int = 6) -> VerifyResult:
+    """Check `count` seeded random instances. A designed equality instance
+    needs dim_U >= 2, so max_dim < 2 has no instance to draw."""
+    if count < 0:
+        raise InputError(f"count must be >= 0, got {count}")
+    if max_dim < 2:
+        raise InputError(f"max_dim must be >= 2, got {max_dim}")
     rng = random.Random(seed)
     result = VerifyResult(seed=seed, count=count)
     for i in range(count):

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from eqcohom.linalg import Subspace
+
 
 def run_cli(args, cwd=None):
     """Run the CLI in a subprocess; returns (exit_code, stdout, stderr)."""
@@ -19,6 +21,14 @@ def run_cli(args, cwd=None):
 def write_json(path, payload):
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return str(path)
+
+
+def subspace_sum(a, b):
+    """a + b as the span of both canonical bases: the reference that the
+    Grassmann identity and the periodic dimension oracle read."""
+    if a.ambient_dim != b.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    return Subspace(a.ambient_dim, list(a.basis.data) + list(b.basis.data))
 
 
 @pytest.fixture

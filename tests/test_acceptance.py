@@ -26,12 +26,10 @@ from eqcohom.fixtures import (
 from eqcohom.graphs import Cochain1, to_instance
 from eqcohom.instance import (
     check_condition_i,
-    check_condition_ii,
     check_lemma_commutation,
     check_torsion_trivial,
     decompose,
     find_ujk,
-    invariant_subspace_U,
     oracle_quotient_dim,
     u_tilde,
     verify_iff,
@@ -92,7 +90,7 @@ def test_criterion_2_decomposition_roundtrip_and_uniqueness():
             w = inst.pi.mulvec(u)
             dec = decompose(inst, w, ujk, kb)
             assert inst.pi.mulvec(dec.preimage) == w  # exact reconstruction
-            fixed = invariant_subspace_U(inst)
+            fixed = inst.fixed_U
             for _ in range(10):
                 shifted = [
                     [

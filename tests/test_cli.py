@@ -1,4 +1,7 @@
 import json
+import resource
+import subprocess
+import sys
 import time
 
 import pytest
@@ -290,6 +293,9 @@ def test_graph_order_of_missing_generator_exit_2(tmp_path):
         {"generators": [[1, 2, 0]], "orders": {"0": True}},
         {"generators": [[True, 2, 0]]},
         {"generators": [[1, 2, 0]], "orders": [3]},
+        # A string is not a permutation, even one that reads as (1, 2, 0).
+        {"generators": ["120"]},
+        {"generators": "120"},
     ],
 )
 def test_graph_action_bad_integers_exit_2(tmp_path, action):
@@ -312,7 +318,8 @@ def test_graph_bool_vertex_count_exit_2(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "d, voltages", [(True, {"0": [True]}), (1, {"0": [1.0]}), (1, [[1]])]
+    "d, voltages",
+    [(True, {"0": [True]}), (1, {"0": [1.0]}), (1, [[1]]), (1, {"0": "1"})],
 )
 def test_periodic_bad_integers_exit_2(tmp_path, d, voltages):
     pgraph = {
@@ -330,6 +337,80 @@ def test_periodic_bad_integers_exit_2(tmp_path, d, voltages):
     )
     assert code == 2
     assert "bad periodic graph JSON" in err
+
+
+@pytest.mark.parametrize(
+    "key, value", [("pi", ["1"]), ("pi", "1"), ("gU", ["1"]), ("gW", "1")]
+)
+def test_analyze_non_list_matrix_exit_2(tmp_path, key, value):
+    # Each of these would read as the valid matrix [[1]] if strings counted
+    # as lists.
+    payload = {
+        "dim_U": 1,
+        "dim_W": 1,
+        "pi": [["1"]],
+        "generators": [{"gU": [["1"]], "gW": [["1"]]}],
+    }
+    (payload if key == "pi" else payload["generators"][0])[key] = value
+    code, out, err = run_cli(["analyze", write_json(tmp_path / "i.json", payload)])
+    assert code == 2
+    assert "bad instance JSON: not a JSON list" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("cochain", ["1", {"values": "1"}])
+def test_periodic_non_list_cochain_exit_2(tmp_path, cochain):
+    pgraph = {
+        "vertices": 1,
+        "edges": [{"id": 0, "o": 0, "t": 0}],
+        "d": 1,
+        "voltages": {"0": [1]},
+    }
+    code, out, err = run_cli(
+        [
+            "periodic",
+            write_json(tmp_path / "pg.json", pgraph),
+            write_json(tmp_path / "w.json", cochain),
+        ]
+    )
+    assert code == 2
+    assert "bad 1-cochain JSON" in err and "Traceback" not in err
+
+
+def test_periodic_edgeless_huge_d_exit_3(tmp_path):
+    # With no edges there are no cycle voltages and the HNF has no rows, so
+    # the work must not grow with d. The address-space cap keeps a run that
+    # does walk all d coordinates from exhausting the host's memory.
+    pgraph = {"vertices": 1, "edges": [], "d": 10**9, "voltages": {}}
+    args = [
+        "periodic",
+        write_json(tmp_path / "pg.json", pgraph),
+        write_json(tmp_path / "w.json", {}),
+    ]
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "eqcohom", *args],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=cap_memory,
+    )
+    assert time.perf_counter() - start < 2
+    assert result.returncode == 3
+    assert "precondition not met (action-not-closed)" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args", [["--max-dim", "0"], ["--max-dim", "1"], ["--count", "-3"]]
+)
+def test_verify_bad_bounds_exit_2(args):
+    code, out, err = run_cli(["verify", *args])
+    assert code == 2
+    assert out == ""
+    assert "input error" in err and "Traceback" not in err
 
 
 def test_analyze_bool_dimension_exit_2(tmp_path):

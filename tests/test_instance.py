@@ -29,8 +29,6 @@ from eqcohom.instance import (
     decompose,
     find_ujk,
     gbar_map,
-    invariant_subspace_U,
-    invariant_subspace_W,
     oracle_quotient_dim,
     u_tilde,
     validate,
@@ -106,22 +104,22 @@ def test_validate_huge_declared_order():
 
 def test_invariant_subspace_identity_action():
     inst = identity_instance()
-    assert invariant_subspace_U(inst) == Subspace.full(2)
-    assert invariant_subspace_W(inst) == Subspace.full(1)
+    assert inst.fixed_U == Subspace.full(2)
+    assert inst.fixed_W == Subspace.full(1)
 
 
 def test_invariant_subspace_swap():
     swap = Mat([[0, 1], [1, 0]])
     inst = LinearInstance(2, 2, Mat.identity(2), ((swap, swap),), {0: 2})
-    assert invariant_subspace_U(inst) == Subspace(2, [[1, 1]])
+    assert inst.fixed_U == Subspace(2, [[1, 1]])
+    assert inst.fixed_W == Subspace(2, [[1, 1]])
 
 
 def test_invariant_vectors_fixed_by_generators():
     rng = random.Random(17)
     for _ in range(20):
         inst = random_linear_instance(rng)
-        fixed = invariant_subspace_U(inst)
-        for v in fixed.basis_vectors():
+        for v in inst.fixed_U.basis_vectors():
             for gu, _ in inst.generators:
                 assert gu.mulvec(v) == v
 
@@ -316,7 +314,7 @@ def test_decompose_coefficients_invariant_under_ujk_shift():
     ujk = find_ujk(inst, kb)
     w = inst.pi.mulvec([2, -1, 3, 7])
     dec = decompose(inst, w, ujk, kb)
-    fixed = invariant_subspace_U(inst)
+    fixed = inst.fixed_U
     for _ in range(10):
         shifted = []
         for j in range(inst.d):
@@ -345,7 +343,7 @@ def test_decompose_basis_covariance():
     dec_scaled = decompose(inst, [3], ujk_scaled, kb_scaled)
     assert dec_scaled.coefficients[0][0] == dec.coefficients[0][0] / c
     diff = tuple(a - b for a, b in zip(dec.preimage, dec_scaled.preimage))
-    assert invariant_subspace_U(inst).contains(diff)
+    assert inst.fixed_U.contains(diff)
 
 
 def test_gbar_map_blocks():

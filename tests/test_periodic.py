@@ -12,11 +12,10 @@ from eqcohom.fixtures import (
     torus_periodic,
 )
 from eqcohom.graphs import Cochain0, Cochain1, Graph, coboundary, components
-from eqcohom.linalg import Mat, Subspace, column_space, solve, subspace_sum
+from eqcohom.linalg import Subspace, column_space
 from eqcohom.periodic import (
     PeriodicGraph,
     action_is_closed,
-    change_of_basis,
     decompose_periodic,
     hermite_normal_form,
     is_invariant_closed,
@@ -28,6 +27,8 @@ from eqcohom.periodic import (
     truncation_oracle,
 )
 from eqcohom.randomized import random_unimodular
+
+from conftest import subspace_sum
 
 
 def random_cochain_pair(rng, pg):
@@ -64,8 +65,7 @@ def test_hnf_canonical_under_row_operations():
         h = hermite_normal_form(rows, d)
         # Unimodular row mixing must not change the canonical form.
         if rows:
-            u = random_unimodular(rng, len(rows))
-            mixed = Mat(rows)
+            u, _ = random_unimodular(rng, len(rows))
             mixed = [
                 [int(x) for x in u.row(i)] for i in range(len(rows))
             ]  # coefficients
@@ -430,25 +430,24 @@ def test_realized_dim_equals_d_times_m():
 
 
 def test_change_of_basis_contragredient():
+    # Re-expressing every voltage as t' = B t, for unimodular B, transforms
+    # the period coefficients by the contragredient B^-T.
     rng = random.Random(9)
     pg = hex_periodic()
     w = Cochain1.make([Fraction(1, 2), 2, -1])
     dec = decompose_periodic(pg, w)
     for _ in range(10):
-        b = random_unimodular(rng, 2)
-        pg2 = change_of_basis(pg, b.to_lists())
-        dec2 = decompose_periodic(pg2, w)
-        # Coefficients transform by the inverse transpose of B.
-        bt = b.transpose()
-        for k in range(1):
+        b, b_inv = random_unimodular(rng, 2)
+        voltages = {
+            eid: tuple(int(x) for x in b.mulvec(t)) for eid, t in pg.voltages.items()
+        }
+        dec2 = decompose_periodic(PeriodicGraph(pg.d, pg.quotient, voltages), w)
+        assert dec2.f == dec.f
+        for k in range(len(dec.a[0])):
             old = [dec.a[j][k] for j in range(2)]
             new = [dec2.a[j][k] for j in range(2)]
-            assert bt.mulvec(new) == tuple(old)
-
-
-def test_change_of_basis_rejects_non_unimodular():
-    with pytest.raises(InputError):
-        change_of_basis(torus_periodic(2), [[2, 0], [0, 1]])
+            assert b.transpose().mulvec(new) == tuple(old)
+            assert b_inv.transpose().mulvec(old) == tuple(new)
 
 
 def test_periodic_json_roundtrip():

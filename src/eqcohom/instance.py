@@ -83,7 +83,8 @@ class LinearInstance:
         try:
             dim_u = integer(obj["dim_U"])
             dim_w = integer(obj["dim_W"])
-            pi = _matrix(obj["pi"])
+            # A negative dim_U reads as width 0 and fails validate's shape check.
+            pi = _matrix(obj["pi"], cols=max(dim_u, 0))
             gens = []
             orders = {}
             for i, g in enumerate(json_list(obj["generators"])):
@@ -95,9 +96,10 @@ class LinearInstance:
         return cls(dim_u, dim_w, pi, tuple(gens), orders)
 
 
-def _matrix(rows) -> Mat:
-    """A matrix read from JSON: a list of rows, each a list of entries."""
-    return Mat([json_list(row) for row in json_list(rows)])
+def _matrix(rows, cols: Optional[int] = None) -> Mat:
+    """A matrix read from JSON: a list of rows, each a list of entries.
+    `cols` is the width of a matrix with no rows (pi when dim_W = 0)."""
+    return Mat([json_list(row) for row in json_list(rows)], cols=cols)
 
 
 @dataclass(frozen=True)

@@ -317,6 +317,20 @@ def test_graph_bool_vertex_count_exit_2(tmp_path):
     assert "bad graph JSON" in err
 
 
+@pytest.mark.parametrize("command", ["graph", "periodic"])
+def test_negative_vertex_count_exit_2(tmp_path, command):
+    graph = {"vertices": -3, "edges": []}
+    if command == "graph":
+        second = write_json(tmp_path / "a.json", {"generators": []})
+    else:
+        graph.update({"d": 1, "voltages": {}})
+        second = write_json(tmp_path / "w.json", {})
+    code, out, err = run_cli([command, write_json(tmp_path / "g.json", graph), second])
+    assert code == 2
+    assert out == ""
+    assert "vertex count -3 < 0" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "d, voltages",
     [(True, {"0": [True]}), (1, {"0": [1.0]}), (1, [[1]]), (1, {"0": "1"})],
@@ -411,6 +425,21 @@ def test_verify_bad_bounds_exit_2(args):
     assert code == 2
     assert out == ""
     assert "input error" in err and "Traceback" not in err
+
+
+def test_analyze_zero_dim_w_valid(tmp_path):
+    # With dim_W = 0, "pi": [] is a 0 x dim_U matrix, not 0 x 0.
+    payload = {
+        "dim_U": 2,
+        "dim_W": 0,
+        "pi": [],
+        "generators": [{"gU": [["0", "1"], ["1", "0"]], "gW": [], "order": 2}],
+    }
+    code, out, err = run_cli(["analyze", write_json(tmp_path / "i.json", payload)])
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["valid"] is True
+    assert (report["m"], report["d"], report["quotient_dim"]) == (2, 1, 0)
 
 
 def test_analyze_bool_dimension_exit_2(tmp_path):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import eqcohom.instance
+import eqcohom.linalg
 from eqcohom.errors import InputError, PreconditionError
 from eqcohom.fixtures import (
     c4_graph,
@@ -30,7 +32,7 @@ from eqcohom.graphs import (
 )
 from eqcohom.instance import check_condition_i, oracle_quotient_dim, validate
 from eqcohom.linalg import Mat, Subspace, kernel_basis
-from eqcohom.randomized import random_graph
+from eqcohom.randomized import random_graph, random_graph_instance
 
 
 def test_coboundary_single_edge():
@@ -279,3 +281,129 @@ def test_components_match_union_find():
         if len({(e.o, e.t) for e in g.edges}) < g.n_edges:
             seen.add("multi-edge")
     assert seen == {"components", "singleton", "loop", "multi-edge"}
+
+
+def random_symmetric_graph(rng, n_gens):
+    """A random action of 1 or 2 vertex permutations and a graph it
+    preserves: unions of orbits of directed pairs, each stored in a random
+    orientation, some orbits repeated, so loops and parallel and
+    anti-parallel edges all occur."""
+    n = rng.randint(1, 5)
+    gens = tuple(tuple(rng.sample(range(n), n)) for _ in range(n_gens))
+    edges = []
+    for _ in range(rng.randint(0, 2)):
+        seed = (rng.randrange(n), rng.randrange(n))
+        orbit, frontier = {seed}, [seed]
+        while frontier:
+            a, b = frontier.pop()
+            for p in gens:
+                if (p[a], p[b]) not in orbit:
+                    orbit.add((p[a], p[b]))
+                    frontier.append((p[a], p[b]))
+        for _ in range(rng.choice((1, 1, 2))):
+            for a, b in sorted(orbit):
+                o, t = (a, b) if rng.random() < 0.5 else (b, a)
+                edges.append((len(edges), o, t))
+    return Graph.make(n, edges), gens
+
+
+def dense_order_issues(inst, i, top):
+    """Per N = 1..top, the declared-order issues of generator i, read off
+    the dense powers gU^N and gW^N (one product per N)."""
+    gu, gw = inst.generators[i]
+    pu, pw = gu, gw
+    id_u, id_w = Mat.identity(inst.dim_U), Mat.identity(inst.dim_W)
+    out = {}
+    for n in range(1, top + 1):
+        out[n] = []
+        if pu != id_u:
+            out[n].append(f"generator {i}: gU^{n} != identity")
+        if pw != id_w:
+            out[n].append(f"generator {i}: gW^{n} != identity")
+        pu, pw = pu * gu, pw * gw
+    return out
+
+
+def test_to_instance_matches_dense_validation():
+    # Dense validate is the oracle: the compiled action must pass all of it,
+    # and a declared order N must be accepted exactly when gU^N and gW^N
+    # are the identity, with the same issue strings.
+    rng = random.Random(57)
+    seen = set()
+    for k in range(150):
+        g, gens = random_symmetric_graph(rng, 1 + k % 2)
+        inst = to_instance(g, GraphAction(gens))
+        assert validate(inst).ok
+        for i in range(len(gens)):
+            for n, issues in dense_order_issues(inst, i, 24).items():
+                act = GraphAction(gens, {i: n})
+                if not issues:
+                    assert to_instance(g, act).orders == {i: n}
+                    continue
+                with pytest.raises(InputError) as err:
+                    to_instance(g, act)
+                assert str(err.value) == "invalid declared order: " + "; ".join(issues)
+                if issues == [f"generator {i}: gW^{n} != identity"]:
+                    seen.add("gW only")
+        if any(e.o == e.t for e in g.edges):
+            seen.add("loop")
+        pairs = [(e.o, e.t) for e in g.edges if e.o != e.t]
+        if len(set(pairs)) < len(pairs):
+            seen.add("parallel")
+        if any((t, o) in pairs for o, t in pairs):
+            seen.add("anti-parallel")
+    assert seen == {"gW only", "loop", "parallel", "anti-parallel"}
+    for _ in range(200):
+        assert validate(random_graph_instance(rng)).ok
+
+
+def test_to_instance_rejects_bad_declared_orders():
+    g = k3_graph()
+    rotation = (1, 2, 0)
+    cases = [
+        ({0: 0}, "generator 0: declared order 0 < 1"),
+        ({0: -3}, "generator 0: declared order -3 < 1"),
+        ({0: 2}, "generator 0: gU^2 != identity; generator 0: gW^2 != identity"),
+        ({0: 3, 4: 3}, "declared order for generator 4, which does not exist"),
+        ({2: 1, -1: 1}, "declared order for generator -1, which does not exist; "
+         "declared order for generator 2, which does not exist"),
+    ]
+    for orders, issues in cases:
+        with pytest.raises(InputError) as err:
+            to_instance(g, GraphAction((rotation,), orders))
+        assert str(err.value) == "invalid declared order: " + issues
+
+
+def torus_grid(k):
+    """The k x k torus grid graph with its two unit translations."""
+    edges = []
+    for x in range(k):
+        for y in range(k):
+            v = x * k + y
+            edges.append((len(edges), v, ((x + 1) % k) * k + y))
+            edges.append((len(edges), v, x * k + (y + 1) % k))
+    shift_x = tuple(((v // k + 1) % k) * k + v % k for v in range(k * k))
+    shift_y = tuple((v // k) * k + (v % k + 1) % k for v in range(k * k))
+    return Graph.make(k * k, edges), (shift_x, shift_y)
+
+
+def test_to_instance_checks_orders_without_matrix_work(monkeypatch):
+    # The compiled action is valid by construction, and declared orders are
+    # read off its cycles: no elimination, matrix product or powering.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("to_instance must not do matrix work")
+
+    monkeypatch.setattr(eqcohom.linalg, "rref", forbidden)
+    monkeypatch.setattr(Mat, "__mul__", forbidden)
+    monkeypatch.setattr(eqcohom.instance, "_power", forbidden)
+    g, gens = torus_grid(8)
+    inst = to_instance(g, GraphAction(gens, {0: 8, 1: 16}))
+    assert (inst.dim_U, inst.dim_W, inst.d) == (64, 128, 2)
+    huge = 8 * 10**40
+    assert to_instance(g, GraphAction(gens, {0: huge, 1: huge})).orders == {0: huge, 1: huge}
+    with pytest.raises(InputError) as err:
+        to_instance(g, GraphAction(gens, {1: huge + 4}))
+    assert str(err.value) == (
+        f"invalid declared order: generator 1: gU^{huge + 4} != identity; "
+        f"generator 1: gW^{huge + 4} != identity"
+    )

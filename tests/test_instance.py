@@ -404,3 +404,21 @@ def test_json_roundtrip():
     assert again.pi == inst.pi
     assert again.generators == inst.generators
     assert again.orders == inst.orders
+
+
+@pytest.mark.parametrize("dim_u, dim_w", [(2, 0), (0, 2), (0, 0)])
+def test_json_roundtrip_empty_dimension(dim_u, dim_w):
+    def swap(n):
+        return Mat([[1 if i == 1 - j else 0 for j in range(n)] for i in range(n)])
+
+    inst = LinearInstance(
+        dim_u,
+        dim_w,
+        Mat.zeros(dim_w, dim_u),
+        ((swap(dim_u), swap(dim_w)),),
+        {0: 2},
+    )
+    assert validate(inst).ok
+    again = LinearInstance.from_json(inst.to_json())
+    assert again == inst
+    assert validate(again).ok

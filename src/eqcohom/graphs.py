@@ -4,22 +4,28 @@ A graph stores one chosen orientation per geometric edge; the reversed edge
 is implicit and 1-cochains obey w(reversed e) = -w(e) through accessors.
 Components, potentials and the periodic cycle voltages all read one BFS
 spanning forest per graph (`Graph.forest`), built on first use.
-Vertex permutations that induce graph automorphisms compile into a
-LinearInstance (0-cochains as U, 1-cochains as W, coboundary as pi) so the
-abstract quotient-dimension oracle applies directly. A compiled action is
-valid by construction; declared orders are checked on its cycles.
+A vertex permutation that induces a graph automorphism permutes vertices
+and signed edges, and `analyze_graph_action` answers from those orbits
+(`orbit_quotient_dim`): pi(U^G) is read off the vertex orbits and the
+components, and pi(U) ^ W^G off the signed edge orbits and their
+fundamental-cycle sums, with one small elimination and no |V|- or |E|-sized
+matrix. An action also compiles into a LinearInstance (0-cochains as U,
+1-cochains as W, coboundary as pi), on which the abstract quotient-dimension
+oracle checks the orbit answer. A compiled action is valid by construction;
+declared orders are checked on the permutations' cycles.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import InputError, PreconditionError
-from .instance import LinearInstance, oracle_quotient_dim
+from .instance import LinearInstance
 from .linalg import Mat, integer, json_list, rat, rat_str, vec
 
 GROUP_CLOSURE_CAP = 100000
@@ -254,13 +260,13 @@ class GraphAction:
         return cls(gens, orders)
 
 
-def _edge_image_map(graph: Graph, perm: tuple[int, ...]) -> Optional[list[tuple[int, int]]]:
+def _edge_image_map(
+    graph: Graph, perm: tuple[int, ...], by_endpoints: dict[tuple[int, int], list[int]]
+) -> Optional[list[tuple[int, int]]]:
     """Per stored edge position: (image position, sign), or None if the
-    permutation is not a graph automorphism. Parallel edges are matched
-    greedily in id order."""
-    by_endpoints: dict[tuple[int, int], list[int]] = {}
-    for pos, e in enumerate(graph.edges):
-        by_endpoints.setdefault((e.o, e.t), []).append(pos)
+    permutation is not a graph automorphism. `by_endpoints` lists the edge
+    positions per (origin, target); parallel edges are matched greedily in id
+    order."""
     used = [False] * graph.n_edges
     out: list[tuple[int, int]] = []
     for e in graph.edges:
@@ -282,20 +288,61 @@ def _edge_image_map(graph: Graph, perm: tuple[int, ...]) -> Optional[list[tuple[
     return out
 
 
+def _find(root: list[int], v: int) -> int:
+    """Union-find representative of v, halving the path on the way."""
+    while root[v] != v:
+        root[v] = root[root[v]]
+        v = root[v]
+    return v
+
+
+class ActionOrbits:
+    """A graph action read once: each generator's signed edge map, and the
+    vertex orbits of the generated group, computed on first use.
+
+    `issues` names each generator that is no permutation of the vertices or
+    no automorphism; the action is an automorphism action iff it is empty,
+    and only then do `edge_maps` (one map per generator) and
+    `vertex_orbit` mean anything.
+    """
+
+    def __init__(self, graph: Graph, action: GraphAction):
+        self.graph, self.action = graph, action
+        by_endpoints: dict[tuple[int, int], list[int]] = {}
+        for pos, e in enumerate(graph.edges):
+            by_endpoints.setdefault((e.o, e.t), []).append(pos)
+        issues, maps = [], []
+        n = graph.n_vertices
+        for i, perm in enumerate(action.generators):
+            if len(perm) != n or sorted(perm) != list(range(n)):
+                issues.append(f"generator {i}: not a permutation of 0..{n - 1}")
+                continue
+            emap = _edge_image_map(graph, perm, by_endpoints)
+            if emap is None:
+                issues.append(f"generator {i}: does not map edges to edges")
+            else:
+                maps.append(emap)
+        self.issues: tuple[str, ...] = tuple(issues)
+        self.edge_maps: tuple[list[tuple[int, int]], ...] = () if issues else tuple(maps)
+
+    @cached_property
+    def vertex_orbit(self) -> tuple[int, ...]:
+        """vertex -> representative of its orbit (union-find over v ~ g(v))."""
+        root = list(range(self.graph.n_vertices))
+        for perm in self.action.generators:
+            for v, u in enumerate(perm):
+                a, b = _find(root, v), _find(root, u)
+                if a != b:
+                    root[b] = a
+        return tuple(_find(root, v) for v in range(len(root)))
+
+
 def validate_action(graph: Graph, action: GraphAction) -> list[str]:
-    issues = []
-    n = graph.n_vertices
-    for i, perm in enumerate(action.generators):
-        if len(perm) != n or sorted(perm) != list(range(n)):
-            issues.append(f"generator {i}: not a permutation of 0..{n - 1}")
-            continue
-        if _edge_image_map(graph, perm) is None:
-            issues.append(f"generator {i}: does not map edges to edges")
-    return issues
+    return list(ActionOrbits(graph, action).issues)
 
 
 def _perm_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(a[b[i]] for i in range(len(a)))
+    return tuple([a[x] for x in b])
 
 
 def close_group(
@@ -331,23 +378,28 @@ class ActionChecks:
     group_order: Optional[int]
 
 
-def action_checks(graph: Graph, action: GraphAction) -> ActionChecks:
-    if validate_action(graph, action):
+def action_checks(
+    graph: Graph, action: GraphAction, orbits: Optional[ActionOrbits] = None
+) -> ActionChecks:
+    """Automorphism, freeness, closedness in components and group order.
+
+    Freeness is read off the orbits (orbit-stabilizer: every stabilizer is
+    trivial iff every vertex orbit has |G| elements), and closedness off the
+    generators, since products of component-preserving permutations preserve
+    components. Only the group order needs the capped closure. Pass
+    `orbits` when the action has been read already.
+    """
+    if orbits is None:
+        orbits = ActionOrbits(graph, action)
+    if orbits.issues:
         return ActionChecks(False, None, None, None)
-    group = close_group(action.generators, graph.n_vertices)
-    ident = tuple(range(graph.n_vertices))
-    free = all(
-        all(p[v] != v for v in range(graph.n_vertices))
-        for p in group
-        if p != ident
-    )
+    order = len(close_group(action.generators, graph.n_vertices))
+    sizes = Counter(orbits.vertex_orbit)
     comp_of = graph.forest.comp_of
     closed = all(
-        comp_of[p[v]] == comp_of[v]
-        for p in group
-        for v in range(graph.n_vertices)
+        comp_of[u] == comp_of[v] for perm in action.generators for v, u in enumerate(perm)
     )
-    return ActionChecks(True, free, closed, len(group))
+    return ActionChecks(True, all(k == order for k in sizes.values()), closed, order)
 
 
 def _order(perm: Sequence[int]) -> int:
@@ -364,6 +416,32 @@ def _order(perm: Sequence[int]) -> int:
     return order
 
 
+def _check_declared_orders(orbits: ActionOrbits) -> None:
+    """Raise InputError unless each declared order N belongs to an existing
+    generator and is a multiple of its true order. gU^N = id iff the vertex
+    permutation's order divides N, and gW^N = id iff the order of the signed
+    edge map, as a permutation of the half-edges 2*pos + (0 or 1), divides
+    N: O(|V| + |E|) per generator, whatever N is."""
+    action = orbits.action
+    issues = []
+    for i, (perm, emap) in enumerate(zip(action.generators, orbits.edge_maps)):
+        n = action.orders.get(i)
+        if n is None:
+            continue
+        if n < 1:
+            issues.append(f"generator {i}: declared order {n} < 1")
+            continue
+        if n % _order(perm):
+            issues.append(f"generator {i}: gU^{n} != identity")
+        half_edges = [2 * dst + (b ^ (sign < 0)) for dst, sign in emap for b in (0, 1)]
+        if n % _order(half_edges):
+            issues.append(f"generator {i}: gW^{n} != identity")
+    for i in sorted(set(action.orders) - set(range(len(action.generators)))):
+        issues.append(f"declared order for generator {i}, which does not exist")
+    if issues:
+        raise InputError("invalid declared order: " + "; ".join(issues))
+
+
 def to_instance(graph: Graph, action: GraphAction) -> LinearInstance:
     """Compile to a LinearInstance: gU permutes vertices, gW permutes signed
     edges.
@@ -373,63 +451,137 @@ def to_instance(graph: Graph, action: GraphAction) -> LinearInstance:
     a permutation matrix, gW a signed one, and pi*gU = gW*pi row by row.
     The declared orders are the caller's: one that the compiled generator
     does not have, or one for a generator that does not exist, raises
-    InputError. gU^N = id iff the vertex permutation's order divides N, and
-    gW^N = id iff the order of the signed edge map, as a permutation of the
-    half-edges 2*pos + (0 or 1), divides N.
+    InputError (`_check_declared_orders`).
     """
-    issues = validate_action(graph, action)
-    if issues:
-        raise InputError("invalid graph action: " + "; ".join(issues))
-    pi = coboundary(graph)
+    orbits = ActionOrbits(graph, action)
+    if orbits.issues:
+        raise InputError("invalid graph action: " + "; ".join(orbits.issues))
+    _check_declared_orders(orbits)
     gens = []
-    order_issues = []
-    for i, perm in enumerate(action.generators):
+    for perm, emap in zip(action.generators, orbits.edge_maps):
         gu = Mat(
             [
                 [1 if perm[u] == v else 0 for u in range(graph.n_vertices)]
                 for v in range(graph.n_vertices)
             ]
         )
-        emap = _edge_image_map(graph, perm)
         gw_rows = [[Fraction(0)] * graph.n_edges for _ in range(graph.n_edges)]
         for src, (dst, sign) in enumerate(emap):
             gw_rows[dst][src] = Fraction(sign)
         gw = Mat(gw_rows) if graph.n_edges else Mat.zeros(0, 0)
         gens.append((gu, gw))
-        n = action.orders.get(i)
-        if n is None:
-            continue
-        if n < 1:
-            order_issues.append(f"generator {i}: declared order {n} < 1")
-            continue
-        if n % _order(perm):
-            order_issues.append(f"generator {i}: gU^{n} != identity")
-        half_edges = [
-            2 * dst + (b ^ (sign < 0)) for dst, sign in emap for b in (0, 1)
-        ]
-        if n % _order(half_edges):
-            order_issues.append(f"generator {i}: gW^{n} != identity")
-    for i in sorted(set(action.orders) - set(range(len(action.generators)))):
-        order_issues.append(f"declared order for generator {i}, which does not exist")
-    if order_issues:
-        raise InputError("invalid declared order: " + "; ".join(order_issues))
     return LinearInstance(
         graph.n_vertices,
         graph.n_edges,
-        pi,
+        coboundary(graph),
         tuple(gens),
         dict(action.orders),
     )
 
 
+class OrbitQuotient(NamedTuple):
+    dim: int  # dim pi(U)^G / pi(U^G)
+    pi_U_G: int  # dim of pi(U) ^ W^G
+    pi_of_UG: int  # dim of pi(U^G)
+
+
+def _signed_edge_orbits(
+    n_edges: int, edge_maps: Sequence[list[tuple[int, int]]]
+) -> list[list[tuple[int, int]]]:
+    """The orbit forms spanning W^G: per signed edge orbit without a parity
+    conflict, its (position, sign) list, the signs relative to the orbit's
+    representative, ordered by smallest position.
+
+    A signed union-find over the relations w[dst] = sign * w[src] of every
+    edge map; `rel[x]` is w[x] / w[root[x]]. An orbit that relates an edge
+    to its own negative forces every form on it to 0 and spans nothing.
+    """
+    root = list(range(n_edges))
+    rel = [1] * n_edges
+    conflict = [False] * n_edges
+
+    def find(x: int) -> tuple[int, int]:
+        path = []
+        while root[x] != x:
+            path.append(x)
+            x = root[x]
+        sign = 1
+        for y in reversed(path):  # nearest the root first
+            sign *= rel[y]
+            root[y], rel[y] = x, sign
+        return x, (rel[path[0]] if path else 1)
+
+    for emap in edge_maps:
+        for src, (dst, sign) in enumerate(emap):
+            (a, sa), (b, sb) = find(src), find(dst)
+            if a == b:
+                conflict[a] = conflict[a] or sb != sign * sa
+            else:
+                root[b], rel[b] = a, sb * sign * sa
+                conflict[a] = conflict[a] or conflict[b]
+    forms: dict[int, list[tuple[int, int]]] = {}
+    for pos in range(n_edges):
+        r, sign = find(pos)
+        if not conflict[r]:
+            forms.setdefault(r, []).append((pos, sign))
+    return list(forms.values())
+
+
+def orbit_quotient_dim(orbits: ActionOrbits) -> OrbitQuotient:
+    """The quotient dimension of an automorphism action, from its orbits.
+
+    U^G is spanned by the vertex-orbit indicators, and pi kills exactly the
+    functions constant on components, so dim pi(U^G) = #vertex orbits -
+    #classes of (vertex orbit v component). W^G is spanned by the k orbit
+    forms of `_signed_edge_orbits`, which have disjoint supports; a form
+    lies in pi(U) iff its sum around every fundamental cycle of
+    `Graph.forest` is 0 (a loop is a non-tree edge whose cycle is itself).
+    So dim pi(U) ^ W^G = k - rank(C), C the k x c matrix of those sums:
+    the only elimination, of small integers.
+    """
+    graph = orbits.graph
+    forest = graph.forest
+    orbit = orbits.vertex_orbit
+    n_orbits = sum(1 for v, r in enumerate(orbit) if v == r)
+    root = list(orbit)
+    classes = n_orbits
+    for e in graph.edges:
+        a, b = _find(root, e.o), _find(root, e.t)
+        if a != b:
+            root[b] = a
+            classes -= 1
+    pi_of_ug = n_orbits - classes
+
+    cycles = [
+        (pos, e) for pos, e in enumerate(graph.edges) if pos not in forest.tree_positions
+    ]
+    sums = []
+    for form in _signed_edge_orbits(graph.n_edges, orbits.edge_maps):
+        labels = [0] * graph.n_edges
+        for pos, sign in form:
+            labels[pos] = sign
+        p = forest.integrate(labels)
+        sums.append([labels[pos] - p[e.t] + p[e.o] for pos, e in cycles])
+    rank = Mat(sums).rank() if sums and cycles else 0
+    pi_u_g = len(sums) - rank
+    return OrbitQuotient(pi_u_g - pi_of_ug, pi_u_g, pi_of_ug)
+
+
 def analyze_graph_action(graph: Graph, action: GraphAction) -> dict:
-    """Bundle action checks, the quotient-dimension oracle, and the
-    finite-group prediction (dimension 0) into one report."""
-    checks = action_checks(graph, action)
+    """Bundle action checks, the quotient dimension and the finite-group
+    prediction (dimension 0) into one report.
+
+    The action is read once (`ActionOrbits`), and the quotient dimension
+    comes from its orbits (`orbit_quotient_dim`), never from a compiled
+    instance. Errors keep their order: a non-automorphism, then the group
+    closure cap, then a wrong declared order.
+    """
+    orbits = ActionOrbits(graph, action)
+    checks = action_checks(graph, action, orbits)
     if not checks.is_automorphism:
         raise InputError("action generators are not graph automorphisms")
-    inst = to_instance(graph, action)
-    oracle = oracle_quotient_dim(inst)
+    _check_declared_orders(orbits)
+    quotient = orbit_quotient_dim(orbits)
     comps = components(graph)
     m = len(comps)
     d = len(action.generators)
@@ -441,7 +593,7 @@ def analyze_graph_action(graph: Graph, action: GraphAction) -> dict:
         notes.append("finite symmetry group: free abelian rank 0, expect dim 0")
         if d >= 1 and m >= 1:
             notes.append("hypothesis of a free-abelian symmetry group not satisfied")
-    consistent = (not predicted_zero) or oracle.dim == 0
+    consistent = (not predicted_zero) or quotient.dim == 0
     return {
         "is_automorphism": checks.is_automorphism,
         "is_free": checks.is_free_on_generated_group,
@@ -449,7 +601,7 @@ def analyze_graph_action(graph: Graph, action: GraphAction) -> dict:
         "group_order": checks.group_order,
         "components": m,
         "generators": d,
-        "quotient_dim": oracle.dim,
+        "quotient_dim": quotient.dim,
         "md": m * d,
         "predicted_zero": predicted_zero,
         "consistent": consistent,

@@ -281,6 +281,35 @@ def test_graph_wrong_declared_order_exit_2(tmp_path):
     assert "Traceback" not in err
 
 
+def test_graph_40x40_torus_within_time_bound(tmp_path, capsys):
+    # C_40 x C_40 with both unit translations and declared orders 40: the
+    # orbit path answers without |V| x |V| or |E| x |E| matrices, in about
+    # 0.3 s on one core of a 2-core x86-64 host (Python 3.11, plain mode);
+    # the bound leaves room for slower machines and `-X dev`. A dense
+    # compile would hold a 3200 x 3200 Fraction matrix per generator.
+    k = 40
+    edges = []
+    for x in range(k):
+        for y in range(k):
+            v = x * k + y
+            edges.append({"id": len(edges), "o": v, "t": ((x + 1) % k) * k + y})
+            edges.append({"id": len(edges), "o": v, "t": x * k + (y + 1) % k})
+    shift_x = [((v // k + 1) % k) * k + v % k for v in range(k * k)]
+    shift_y = [(v // k) * k + (v % k + 1) % k for v in range(k * k)]
+    graph = write_json(tmp_path / "g.json", {"vertices": k * k, "edges": edges})
+    action = write_json(
+        tmp_path / "a.json", {"generators": [shift_x, shift_y], "orders": {"0": k, "1": k}}
+    )
+    capsys.readouterr()
+    start = time.perf_counter()
+    code = main(["graph", graph, action])
+    elapsed = time.perf_counter() - start
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert (report["quotient_dim"], report["group_order"]) == (0, k * k)
+    assert elapsed < 5
+
+
 def test_graph_order_of_missing_generator_exit_2(tmp_path):
     code, out, err = _triangle_graph(tmp_path, {"generators": [[1, 2, 0]], "orders": {"5": 3}})
     assert code == 2

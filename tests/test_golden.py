@@ -6,6 +6,11 @@ fixtures`, runs `eqcohom.cli.main` in-process and compares
 every report byte for byte, so a refactor that changes any answer, key or
 number formatting fails here.
 
+`INLINE_GOLDEN` does the same for graph actions built here rather than
+read from fixtures: an ordered 12-cycle, a C5 x K2 prism, a reflected odd
+cycle (whose fixed reversed edge forces its edge orbit to 0) and a wrong
+declared order, whose stderr is pinned too.
+
 The periodic fixtures ship no cochain; each case builds one from fixed
 integer coefficients a and potential f as w(e) = f(te) - f(oe) + sum_j a_j
 t(e)_j, without calling eqcohom.periodic.reconstruct.
@@ -99,3 +104,63 @@ def test_cases_cover_every_fixture():
 @pytest.mark.parametrize("case", list(GOLDEN))
 def test_report_matches_golden_digest(case, tmp_path, capsys):
     assert _digest(case, tmp_path, capsys) == GOLDEN[case]
+
+
+def _cycle_edges(n: int) -> list[dict]:
+    return [{"id": i, "o": i, "t": (i + 1) % n} for i in range(n)]
+
+
+def _prism_edges(n: int) -> list[dict]:
+    """C_n x K_2: outer cycle 0..n-1, inner cycle n..2n-1, spokes i -> n+i."""
+    inner = [{"id": n + i, "o": n + i, "t": n + (i + 1) % n} for i in range(n)]
+    spokes = [{"id": 2 * n + i, "o": i, "t": n + i} for i in range(n)]
+    return _cycle_edges(n) + inner + spokes
+
+
+INLINE_CASES = {
+    "ordered-12-cycle": (
+        {"vertices": 12, "edges": _cycle_edges(12)},
+        {"generators": [[(v + 5) % 12 for v in range(12)]], "orders": {"0": 12}},
+    ),
+    "c5-prism": (
+        {"vertices": 10, "edges": _prism_edges(5)},
+        {
+            "generators": [
+                [(v + 1) % 5 if v < 5 else 5 + (v + 1) % 5 for v in range(10)],
+                [(v + 5) % 10 for v in range(10)],
+            ],
+            "orders": {"0": 5, "1": 2},
+        },
+    ),
+    "reflected-odd-cycle": (
+        {"vertices": 5, "edges": _cycle_edges(5)},
+        {"generators": [[-v % 5 for v in range(5)]], "orders": {"0": 2}},
+    ),
+    "wrong-declared-order": (
+        {"vertices": 6, "edges": _cycle_edges(6)},
+        {"generators": [[(v + 1) % 6 for v in range(6)]], "orders": {"0": 4}},
+    ),
+}
+
+INLINE_GOLDEN = {
+    "graph/ordered-12-cycle": "0 3e742c9d5da907d20840a5accc9de4fd19eb9749a1f335e564b105b32c6c40c7",
+    "graph/c5-prism": "0 5d5a1ed195f6904899747599869ea7d326fb04e387026d1d8d3e884aefbdc026",
+    "graph/reflected-odd-cycle": "0 7a95ea67ce87281cfe4e0a4f73afe227863d470df0c2ec50c7d36e83a74df93b",
+    "graph/wrong-declared-order": "2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+}
+INLINE_STDERR = {
+    "graph/wrong-declared-order": "input error: invalid declared order: "
+    "generator 0: gU^4 != identity; generator 0: gW^4 != identity\n",
+}
+
+
+@pytest.mark.parametrize("case", list(INLINE_GOLDEN))
+def test_inline_graph_report_matches_golden_digest(case, tmp_path, capsys):
+    graph, action = INLINE_CASES[case.split("/")[1]]
+    argv = ["graph", _write(tmp_path / "g.json", graph), _write(tmp_path / "a.json", action)]
+    capsys.readouterr()
+    code = main(argv)
+    captured = capsys.readouterr()
+    digest = hashlib.sha256(captured.out.encode("utf-8")).hexdigest()
+    assert f"{code} {digest}" == INLINE_GOLDEN[case]
+    assert captured.err == INLINE_STDERR.get(case, "")

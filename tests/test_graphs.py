@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import eqcohom.graphs
 import eqcohom.instance
 import eqcohom.linalg
 from eqcohom.errors import InputError, PreconditionError
@@ -17,15 +18,20 @@ from eqcohom.fixtures import (
     two_triangles_swap,
 )
 from eqcohom.graphs import (
+    ActionChecks,
+    ActionOrbits,
     Cochain0,
     Cochain1,
     Graph,
     GraphAction,
+    OrbitQuotient,
+    _signed_edge_orbits,
     action_checks,
     analyze_graph_action,
     close_group,
     coboundary,
     components,
+    orbit_quotient_dim,
     potential,
     to_instance,
     validate_action,
@@ -407,3 +413,194 @@ def test_to_instance_checks_orders_without_matrix_work(monkeypatch):
         f"invalid declared order: generator 1: gU^{huge + 4} != identity; "
         f"generator 1: gW^{huge + 4} != identity"
     )
+
+
+def cycle_graph(n):
+    return Graph.make(n, [(i, i, (i + 1) % n) for i in range(n)])
+
+
+def prism_graph(n):
+    """C_n x K_2: outer cycle 0..n-1, inner cycle n..2n-1, spokes i -> n+i."""
+    edges = [(i, i, (i + 1) % n) for i in range(n)]
+    edges += [(n + i, n + i, n + (i + 1) % n) for i in range(n)]
+    edges += [(2 * n + i, i, n + i) for i in range(n)]
+    return Graph.make(2 * n, edges)
+
+
+def random_action(rng, k):
+    """Draw k of a seeded mix of automorphism actions: random orbit unions
+    with 1 or 2 generators, swapped doubled graphs with loops and
+    multi-edges, rotated and reflected cycles, prisms with two or three of
+    rotation, layer swap and reflection in random order, d = 0,
+    identities, and the empty graph."""
+    kind = k % 8
+    if k % 50 == 49:
+        return Graph.make(0, []), rng.choice(((), ((),), ((), ())))
+    if kind in (0, 1):
+        return random_symmetric_graph(rng, 1 + kind)
+    if kind == 2:
+        base = random_graph(rng, 4)
+        n = base.n_vertices
+        edges = [(e.id, e.o, e.t) for e in base.edges]
+        edges += [(len(edges) + i, e.o + n, e.t + n) for i, e in enumerate(base.edges)]
+        return Graph.make(2 * n, edges), (tuple(range(n, 2 * n)) + tuple(range(n)),)
+    if kind in (3, 4):
+        n = rng.randint(1, 9)
+        s = rng.randrange(n)
+        perm = tuple((v + s) % n if kind == 3 else (s - v) % n for v in range(n))
+        return cycle_graph(n), (perm,)
+    if kind == 5:
+        n = rng.randint(3, 6)
+        s = rng.randrange(n)
+        rot = tuple((v + 1) % n if v < n else n + (v + 1) % n for v in range(2 * n))
+        swap = tuple((v + n) % (2 * n) for v in range(2 * n))
+        refl = tuple((s - v) % n if v < n else n + (s - v) % n for v in range(2 * n))
+        return prism_graph(n), tuple(rng.sample((rot, swap, refl), rng.randint(2, 3)))
+    g = random_graph(rng, 6)
+    return g, (() if kind == 6 else (tuple(range(g.n_vertices)),))
+
+
+def edge_orbit_count(g, gens):
+    """The number of edge orbits with the signs ignored: a plain union-find
+    over src ~ dst of every edge map. An orbit carries an invariant form iff
+    its signs are consistent, so W^G is smaller than this count exactly when
+    some orbit is forced to 0."""
+    root = list(range(g.n_edges))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for emap in ActionOrbits(g, GraphAction(gens)).edge_maps:
+        for src, (dst, _) in enumerate(emap):
+            root[find(src)] = find(dst)
+    return sum(1 for x in range(g.n_edges) if find(x) == x)
+
+
+def test_orbit_quotient_dim_matches_dense_oracle():
+    # The dense instance is the oracle: the orbit answer must agree on both
+    # subspace dimensions, on every kind of draw, and the orbit forms must
+    # span exactly the dense W^G.
+    rng = random.Random(83)
+    seen = set()
+    positive = forced_zero = 0
+    for k in range(400):
+        g, gens = random_action(rng, k)
+        act = GraphAction(gens)
+        inst = to_instance(g, act)
+        oracle = oracle_quotient_dim(inst)
+        orbits = ActionOrbits(g, act)
+        orbit = orbit_quotient_dim(orbits)
+        assert (orbit.dim, orbit.pi_U_G, orbit.pi_of_UG) == (
+            oracle.dim, oracle.pi_U_G.dim, oracle.pi_of_UG.dim
+        )
+        forms = []
+        for form in _signed_edge_orbits(g.n_edges, orbits.edge_maps):
+            vector = [0] * g.n_edges
+            for pos, sign in form:
+                vector[pos] = sign
+            forms.append(vector)
+        assert Subspace(g.n_edges, forms) == inst.fixed_W
+        assert len(forms) == inst.fixed_W.dim
+        positive += oracle.pi_U_G.dim > 0
+        if inst.fixed_W.dim < edge_orbit_count(g, gens):
+            forced_zero += 1
+        if any(e.o == e.t for e in g.edges):
+            seen.add("loop")
+        if len({(e.o, e.t) for e in g.edges}) < g.n_edges:
+            seen.add("multi-edge")
+        if len(components(g)) > 1:
+            seen.add("components")
+        seen.add(f"d={len(gens)}")
+        if g.n_vertices == 0:
+            seen.add("empty")
+    assert seen == {
+        "loop", "multi-edge", "components", "d=0", "d=1", "d=2", "d=3", "empty"
+    }
+    assert (positive, forced_zero) == (174, 95)
+
+
+def test_action_checks_match_whole_group_definition():
+    # Freeness by orbit-stabilizer and closedness on the generators agree
+    # with the definitions over every element of the generated group.
+    rng = random.Random(83)
+    seen = set()
+    for k in range(400):
+        g, gens = random_action(rng, k)
+        checks = action_checks(g, GraphAction(gens))
+        group = close_group(gens, g.n_vertices)
+        ident = tuple(range(g.n_vertices))
+        free = all(p[v] != v for p in group if p != ident for v in range(g.n_vertices))
+        comp_of = g.forest.comp_of
+        closed = all(comp_of[p[v]] == comp_of[v] for p in group for v in range(g.n_vertices))
+        assert checks == ActionChecks(True, free, closed, len(group))
+        seen.add((free, closed))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_orbit_quotient_dim_forced_zero_reflection():
+    # Reflecting C5 in vertex 0 maps edge 2 = (2, 3) to itself reversed, so
+    # its orbit carries no invariant form. Edges 0 and 4, and 1 and 3, pair
+    # up with sign -1: k = 2 forms, each summing to 0 around the one cycle,
+    # so rank C = 0. The vertex orbits {0}, {1, 4}, {2, 3} lie in one
+    # component: dim pi(U^G) = 3 - 1.
+    orbits = ActionOrbits(cycle_graph(5), GraphAction(((0, 4, 3, 2, 1),)))
+    assert orbits.edge_maps == ([(4, -1), (3, -1), (2, -1), (1, -1), (0, -1)],)
+    assert orbit_quotient_dim(orbits) == OrbitQuotient(0, 2, 2)
+
+
+def test_signed_edge_orbits_merge_signs_and_conflicts():
+    # Each map lists (image position, sign) per position. The first map
+    # makes w2 = -w1; the second makes w2 = w0, so the merge must carry
+    # edge 2's own sign relative to its representative: w1 = -w0.
+    maps = [[(0, 1), (2, -1), (1, -1)], [(2, 1), (1, 1), (0, 1)]]
+    assert _signed_edge_orbits(3, maps) == [[(0, 1), (1, -1), (2, 1)]]
+    # The first map forces w1 = -w1 before the second joins edges 0 and 1:
+    # the merged orbit keeps the conflict and spans nothing.
+    maps = [[(0, 1), (1, -1)], [(1, 1), (0, 1)]]
+    assert _signed_edge_orbits(2, maps) == []
+
+
+def test_action_errors_keep_their_precedence():
+    # Non-automorphism before the closure cap, the cap before a wrong
+    # declared order.
+    with pytest.raises(InputError) as err:
+        analyze_graph_action(Graph.make(3, [(0, 0, 1)]), GraphAction(((1, 2, 0),), {0: 2}))
+    assert str(err.value) == "action generators are not graph automorphisms"
+    # S_9 (9! elements, above the cap) acts on K_9; the transposition's
+    # declared order 3 is wrong too.
+    pairs = [(a, b) for a in range(9) for b in range(a + 1, 9)]
+    k9 = Graph.make(9, [(i, a, b) for i, (a, b) in enumerate(pairs)])
+    s9 = GraphAction(((1, 0, 2, 3, 4, 5, 6, 7, 8), (1, 2, 3, 4, 5, 6, 7, 8, 0)), {0: 3})
+    with pytest.raises(PreconditionError) as cap:
+        analyze_graph_action(k9, s9)
+    assert cap.value.code == "closure-cap"
+
+
+def test_analyze_graph_action_does_no_dense_work(monkeypatch):
+    # The orbit path builds no compiled instance, runs no dense oracle, no
+    # matrix product and no kernel, and at most one rref (of the cycle-sum
+    # matrix).
+    def forbidden(*args, **kwargs):
+        raise AssertionError("analyze_graph_action must not do dense work")
+
+    rref_calls = []
+    rref = eqcohom.linalg.rref
+
+    def counted_rref(m):
+        rref_calls.append((m.rows, m.cols))
+        return rref(m)
+
+    monkeypatch.setattr(eqcohom.graphs, "to_instance", forbidden)
+    for module in (eqcohom.instance, eqcohom.graphs):
+        monkeypatch.setattr(module, "oracle_quotient_dim", forbidden, raising=False)
+    for module in (eqcohom.linalg, eqcohom.instance):
+        monkeypatch.setattr(module, "kernel_basis", forbidden)
+    monkeypatch.setattr(Mat, "__mul__", forbidden)
+    monkeypatch.setattr(eqcohom.linalg, "rref", counted_rref)
+    g, gens = torus_grid(12)
+    rep = analyze_graph_action(g, GraphAction(gens, {0: 12, 1: 24}))
+    assert (rep["quotient_dim"], rep["group_order"], rep["is_free"]) == (0, 144, True)
+    # Two edge orbits (the two translation directions), 145 fundamental cycles.
+    assert rref_calls == [(2, 145)]

@@ -17,3 +17,14 @@ class PreconditionError(Exception):
         super().__init__(f"{code}: {detail}")
         self.code = code
         self.detail = detail
+
+
+# Work budgets: a request whose predicted work is above one of these is
+# refused with PreconditionError("budget", ...) before the work starts.
+# Most lift-window table entries plus edge checks of one truncation_oracle
+# call.
+TRUNCATION_BUDGET = 10**6
+# Most dense matrix cells of one instance read from JSON, predicted as
+# (d + 1) * (dim_U + dim_W)^2: that bounds pi, the d generator pairs and
+# the stacked (g_i - id) maps.
+DENSE_BUDGET = 10**6

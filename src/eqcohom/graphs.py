@@ -206,14 +206,12 @@ def coboundary(graph: Graph) -> Mat:
     """|E| x |V| matrix of f -> (e -> f(te) - f(oe)); loop rows are zero."""
     rows = []
     for e in graph.edges:
-        row = [Fraction(0)] * graph.n_vertices
+        row = [0] * graph.n_vertices
         if e.o != e.t:
-            row[e.t] += 1
-            row[e.o] -= 1
+            row[e.t] = 1
+            row[e.o] = -1
         rows.append(row)
-    if not rows:
-        return Mat.zeros(0, graph.n_vertices)
-    return Mat(rows)
+    return Mat.from_ints(rows, cols=graph.n_vertices)
 
 
 def components(graph: Graph) -> list[list[int]]:
@@ -459,16 +457,16 @@ def to_instance(graph: Graph, action: GraphAction) -> LinearInstance:
     _check_declared_orders(orbits)
     gens = []
     for perm, emap in zip(action.generators, orbits.edge_maps):
-        gu = Mat(
+        gu = Mat.from_ints(
             [
                 [1 if perm[u] == v else 0 for u in range(graph.n_vertices)]
                 for v in range(graph.n_vertices)
             ]
         )
-        gw_rows = [[Fraction(0)] * graph.n_edges for _ in range(graph.n_edges)]
+        gw_rows = [[0] * graph.n_edges for _ in range(graph.n_edges)]
         for src, (dst, sign) in enumerate(emap):
-            gw_rows[dst][src] = Fraction(sign)
-        gw = Mat(gw_rows) if graph.n_edges else Mat.zeros(0, 0)
+            gw_rows[dst][src] = sign
+        gw = Mat.from_ints(gw_rows)
         gens.append((gu, gw))
     return LinearInstance(
         graph.n_vertices,
@@ -562,7 +560,7 @@ def orbit_quotient_dim(orbits: ActionOrbits) -> OrbitQuotient:
             labels[pos] = sign
         p = forest.integrate(labels)
         sums.append([labels[pos] - p[e.t] + p[e.o] for pos, e in cycles])
-    rank = Mat(sums).rank() if sums and cycles else 0
+    rank = Mat.from_ints(sums).rank() if sums and cycles else 0
     pi_u_g = len(sums) - rank
     return OrbitQuotient(pi_u_g - pi_of_ug, pi_u_g, pi_of_ug)
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .errors import InputError, PreconditionError
+from .errors import DENSE_BUDGET, InputError, PreconditionError
 from .linalg import (
     Mat,
     Subspace,
@@ -80,14 +80,26 @@ class LinearInstance:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LinearInstance":
+        """Read an instance, refusing with PreconditionError("budget", ...)
+        before any matrix is built when its dense matrices would hold more
+        than DENSE_BUDGET cells."""
         try:
             dim_u = integer(obj["dim_U"])
             dim_w = integer(obj["dim_W"])
-            # A negative dim_U reads as width 0 and fails validate's shape check.
+            gens_json = json_list(obj["generators"])
+            # A negative dimension counts as 0 here and reads as width 0
+            # below, and fails validate's shape check.
+            cells = (len(gens_json) + 1) * (max(dim_u, 0) + max(dim_w, 0)) ** 2
+            if cells > DENSE_BUDGET:
+                raise PreconditionError(
+                    "budget",
+                    f"instance predicts {cells} dense matrix cells, "
+                    f"(d+1)*(dim_U+dim_W)^2, over the budget of {DENSE_BUDGET}",
+                )
             pi = _matrix(obj["pi"], cols=max(dim_u, 0))
             gens = []
             orders = {}
-            for i, g in enumerate(json_list(obj["generators"])):
+            for i, g in enumerate(gens_json):
                 gens.append((_matrix(g["gU"]), _matrix(g["gW"])))
                 if "order" in g and g["order"] is not None:
                     orders[i] = integer(g["order"])
@@ -189,9 +201,7 @@ class OracleResult:
 def oracle_quotient_dim(inst: LinearInstance) -> OracleResult:
     """Brute-force the quotient dimension from the defining subspaces."""
     pi_u_g = subspace_intersection(column_space(inst.pi), inst.fixed_W)
-    pi_of_ug = Subspace(
-        inst.dim_W, [inst.pi.mulvec(v) for v in inst.fixed_U.basis_vectors()]
-    )
+    pi_of_ug = Subspace(inst.dim_W, inst.fixed_U.basis * inst.pi.transpose())
     return OracleResult(quotient_dim(pi_u_g, pi_of_ug), pi_u_g, pi_of_ug)
 
 
@@ -335,13 +345,13 @@ def check_lemma_commutation(inst: LinearInstance) -> bool:
         raise PreconditionError(
             "condition-i", "ker pi is not contained in the U fixed space"
         )
-    ut = u_tilde(inst)
-    gus = [gu for gu, _ in inst.generators]
-    for a in range(len(gus)):
-        for b in range(a + 1, len(gus)):
-            for u in ut.basis_vectors():
-                if gus[a].mulvec(gus[b].mulvec(u)) != gus[b].mulvec(gus[a].mulvec(u)):
-                    return False
+    ut = u_tilde(inst).basis
+    gts = [gu.transpose() for gu, _ in inst.generators]
+    for a in range(len(gts)):
+        for b in range(a + 1, len(gts)):
+            # Row u of ut * gb^T * ga^T is (ga gb u)^T.
+            if ut * gts[b] * gts[a] != ut * gts[a] * gts[b]:
+                return False
     return True
 
 
@@ -364,11 +374,6 @@ def check_torsion_trivial(inst: LinearInstance) -> TorsionReport:
     indices = tuple(sorted(i for i, n in inst.orders.items() if n >= 1))
     if not indices:
         return TorsionReport((), None)
-    ut = u_tilde(inst)
-    ok = True
-    for i in indices:
-        gu = inst.generators[i][0]
-        for u in ut.basis_vectors():
-            if gu.mulvec(u) != u:
-                ok = False
+    ut = u_tilde(inst).basis
+    ok = all(ut * inst.generators[i][0].transpose() == ut for i in indices)
     return TorsionReport(indices, ok)

@@ -1,16 +1,20 @@
 """Exact rational linear algebra: matrices, echelon forms, canonical subspaces.
 
-Matrix entries are fractions.Fraction, so all results are exact and no
-tolerance appears anywhere. The two kernels, `rref` and `Mat.__mul__`,
-compute on Python ints: they clear denominators per row (and per column of
-a right factor), run integer arithmetic, and make Fractions only for their
-output. Subspaces are canonicalized by reduced row echelon form, which
-makes equality and containment purely syntactic.
+A matrix is stored as integer rows over one positive common denominator,
+in lowest terms: the gcd of the denominator and every entry is 1, and a
+zero matrix has denominator 1. That form is unique, so equality and
+hashing compare integers, and no tolerance appears anywhere. Products,
+sums, stacking, elimination and the subspace operations all run on the
+integer rows; fractions.Fraction values are made only where entries and
+vectors leave the module (`Mat.data`, built on first use, `mulvec` and
+`solve_many`). Subspaces are canonicalized by reduced row echelon form,
+which makes equality and containment purely syntactic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -73,12 +77,14 @@ def vec(values) -> tuple[Fraction, ...]:
     return tuple([rat(v) for v in values])
 
 
-def _cleared(row: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(den, ints) with row == ints / den: den is the lcm of the denominators."""
-    den = lcm(*[x.denominator for x in row])
+def _cleared(values) -> tuple[int, list[int]]:
+    """(den, ints) with values == ints / den for a vector of exact
+    rationals entering the module; den is the lcm of the denominators."""
+    v = [x if type(x) is int else rat(x) for x in values]
+    den = lcm(*[x.denominator for x in v])
     if den == 1:
-        return 1, [x.numerator for x in row]
-    return den, [x.numerator * (den // x.denominator) for x in row]
+        return 1, [x.numerator for x in v]
+    return den, [x.numerator * (den // x.denominator) for x in v]
 
 
 def _frac(num: int, den: int) -> Fraction:
@@ -89,152 +95,181 @@ def _frac(num: int, den: int) -> Fraction:
     return Fraction(num, den) if num else _ZERO
 
 
-class Mat:
-    """Immutable dense matrix over the rationals, row-major."""
+def _lowest(ints: tuple, den: int) -> tuple[tuple, int]:
+    """Integer rows and denominator divided by the gcd of den and every
+    entry: the normal form of the matrix ints / den."""
+    if den == 1:
+        return ints, 1
+    g = gcd(den, *chain.from_iterable(ints))
+    if g == 1:
+        return ints, den
+    return tuple([tuple([x // g for x in row]) for row in ints]), den // g
 
-    __slots__ = ("rows", "cols", "data")
+
+def _scaled(ints: tuple, k: int) -> tuple:
+    return ints if k == 1 else tuple([tuple([k * x for x in row]) for row in ints])
+
+
+class Mat:
+    """Immutable dense matrix over the rationals: the integer rows `ints`
+    (a tuple of equal-length tuples) over the common denominator `den`,
+    in lowest terms.
+
+    Rows are built at their known length, by tuple([...]) or zip, never by
+    tuple(<generator>): that allocates by a length guess and resizes, so
+    each freed row lands in the interpreter's free list for its length and
+    is never reused, and over many calls those lists hold megabytes.
+    """
+
+    __slots__ = ("rows", "cols", "den", "ints", "_data")
 
     def __init__(self, rows_of_entries: Iterable[Iterable], cols: Optional[int] = None):
-        """`cols` pins the width of a zero-row matrix, which the row data
-        cannot convey."""
-        data = tuple([tuple([rat(x) for x in row]) for row in rows_of_entries])
-        self.data = data
-        self.rows = len(data)
-        self.cols = len(data[0]) if data else (cols or 0)
-        for row in data:
-            if len(row) != self.cols:
-                raise ValueError("ragged rows")
+        """Entries are ints, Fractions or "p/q" strings (see rat). `cols`
+        pins the width of a zero-row matrix, which the row data cannot
+        convey."""
+        rows = [tuple(row) for row in rows_of_entries]
+        width = len(rows[0]) if rows else (cols or 0)
+        if any(len(row) != width for row in rows):
+            raise ValueError("ragged rows")
+        den = 1
+        if not set(map(type, chain.from_iterable(rows))) <= {int}:
+            # The lcm of reduced denominators leaves the form in lowest terms.
+            fracs = [[rat(x) for x in row] for row in rows]
+            den = lcm(*[x.denominator for row in fracs for x in row])
+            rows = [
+                tuple([x.numerator * (den // x.denominator) for x in row])
+                for row in fracs
+            ]
+        self.ints = tuple(rows)
+        self.den = den
+        self.rows = len(rows)
+        self.cols = width
+        self._data = None
 
     @classmethod
-    def _trusted(cls, data: tuple, cols: int) -> "Mat":
-        """Wrap a tuple of equal-length tuples of Fractions as they are, with
-        no re-coercion: the constructor for rows computed in this module.
-
-        Rows here are built at their known length, by tuple([...]) or zip,
-        never by tuple(<generator>): that allocates by a length guess and
-        resizes, so each freed row lands in the interpreter's free list for
-        its length and is never reused, and over many calls those lists
-        hold megabytes."""
+    def _new(cls, ints: tuple, den: int, cols: int) -> "Mat":
+        """Wrap integer rows that are already in lowest terms over den: the
+        constructor for matrices computed in this module."""
         m = object.__new__(cls)
-        m.data = data
-        m.rows = len(data)
+        m.ints = ints
+        m.den = den
+        m.rows = len(ints)
         m.cols = cols
+        m._data = None
         return m
 
     @classmethod
+    def from_ints(cls, rows: Iterable[Sequence[int]], cols: Optional[int] = None) -> "Mat":
+        """A matrix with the given integer entries, taken as they are."""
+        ints = tuple([tuple(row) for row in rows])
+        width = len(ints[0]) if ints else (cols or 0)
+        if any(len(row) != width for row in ints):
+            raise ValueError("ragged rows")
+        return cls._new(ints, 1, width)
+
+    @classmethod
     def identity(cls, n: int) -> "Mat":
-        one = _SMALL[1]
-        return cls._trusted(
-            tuple([tuple([one if i == j else _ZERO for j in range(n)]) for i in range(n)]),
+        return cls._new(
+            tuple([tuple([1 if i == j else 0 for j in range(n)]) for i in range(n)]),
+            1,
             n,
         )
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Mat":
-        return cls._trusted(((_ZERO,) * cols,) * rows, cols)
+        return cls._new(((0,) * cols,) * rows, 1, cols)
 
     @classmethod
     def from_cols(cls, cols: Sequence[Sequence]) -> "Mat":
-        cols = [vec(c) for c in cols]
-        n = len(cols[0]) if cols else 0
-        return cls([[c[i] for c in cols] for i in range(n)], cols=len(cols))
+        return cls(cols, cols=0).transpose()
 
     @classmethod
     def vstack(cls, mats: Sequence["Mat"]) -> "Mat":
+        """Rows of every matrix in turn. Over the lcm of the denominators
+        the stack is in lowest terms already."""
         cols = mats[0].cols if mats else 0
         if any(m.cols != cols for m in mats):
             raise ValueError("ragged rows")
-        return cls._trusted(tuple([row for m in mats for row in m.data]), cols)
+        den = lcm(*[m.den for m in mats])
+        return cls._new(
+            tuple([row for m in mats for row in _scaled(m.ints, den // m.den)]),
+            den,
+            cols,
+        )
+
+    @property
+    def data(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as Fractions, built on first use and kept."""
+        if self._data is None:
+            den = self.den
+            self._data = tuple(
+                [tuple([_frac(x, den) for x in row]) for row in self.ints]
+            )
+        return self._data
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Mat)
-            and (self.rows, self.cols) == (other.rows, other.cols)
-            and self.data == other.data
+            and self.cols == other.cols
+            and self.den == other.den
+            and self.ints == other.ints
         )
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.data))
+        return hash((self.cols, self.den, self.ints))
 
     def __repr__(self) -> str:
-        return f"Mat({[[rat_str(x) for x in row] for row in self.data]})"
+        return f"Mat({self.to_lists(as_str=True)})"
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.data[i]
 
     def transpose(self) -> "Mat":
-        if self.rows == 0:
-            return Mat.zeros(self.cols, 0)
-        if self.cols == 0:
-            return Mat.zeros(0, self.rows)
-        return Mat._trusted(tuple(zip(*self.data)), self.rows)
+        if self.rows == 0 or self.cols == 0:
+            return Mat.zeros(self.cols, self.rows)
+        return Mat._new(tuple(zip(*self.ints)), self.den, self.rows)
+
+    def _plus(self, other: "Mat", sign: int) -> "Mat":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
+        den = lcm(self.den, other.den)
+        a = _scaled(self.ints, den // self.den)
+        b = _scaled(other.ints, sign * (den // other.den))
+        ints = tuple([tuple([x + y for x, y in zip(ra, rb)]) for ra, rb in zip(a, b)])
+        return Mat._new(*_lowest(ints, den), self.cols)
 
     def __add__(self, other: "Mat") -> "Mat":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Mat._trusted(
-            tuple(
-                [
-                    tuple([a + b if b else a for a, b in zip(ra, rb)])
-                    for ra, rb in zip(self.data, other.data)
-                ]
-            ),
-            self.cols,
-        )
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Mat._trusted(
-            tuple(
-                [
-                    tuple([a - b if b else a for a, b in zip(ra, rb)])
-                    for ra, rb in zip(self.data, other.data)
-                ]
-            ),
-            self.cols,
-        )
+        return self._plus(other, -1)
 
     def __mul__(self, other: "Mat") -> "Mat":
-        """Product on integers: rows of self and columns of other are cleared
-        of denominators, only nonzero entries are multiplied, and each output
-        entry becomes one Fraction(acc, den_i * den_j)."""
+        """Product of the integer rows, skipping zero entries, over the
+        product of the denominators, reduced once."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        if self.rows == 0 or other.cols == 0 or self.cols == 0:
-            return Mat.zeros(self.rows, other.cols)
-        col_dens = [lcm(*[x.denominator for x in col]) for col in zip(*other.data)]
-        right = [
-            [
-                (j, x.numerator * (cd // x.denominator))
-                for j, (x, cd) in enumerate(zip(row, col_dens))
-                if x
-            ]
-            for row in other.data
-        ]
         width = other.cols
+        right = [[(j, b) for j, b in enumerate(row) if b] for row in other.ints]
         out = []
-        for row in self.data:
-            den, ints = _cleared(row)
+        for row in self.ints:
             acc = [0] * width
-            for a, right_k in zip(ints, right):
+            for a, right_k in zip(row, right):
                 if a:
                     for j, b in right_k:
                         acc[j] += a * b
-            out.append(tuple([_frac(v, den * cd) for v, cd in zip(acc, col_dens)]))
-        return Mat._trusted(tuple(out), width)
+            out.append(tuple(acc))
+        return Mat._new(*_lowest(tuple(out), self.den * other.den), width)
 
     def mulvec(self, v: Sequence) -> tuple[Fraction, ...]:
-        v = vec(v)
-        if len(v) != self.cols:
-            raise ValueError("shape mismatch")
         den_v, v_ints = _cleared(v)
+        if len(v_ints) != self.cols:
+            raise ValueError("shape mismatch")
+        den = self.den * den_v
         nonzero = [(k, b) for k, b in enumerate(v_ints) if b]
-        out = []
-        for row in self.data:
-            den, ints = _cleared(row)
-            out.append(_frac(sum(ints[k] * b for k, b in nonzero), den * den_v))
-        return tuple(out)
+        return tuple(
+            [_frac(sum([row[k] * b for k, b in nonzero]), den) for row in self.ints]
+        )
 
     def rank(self) -> int:
         return len(rref(self)[1])
@@ -251,15 +286,15 @@ class Mat:
 def rref(m: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form and pivot columns (deterministic).
 
-    Fraction-free Gauss-Jordan on integer rows: each row is cleared of
-    denominators, a pivot row r eliminates column c from row i as
-    p*row_i - f*row_r (p, f divided by their gcd), and every updated row is
-    divided by the gcd of its entries. Each integer row stays a nonzero
-    multiple of the row that Fraction elimination would hold, so the pivots
-    are the same, and dividing each pivot row by its pivot at the end gives
-    the unique RREF.
+    Fraction-free Gauss-Jordan on the integer rows of m (its denominator
+    scales every row alike and does not move the RREF): a pivot row r
+    eliminates column c from row i as p*row_i - f*row_r (p, f divided by
+    their gcd), and every updated row is divided by the gcd of its entries.
+    Each integer row stays a nonzero multiple of the row that Fraction
+    elimination would hold, so the pivots are the same. Scaling each pivot
+    row to the lcm of the pivots gives the unique RREF in integer form.
     """
-    a = [_cleared(row)[1] for row in m.data]
+    a = [list(row) for row in m.ints]
     n_rows, n_cols = m.rows, m.cols
     pivots: list[int] = []
     r = 0
@@ -289,45 +324,52 @@ def rref(m: Mat) -> tuple[Mat, list[int]]:
                 a[i] = row
         pivots.append(c)
         r += 1
-    out = [
-        tuple([Fraction(x, a[i][c]) if x else _ZERO for x in a[i]])
-        for i, c in enumerate(pivots)
-    ]
-    out += [(_ZERO,) * n_cols] * (n_rows - r)
-    return Mat._trusted(tuple(out), n_cols), pivots
+    den = lcm(*[a[i][c] for i, c in enumerate(pivots)])
+    out = []
+    for i, c in enumerate(pivots):
+        k = den // a[i][c]
+        out.append(tuple(a[i]) if k == 1 else tuple([k * x for x in a[i]]))
+    out += [(0,) * n_cols] * (n_rows - r)
+    return Mat._new(*_lowest(tuple(out), den), n_cols), pivots
 
 
 def solve_many(m: Mat, rhs: Sequence[Sequence]) -> list[Optional[tuple[Fraction, ...]]]:
     """Particular solutions of m x = b for every b in rhs, from one rref of
     [m | b_1 ... b_k]; None for an inconsistent b.
 
-    The first r rows of the rref carry the r pivots of m, and the rows below
-    have a zero m-part. Column b_j is consistent iff it is zero in every one
-    of those lower rows; its solution reads the pivot entries off the first
-    r rows and sets the free variables to zero, which makes it deterministic
-    and the same as a one-column solve. A pivot in a right-hand-side column
-    only adds a lower row to the others, and a lower row is zero in every
-    consistent column, so it leaves those columns as they are.
+    The augmented matrix holds the integer rows of m and each b_j cleared
+    of its denominator d_j, so a solution y of that system gives
+    x = y * m.den / d_j. The first r rows of the rref carry the r pivots of
+    m, and the rows below have a zero m-part. Column b_j is consistent iff
+    it is zero in every one of those lower rows; its solution reads the
+    pivot entries off the first r rows and sets the free variables to zero,
+    which makes it deterministic and the same as a one-column solve. A
+    pivot in a right-hand-side column only adds a lower row to the others,
+    and a lower row is zero in every consistent column, so it leaves those
+    columns as they are.
     """
-    rhs = [vec(b) for b in rhs]
-    if any(len(b) != m.rows for b in rhs):
+    cleared = [_cleared(b) for b in rhs]
+    if any(len(b) != m.rows for _, b in cleared):
         raise ValueError("rhs length mismatch")
     n = m.cols
     if m.rows == 0 or not rhs:
         return [(_ZERO,) * n for _ in rhs]
-    aug = Mat._trusted(
-        tuple([row + bs for row, bs in zip(m.data, zip(*rhs))]), n + len(rhs)
+    cols = list(zip(*[b for _, b in cleared]))
+    aug = Mat._new(
+        tuple([row + bs for row, bs in zip(m.ints, cols)]), 1, n + len(rhs)
     )
     red, pivots = rref(aug)
     rank = sum(1 for c in pivots if c < n)
+    top, lower = red.ints[:rank], red.ints[rank:]
     out: list[Optional[tuple[Fraction, ...]]] = []
-    for j in range(n, n + len(rhs)):
-        if any(row[j] for row in red.data[rank:]):
+    for j, (den_b, _) in enumerate(cleared, start=n):
+        if any(row[j] for row in lower):
             out.append(None)
             continue
+        den = red.den * den_b
         x = [_ZERO] * n
-        for row, c in zip(red.data, pivots[:rank]):
-            x[c] = row[j]
+        for row, c in zip(top, pivots):
+            x[c] = _frac(row[j] * m.den, den)
         out.append(tuple(x))
     return out
 
@@ -339,18 +381,21 @@ def solve(m: Mat, b: Sequence) -> Optional[tuple[Fraction, ...]]:
 
 
 def kernel_basis(m: Mat) -> "Subspace":
-    """Kernel of m as a canonical subspace of the column domain."""
+    """Kernel of m as a canonical subspace of the column domain: one vector
+    per free column f, with red.den at f and minus the RREF's integer
+    column f at the pivots."""
     red, pivots = rref(m)
     pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
     vectors = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -red.data[r][f]
-        vectors.append(v)
-    return Subspace(m.cols, vectors)
+    for f in range(m.cols):
+        if f in pivot_set:
+            continue
+        v = [0] * m.cols
+        v[f] = red.den
+        for row, c in zip(red.ints, pivots):
+            v[c] = -row[f]
+        vectors.append(tuple(v))
+    return Subspace(m.cols, Mat._new(tuple(vectors), 1, m.cols))
 
 
 class Subspace:
@@ -358,25 +403,25 @@ class Subspace:
 
     __slots__ = ("ambient_dim", "basis")
 
-    def __init__(self, ambient_dim: int, vectors: Iterable[Iterable]):
-        rows = [vec(v) for v in vectors]
-        for r in rows:
-            if len(r) != ambient_dim:
-                raise ValueError("vector length != ambient dimension")
-        if rows:
-            red, pivots = rref(Mat(rows, cols=ambient_dim))
-            self.basis = Mat._trusted(red.data[: len(pivots)], ambient_dim)
-        else:
-            self.basis = Mat.zeros(0, ambient_dim)
+    def __init__(self, ambient_dim: int, vectors):
+        """The span of `vectors`: the rows of a Mat, or an iterable of
+        vectors of exact rationals."""
+        span = vectors if isinstance(vectors, Mat) else Mat(vectors, cols=ambient_dim)
+        if span.cols != ambient_dim:
+            raise ValueError("vector length != ambient dimension")
+        if span.rows:
+            red, pivots = rref(span)
+            span = Mat._new(red.ints[: len(pivots)], red.den, ambient_dim)
+        self.basis = span
         self.ambient_dim = ambient_dim
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, [])
+        return cls(ambient_dim, Mat.zeros(0, ambient_dim))
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Mat.identity(ambient_dim).data)
+        return cls(ambient_dim, Mat.identity(ambient_dim))
 
     @property
     def dim(self) -> int:
@@ -398,43 +443,53 @@ class Subspace:
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
+    def _spans(self, rows: tuple) -> bool:
+        """Whether integer rows (each scaled as it may be) lie in the span:
+        the basis stacked on them keeps its rank. Row scaling moves no rank,
+        so the stack needs no common denominator."""
+        if not rows:
+            return True
+        return Mat._new(self.basis.ints + rows, 1, self.ambient_dim).rank() == self.dim
+
     def contains(self, v: Sequence) -> bool:
-        v = vec(v)
-        if len(v) != self.ambient_dim:
+        _, ints = _cleared(v)
+        if len(ints) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        enlarged = Subspace(self.ambient_dim, list(self.basis.data) + [v])
-        return enlarged.dim == self.dim
+        return self._spans((tuple(ints),))
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        joined = Subspace(
-            self.ambient_dim, list(other.basis.data) + list(self.basis.data)
-        )
-        return joined.dim == other.dim
+        return other._spans(self.basis.ints)
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via the kernel of the stacked system [A^T | -B^T]."""
+    """Intersection via the kernel of the stacked system [A^T | -B^T].
+
+    A and B are taken as their integer rows: scaling a basis does not move
+    its row space, so x = A^T alpha with (alpha, beta) in that kernel runs
+    over the intersection, and the rows of alpha^T A span it."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(a.ambient_dim)
-    at = a.basis.transpose()
-    bt = b.basis.transpose()
-    stacked = Mat(
-        [list(ra) + [-x for x in rb] for ra, rb in zip(at.data, bt.data)]
+    stacked = Mat._new(
+        tuple(
+            [
+                ra + tuple([-x for x in rb])
+                for ra, rb in zip(zip(*a.basis.ints), zip(*b.basis.ints))
+            ]
+        ),
+        1,
+        a.dim + b.dim,
     )
     ker = kernel_basis(stacked)
-    vectors = []
-    for coeffs in ker.basis.data:
-        alpha = coeffs[: a.dim]
-        vectors.append(at.mulvec(alpha))
-    return Subspace(a.ambient_dim, vectors)
+    alphas = Mat._new(tuple([row[: a.dim] for row in ker.basis.ints]), 1, a.dim)
+    return Subspace(a.ambient_dim, alphas * a.basis)
 
 
 def column_space(m: Mat) -> Subspace:
-    return Subspace(m.rows, m.transpose().data)
+    return Subspace(m.rows, m.transpose())
 
 
 def quotient_dim(a: Subspace, b: Subspace) -> int:

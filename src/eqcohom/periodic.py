@@ -25,7 +25,7 @@ from itertools import product
 from math import lcm, prod
 from typing import Optional, Sequence
 
-from .errors import InputError, PreconditionError
+from .errors import TRUNCATION_BUDGET, InputError, PreconditionError
 from .graphs import Cochain0, Cochain1, Graph, potential
 from .linalg import Mat, integer, json_list, rat, rat_str, solve
 
@@ -218,7 +218,7 @@ def _period_coefficients(pg: PeriodicGraph, w: Cochain1):
         raise InputError("1-cochain length does not match edge count")
     sums = _cycle_sums(pg, w)
     for k, comp_cycles in enumerate(pg.cycles):
-        t_k = Mat([cv for _, cv in comp_cycles], cols=pg.d)
+        t_k = Mat.from_ints([cv for _, cv in comp_cycles], cols=pg.d)
         a_k = solve(t_k, sums[k])
         if a_k is not None:
             # Well-definedness: every fundamental cycle, not just a spanning
@@ -327,11 +327,6 @@ def reconstruct(
                 val += row[k] * t_j
         values.append(val)
     return Cochain1(tuple(values))
-
-
-# Most lift-window table entries plus edge checks that one truncation_oracle
-# call may predict before it refuses with PreconditionError("budget", ...).
-TRUNCATION_BUDGET = 10**6
 
 
 def truncation_oracle(

@@ -26,7 +26,7 @@ def random_invertible(rng: random.Random, n: int, lo: int = -2, hi: int = 2) -> 
     if n == 0:
         return Mat.zeros(0, 0)
     while True:
-        m = Mat([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)])
+        m = Mat.from_ints([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)])
         if m.is_invertible():
             return m
 
@@ -54,7 +54,7 @@ def random_unimodular(rng: random.Random, n: int) -> tuple[Mat, Mat]:
         else:
             rows[i] = [-x for x in rows[i]]
             inv_cols[i] = [-x for x in inv_cols[i]]
-    return Mat(rows, cols=n), Mat(inv_cols, cols=n).transpose()
+    return Mat.from_ints(rows, cols=n), Mat.from_ints(inv_cols, cols=n).transpose()
 
 
 def random_linear_instance(rng: random.Random, max_dim: int = 6) -> LinearInstance:
@@ -69,13 +69,11 @@ def random_linear_instance(rng: random.Random, max_dim: int = 6) -> LinearInstan
     dim_w = r + s
     d = rng.randint(1, MAX_GENS)
 
-    pi0 = Mat(
-        [
-            [1 if c == m + row else 0 for c in range(dim_u)]
-            for row in range(r)
-        ]
-        + [[0] * dim_u for _ in range(s)]
-    ) if dim_w else Mat.zeros(0, dim_u)
+    pi0 = Mat.from_ints(
+        [[1 if c == m + row else 0 for c in range(dim_u)] for row in range(r)]
+        + [[0] * dim_u for _ in range(s)],
+        cols=dim_u,
+    )
 
     gens0 = []
     for _ in range(d):
@@ -84,13 +82,13 @@ def random_linear_instance(rng: random.Random, max_dim: int = 6) -> LinearInstan
         b = [[rng.choice([-1, 0, 0, 1, 2]) for _ in range(r)] for _ in range(m)]
         f = [[rng.choice([-1, 0, 0, 1]) for _ in range(s)] for _ in range(r)]
         h = Mat.identity(s) if rng.random() < 0.5 else random_invertible(rng, s)
-        gu0 = Mat(
-            [list(a.row(i)) + b[i] for i in range(m)]
-            + [[0] * m + list(dmat.row(i)) for i in range(r)]
+        gu0 = Mat.from_ints(
+            [a.ints[i] + tuple(b[i]) for i in range(m)]
+            + [(0,) * m + dmat.ints[i] for i in range(r)]
         )
-        gw0 = Mat(
-            [list(dmat.row(i)) + f[i] for i in range(r)]
-            + [[0] * r + list(h.row(i)) for i in range(s)]
+        gw0 = Mat.from_ints(
+            [dmat.ints[i] + tuple(f[i]) for i in range(r)]
+            + [(0,) * r + h.ints[i] for i in range(s)]
         )
         gens0.append((gu0, gw0))
     return _conjugated(rng, pi0, gens0)
@@ -135,7 +133,7 @@ def _designed_equality_instance(rng: random.Random, max_dim: int) -> LinearInsta
     dim_u = m + r
     s = rng.randint(0, max(0, max_dim - r))
     dim_w = r + s
-    pi0 = Mat(
+    pi0 = Mat.from_ints(
         [[1 if c == m + row else 0 for c in range(dim_u)] for row in range(r)]
         + [[0] * dim_u for _ in range(s)],
         cols=dim_u,
@@ -145,7 +143,7 @@ def _designed_equality_instance(rng: random.Random, max_dim: int) -> LinearInsta
         b = [[0] * r for _ in range(m)]
         for k in range(m):
             b[k][j * m + k] = 1
-        gu0 = Mat(
+        gu0 = Mat.from_ints(
             [
                 [1 if i == c else 0 for c in range(m)] + b[i]
                 for i in range(m)
@@ -157,12 +155,12 @@ def _designed_equality_instance(rng: random.Random, max_dim: int) -> LinearInsta
         )
         f = [[rng.choice([-1, 0, 0, 1]) for _ in range(s)] for _ in range(r)]
         h = Mat.identity(s) if rng.random() < 0.5 else random_invertible(rng, s)
-        gw0 = Mat(
+        gw0 = Mat.from_ints(
             [
                 [1 if i == c else 0 for c in range(r)] + f[i]
                 for i in range(r)
             ]
-            + [[0] * r + list(h.row(i)) for i in range(s)],
+            + [[0] * r + list(h.ints[i]) for i in range(s)],
             cols=dim_w,
         )
         gens0.append((gu0, gw0))
@@ -251,14 +249,11 @@ class VerifyResult:
 
 def _random_combination(
     rng: random.Random, space: Subspace, bound: int
-) -> list[Fraction]:
+) -> tuple[Fraction, ...]:
     """sum_i c_i b_i over the canonical basis b_i of `space`, each c_i drawn
     in turn from [-bound, bound]."""
-    out = [Fraction(0)] * space.ambient_dim
-    for bv in space.basis_vectors():
-        c = rng.randint(-bound, bound)
-        out = [x + c * y for x, y in zip(out, bv)]
-    return out
+    coeffs = [rng.randint(-bound, bound) for _ in range(space.dim)]
+    return (Mat.from_ints([coeffs], cols=space.dim) * space.basis).row(0)
 
 
 def _random_invariant_image_vector(

@@ -181,6 +181,20 @@ def test_periodic_truncation_budget_exit_3(tmp_path):
     assert str(5**9 + 9 * 5**8 * 4) in err
 
 
+def test_analyze_dense_budget_exit_3(tmp_path):
+    # 60 bytes that would otherwise make the kernel an N x N dense basis.
+    payload = {"dim_U": 10**6, "dim_W": 0, "pi": [], "generators": []}
+    path = write_json(tmp_path / "huge.json", payload)
+    start = time.perf_counter()
+    code, out, err = run_cli(["analyze", path])
+    assert time.perf_counter() - start < 10
+    assert (code, out) == (3, "")
+    assert err == (
+        "precondition not met (budget): instance predicts 1000000000000 dense "
+        "matrix cells, (d+1)*(dim_U+dim_W)^2, over the budget of 1000000\n"
+    )
+
+
 def test_in_process_main_calls_do_not_leak_flags(tmp_path, capsys):
     load_fixture(tmp_path, "torus-2")
     gpath = str(tmp_path / "torus-2.pgraph.json")

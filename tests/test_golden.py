@@ -18,12 +18,22 @@ t(e)_j, without calling eqcohom.periodic.reconstruct.
 
 import hashlib
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
 from eqcohom.cli import main
 from eqcohom.fixtures import fixture_files
+from eqcohom.instance import (
+    check_condition_i,
+    check_condition_ii,
+    decompose,
+    find_ujk,
+    u_tilde,
+)
 from eqcohom.periodic import PeriodicGraph
+from eqcohom.randomized import random_graph_instance, random_linear_instance
 
 INSTANCE_FIXTURES = ("shear", "double-shear", "identity")
 GRAPH_FIXTURES = ("c4-rotation", "p2-swap", "k3-s3", "two-triangles-swap")
@@ -164,3 +174,44 @@ def test_inline_graph_report_matches_golden_digest(case, tmp_path, capsys):
     digest = hashlib.sha256(captured.out.encode("utf-8")).hexdigest()
     assert f"{code} {digest}" == INLINE_GOLDEN[case]
     assert captured.err == INLINE_STDERR.get(case, "")
+
+
+# The verify report holds only counts, so a wrong rational in a generated
+# instance or decomposition could pass it unseen. This digest pins them:
+# per draw, a random linear instance and a random graph instance (their
+# to_json), and the Decomposition.to_json of each one that decomposes, for
+# an invariant image vector pi(u) with u a seeded integer combination of the
+# canonical basis of the preimage of W^G.
+GENERATED_GOLDEN = "e312b29c831ec29f89c04a6c25dc448405df8ce84c1237fedc2582a2fa9816c5"
+
+
+def _generated_digest(seed: int, draws: int) -> str:
+    rng = random.Random(seed)
+    h = hashlib.sha256()
+
+    def put(obj) -> None:
+        h.update(json.dumps(obj, sort_keys=True).encode("utf-8") + b"\n")
+
+    for i in range(draws):
+        for inst in (
+            random_linear_instance(rng, max_dim=2 + i % 5),
+            random_graph_instance(rng),
+        ):
+            put(inst.to_json())
+            if not (inst.m and check_condition_i(inst) and check_condition_ii(inst)):
+                continue
+            ut = u_tilde(inst).basis_vectors()
+            if not ut:
+                continue
+            u = [Fraction(0)] * inst.dim_U
+            for bv in ut:
+                c = rng.randint(-3, 3)
+                u = [x + c * y for x, y in zip(u, bv)]
+            kb = [list(v) for v in inst.kernel.basis_vectors()]
+            ujk = find_ujk(inst, kb)
+            put(decompose(inst, inst.pi.mulvec(u), ujk, kb).to_json())
+    return h.hexdigest()
+
+
+def test_generated_instances_and_decompositions_match_golden_digest():
+    assert _generated_digest(2026, 200) == GENERATED_GOLDEN

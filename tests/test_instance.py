@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import eqcohom.linalg
+import eqcohom.randomized
 from eqcohom.errors import PreconditionError
 from eqcohom.fixtures import (
     c4_graph,
@@ -422,3 +423,43 @@ def test_json_roundtrip_empty_dimension(dim_u, dim_w):
     again = LinearInstance.from_json(inst.to_json())
     assert again == inst
     assert validate(again).ok
+
+
+def test_dense_budget_boundary():
+    # (d+1) * (dim_U + dim_W)^2 dense cells: 10^6 is admitted, above refused,
+    # before any matrix is read (the generator entries here are not even
+    # square).
+    def payload(dim_u, dim_w, d):
+        return {
+            "dim_U": dim_u,
+            "dim_W": dim_w,
+            "pi": [],
+            "generators": [{"gU": [], "gW": []}] * d,
+        }
+
+    for dim_u, dim_w, d in [(1000, 0, 0), (300, 200, 3), (0, 500, 3)]:
+        assert LinearInstance.from_json(payload(dim_u, dim_w, d)).d == d
+    for dim_u, dim_w, d in [(1001, 0, 0), (300, 201, 3), (0, 500, 4), (10**6, 0, 0)]:
+        with pytest.raises(PreconditionError) as exc:
+            LinearInstance.from_json(payload(dim_u, dim_w, d))
+        assert exc.value.code == "budget"
+    # A negative dimension counts as 0 and stays an input error in validate.
+    inst = LinearInstance.from_json(payload(-(10**6), 0, 0))
+    assert not validate(inst).ok
+
+
+def test_dense_budget_admits_every_verify_draw(monkeypatch):
+    # Every instance that `verify --seed 7 --count 200` draws reads back
+    # from its JSON, unrefused and equal.
+    drawn = []
+    check = eqcohom.randomized.check_one_instance
+
+    def recording(inst, *args):
+        drawn.append(inst)
+        return check(inst, *args)
+
+    monkeypatch.setattr(eqcohom.randomized, "check_one_instance", recording)
+    assert eqcohom.randomized.run_verification(7, 200).ok
+    assert len(drawn) == 200
+    for inst in drawn:
+        assert LinearInstance.from_json(inst.to_json()) == inst

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -388,3 +389,170 @@ def test_containment():
     assert not b.is_subspace_of(a)
     assert b.contains([1, 2, 0])
     assert not b.contains([0, 0, 1])
+
+
+# Integer form against plain-Fraction definitions. A Mat holds integer rows
+# over one positive common denominator in lowest terms; every operation
+# below is recomputed here on lists of Fractions, with no Mat arithmetic.
+
+def _check_normal_form(m):
+    entries = [x for row in m.ints for x in row]
+    assert all(type(x) is int for x in entries) and type(m.den) is int
+    assert m.den >= 1
+    assert gcd(m.den, *entries) == 1
+    if not any(entries):
+        assert m.den == 1
+    assert len(m.ints) == m.rows and all(len(row) == m.cols for row in m.ints)
+
+
+def _fractions(m):
+    """The entries of m from its integer form, without Mat.data."""
+    return [[Fraction(x, m.den) for x in row] for row in m.ints]
+
+
+def _ref_rref(rows, n_cols):
+    """Textbook Gauss-Jordan over Fractions: first nonzero entry of each
+    column as pivot, row scaled to 1, column cleared above and below."""
+    a = [list(r) for r in rows]
+    pivots, r = [], 0
+    for c in range(n_cols):
+        i = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if i is None:
+            continue
+        a[r], a[i] = a[i], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for k in range(len(a)):
+            if k != r and a[k][c] != 0:
+                f = a[k][c]
+                a[k] = [x - f * y for x, y in zip(a[k], a[r])]
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def _ref_span(rows, n_cols):
+    """Canonical basis of a row space: nonzero rows of its RREF."""
+    red, pivots = _ref_rref(rows, n_cols)
+    return [tuple(row) for row in red[: len(pivots)]]
+
+
+def _ref_kernel(rows, n_cols):
+    red, pivots = _ref_rref(rows, n_cols)
+    vectors = []
+    for f in (c for c in range(n_cols) if c not in pivots):
+        v = [Fraction(0)] * n_cols
+        v[f] = Fraction(1)
+        for i, c in enumerate(pivots):
+            v[c] = -red[i][f]
+        vectors.append(v)
+    return _ref_span(vectors, n_cols)
+
+
+def _ref_intersection(a_rows, b_rows, n):
+    """Zassenhaus: the rows of rref [[A, A], [B, 0]] whose left half is 0
+    carry a basis of the intersection in their right half."""
+    stacked = [list(r) + list(r) for r in a_rows] + [
+        list(r) + [Fraction(0)] * n for r in b_rows
+    ]
+    red, _ = _ref_rref(stacked, 2 * n)
+    rows = [row[n:] for row in red if not any(row[:n]) and any(row[n:])]
+    return _ref_span(rows, n)
+
+
+def _sixths_matrix(rng, rows, cols):
+    """Entries over the denominators {1, 2, 3, 6}, often negative (so
+    pivots are), some zero, with repeated rows to force rank deficits."""
+    data = []
+    for _ in range(rows):
+        if data and rng.random() < 0.25:
+            k = Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 6)))
+            data.append([k * x for x in rng.choice(data)])
+        else:
+            data.append(
+                [
+                    Fraction(rng.randint(-5, 3), rng.choice((1, 2, 3, 6)))
+                    if rng.random() < 0.7
+                    else Fraction(0)
+                    for _ in range(cols)
+                ]
+            )
+    return Mat(data, cols=cols)
+
+
+def test_equal_rationals_by_different_routes_give_equal_mats():
+    routes = [
+        Mat([["2/4"]]),
+        Mat([[Fraction(1, 2)]]),
+        Mat([["3/4"]]) * Mat([["2/3"]]),
+        Mat.from_ints([[3]]) * Mat([["1/6"]]) + Mat([["1/3"]]) - Mat([["1/3"]]),
+        Mat([["1/3", "-1/6"]]).transpose().transpose() * Mat([[3], [3]]),
+    ]
+    for m in routes:
+        _check_normal_form(m)
+        assert (m.ints, m.den) == (((1,),), 2)
+        assert m == routes[0] and hash(m) == hash(routes[0])
+    zero = Mat([["1/6", "-1/6"]]) - Mat([["1/6", "-1/6"]])
+    assert zero == Mat.zeros(1, 2) == Mat([[0, "0/5"]]) and zero.den == 1
+    assert hash(zero) == hash(Mat.zeros(1, 2))
+    assert Mat([["1/2"]]) != Mat([[1]]) and Mat.zeros(0, 2) != Mat.zeros(0, 3)
+    assert Mat.zeros(2, 0) != Mat.zeros(3, 0)
+
+
+def test_integer_form_matches_fraction_definitions():
+    rng = random.Random(6)
+    shapes = [(0, 3), (3, 0), (0, 0), (1, 1), (2, 4), (4, 2), (3, 3), (5, 5), (4, 6)]
+    for rows, cols in shapes * 8:
+        a = _sixths_matrix(rng, rows, cols)
+        b = _sixths_matrix(rng, rows, cols)
+        fa, fb = _fractions(a), _fractions(b)
+        for m in (a, b):
+            _check_normal_form(m)
+            assert [list(r) for r in m.data] == _fractions(m)
+        plus, minus = a + b, a - b
+        assert _fractions(plus) == [[x + y for x, y in zip(r, s)] for r, s in zip(fa, fb)]
+        assert _fractions(minus) == [[x - y for x, y in zip(r, s)] for r, s in zip(fa, fb)]
+        t = a.transpose()
+        assert (t.rows, t.cols) == (cols, rows)
+        assert _fractions(t) == [[fa[i][j] for i in range(rows)] for j in range(cols)]
+        k = rng.randint(0, 4)
+        c = _sixths_matrix(rng, cols, k)
+        fc = _fractions(c)
+        prod = a * c
+        assert (prod.rows, prod.cols) == (rows, k)
+        assert _fractions(prod) == [
+            [sum((fa[i][t] * fc[t][j] for t in range(cols)), Fraction(0)) for j in range(k)]
+            for i in range(rows)
+        ]
+        stack = Mat.vstack([a, Mat.zeros(0, cols), b])
+        assert _fractions(stack) == fa + fb
+        v = [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 6))) for _ in range(cols)]
+        assert a.mulvec(v) == tuple(
+            sum((x * y for x, y in zip(r, v)), Fraction(0)) for r in fa
+        )
+        red, pivots = rref(a)
+        ref_red, ref_pivots = _ref_rref(fa, cols)
+        assert pivots == ref_pivots and _fractions(red) == ref_red
+        assert kernel_basis(a).basis_vectors() == tuple(_ref_kernel(fa, cols))
+        # One right-hand side in the image of a, one most likely not.
+        xs = [Fraction(rng.randint(-3, 3), 2) for _ in range(cols)]
+        bs = [
+            [sum((x * y for x, y in zip(r, xs)), Fraction(0)) for r in fa],
+            [Fraction(rng.randint(-3, 3), 3) for _ in range(rows)],
+        ]
+        for b_vec, x in zip(bs, solve_many(a, bs)):
+            aug_red, aug_pivots = _ref_rref(
+                [list(r) + [y] for r, y in zip(fa, b_vec)], cols + 1
+            )
+            if cols in aug_pivots:
+                assert x is None
+                continue
+            expected = [Fraction(0)] * cols
+            for row, p in zip(aug_red, aug_pivots):
+                expected[p] = row[cols]
+            assert x == tuple(expected)
+        sa, sb = Subspace(cols, a), Subspace(cols, b)
+        assert sa.basis_vectors() == tuple(_ref_span(fa, cols))
+        meet = subspace_intersection(sa, sb)
+        assert meet.basis_vectors() == tuple(_ref_intersection(fa, fb, cols))
+        for m in (plus, minus, t, prod, stack, red, sa.basis, meet.basis):
+            _check_normal_form(m)

@@ -28,3 +28,7 @@ TRUNCATION_BUDGET = 10**6
 # (d + 1) * (dim_U + dim_W)^2: that bounds pi, the d generator pairs and
 # the stacked (g_i - id) maps.
 DENSE_BUDGET = 10**6
+# Most predicted elimination cells of one instance that `verify` draws,
+# MAX_GENS * max_dim^3: the stacked (g_i - id) blocks of up to MAX_GENS
+# generators, each max_dim x max_dim, reduced over max_dim pivot columns.
+VERIFY_BUDGET = 10**6

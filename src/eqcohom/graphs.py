@@ -224,12 +224,20 @@ def potential(graph: Graph, w: Cochain1) -> Optional[Cochain0]:
 
     Returns None when w is not closed (some non-tree edge disagrees).
     """
+    f = closed_potential(graph, w.values, Fraction(0))
+    return None if f is None else Cochain0(tuple(f))
+
+
+def closed_potential(graph: Graph, values: Sequence, zero=0) -> Optional[list]:
+    """Tree potential of edge values of one exact type (ints stay ints),
+    `zero` at each component root, or None when some non-tree edge
+    disagrees with it."""
     forest = graph.forest
-    f = forest.integrate(w.values, Fraction(0))
+    f = forest.integrate(values, zero)
     for pos, e in enumerate(graph.edges):
-        if pos not in forest.tree_positions and w.values[pos] != f[e.t] - f[e.o]:
+        if pos not in forest.tree_positions and values[pos] != f[e.t] - f[e.o]:
             return None
-    return Cochain0(tuple(f))
+    return f
 
 
 @dataclass(frozen=True)

@@ -55,14 +55,26 @@ class LinearInstance:
         return self.kernel.dim
 
     @cached_property
+    def moves_U(self) -> tuple[Mat, ...]:
+        """The blocks gU_i - id, one per generator, kept like `kernel`."""
+        ident = Mat.identity(self.dim_U)
+        return tuple([gu - ident for gu, _ in self.generators])
+
+    @cached_property
+    def moves_W(self) -> tuple[Mat, ...]:
+        """The blocks gW_i - id, one per generator, kept like `kernel`."""
+        ident = Mat.identity(self.dim_W)
+        return tuple([gw - ident for _, gw in self.generators])
+
+    @cached_property
     def fixed_U(self) -> Subspace:
         """U^G, the vectors of U fixed by every gU, kept like `kernel`."""
-        return _stacked_kernel(_moves(self), self.dim_U)
+        return _stacked_kernel(self.moves_U, self.dim_U)
 
     @cached_property
     def fixed_W(self) -> Subspace:
         """W^G, the vectors of W fixed by every gW, kept like `kernel`."""
-        return _stacked_kernel(_moves(self, on_w=True), self.dim_W)
+        return _stacked_kernel(self.moves_W, self.dim_W)
 
     def to_json(self) -> dict:
         gens = []
@@ -165,12 +177,6 @@ def _power(m: Mat, n: int) -> Mat:
     return acc
 
 
-def _moves(inst: LinearInstance, on_w: bool = False) -> list[Mat]:
-    """The blocks g_i - id, one per generator, on U (or on W)."""
-    ident = Mat.identity(inst.dim_W if on_w else inst.dim_U)
-    return [(gw if on_w else gu) - ident for gu, gw in inst.generators]
-
-
 def _stacked_kernel(blocks: Sequence[Mat], dim: int) -> Subspace:
     """Common kernel of the blocks, each with `dim` columns. With no blocks
     (d = 0) nothing constrains the vector, and this is the full space."""
@@ -182,13 +188,13 @@ def _stacked_kernel(blocks: Sequence[Mat], dim: int) -> Subspace:
 def u_tilde(inst: LinearInstance) -> Subspace:
     """Preimage of the W fixed space under pi: {u : pi u is fixed by all g}."""
     return _stacked_kernel(
-        [move * inst.pi for move in _moves(inst, on_w=True)], inst.dim_U
+        [move * inst.pi for move in inst.moves_W], inst.dim_U
     )
 
 
 def gbar_map(inst: LinearInstance) -> Mat:
     """The (d * dim_U) x dim_U matrix of u -> ((g_1 - id)u, ..., (g_d - id)u)."""
-    return Mat.vstack(_moves(inst))
+    return Mat.vstack(inst.moves_U)
 
 
 @dataclass(frozen=True)
@@ -316,7 +322,7 @@ def decompose(
         raise PreconditionError("not-invariant", "w is not fixed by the action")
     basis = [vec(u) for u in kernel_basis_choice]
     kmat = Mat.from_cols(basis) if basis else Mat.zeros(inst.dim_U, 0)
-    coeffs = solve_many(kmat, [move.mulvec(u0) for move in _moves(inst)])
+    coeffs = solve_many(kmat, [move.mulvec(u0) for move in inst.moves_U])
     if None in coeffs:
         raise PreconditionError(
             "kernel-escape",

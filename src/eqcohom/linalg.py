@@ -27,18 +27,23 @@ def rat(value) -> Fraction:
 
     A bool is not a rational, and "p/0" is not a number: the first raises
     TypeError and the second ValueError, which the JSON loaders report as
-    input errors.
+    input errors. A string of the exact form -?[0-9]+ is read by int;
+    every other string is parsed by Fraction, so both accept the same
+    strings.
     """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, str):
+        digits = value[1:] if value[:1] == "-" else value
+        if not (digits.isascii() and digits.isdigit()):
+            try:
+                return Fraction(value)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {value!r}") from None
+        value = int(value)
     if type(value) is int:
         small = _SMALL.get(value)
         return Fraction(value) if small is None else small
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"not an exact rational: {value!r}")
 
 

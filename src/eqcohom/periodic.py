@@ -10,10 +10,16 @@ the finite-window truncation oracle.
 
 Every traversal reads the quotient's one spanning forest (`Graph.forest`),
 and a PeriodicGraph keeps its fundamental-cycle voltages and period lattices
-once computed. No elimination runs beyond one small solve per component: the
-realized quotient dimension is the sum of the period lattices' ranks, and
-the truncation oracle compares Python ints after clearing one common
-denominator.
+once computed. No elimination runs beyond one small solve per component, and
+the realized quotient dimension is the sum of the period lattices' ranks.
+
+The request path computes on Python ints, the way `linalg.Mat` does: w is
+cleared of its denominators once (D), each component's coefficients are
+brought to one integer row over a common E, and the residual, its
+closedness check and the reconstruct round trip all run on integers over
+D*E. Fractions are made only for the returned PeriodicDecomposition. The
+truncation oracle likewise clears one common denominator of w, f and a and
+tabulates the lift window in one flat int list.
 """
 
 from __future__ import annotations
@@ -21,13 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
 from math import lcm, prod
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import TRUNCATION_BUDGET, InputError, PreconditionError
-from .graphs import Cochain0, Cochain1, Graph, potential
-from .linalg import Mat, integer, json_list, rat, rat_str, solve
+from .graphs import Cochain0, Cochain1, Graph, closed_potential
+from .linalg import Mat, _cleared, _frac, integer, json_list, rat_str, solve
 
 
 def hermite_normal_form(rows: Sequence[Sequence[int]], cols: int) -> list[list[int]]:
@@ -194,37 +200,42 @@ def lift_component_count(pg: PeriodicGraph):
     return total
 
 
-def _cycle_sums(pg: PeriodicGraph, w: Cochain1) -> list[list[Fraction]]:
-    """w-sum along each fundamental cycle (per component), using the tree
-    potential of w."""
-    g = pg.quotient
-    pw = g.forest.integrate(w.values, Fraction(0))
-    return [
-        [w.values[pos] + pw[g.edges[pos].o] - pw[g.edges[pos].t] for pos, _ in comp]
-        for comp in pg.cycles
-    ]
+def _cochain_ints(pg: PeriodicGraph, w: Cochain1) -> tuple[int, list[int]]:
+    """(D, w_int) with w == w_int / D: w cleared of its denominators once."""
+    if len(w.values) != pg.quotient.n_edges:
+        raise InputError("1-cochain length does not match edge count")
+    return _cleared(w.values)
 
 
-def _period_coefficients(pg: PeriodicGraph, w: Cochain1):
+def _period_coefficients(pg: PeriodicGraph, w_int: Sequence[int]):
     """Per quotient component k, the coefficients a_k with T_k a_k = sums_k,
     where the rows of T_k are the voltages of k's fundamental cycles and
-    sums_k their w-sums; None where that system is inconsistent.
+    sums_k their sums of the integer cochain w_int; each as (integer row,
+    denominator), or None where that system is inconsistent.
 
     A lift cycle is a zero-voltage cycle inside one component, so the lift
     of w is closed exactly when every component's system is consistent.
     Yields lazily, so a caller may stop at the first None.
     """
-    if len(w.values) != pg.quotient.n_edges:
-        raise InputError("1-cochain length does not match edge count")
-    sums = _cycle_sums(pg, w)
-    for k, comp_cycles in enumerate(pg.cycles):
+    g = pg.quotient
+    pw = g.forest.integrate(w_int)
+    for comp_cycles in pg.cycles:
+        sums = [
+            w_int[pos] + pw[g.edges[pos].o] - pw[g.edges[pos].t]
+            for pos, _ in comp_cycles
+        ]
         t_k = Mat.from_ints([cv for _, cv in comp_cycles], cols=pg.d)
-        a_k = solve(t_k, sums[k])
-        if a_k is not None:
-            # Well-definedness: every fundamental cycle, not just a spanning
-            # subset, must agree with these coefficients.
-            assert t_k.mulvec(a_k) == tuple(sums[k])
-        yield a_k
+        a_k = solve(t_k, sums)
+        if a_k is None:
+            yield None
+            continue
+        den, row = _cleared(a_k)
+        # Well-definedness: every fundamental cycle, not just a spanning
+        # subset, must agree with these coefficients.
+        assert all(
+            sum(map(mul, cv, row)) == den * s for (_, cv), s in zip(comp_cycles, sums)
+        )
+        yield row, den
 
 
 def is_invariant_closed(pg: PeriodicGraph, w: Cochain1) -> bool:
@@ -232,7 +243,8 @@ def is_invariant_closed(pg: PeriodicGraph, w: Cochain1) -> bool:
     component: in each component, the w-sum of every combination of its
     fundamental cycles with zero total voltage must vanish, i.e. the cycle
     sums must be a linear function of the cycle voltages."""
-    return all(a_k is not None for a_k in _period_coefficients(pg, w))
+    _, w_int = _cochain_ints(pg, w)
+    return all(a_k is not None for a_k in _period_coefficients(pg, w_int))
 
 
 @dataclass(frozen=True)
@@ -284,27 +296,43 @@ def decompose_periodic(pg: PeriodicGraph, w: Cochain1) -> PeriodicDecomposition:
                 f"rank {lat.rank} of {pg.d}"
                 + (f", index {lat.index()}" if lat.index() is not None else ""),
             )
-    per_comp_a: list[tuple[Fraction, ...]] = []
-    for k, a_k in enumerate(_period_coefficients(pg, w)):
+    den_w, w_int = _cochain_ints(pg, w)
+    rows, dens = [], []
+    for k, a_k in enumerate(_period_coefficients(pg, w_int)):
         if a_k is None:
             raise PreconditionError(
                 "not-closed", f"inconsistent cycle sums in component {k}"
             )
-        per_comp_a.append(a_k)
-    g = pg.quotient
-    comp_of = g.forest.comp_of
-    residual = []
-    for pos, e in enumerate(g.edges):
-        a_k = per_comp_a[comp_of[e.o]]
-        periods = [a_j * t_j for a_j, t_j in zip(a_k, pg.voltages[e.id]) if t_j]
-        residual.append(w.values[pos] - sum(periods, Fraction(0)))
-    f = potential(g, Cochain1(tuple(residual)))
-    assert f is not None, "residual 1-form must be exact on the quotient"
-    m = len(per_comp_a)
-    a = tuple(tuple(per_comp_a[k][j] for k in range(m)) for j in range(pg.d))
-    dec = PeriodicDecomposition(a, f, pg.lattices)
-    assert reconstruct(pg, dec.a, dec.f).values == w.values
-    return dec
+        rows.append(a_k[0])
+        dens.append(a_k[1])
+    # Everything below is an integer over den = den_w * den_a.
+    den_a = lcm(*dens)
+    a_int = [[x * (den_a // dk) for x in row] for row, dk in zip(rows, dens)]
+    w_int = [den_a * x for x in w_int]
+    periods = _reconstruct_ints(pg, a_int, [0] * pg.quotient.n_vertices)
+    residual = [x - p for x, p in zip(w_int, periods)]
+    f_int = closed_potential(pg.quotient, residual)
+    assert f_int is not None, "residual 1-form must be exact on the quotient"
+    assert _reconstruct_ints(pg, a_int, f_int) == w_int
+    den = den_w * den_a
+    a = tuple(tuple(_frac(row[j], den) for row in a_int) for j in range(pg.d))
+    return PeriodicDecomposition(
+        a, Cochain0(tuple(_frac(x, den) for x in f_int)), pg.lattices
+    )
+
+
+def _reconstruct_ints(
+    pg: PeriodicGraph, a_int: Sequence[Sequence[int]], f_int: Sequence[int]
+) -> list[int]:
+    """w(e) = f(te) - f(oe) + sum_j a_{j,k} t(e)_j on integers, with a_int
+    one row per quotient component."""
+    comp_of = pg.quotient.forest.comp_of
+    return [
+        f_int[e.t]
+        - f_int[e.o]
+        + sum([a * t for a, t in zip(a_int[comp_of[e.o]], pg.voltages[e.id]) if t])
+        for e in pg.quotient.edges
+    ]
 
 
 def reconstruct(
@@ -312,21 +340,16 @@ def reconstruct(
 ) -> Cochain1:
     """Inverse of decompose_periodic: build w from coefficients and potential.
 
-    Every a[j][k] is read once through rat, so a float or a bool raises
-    TypeError rather than entering the exact arithmetic.
+    Every a[j][k] and f value is read once through rat, so a float or a
+    bool raises TypeError rather than entering the exact arithmetic; all
+    are cleared to one common denominator and w is built on integers.
     """
-    g = pg.quotient
-    comp_of = g.forest.comp_of
-    coeffs = [[rat(x) for x in row] for row in a]
-    values = []
-    for e in g.edges:
-        k = comp_of[e.o]
-        val = f.values[e.t] - f.values[e.o]
-        for row, t_j in zip(coeffs, pg.voltages[e.id]):
-            if t_j:
-                val += row[k] * t_j
-        values.append(val)
-    return Cochain1(tuple(values))
+    rows = [list(row) for row in a]
+    den, ints = _cleared([x for row in rows for x in row] + list(f.values))
+    flat = iter(ints)
+    a_rows = [[next(flat) for _ in row] for row in rows]
+    values = _reconstruct_ints(pg, list(zip(*a_rows)), list(flat))
+    return Cochain1(tuple(_frac(x, den) for x in values))
 
 
 def truncation_oracle(
@@ -339,8 +362,12 @@ def truncation_oracle(
     tabulated once per lift vertex of the window; every lift edge whose two
     ends lie in the window is then checked exactly against the table. All
     values are scaled by one common denominator of w, f and a, so the table
-    and the comparisons are on Python ints. Any mismatch means `dec` does
-    not decompose w and raises AssertionError; the returned report counts
+    and the comparisons are on Python ints. The table is one flat list: the
+    vertex (v, cell) is entry index(cell) * n + v, with index(cell) =
+    sum_j (cell_j + radius) * side**j, so the far end of an edge e with
+    voltage t sits a fixed (sum_j t_j * side**j) * n + te - oe entries past
+    its near end. Any mismatch means `dec` does not decompose w and raises
+    AssertionError naming the edge and the cell; the returned report counts
     the checks performed.
 
     The work is predicted first, as (2r+1)^d table entries per quotient
@@ -374,25 +401,43 @@ def truncation_oracle(
 
     w_int, f_int = scaled(w.values), scaled(dec.f.values)
     a_int = [scaled(row) for row in dec.a]
+    n = g.n_vertices
     lo, hi = -radius, radius
-    big_f: dict[tuple[int, ...], list[int]] = {}
-    for cell in product(range(lo, hi + 1), repeat=pg.d):
-        shift = [sum(a_int[j][k] * cell[j] for j in range(pg.d)) for k in range(m)]
-        big_f[cell] = [fv + shift[k] for fv, k in zip(f_int, comp_of)]
+    # Cell c of the window has index sum_j (c_j - lo) * side**j, and the lift
+    # vertex (v, c) is entry index * n + v of one flat table of F.
+    strides = [side**j * n for j in range(pg.d)]
+    shifts = [[0] * m]  # per cell, sum_j a_{j,k} c_j for each component k
+    for j in range(pg.d):
+        shifts = [
+            [s + a_jk * c for s, a_jk in zip(sh, a_int[j])]
+            for c in range(lo, hi + 1)
+            for sh in shifts
+        ]
+    table = [fv + sh[k] for sh in shifts for fv, k in zip(f_int, comp_of)]
 
     checks = 0
     for pos, e in enumerate(g.edges):
         t = pg.voltages[e.id]
         value = w_int[pos]
-        # Cells whose translate by t stays in the window.
-        ranges = [range(max(lo, lo - tj), min(hi, hi - tj) + 1) for tj in t]
-        for cell in product(*ranges):
-            target = tuple(c + tj for c, tj in zip(cell, t))
-            if value != big_f[target][e.t] - big_f[cell][e.o]:
+        # Entry of (e.o, cell) for every cell whose translate by t stays in
+        # the window, in lexicographic cell order; (e.t, cell + t) sits a
+        # fixed offset further on.
+        starts = [e.o]
+        for tj, stride in zip(t, strides):
+            steps = [
+                (c - lo) * stride
+                for c in range(max(lo, lo - tj), min(hi, hi - tj) + 1)
+            ]
+            starts = [b + s for b in starts for s in steps]
+        offset = sum(map(mul, t, strides)) + e.t - e.o
+        for b in starts:
+            if table[b + offset] - table[b] != value:
+                index = (b - e.o) // n
+                cell = tuple(index // side**j % side + lo for j in range(pg.d))
                 raise AssertionError(
                     f"truncation mismatch on edge {e.id} at cell {cell}"
                 )
-            checks += 1
+        checks += len(starts)
     return {"radius": radius, "checks": checks, "ok": True}
 
 

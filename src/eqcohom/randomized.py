@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from .errors import InputError
+from .errors import VERIFY_BUDGET, InputError, PreconditionError
 from .graphs import Graph, GraphAction, to_instance
 from .instance import LinearInstance, decompose, find_ujk, u_tilde, verify_iff
 from .linalg import Mat, Subspace
@@ -321,11 +321,20 @@ def check_one_instance(
 
 def run_verification(seed: int, count: int, max_dim: int = 6) -> VerifyResult:
     """Check `count` seeded random instances. A designed equality instance
-    needs dim_U >= 2, so max_dim < 2 has no instance to draw."""
+    needs dim_U >= 2, so max_dim < 2 has no instance to draw. A max_dim
+    whose predicted elimination work per instance is above VERIFY_BUDGET
+    raises PreconditionError("budget", ...) before any instance is drawn."""
     if count < 0:
         raise InputError(f"count must be >= 0, got {count}")
     if max_dim < 2:
         raise InputError(f"max_dim must be >= 2, got {max_dim}")
+    cells = MAX_GENS * max_dim**3
+    if cells > VERIFY_BUDGET:
+        raise PreconditionError(
+            "budget",
+            f"max_dim {max_dim} predicts {cells} elimination cells per "
+            f"instance, MAX_GENS*max_dim^3, over the budget of {VERIFY_BUDGET}",
+        )
     rng = random.Random(seed)
     result = VerifyResult(seed=seed, count=count)
     for i in range(count):

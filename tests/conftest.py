@@ -1,10 +1,13 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from eqcohom.linalg import Subspace
+from eqcohom.errors import PreconditionError
+from eqcohom.graphs import Cochain1, potential
+from eqcohom.linalg import Mat, Subspace, rat, solve
 
 
 def run_cli(args, cwd=None):
@@ -29,6 +32,93 @@ def subspace_sum(a, b):
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     return Subspace(a.ambient_dim, list(a.basis.data) + list(b.basis.data))
+
+
+# Strings at the edge of what linalg.rat accepts: its integer fast path must
+# accept and reject exactly what Fraction parsing does (which differs between
+# Python versions, e.g. for "1_0").
+RAT_STRINGS = (
+    " 3", "+3", "--3", "1_0", "1.5", "1e2", "3/0", "-", "", "\u0663", "3\n",
+    "-0", "007", "-12", "3/4", "0x10", "\u00b2", "9" * 5000,
+)
+
+
+def fraction_of(text: str) -> Fraction:
+    """Parse a string with Fraction alone, "p/0" raising ValueError: the
+    reference for linalg.rat on strings."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
+# A Fraction-only periodic decomposition, entry by entry: the reference for
+# the integer path of eqcohom.periodic.
+
+
+def reference_cycle_sums(pg, w):
+    """w-sum along each fundamental cycle (per component), using the tree
+    potential of w."""
+    g = pg.quotient
+    pw = g.forest.integrate(w.values, Fraction(0))
+    return [
+        [w.values[pos] + pw[g.edges[pos].o] - pw[g.edges[pos].t] for pos, _ in comp]
+        for comp in pg.cycles
+    ]
+
+
+def reference_period_coefficients(pg, w):
+    """Per quotient component, the Fraction a_k with T_k a_k = sums_k, or
+    None where that system is inconsistent."""
+    out = []
+    for comp_cycles, sums in zip(pg.cycles, reference_cycle_sums(pg, w)):
+        t_k = Mat.from_ints([cv for _, cv in comp_cycles], cols=pg.d)
+        a_k = solve(t_k, sums)
+        if a_k is not None:
+            assert t_k.mulvec(a_k) == tuple(sums)
+        out.append(a_k)
+    return out
+
+
+def reference_reconstruct(pg, a, f):
+    """w(e) = f(te) - f(oe) + sum_j a[j][k] t(e)_j, one Fraction at a time."""
+    g = pg.quotient
+    comp_of = g.forest.comp_of
+    coeffs = [[rat(x) for x in row] for row in a]
+    values = []
+    for e in g.edges:
+        k = comp_of[e.o]
+        val = f.values[e.t] - f.values[e.o]
+        for row, t_j in zip(coeffs, pg.voltages[e.id]):
+            if t_j:
+                val += row[k] * t_j
+        values.append(val)
+    return Cochain1(tuple(values))
+
+
+def reference_decompose_periodic(pg, w):
+    """(a, f values) of w, with a as d rows of one Fraction per component;
+    raises PreconditionError("not-closed", ...) naming the first
+    inconsistent component. Assumes every period lattice is full."""
+    per_comp_a = []
+    for k, a_k in enumerate(reference_period_coefficients(pg, w)):
+        if a_k is None:
+            raise PreconditionError(
+                "not-closed", f"inconsistent cycle sums in component {k}"
+            )
+        per_comp_a.append(a_k)
+    g = pg.quotient
+    comp_of = g.forest.comp_of
+    residual = []
+    for pos, e in enumerate(g.edges):
+        a_k = per_comp_a[comp_of[e.o]]
+        periods = [a_j * t_j for a_j, t_j in zip(a_k, pg.voltages[e.id]) if t_j]
+        residual.append(w.values[pos] - sum(periods, Fraction(0)))
+    f = potential(g, Cochain1(tuple(residual)))
+    assert f is not None, "residual 1-form must be exact on the quotient"
+    a = tuple(tuple(a_k[j] for a_k in per_comp_a) for j in range(pg.d))
+    assert reference_reconstruct(pg, a, f).values == w.values
+    return a, f.values
 
 
 @pytest.fixture

@@ -7,11 +7,12 @@ import time
 import pytest
 
 import eqcohom.instance
+import eqcohom.randomized
 from eqcohom.cli import main
 from eqcohom.instance import check_condition_ii
 from eqcohom.randomized import run_verification
 
-from conftest import run_cli, write_json
+from conftest import RAT_STRINGS, fraction_of, run_cli, write_json
 
 
 def load_fixture(tmp_path, name):
@@ -166,6 +167,31 @@ def test_periodic_zero_denominator_exit_2(tmp_path):
     assert code == 2
     assert "zero denominator" in err
     assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def torus_2(tmp_path_factory):
+    out = tmp_path_factory.mktemp("torus-2")
+    load_fixture(out, "torus-2")
+    return out
+
+
+@pytest.mark.parametrize("text", RAT_STRINGS, ids=ascii)
+def test_periodic_cochain_strings_exit_as_fraction_reads_them(text, torus_2, capsys):
+    # Any value is closed on the torus, so a cochain entry that Fraction
+    # reads exits 0 with that value as a; one it refuses exits 2.
+    wpath = write_json(torus_2 / "w.json", {"0": text, "1": "-3"})
+    capsys.readouterr()
+    code = main(["periodic", str(torus_2 / "torus-2.pgraph.json"), wpath])
+    out, err = capsys.readouterr()
+    try:
+        expected = fraction_of(text)
+    except ValueError:
+        assert code == 2 and out == ""
+        assert err.startswith("input error: bad 1-cochain JSON")
+    else:
+        assert code == 0, err
+        assert json.loads(out)["decomposition"]["a"][0] == [str(expected)]
 
 
 def test_periodic_truncation_budget_exit_3(tmp_path):
@@ -468,6 +494,29 @@ def test_verify_bad_bounds_exit_2(args):
     assert code == 2
     assert out == ""
     assert "input error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("max_dim", ["70", "150", str(10**9)])
+def test_verify_max_dim_budget_exit_3(max_dim, monkeypatch, capsys):
+    # 3 * 70^3 elimination cells is the first value over VERIFY_BUDGET; it
+    # is refused before any instance is drawn.
+    def draw(*args, **kwargs):
+        raise AssertionError("an instance was drawn")
+
+    monkeypatch.setattr(eqcohom.randomized, "random_linear_instance", draw)
+    monkeypatch.setattr(eqcohom.randomized, "random_graph_instance", draw)
+    capsys.readouterr()
+    code = main(["verify", "--max-dim", max_dim, "--count", "1"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"precondition not met (budget): max_dim {max_dim} predicts")
+
+
+def test_verify_max_dim_within_budget_runs(capsys):
+    code = main(["verify", "--seed", "1", "--count", "2", "--max-dim", "69"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["checked"] == 2
 
 
 def test_analyze_zero_dim_w_valid(tmp_path):

@@ -18,7 +18,7 @@ from eqcohom.linalg import (
     subspace_intersection,
 )
 
-from conftest import subspace_sum
+from conftest import RAT_STRINGS, fraction_of, subspace_sum
 
 
 def fraction_free_rank(rows):
@@ -85,6 +85,20 @@ def test_rat_rejects_bool_and_zero_denominator():
     with pytest.raises(ValueError):
         rat("1/0")
     assert rat(0) == 0 and rat(-3) == Fraction(-3)
+
+
+@pytest.mark.parametrize("text", RAT_STRINGS, ids=ascii)
+def test_rat_reads_strings_as_fraction_does(text):
+    # The -?[0-9]+ fast path must not change what is accepted, the value
+    # read, or the error class of what is refused.
+    try:
+        expected = fraction_of(text)
+    except ValueError:
+        with pytest.raises(ValueError):
+            rat(text)
+    else:
+        value = rat(text)
+        assert type(value) is Fraction and value == expected
 
 
 def test_integer_reader():

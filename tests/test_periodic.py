@@ -1,6 +1,9 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
+from math import lcm, prod
 
 import pytest
 
@@ -28,7 +31,12 @@ from eqcohom.periodic import (
 )
 from eqcohom.randomized import random_unimodular
 
-from conftest import subspace_sum
+from conftest import (
+    reference_decompose_periodic,
+    reference_period_coefficients,
+    reference_reconstruct,
+    subspace_sum,
+)
 
 
 def random_cochain_pair(rng, pg):
@@ -210,12 +218,13 @@ def test_coefficients_independent_of_cycle_choice():
     assert not is_invariant_closed(pg, Cochain1.make([4, 5]))
 
 
-def random_multi_component_quotient(rng, d, n_comps):
+def random_multi_component_quotient(rng, d, n_comps, drop_loops=0.0):
     """Random quotient with n_comps components on interleaved vertex ids.
 
     Each component has a random spanning tree, a few extra edges with
     voltages in [-1, 1]^d, and d loops with the unit voltages, so its period
-    lattice is all of Z^d.
+    lattice is all of Z^d; each loop is left out with probability
+    `drop_loops`, so that lattice may not be full.
     """
     sizes = [rng.randint(1, 5) for _ in range(n_comps)]
     order = list(range(sum(sizes)))
@@ -228,6 +237,8 @@ def random_multi_component_quotient(rng, d, n_comps):
             pairs += [tuple(rng.sample(part, 2)) for _ in range(rng.randint(0, 3))]
         raw += [(o, t, [rng.randint(-1, 1) for _ in range(d)]) for o, t in pairs]
         for j in range(d):
+            if drop_loops and rng.random() < drop_loops:
+                continue
             v = rng.choice(part)
             raw.append((v, v, [int(i == j) for i in range(d)]))
     g = Graph.make(len(order), [(i, o, t) for i, (o, t, _) in enumerate(raw)])
@@ -349,6 +360,129 @@ def test_truncation_oracle_residual_only():
     w = reconstruct(pg, [[0], [0]], f)
     report = truncation_oracle(pg, w, decompose_periodic(pg, w), 2)
     assert report["ok"]
+
+
+DENS = (1, 2, 3, 6)
+
+
+def random_periodic_case(rng):
+    """A seeded (pg, w, kind): d in {1, 2, 3}, one to three components, each
+    unit loop left out with probability 0.1, and w with denominators from
+    DENS. `kind` says how w was drawn: "closed" from random a and f,
+    "perturbed" as a closed w with one value moved, "random" entry by
+    entry."""
+    pg = random_multi_component_quotient(
+        rng, rng.randint(1, 3), rng.randint(1, 3), drop_loops=0.1
+    )
+    d, g = pg.d, pg.quotient
+    kind = rng.choice(["closed", "closed", "perturbed", "random"])
+    if kind == "random":
+        values = [Fraction(rng.randint(-9, 9), rng.choice(DENS)) for _ in g.edges]
+        return pg, Cochain1(tuple(values)), kind
+    m = len(components(g))
+    a = [[Fraction(rng.randint(-6, 6), rng.choice(DENS)) for _ in range(m)] for _ in range(d)]
+    f = Cochain0(
+        tuple(Fraction(rng.randint(-5, 5), rng.choice(DENS)) for _ in range(g.n_vertices))
+    )
+    values = list(reference_reconstruct(pg, a, f).values)
+    if kind == "perturbed" and values:
+        values[rng.randrange(len(values))] += Fraction(1, rng.choice(DENS))
+    return pg, Cochain1(tuple(values)), kind
+
+
+def test_integer_path_matches_fraction_reference():
+    rng = random.Random(2718)
+    seen = Counter()
+    for _ in range(320):
+        pg, w, kind = random_periodic_case(rng)
+        seen[f"d={pg.d}"] += 1
+        seen[f"components={len(pg.lattices)}"] += 1
+        seen[f"den={lcm(*(x.denominator for x in w.values))}"] += 1
+        reference = reference_period_coefficients(pg, w)
+        assert is_invariant_closed(pg, w) == (None not in reference)
+        if not action_is_closed(pg):
+            seen["lattice not full"] += 1
+            with pytest.raises(PreconditionError) as err:
+                decompose_periodic(pg, w)
+            assert err.value.code == "action-not-closed"
+            continue
+        try:
+            a, f = reference_decompose_periodic(pg, w)
+        except PreconditionError as exc:
+            seen["not closed"] += 1
+            with pytest.raises(PreconditionError) as err:
+                decompose_periodic(pg, w)
+            assert (err.value.code, err.value.detail) == (exc.code, exc.detail)
+            continue
+        seen[f"decomposed {kind}"] += 1
+        dec = decompose_periodic(pg, w)
+        assert dec.a == a and dec.f.values == f
+        assert all(type(x) is Fraction for row in dec.a for x in row)
+        assert all(type(x) is Fraction for x in dec.f.values)
+        assert reconstruct(pg, dec.a, dec.f) == reference_reconstruct(pg, dec.a, dec.f)
+    for key in ("d=1", "d=2", "d=3", "components=1", "components=2", "components=3"):
+        assert seen[key] >= 30, (key, seen)
+    for key in ("den=6", "lattice not full", "not closed", "decomposed closed"):
+        assert seen[key] >= 10, (key, seen)
+
+
+def lift_mismatches(pg, w, a, f, radius):
+    """(checks, first mismatch) of the lift window, by brute force over
+    cells in lexicographic order with Fractions; the first mismatch is
+    (edge id, cell) or None."""
+    comp_of = pg.quotient.forest.comp_of
+
+    def big_f(v, cell):
+        return f[v] + sum(a[j][comp_of[v]] * c for j, c in enumerate(cell))
+
+    checks, first = 0, None
+    window = range(-radius, radius + 1)
+    for pos, e in enumerate(pg.quotient.edges):
+        t = pg.voltages[e.id]
+        for cell in product(window, repeat=pg.d):
+            target = tuple(c + tj for c, tj in zip(cell, t))
+            if all(abs(x) <= radius for x in target):
+                checks += 1
+                if first is None and w.values[pos] != big_f(e.t, target) - big_f(e.o, cell):
+                    first = (e.id, cell)
+    return checks, first
+
+
+def test_truncation_oracle_checks_and_names_first_mismatch():
+    rng = random.Random(31)
+    caught = Counter()
+    for trial in range(120):
+        pg, w, kind = random_periodic_case(rng)
+        if kind != "closed" or not action_is_closed(pg):
+            continue
+        dec = decompose_periodic(pg, w)
+        radius = rng.randint(0, 2)
+        side = 2 * radius + 1
+        predicted = sum(
+            prod(max(0, side - abs(tj)) for tj in t) for t in pg.voltages.values()
+        )
+        assert truncation_oracle(pg, w, dec, radius) == {
+            "radius": radius, "checks": predicted, "ok": True
+        }
+        a = [list(row) for row in dec.a]
+        f = list(dec.f.values)
+        if trial % 2:
+            f[rng.randrange(len(f))] += Fraction(1, rng.choice(DENS))
+            which = "f"
+        else:
+            a[rng.randrange(pg.d)][rng.randrange(len(a[0]))] += Fraction(1, 3)
+            which = "a"
+        checks, first = lift_mismatches(pg, w, a, f, radius)
+        assert checks == predicted
+        mutated = replace(dec, a=tuple(map(tuple, a)), f=Cochain0(tuple(f)))
+        if first is None:
+            assert truncation_oracle(pg, w, mutated, radius)["ok"]
+            continue
+        with pytest.raises(AssertionError) as err:
+            truncation_oracle(pg, w, mutated, radius)
+        assert str(err.value) == f"truncation mismatch on edge {first[0]} at cell {first[1]}"
+        caught[which] += 1
+    assert caught["f"] >= 5 and caught["a"] >= 5, caught
 
 
 def reference_realized_quotient_dim(pg):

@@ -30,7 +30,6 @@ from .graphs import (
 from .periodic import (
     PeriodicDecomposition,
     PeriodicGraph,
-    action_is_closed,
     decompose_periodic,
     is_invariant_closed,
     lift_component_count,

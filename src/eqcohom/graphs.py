@@ -343,10 +343,6 @@ class ActionOrbits:
         return tuple(_find(root, v) for v in range(len(root)))
 
 
-def validate_action(graph: Graph, action: GraphAction) -> list[str]:
-    return list(ActionOrbits(graph, action).issues)
-
-
 def _perm_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([a[x] for x in b])
 

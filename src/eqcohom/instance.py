@@ -2,11 +2,28 @@
 
 A LinearInstance packages a rational linear map pi : U -> W together with a
 finite list of commuting-with-pi generator actions (gU_i, gW_i), and keeps
-ker pi and the fixed spaces U^G and W^G once computed. The module computes
-the quotient dimension dim (im(pi) ^ fixed) / pi(fixed), checks the two
-sharp conditions that characterize when it equals m*d, and performs the
+ker pi, the fixed space U^G and the spaces below once computed. The module
+computes the quotient dimension dim (im(pi) ^ fixed) / pi(fixed), checks the
+two sharp conditions that characterize when it equals m*d, and performs the
 constructive decomposition of an invariant image vector into period
 coefficients plus an invariant preimage part.
+
+The quotient dimension is read off three dimensions, with no subspace
+intersection. Write K for the basis of ker pi (m vectors), G for the stack
+of the blocks gU_i - id, and U~ = pi^-1(W^G), the common kernel of the
+blocks (gW_i - id) pi. Then:
+
+- im(pi) ^ W^G = pi(U~), and ker pi lies in U~, so its dimension is
+  dim U~ - m;
+- U^G ^ ker pi = ker(G restricted to ker pi), of dimension m - rank(G K),
+  so dim pi(U^G) = dim U^G - m + rank(G K);
+- U^G lies in U~, so pi(U^G) lies in pi(U~), and
+
+      dim pi(U)^G / pi(U^G) = dim U~ - dim U^G - rank(G K).
+
+Condition (i), ker pi inside U^G, is G K = 0. U~ and G K are kept on the
+instance; oracle_quotient_dim computes the two spaces themselves and stays
+as the independent reference.
 """
 
 from __future__ import annotations
@@ -14,19 +31,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import DENSE_BUDGET, InputError, PreconditionError
 from .linalg import (
     Mat,
     Subspace,
+    _cleared,
+    _frac,
+    _solve_ints,
     column_space,
     integer,
     json_list,
     kernel_basis,
     quotient_dim,
     rat_str,
-    solve,
     solve_many,
     subspace_intersection,
     vec,
@@ -72,9 +93,16 @@ class LinearInstance:
         return _stacked_kernel(self.moves_U, self.dim_U)
 
     @cached_property
-    def fixed_W(self) -> Subspace:
-        """W^G, the vectors of W fixed by every gW, kept like `kernel`."""
-        return _stacked_kernel(self.moves_W, self.dim_W)
+    def fixed_preimage(self) -> Subspace:
+        """U~ = pi^-1(W^G), the u with pi u fixed by every gW: the common
+        kernel of the blocks (gW_i - id) pi, kept like `kernel`."""
+        return _stacked_kernel([move * self.pi for move in self.moves_W], self.dim_U)
+
+    @cached_property
+    def kernel_moves(self) -> Mat:
+        """G K, the (d * dim_U) x m matrix of the blocks gU_i - id applied
+        to the canonical basis of ker pi, kept like `kernel`."""
+        return gbar_map(self) * self.kernel.basis.transpose()
 
     def to_json(self) -> dict:
         gens = []
@@ -186,15 +214,15 @@ def _stacked_kernel(blocks: Sequence[Mat], dim: int) -> Subspace:
 
 
 def u_tilde(inst: LinearInstance) -> Subspace:
-    """Preimage of the W fixed space under pi: {u : pi u is fixed by all g}."""
-    return _stacked_kernel(
-        [move * inst.pi for move in inst.moves_W], inst.dim_U
-    )
+    """Preimage of the W fixed space under pi: {u : pi u is fixed by all g},
+    the cached `fixed_preimage`."""
+    return inst.fixed_preimage
 
 
 def gbar_map(inst: LinearInstance) -> Mat:
-    """The (d * dim_U) x dim_U matrix of u -> ((g_1 - id)u, ..., (g_d - id)u)."""
-    return Mat.vstack(inst.moves_U)
+    """The (d * dim_U) x dim_U matrix of u -> ((g_1 - id)u, ..., (g_d - id)u),
+    with no rows when d = 0."""
+    return Mat.vstack([Mat.zeros(0, inst.dim_U), *inst.moves_U])
 
 
 @dataclass(frozen=True)
@@ -205,15 +233,18 @@ class OracleResult:
 
 
 def oracle_quotient_dim(inst: LinearInstance) -> OracleResult:
-    """Brute-force the quotient dimension from the defining subspaces."""
-    pi_u_g = subspace_intersection(column_space(inst.pi), inst.fixed_W)
+    """Brute-force the quotient dimension from the defining subspaces: the
+    reference that verify_iff's rank identity is checked against."""
+    fixed_w = _stacked_kernel(inst.moves_W, inst.dim_W)
+    pi_u_g = subspace_intersection(column_space(inst.pi), fixed_w)
     pi_of_ug = Subspace(inst.dim_W, inst.fixed_U.basis * inst.pi.transpose())
     return OracleResult(quotient_dim(pi_u_g, pi_of_ug), pi_u_g, pi_of_ug)
 
 
 def check_condition_i(inst: LinearInstance) -> bool:
-    """ker pi contained in the U fixed space."""
-    return inst.kernel.is_subspace_of(inst.fixed_U)
+    """ker pi contained in the U fixed space: every gU fixes every basis
+    vector of ker pi, that is, G K = 0."""
+    return not any(chain.from_iterable(inst.kernel_moves.ints))
 
 
 def check_condition_ii(inst: LinearInstance) -> bool:
@@ -241,12 +272,17 @@ class IffReport:
 def verify_iff(inst: LinearInstance) -> IffReport:
     """Check the bound dim <= m*d and the sharp characterization.
 
+    The dimension is dim U~ - dim U^G - rank(G K) (see the module
+    docstring): im(pi) ^ W^G = pi(U~) has dimension dim U~ - m, because
+    ker pi lies in U~, and pi(U^G) has dimension dim U^G - m + rank(G K),
+    because U^G ^ ker pi is the kernel of G on ker pi.
+
     iff_ok must always be True; a False value flags a genuine violation of
     the characterization and is treated as a hard failure by callers.
     """
     m = inst.m
     d = inst.d
-    dim = oracle_quotient_dim(inst).dim
+    dim = inst.fixed_preimage.dim - inst.fixed_U.dim - inst.kernel_moves.rank()
     ci = check_condition_i(inst)
     cii = check_condition_ii(inst)
     bound_ok = dim <= m * d
@@ -312,34 +348,66 @@ def decompose(
 
     The coefficients come from expressing each (g_j - id)u0 in the chosen
     kernel basis, where u0 is the deterministic preimage of w. They do not
-    depend on the particular ujk solutions.
+    depend on the particular ujk solutions. Everything runs on integer
+    vectors over one denominator; Fractions are made only for the result.
     """
     w = vec(w)
-    u0 = solve(inst.pi, w)
-    if u0 is None:
+    den_w, w_ints = _cleared(w)
+    (sol,) = _solve_ints(inst.pi, [(den_w, w_ints)])
+    if sol is None:
         raise PreconditionError("not-in-image", "w is not in the image of pi")
-    if not inst.fixed_W.contains(w):
+    if any(_moved(move, w_ints) for move in inst.moves_W):
         raise PreconditionError("not-invariant", "w is not fixed by the action")
+    den_0, u0 = sol
     basis = [vec(u) for u in kernel_basis_choice]
     kmat = Mat.from_cols(basis) if basis else Mat.zeros(inst.dim_U, 0)
-    coeffs = solve_many(kmat, [move.mulvec(u0) for move in inst.moves_U])
+    coeffs = _solve_ints(
+        kmat, [(move.den * den_0, _apply(move, u0)) for move in inst.moves_U]
+    )
     if None in coeffs:
         raise PreconditionError(
             "kernel-escape",
             "(g - id)u0 left ker pi; conditions (i)/(ii) do not hold",
         )
-    periods = [Fraction(0)] * inst.dim_U
-    for j in range(inst.d):
-        for k in range(len(basis)):
-            a = coeffs[j][k]
+    # The nonzero terms a_{j,k} u_{j,k}, each as (a, den_t, u) with the
+    # term equal to a * u / den_t for integers a and u.
+    terms = []
+    for j, (den_a, a_ints) in enumerate(coeffs):
+        for k, a in enumerate(a_ints):
             if a:
-                periods = [x + a * y for x, y in zip(periods, vec(ujk[j][k]))]
-    u_inv = tuple([x - y for x, y in zip(u0, periods)])
-    for gu, _ in inst.generators:
-        assert gu.mulvec(u_inv) == u_inv, "invariant part not fixed"
-    preimage = tuple([x + y for x, y in zip(u_inv, periods)])
-    assert inst.pi.mulvec(preimage) == w, "reconstruction failed"
-    return Decomposition(tuple(coeffs), u_inv, preimage, w)
+                den_u, u_ints = _cleared(ujk[j][k])
+                terms.append((a, den_a * den_u, u_ints))
+    den = lcm(den_0, *[t[1] for t in terms])
+    periods = [0] * inst.dim_U
+    for a, den_t, u_ints in terms:
+        k = a * (den // den_t)
+        periods = [x + k * y for x, y in zip(periods, u_ints)]
+    scale = den // den_0
+    u_inv = [scale * x - y for x, y in zip(u0, periods)]
+    for move in inst.moves_U:
+        assert not _moved(move, u_inv), "invariant part not fixed"
+    preimage = [x + y for x, y in zip(u_inv, periods)]
+    image = _apply(inst.pi, preimage)
+    assert [den_w * x for x in image] == [
+        inst.pi.den * den * x for x in w_ints
+    ], "reconstruction failed"
+    return Decomposition(
+        tuple([tuple([_frac(x, den_a) for x in a]) for den_a, a in coeffs]),
+        tuple([_frac(x, den) for x in u_inv]),
+        tuple([_frac(x, den) for x in preimage]),
+        w,
+    )
+
+
+def _apply(m: Mat, v: Sequence[int]) -> list[int]:
+    """m.ints times the integer vector v: m v, scaled by m.den."""
+    nonzero = [(k, x) for k, x in enumerate(v) if x]
+    return [sum([row[k] * x for k, x in nonzero]) for row in m.ints]
+
+
+def _moved(move: Mat, v: Sequence[int]) -> bool:
+    """Whether the block g - id moves the vector v, i.e. g v != v."""
+    return any(_apply(move, v))
 
 
 def check_lemma_commutation(inst: LinearInstance) -> bool:

@@ -338,6 +338,37 @@ def rref(m: Mat) -> tuple[Mat, list[int]]:
     return Mat._new(*_lowest(tuple(out), den), n_cols), pivots
 
 
+def _solve_ints(
+    m: Mat, rhs: Sequence[tuple[int, Sequence[int]]]
+) -> list[Optional[tuple[int, list[int]]]]:
+    """The integer core of solve_many: each right-hand side is (den_b, b)
+    with b a vector of ints over den_b, and each solution is (den_x, x)
+    with x a list of ints over den_x, not reduced; None for an
+    inconsistent b."""
+    if any(len(b) != m.rows for _, b in rhs):
+        raise ValueError("rhs length mismatch")
+    n = m.cols
+    if m.rows == 0 or not rhs:
+        return [(1, [0] * n) for _ in rhs]
+    cols = list(zip(*[b for _, b in rhs]))
+    aug = Mat._new(
+        tuple([row + tuple(bs) for row, bs in zip(m.ints, cols)]), 1, n + len(rhs)
+    )
+    red, pivots = rref(aug)
+    rank = sum(1 for c in pivots if c < n)
+    top, lower = red.ints[:rank], red.ints[rank:]
+    out: list[Optional[tuple[int, list[int]]]] = []
+    for j, (den_b, _) in enumerate(rhs, start=n):
+        if any(row[j] for row in lower):
+            out.append(None)
+            continue
+        x = [0] * n
+        for row, c in zip(top, pivots):
+            x[c] = row[j] * m.den
+        out.append((red.den * den_b, x))
+    return out
+
+
 def solve_many(m: Mat, rhs: Sequence[Sequence]) -> list[Optional[tuple[Fraction, ...]]]:
     """Particular solutions of m x = b for every b in rhs, from one rref of
     [m | b_1 ... b_k]; None for an inconsistent b.
@@ -353,29 +384,13 @@ def solve_many(m: Mat, rhs: Sequence[Sequence]) -> list[Optional[tuple[Fraction,
     and a lower row is zero in every consistent column, so it leaves those
     columns as they are.
     """
-    cleared = [_cleared(b) for b in rhs]
-    if any(len(b) != m.rows for _, b in cleared):
-        raise ValueError("rhs length mismatch")
-    n = m.cols
-    if m.rows == 0 or not rhs:
-        return [(_ZERO,) * n for _ in rhs]
-    cols = list(zip(*[b for _, b in cleared]))
-    aug = Mat._new(
-        tuple([row + bs for row, bs in zip(m.ints, cols)]), 1, n + len(rhs)
-    )
-    red, pivots = rref(aug)
-    rank = sum(1 for c in pivots if c < n)
-    top, lower = red.ints[:rank], red.ints[rank:]
     out: list[Optional[tuple[Fraction, ...]]] = []
-    for j, (den_b, _) in enumerate(cleared, start=n):
-        if any(row[j] for row in lower):
+    for sol in _solve_ints(m, [_cleared(b) for b in rhs]):
+        if sol is None:
             out.append(None)
-            continue
-        den = red.den * den_b
-        x = [_ZERO] * n
-        for row, c in zip(top, pivots):
-            x[c] = _frac(row[j] * m.den, den)
-        out.append(tuple(x))
+        else:
+            den, x = sol
+            out.append(tuple([_frac(v, den) for v in x]))
     return out
 
 
@@ -386,21 +401,36 @@ def solve(m: Mat, b: Sequence) -> Optional[tuple[Fraction, ...]]:
 
 
 def kernel_basis(m: Mat) -> "Subspace":
-    """Kernel of m as a canonical subspace of the column domain: one vector
-    per free column f, with red.den at f and minus the RREF's integer
-    column f at the pivots."""
-    red, pivots = rref(m)
+    """Kernel of m as a canonical subspace of the column domain, from one
+    rref: that of m with its columns reversed.
+
+    Reversed, the rref's pivots p_i pick the last column basis of m in
+    column order, and its free columns the complement. By matroid duality
+    the complement of a basis of the column matroid of m is a basis of the
+    dual matroid, the column matroid of the kernel's basis matrix, and the
+    complement of the last basis is the first one: the pivot columns of
+    the kernel's RREF. For each such column f (free column n-1-f of the
+    reversed m) the kernel vector has red.den at f and -red[i][n-1-f] at
+    column n-1-p_i. Those nonzeros lie right of f (p_i < n-1-f, or the
+    entry is zero) and on no other vector's pivot column, so the vectors
+    in increasing f are already the kernel's RREF, with pivot entries
+    red.den.
+    """
+    n = m.cols
+    red, pivots = rref(Mat._new(tuple([row[::-1] for row in m.ints]), 1, n))
     pivot_set = set(pivots)
+    last = n - 1
     vectors = []
-    for f in range(m.cols):
-        if f in pivot_set:
+    for f in range(n):
+        col = last - f
+        if col in pivot_set:
             continue
-        v = [0] * m.cols
+        v = [0] * n
         v[f] = red.den
-        for row, c in zip(red.ints, pivots):
-            v[c] = -row[f]
+        for row, p in zip(red.ints, pivots):
+            v[last - p] = -row[col]
         vectors.append(tuple(v))
-    return Subspace(m.cols, Mat._new(tuple(vectors), 1, m.cols))
+    return Subspace._canonical(Mat._new(*_lowest(tuple(vectors), red.den), n))
 
 
 class Subspace:
@@ -419,6 +449,15 @@ class Subspace:
             span = Mat._new(red.ints[: len(pivots)], red.den, ambient_dim)
         self.basis = span
         self.ambient_dim = ambient_dim
+
+    @classmethod
+    def _canonical(cls, basis: Mat) -> "Subspace":
+        """Wrap a basis that is already the nonzero rows of an RREF in
+        lowest terms: the constructor for spaces computed in this module."""
+        space = object.__new__(cls)
+        space.basis = basis
+        space.ambient_dim = basis.cols
+        return space
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":

@@ -183,12 +183,6 @@ def period_lattices(pg: PeriodicGraph) -> list[PeriodLattice]:
     return list(pg.lattices)
 
 
-def action_is_closed(pg: PeriodicGraph) -> bool:
-    """All translations keep every lift vertex in its component, i.e. every
-    component's period lattice is all of Z^d."""
-    return all(lat.is_full() for lat in pg.lattices)
-
-
 def lift_component_count(pg: PeriodicGraph):
     """Number of connected components of the lift, or "infinite"."""
     total = 0

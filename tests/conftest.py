@@ -7,7 +7,7 @@ import pytest
 
 from eqcohom.errors import PreconditionError
 from eqcohom.graphs import Cochain1, potential
-from eqcohom.linalg import Mat, Subspace, rat, solve
+from eqcohom.linalg import Mat, Subspace, rat, rref, solve
 
 
 def run_cli(args, cwd=None):
@@ -32,6 +32,32 @@ def subspace_sum(a, b):
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     return Subspace(a.ambient_dim, list(a.basis.data) + list(b.basis.data))
+
+
+def kernel_reference(m):
+    """ker m as one vector per free column f of rref(m), red.den at f and
+    minus the RREF's integer column f at the pivots, canonicalized by
+    Subspace: the two-rref construction that linalg.kernel_basis replaced,
+    kept as its reference."""
+    red, pivots = rref(m)
+    vectors = []
+    for f in range(m.cols):
+        if f in pivots:
+            continue
+        v = [0] * m.cols
+        v[f] = red.den
+        for row, c in zip(red.ints, pivots):
+            v[c] = -row[f]
+        vectors.append(v)
+    return Subspace(m.cols, Mat.from_ints(vectors, cols=m.cols))
+
+
+def fixed_W(inst):
+    """W^G, the vectors of W fixed by every gW: the reference that the
+    orbit forms and the fixture spaces are checked against."""
+    if not inst.generators:
+        return Subspace.full(inst.dim_W)
+    return kernel_reference(Mat.vstack(inst.moves_W))
 
 
 # Strings at the edge of what linalg.rat accepts: its integer fast path must

@@ -34,11 +34,12 @@ from eqcohom.graphs import (
     orbit_quotient_dim,
     potential,
     to_instance,
-    validate_action,
 )
 from eqcohom.instance import check_condition_i, oracle_quotient_dim, validate
 from eqcohom.linalg import Mat, Subspace, kernel_basis
 from eqcohom.randomized import random_graph, random_graph_instance
+
+from conftest import fixed_W
 
 
 def test_coboundary_single_edge():
@@ -166,7 +167,7 @@ def test_action_checks_p3_reflection_not_free():
 def test_action_rejects_non_automorphism():
     g = Graph.make(3, [(0, 0, 1)])
     act = GraphAction(((1, 2, 0),), {})
-    assert validate_action(g, act)
+    assert ActionOrbits(g, act).issues
     with pytest.raises(InputError):
         to_instance(g, act)
 
@@ -492,6 +493,7 @@ def test_orbit_quotient_dim_matches_dense_oracle():
         oracle = oracle_quotient_dim(inst)
         orbits = ActionOrbits(g, act)
         orbit = orbit_quotient_dim(orbits)
+        w_fixed = fixed_W(inst)
         assert (orbit.dim, orbit.pi_U_G, orbit.pi_of_UG) == (
             oracle.dim, oracle.pi_U_G.dim, oracle.pi_of_UG.dim
         )
@@ -501,10 +503,10 @@ def test_orbit_quotient_dim_matches_dense_oracle():
             for pos, sign in form:
                 vector[pos] = sign
             forms.append(vector)
-        assert Subspace(g.n_edges, forms) == inst.fixed_W
-        assert len(forms) == inst.fixed_W.dim
+        assert Subspace(g.n_edges, forms) == w_fixed
+        assert len(forms) == w_fixed.dim
         positive += oracle.pi_U_G.dim > 0
-        if inst.fixed_W.dim < edge_orbit_count(g, gens):
+        if w_fixed.dim < edge_orbit_count(g, gens):
             forced_zero += 1
         if any(e.o == e.t for e in g.edges):
             seen.add("loop")

@@ -36,7 +36,9 @@ from eqcohom.instance import (
     verify_iff,
 )
 from eqcohom.linalg import Mat, Subspace, kernel_basis, vec
-from eqcohom.randomized import random_linear_instance
+from eqcohom.randomized import random_graph_instance, random_linear_instance
+
+from conftest import fixed_W
 
 
 def kernel_vectors(inst):
@@ -106,14 +108,14 @@ def test_validate_huge_declared_order():
 def test_invariant_subspace_identity_action():
     inst = identity_instance()
     assert inst.fixed_U == Subspace.full(2)
-    assert inst.fixed_W == Subspace.full(1)
+    assert fixed_W(inst) == Subspace.full(1)
 
 
 def test_invariant_subspace_swap():
     swap = Mat([[0, 1], [1, 0]])
     inst = LinearInstance(2, 2, Mat.identity(2), ((swap, swap),), {0: 2})
     assert inst.fixed_U == Subspace(2, [[1, 1]])
-    assert inst.fixed_W == Subspace(2, [[1, 1]])
+    assert fixed_W(inst) == Subspace(2, [[1, 1]])
 
 
 def test_invariant_vectors_fixed_by_generators():
@@ -137,6 +139,61 @@ def test_oracle_identity_action():
 def test_oracle_c4_rotation():
     inst = to_instance(c4_graph(), c4_rotation())
     assert oracle_quotient_dim(inst).dim == 0
+
+
+def _rank_identity_instances():
+    """Seeded draws from both of verify's generators, the fixtures, and the
+    edge cases d = 0, m = 0, dim_W = 0 and dim_U = 0."""
+    swap = Mat([[0, 1], [1, 0]])
+    shear = Mat([[1, 1], [0, 1]])
+    out = [
+        shear_instance(),
+        double_shear_instance(),
+        identity_instance(),
+        to_instance(c4_graph(), c4_rotation()),
+        to_instance(p2_graph(), p2_swap()),
+        to_instance(k3_graph(), k3_s3_action()),
+        to_instance(two_triangles_graph(), two_triangles_swap()),
+        # d = 0, with m = 1 and with m = 0.
+        LinearInstance(2, 1, Mat([[1, 0]]), (), {}),
+        LinearInstance(2, 2, Mat.identity(2), (), {}),
+        # m = 0: pi injective.
+        LinearInstance(2, 2, Mat.identity(2), ((swap, swap),), {0: 2}),
+        LinearInstance(
+            2, 3, Mat([[1, 0], [0, 1], [1, 1]]),
+            ((swap, Mat([[0, 1, 0], [1, 0, 0], [0, 0, 1]])),), {},
+        ),
+        # dim_W = 0: ker pi is all of U.
+        LinearInstance(2, 0, Mat.zeros(0, 2), ((shear, Mat.zeros(0, 0)),), {}),
+        LinearInstance(2, 0, Mat.zeros(0, 2), ((swap, Mat.zeros(0, 0)),) * 2, {}),
+        # dim_U = 0, and both zero.
+        LinearInstance(0, 2, Mat.zeros(2, 0), ((Mat.zeros(0, 0), swap),), {}),
+        LinearInstance(0, 0, Mat.zeros(0, 0), ((Mat.zeros(0, 0),) * 2,), {}),
+    ]
+    rng = random.Random(1009)
+    for i in range(1000):
+        out.append(random_linear_instance(rng, max_dim=2 + i % 5))
+    for _ in range(250):
+        out.append(random_graph_instance(rng))
+    return out
+
+
+def test_rank_identity_matches_oracle():
+    # dim = dim U~ - dim U^G - rank(G K), term by term against the subspace
+    # oracle; condition (i) read off G K against containment.
+    kinds = set()
+    for inst in _rank_identity_instances():
+        assert validate(inst).ok
+        oracle = oracle_quotient_dim(inst)
+        m, rank_gk = inst.m, inst.kernel_moves.rank()
+        assert verify_iff(inst).dim == oracle.dim
+        assert u_tilde(inst).dim - m == oracle.pi_U_G.dim
+        assert inst.fixed_U.dim - m + rank_gk == oracle.pi_of_UG.dim
+        ci = check_condition_i(inst)
+        assert ci == inst.kernel.is_subspace_of(inst.fixed_U)
+        kinds.add((oracle.dim > 0, ci, rank_gk > 0))
+    # Positive dimensions, both answers of (i), and rank(G K) of either sign.
+    assert kinds >= {(True, True, False), (False, True, False), (False, False, True)}
 
 
 def test_condition_i_injective():

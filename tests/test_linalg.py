@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+import eqcohom.linalg
 from eqcohom.linalg import (
     Mat,
     Subspace,
@@ -18,7 +19,7 @@ from eqcohom.linalg import (
     subspace_intersection,
 )
 
-from conftest import RAT_STRINGS, fraction_of, subspace_sum
+from conftest import RAT_STRINGS, fraction_of, kernel_reference, subspace_sum
 
 
 def fraction_free_rank(rows):
@@ -227,6 +228,45 @@ def test_rank_nullity():
         cols = rng.randint(1, 6)
         m = random_matrix(rng, rows, cols)
         assert len(rref(m)[1]) + kernel_basis(m).dim == cols
+
+
+def test_kernel_basis_one_rref_matches_reference(monkeypatch):
+    # The one-rref kernel (of m with its columns reversed) equals the
+    # free-column construction canonicalized by a second rref, on zero,
+    # empty, tall, wide and full-rank matrices, over non-unit denominators.
+    rng = random.Random(29)
+    mats = [
+        Mat.zeros(0, 0), Mat.zeros(0, 4), Mat.zeros(3, 0), Mat.zeros(3, 5),
+        Mat.identity(4), Mat([["1/2", "2/3"], ["3/4", "5/6"]]),
+    ]
+    shapes = [(1, 1), (2, 6), (6, 2), (7, 3), (3, 7), (4, 4), (5, 5), (1, 8), (8, 1)]
+    for rows, cols in shapes * 12:
+        mats.append(random_matrix(rng, rows, cols, denoms=(1, 2, 3, 6)))
+        mats.append(_sixths_matrix(rng, rows, cols))
+    for rows, cols in shapes:
+        # Full column rank or full row rank, whichever the shape allows.
+        while True:
+            m = random_matrix(rng, rows, cols, denoms=(1, 5))
+            if m.rank() == min(rows, cols):
+                break
+        mats.append(m)
+    calls = []
+
+    def counted(m):
+        calls.append((m.rows, m.cols))
+        return rref(m)
+
+    for m in mats:
+        expected = kernel_reference(m)
+        monkeypatch.setattr(eqcohom.linalg, "rref", counted)
+        ker = kernel_basis(m)
+        monkeypatch.setattr(eqcohom.linalg, "rref", rref)
+        assert calls == [(m.rows, m.cols)]
+        calls.clear()
+        assert ker == expected
+        assert (ker.ambient_dim, ker.dim) == (m.cols, m.cols - m.rank())
+        _check_normal_form(ker.basis)
+        assert ker.basis == Subspace(m.cols, ker.basis).basis
 
 
 def test_kernel_vectors_annihilated():

@@ -18,7 +18,6 @@ from eqcohom.graphs import Cochain0, Cochain1, Graph, coboundary, components
 from eqcohom.linalg import Subspace, column_space
 from eqcohom.periodic import (
     PeriodicGraph,
-    action_is_closed,
     decompose_periodic,
     hermite_normal_form,
     is_invariant_closed,
@@ -118,14 +117,14 @@ def test_period_lattice_hex():
 
 
 def test_action_closed_and_lift_counts():
-    assert action_is_closed(torus_periodic(3))
+    assert all(lat.is_full() for lat in torus_periodic(3).lattices)
     assert lift_component_count(torus_periodic(3)) == 1
 
-    assert not action_is_closed(halfline_periodic())
+    assert not all(lat.is_full() for lat in halfline_periodic().lattices)
     assert lift_component_count(halfline_periodic()) == "infinite"
 
     sq = square_index2_periodic()
-    assert not action_is_closed(sq)
+    assert not all(lat.is_full() for lat in sq.lattices)
     assert period_lattices(sq)[0].index() == 2
     assert lift_component_count(sq) == 2
 
@@ -202,7 +201,7 @@ def test_decompose_refuses_non_closed_action():
 def test_decompose_refuses_non_closed_form():
     g = Graph.make(3, [(0, 0, 1), (1, 1, 2), (2, 2, 0), (3, 0, 0)])
     pg = PeriodicGraph.make(1, g, {0: (0,), 1: (0,), 2: (0,), 3: (1,)})
-    assert action_is_closed(pg)
+    assert all(lat.is_full() for lat in pg.lattices)
     with pytest.raises(PreconditionError) as err:
         decompose_periodic(pg, Cochain1.make([1, 1, 1, 0]))
     assert err.value.code == "not-closed"
@@ -400,7 +399,7 @@ def test_integer_path_matches_fraction_reference():
         seen[f"den={lcm(*(x.denominator for x in w.values))}"] += 1
         reference = reference_period_coefficients(pg, w)
         assert is_invariant_closed(pg, w) == (None not in reference)
-        if not action_is_closed(pg):
+        if not all(lat.is_full() for lat in pg.lattices):
             seen["lattice not full"] += 1
             with pytest.raises(PreconditionError) as err:
                 decompose_periodic(pg, w)
@@ -453,7 +452,7 @@ def test_truncation_oracle_checks_and_names_first_mismatch():
     caught = Counter()
     for trial in range(120):
         pg, w, kind = random_periodic_case(rng)
-        if kind != "closed" or not action_is_closed(pg):
+        if kind != "closed" or not all(lat.is_full() for lat in pg.lattices):
             continue
         dec = decompose_periodic(pg, w)
         radius = rng.randint(0, 2)
@@ -559,7 +558,7 @@ def test_realized_dim_equals_d_times_m():
     pg = PeriodicGraph.make(
         2, g, {0: (1, 0), 1: (0, 1), 2: (1, 0), 3: (0, 1)}
     )
-    assert action_is_closed(pg)
+    assert all(lat.is_full() for lat in pg.lattices)
     assert realized_quotient_dim(pg) == 4
 
 

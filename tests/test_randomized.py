@@ -3,6 +3,7 @@
 import random
 
 import eqcohom.instance
+import eqcohom.linalg
 from eqcohom.fixtures import double_shear_instance
 from eqcohom.instance import decompose, find_ujk, gbar_map, validate, verify_iff
 from eqcohom.linalg import Mat
@@ -36,12 +37,16 @@ def test_random_unimodular_inverse_pair():
 
 
 def test_fixed_spaces_and_kernel_built_once(monkeypatch):
+    # verify_iff and decompose build ker pi, U^G and U~ = pi^-1(W^G) once
+    # each, and W^G not at all.
     inst = double_shear_instance()
     stacks = {
         "ker pi": inst.pi,
         "U^G": gbar_map(inst),
+        "U~": Mat.vstack([move * inst.pi for move in inst.moves_W]),
         "W^G": Mat.vstack([gw - Mat.identity(inst.dim_W) for _, gw in inst.generators]),
     }
+    assert len(set(stacks.values())) == len(stacks)
     built = {name: 0 for name in stacks}
     kernel_basis = eqcohom.instance.kernel_basis
 
@@ -58,7 +63,39 @@ def test_fixed_spaces_and_kernel_built_once(monkeypatch):
     w = inst.pi.mulvec([2, -1, 3, 7])
     first = decompose(inst, w, ujk, kb)
     assert decompose(inst, w, ujk, kb) == first
-    assert built == {"ker pi": 1, "U^G": 1, "W^G": 1}
+    assert built == {"ker pi": 1, "U^G": 1, "U~": 1, "W^G": 0}
+
+
+def test_verify_runs_no_subspace_oracle(monkeypatch):
+    # The quotient dimension comes from the rank identity: no oracle, no
+    # subspace intersection, no column space and no nested quotient.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("verify must not build the defining subspaces")
+
+    for name in (
+        "oracle_quotient_dim", "subspace_intersection", "column_space", "quotient_dim",
+    ):
+        for module in (eqcohom.instance, eqcohom.linalg, eqcohom.randomized):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    result = run_verification(7, 40)
+    assert result.ok and result.checked == 40 and result.decompositions > 0
+
+
+def test_verify_rref_budget_per_request(monkeypatch):
+    # With one rref per kernel and the quotient dimension read off ranks, a
+    # `verify --count 10` request runs about 77 rrefs (seeds 0-19).
+    calls = []
+    rref = eqcohom.linalg.rref
+
+    def counted(m):
+        calls.append(1)
+        return rref(m)
+
+    monkeypatch.setattr(eqcohom.linalg, "rref", counted)
+    seeds = range(20)
+    for seed in seeds:
+        assert run_verification(seed, 10).ok
+    assert len(calls) <= 80 * len(seeds)
 
 
 def test_smallest_max_dim_draws():

@@ -182,14 +182,30 @@ class Cochain1:
 
     @classmethod
     def from_json(cls, graph: Graph, obj, forbid_loop_values: bool = True) -> "Cochain1":
+        """Read a list of values in stored edge order, or an object keyed by
+        edge id, bare or as {"values": {...}}. An object must name every
+        edge and nothing else: a key that names no edge is refused, and so
+        is a key beside "values"."""
         try:
             if isinstance(obj, dict):
-                src = obj.get("values", obj)
+                src = obj["values"] if "values" in obj else obj
+                if type(src) is not dict:
+                    raise TypeError("1-cochain values are not a JSON object")
                 vals = [rat(src[str(e.id)]) for e in graph.edges]
             else:
                 vals = [rat(x) for x in json_list(obj)]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad 1-cochain JSON: {exc}") from exc
+        if isinstance(obj, dict):
+            ids = {str(e.id) for e in graph.edges}
+            unknown = sorted(key for key in src if key not in ids)
+            if unknown:
+                raise InputError(
+                    f"1-cochain keys name no edge of the graph: {', '.join(unknown)}"
+                )
+            beside = [] if src is obj else sorted(key for key in obj if key != "values")
+            if beside:
+                raise InputError(f'1-cochain keys beside "values": {", ".join(beside)}')
         if len(vals) != graph.n_edges:
             raise InputError("1-cochain length does not match edge count")
         if forbid_loop_values:

@@ -24,6 +24,20 @@ blocks (gW_i - id) pi. Then:
 Condition (i), ker pi inside U^G, is G K = 0. U~ and G K are kept on the
 instance; oracle_quotient_dim computes the two spaces themselves and stays
 as the independent reference.
+
+Which elimination yields what, each run at most once per instance:
+
+- ker pi: kernel_basis(pi), one rref.
+- U^G, condition (ii) and the u_jk for the canonical basis of ker pi: one
+  rref of [G | T], where T holds the d*m slot targets (0, ..., u_k, ..., 0)
+  (the MovesReduction kept as `moves_reduction`). Condition (ii) holds iff
+  no pivot falls in T; the u_jk are read off the target columns; U^G is
+  spanned by one vector per free column of G, brought to canonical form by
+  one small rref of those n - rank(G) vectors (none when they are unit
+  vectors already).
+- U~: kernel_basis of the stacked (gW_i - id) pi, its own rref, so that
+  the rank identity above is not true by construction.
+- rank(G K): one rref of the (d * dim_U) x m matrix G K.
 """
 
 from __future__ import annotations
@@ -41,6 +55,7 @@ from .linalg import (
     Subspace,
     _cleared,
     _frac,
+    _rref_augmented,
     _solve_ints,
     column_space,
     integer,
@@ -48,7 +63,6 @@ from .linalg import (
     kernel_basis,
     quotient_dim,
     rat_str,
-    solve_many,
     subspace_intersection,
     vec,
 )
@@ -78,19 +92,25 @@ class LinearInstance:
     @cached_property
     def moves_U(self) -> tuple[Mat, ...]:
         """The blocks gU_i - id, one per generator, kept like `kernel`."""
-        ident = Mat.identity(self.dim_U)
-        return tuple([gu - ident for gu, _ in self.generators])
+        return tuple([_minus_identity(gu) for gu, _ in self.generators])
 
     @cached_property
     def moves_W(self) -> tuple[Mat, ...]:
         """The blocks gW_i - id, one per generator, kept like `kernel`."""
-        ident = Mat.identity(self.dim_W)
-        return tuple([gw - ident for _, gw in self.generators])
+        return tuple([_minus_identity(gw) for _, gw in self.generators])
+
+    @cached_property
+    def moves_reduction(self) -> "MovesReduction":
+        """The rref of [G | T] for the canonical basis of ker pi, kept like
+        `kernel`: the one elimination behind U^G, condition (ii) and
+        find_ujk on that basis."""
+        return _reduce_moves(self, self.kernel.basis)
 
     @cached_property
     def fixed_U(self) -> Subspace:
-        """U^G, the vectors of U fixed by every gU, kept like `kernel`."""
-        return _stacked_kernel(self.moves_U, self.dim_U)
+        """U^G, the vectors of U fixed by every gU, kept like `kernel`: the
+        kernel of G, read off the free columns of `moves_reduction`."""
+        return self.moves_reduction.kernel()
 
     @cached_property
     def fixed_preimage(self) -> Subspace:
@@ -205,6 +225,103 @@ def _power(m: Mat, n: int) -> Mat:
     return acc
 
 
+def _minus_identity(g: Mat) -> Mat:
+    """g - id for a square g: den subtracted on the diagonal of g.ints. That
+    is in lowest terms already, because gcd(den, a - den) = gcd(den, a)."""
+    if g.rows != g.cols:
+        raise ValueError("shape mismatch")
+    den = g.den
+    return Mat._new(
+        tuple([row[:i] + (row[i] - den,) + row[i + 1 :] for i, row in enumerate(g.ints)]),
+        den,
+        g.cols,
+    )
+
+
+@dataclass(frozen=True)
+class MovesReduction:
+    """The rref of [G | T]: G = gbar_map(inst) as integer rows over G.den,
+    and T the d*m slot targets (0, ..., u_k, ..., 0), u_k in slot j, with
+    the rows u_k of `basis` (a basis of ker pi, over basis.den) as the
+    integer columns j*m + k of T.
+
+    The rows with a pivot in G come first, and any nonzero row below them
+    has a zero G-part, so its pivot lies in T. Column scaling leaves each
+    solution with free variables zero the same rational vector, so the
+    solutions read here are those of solve_many(gbar_map(inst), targets).
+    """
+
+    red: Mat
+    pivots: tuple[int, ...]
+    n: int  # dim_U: the columns of G
+    d: int
+    m: int
+    g_den: int  # G.den
+    t_den: int  # basis.den
+
+    @property
+    def solvable(self) -> bool:
+        """Condition (ii): every target is hit, that is, no pivot in T."""
+        return all(c < self.n for c in self.pivots)
+
+    def solutions(self) -> Optional[list[list[tuple[Fraction, ...]]]]:
+        """ujk[j][k] with G ujk[j][k] the target u_k in slot j and every free
+        variable zero, or None when condition (ii) fails."""
+        if not self.solvable:
+            return None
+        n, m, top = self.n, self.m, self.red.ints
+        # G.ints y = T_ints gives x = y * G.den / basis.den, and the pivot
+        # rows read y at each pivot as row[t] / red.den.
+        den = self.red.den * self.t_den
+        xs = []
+        for t in range(n, n + self.d * m):
+            x = [0] * n
+            for row, c in zip(top, self.pivots):
+                x[c] = row[t] * self.g_den
+            xs.append(tuple([_frac(v, den) for v in x]))
+        return [xs[j * m : (j + 1) * m] for j in range(self.d)]
+
+    def kernel(self) -> Subspace:
+        """ker G in canonical form: for each free column f of G, the vector
+        with red.den at f and minus column f of the pivot rows at their
+        pivots. When every such column is zero those are unit vectors in
+        increasing order, canonical already; otherwise one small rref of
+        the n - rank(G) vectors canonicalizes them."""
+        n = self.n
+        top = self.red.ints[: sum(1 for c in self.pivots if c < n)]
+        pivot_set = set(self.pivots)
+        free = [f for f in range(n) if f not in pivot_set]
+        if not any(row[f] for row in top for f in free):
+            units = [(0,) * f + (1,) + (0,) * (n - 1 - f) for f in free]
+            return Subspace._canonical(Mat._new(tuple(units), 1, n))
+        vectors = []
+        for f in free:
+            v = [0] * n
+            v[f] = self.red.den
+            for row, c in zip(top, self.pivots):
+                v[c] = -row[f]
+            vectors.append(tuple(v))
+        return Subspace(n, Mat._new(tuple(vectors), 1, n))
+
+
+def _reduce_moves(inst: LinearInstance, basis: Mat) -> MovesReduction:
+    """Reduce [G | T] for the kernel basis `basis` (its rows) with one rref;
+    see MovesReduction. A G with no rows (d = 0 or dim_U = 0) needs no
+    rref: nothing is pivoted, and every target is the empty vector."""
+    n, d, m = inst.dim_U, inst.d, basis.rows
+    gbar = gbar_map(inst)
+    if gbar.rows == 0:
+        red, pivots = Mat.zeros(0, n + d * m), []
+    else:
+        targets = [
+            (0,) * (j * n) + u_k + (0,) * ((d - 1 - j) * n)
+            for j in range(d)
+            for u_k in basis.ints
+        ]
+        red, pivots = _rref_augmented(gbar, targets)
+    return MovesReduction(red, tuple(pivots), n, d, m, gbar.den, basis.den)
+
+
 def _stacked_kernel(blocks: Sequence[Mat], dim: int) -> Subspace:
     """Common kernel of the blocks, each with `dim` columns. With no blocks
     (d = 0) nothing constrains the vector, and this is the full space."""
@@ -250,12 +367,12 @@ def check_condition_i(inst: LinearInstance) -> bool:
 def check_condition_ii(inst: LinearInstance) -> bool:
     """(ker pi)^d contained in the image of the stacked (g_i - id) map.
 
-    This is the system that find_ujk solves: it holds iff every slot target
-    (0, ..., u_k, ..., 0), with a basis vector u_k of ker pi in slot j, is
-    hit, and those d*m targets span (ker pi)^d. So it is exactly "find_ujk
-    succeeds on the canonical basis of ker pi", one rref in all.
+    It holds iff every slot target (0, ..., u_k, ..., 0), with a basis
+    vector u_k of ker pi in slot j, is hit, since those d*m targets span
+    (ker pi)^d: iff the kept rref of [G | T] (`moves_reduction`, shared
+    with U^G and find_ujk) has no pivot in T.
     """
-    return find_ujk(inst, inst.kernel.basis_vectors()) is not None
+    return inst.moves_reduction.solvable
 
 
 @dataclass(frozen=True)
@@ -296,30 +413,24 @@ def find_ujk(
     """Solve (g_i - id) x = delta_{ij} u_k simultaneously over all i.
 
     All d*m slot targets (0, ..., u_k, ..., 0), u_k in slot j, are the
-    right-hand sides of one system in the stacked (g_i - id) map, solved by
-    one solve_many (one rref); a target is consistent iff it is zero in
-    every row of the reduced system whose map part is zero. Returns
-    ujk[j][k], or None when some target is inconsistent, which happens
-    exactly when condition (ii) fails.
+    right-hand sides of one system in the stacked (g_i - id) map, reduced
+    by one rref of [G | T]; a target is consistent iff no pivot falls in T
+    (see MovesReduction), and each solution sets the free variables to
+    zero. For the canonical basis of ker pi this reads the instance's kept
+    reduction, so it runs no rref; another basis costs one rref to check
+    that it spans ker pi and one for its own [G | T]. Returns ujk[j][k], or
+    None when some target is inconsistent, which happens exactly when
+    condition (ii) fails.
     """
     basis = [vec(u) for u in kernel_basis_choice]
     ker = inst.kernel
-    # The canonical basis, which condition (ii) passes, needs no rref to check.
-    if len(basis) != ker.dim or (
-        tuple(basis) != ker.basis_vectors() and Subspace(inst.dim_U, basis) != ker
-    ):
+    if tuple(basis) == ker.basis_vectors():
+        return inst.moves_reduction.solutions()
+    if len(basis) != ker.dim or Subspace(inst.dim_U, basis) != ker:
         raise PreconditionError(
             "kernel-basis", "supplied vectors are not a basis of ker pi"
         )
-    n, d, m = inst.dim_U, inst.d, len(basis)
-    blank = (Fraction(0),) * n
-    targets = [
-        blank * j + u_k + blank * (d - 1 - j) for j in range(d) for u_k in basis
-    ]
-    xs = solve_many(gbar_map(inst), targets)
-    if None in xs:
-        return None
-    return [xs[j * m : (j + 1) * m] for j in range(d)]
+    return _reduce_moves(inst, Mat(basis, cols=inst.dim_U)).solutions()
 
 
 @dataclass(frozen=True)

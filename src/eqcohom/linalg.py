@@ -338,6 +338,18 @@ def rref(m: Mat) -> tuple[Mat, list[int]]:
     return Mat._new(*_lowest(tuple(out), den), n_cols), pivots
 
 
+def _rref_augmented(m: Mat, columns: Sequence[Sequence[int]]) -> tuple[Mat, list[int]]:
+    """rref of [m.ints | c_1 ... c_k]: the integer rows of m (its
+    denominator dropped) with the integer columns c_j appended."""
+    extra = list(zip(*columns)) if columns else [()] * m.rows
+    aug = Mat._new(
+        tuple([row + cs for row, cs in zip(m.ints, extra)]),
+        1,
+        m.cols + len(columns),
+    )
+    return rref(aug)
+
+
 def _solve_ints(
     m: Mat, rhs: Sequence[tuple[int, Sequence[int]]]
 ) -> list[Optional[tuple[int, list[int]]]]:
@@ -350,11 +362,7 @@ def _solve_ints(
     n = m.cols
     if m.rows == 0 or not rhs:
         return [(1, [0] * n) for _ in rhs]
-    cols = list(zip(*[b for _, b in rhs]))
-    aug = Mat._new(
-        tuple([row + tuple(bs) for row, bs in zip(m.ints, cols)]), 1, n + len(rhs)
-    )
-    red, pivots = rref(aug)
+    red, pivots = _rref_augmented(m, [b for _, b in rhs])
     rank = sum(1 for c in pivots if c < n)
     top, lower = red.ints[:rank], red.ints[rank:]
     out: list[Optional[tuple[int, list[int]]]] = []
@@ -465,7 +473,7 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Mat.identity(ambient_dim))
+        return cls._canonical(Mat.identity(ambient_dim))
 
     @property
     def dim(self) -> int:

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import VERIFY_BUDGET, InputError, PreconditionError
 from .graphs import Graph, GraphAction, to_instance
@@ -23,38 +23,107 @@ MAX_GENS = 3  # most generators of a random linear instance
 
 
 def random_invertible(rng: random.Random, n: int, lo: int = -2, hi: int = 2) -> Mat:
+    """A random invertible n x n integer matrix: dense blocks with entries
+    in [lo, hi] are drawn until one is nonsingular."""
     if n == 0:
         return Mat.zeros(0, 0)
     while True:
-        m = Mat.from_ints([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)])
-        if m.is_invertible():
-            return m
+        rows = [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
+        if _nonsingular(rows):
+            return Mat.from_ints(rows)
 
 
-def random_unimodular(rng: random.Random, n: int) -> tuple[Mat, Mat]:
-    """(P, P^-1) for a product P of 2n random elementary integer row
-    operations; det P = +-1.
+def _nonsingular(rows: list[list[int]]) -> bool:
+    """Whether a square integer matrix has nonzero determinant, by
+    fraction-free (Bareiss) elimination: after step k every entry below
+    row k is a (k+1) x (k+1) minor, so each division by the previous pivot
+    is exact and the entries stay integers. `rows` is left as it is."""
+    a = list(rows)
+    n = len(a)
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            return False
+        a[k], a[p] = a[p], a[k]
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        for i in range(k + 1, n):
+            row = a[i]
+            f = row[k]
+            a[i] = [0] * (k + 1) + [
+                (pivot * x - f * y) // prev
+                for x, y in zip(row[k + 1 :], pivot_row[k + 1 :])
+            ]
+        prev = pivot
+    return True
 
-    P^-1 is built alongside: the inverse of each row operation on P is
-    applied as a column operation on P^-1, so P^-1 = E_1^-1 ... E_2n^-1.
-    Its columns are kept as rows of `inv_cols`.
-    """
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    inv_cols = [row[:] for row in rows]
+
+def _elementary_ops(rng: random.Random, n: int) -> list[tuple[int, ...]]:
+    """2n random elementary integer row operations, each of determinant
+    +-1: (0, i, j, k) adds k times row i to row j, (1, i, j) swaps rows i
+    and j, and (2, i) negates row i."""
+    ops = []
     for _ in range(2 * n):
         kind = rng.randrange(3)
         i, j = rng.randrange(n), rng.randrange(n)
         if kind == 0 and i != j:
-            k = rng.choice([-2, -1, 1, 2])
-            rows[j] = [x + k * y for x, y in zip(rows[j], rows[i])]
-            inv_cols[i] = [x - k * y for x, y in zip(inv_cols[i], inv_cols[j])]
+            ops.append((0, i, j, rng.choice([-2, -1, 1, 2])))
         elif kind == 1:
-            rows[i], rows[j] = rows[j], rows[i]
-            inv_cols[i], inv_cols[j] = inv_cols[j], inv_cols[i]
+            ops.append((1, i, j))
         else:
-            rows[i] = [-x for x in rows[i]]
-            inv_cols[i] = [-x for x in inv_cols[i]]
-    return Mat.from_ints(rows, cols=n), Mat.from_ints(inv_cols, cols=n).transpose()
+            ops.append((2, i))
+    return ops
+
+
+def _apply_ops(
+    ops: list[tuple[int, ...]], rows: Sequence[Sequence[int]], inverse: bool = False
+) -> list:
+    """Apply each row operation in turn to the row lists of a matrix, or
+    with inverse=True the inverse of each, in the same order. Applied to
+    the rows of X^T, the inverses are the column operations that give
+    X E_1^-1 ... E_2n^-1. Each operation costs O(row length)."""
+    rows = list(rows)
+    for op in ops:
+        if op[0] == 0:
+            _, i, j, k = op
+            if inverse:
+                rows[i] = [x - k * y for x, y in zip(rows[i], rows[j])]
+            else:
+                rows[j] = [x + k * y for x, y in zip(rows[j], rows[i])]
+        elif op[0] == 1:
+            _, i, j = op
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            rows[op[1]] = [-x for x in rows[op[1]]]
+    return rows
+
+
+def _conjugate(left: list, right: list, m: Mat) -> Mat:
+    """L m R^-1 for L the product of the row operations `left` and R that
+    of `right`: the row operations applied to m's rows, then the inverse
+    operations of `right` applied to the columns. L and R are unimodular,
+    so the result keeps m's denominator and stays in lowest terms."""
+    rows = _apply_ops(left, m.ints)
+    cols = _apply_ops(right, list(zip(*rows)) if rows else [()] * m.cols, inverse=True)
+    out = tuple(zip(*cols)) if cols else ((),) * m.rows
+    return Mat._new(out, m.den, m.cols)
+
+
+def random_unimodular(rng: random.Random, n: int) -> tuple[Mat, Mat]:
+    """(P, P^-1) for a product P = E_2n ... E_1 of 2n random elementary
+    integer row operations; det P = +-1.
+
+    P is the operations applied to the rows of the identity, and P^-1 =
+    E_1^-1 ... E_2n^-1 their inverses applied, as column operations, to
+    the identity: the same operations that _conjugated applies to each
+    matrix of an instance.
+    """
+    ops = _elementary_ops(rng, n)
+    ident = Mat.identity(n).ints
+    p = Mat.from_ints(_apply_ops(ops, ident), cols=n)
+    p_inv = Mat.from_ints(_apply_ops(ops, ident, inverse=True), cols=n).transpose()
+    return p, p_inv
 
 
 def random_linear_instance(rng: random.Random, max_dim: int = 6) -> LinearInstance:
@@ -100,19 +169,27 @@ def _conjugated(
     """Conjugate an adapted-basis instance by random unimodular P on U and Q
     on W: pi = Q pi0 P^-1, g = P g0 P^-1 and Q g0 Q^-1.
 
-    The asserts need no elimination. Each g0 is block triangular with
-    diagonal blocks that are identities or checked by random_invertible, so
-    it is invertible, and so is its conjugate once P P^-1 = I and
-    Q Q^-1 = I hold; equivariance is checked on the conjugates themselves.
-    The full validate runs in the tests, on many seeded draws.
+    P and Q are never formed: their row operations, and the inverses as
+    column operations, are applied to each matrix directly (_conjugate),
+    one pass over a row or a column per operation. The asserts need no
+    elimination. The
+    inverse operations must undo the operations on the identity, which is
+    P P^-1 = I and Q Q^-1 = I. Each g0 is block triangular with diagonal
+    blocks that are identities or checked by random_invertible, so it is
+    invertible, and so is its conjugate; equivariance is checked on the
+    conjugates themselves by dense products. The full validate runs in the
+    tests, on many seeded draws.
     """
     dim_u, dim_w = pi0.cols, pi0.rows
-    p, p_inv = random_unimodular(rng, dim_u)
-    q, q_inv = random_unimodular(rng, dim_w)
-    assert p * p_inv == Mat.identity(dim_u), "P^-1 is not the inverse of P"
-    assert q * q_inv == Mat.identity(dim_w), "Q^-1 is not the inverse of Q"
-    pi = q * pi0 * p_inv
-    gens = tuple((p * gu0 * p_inv, q * gw0 * q_inv) for gu0, gw0 in gens0)
+    ops_u = _elementary_ops(rng, dim_u)
+    ops_w = _elementary_ops(rng, dim_w)
+    for ops, ident in ((ops_u, Mat.identity(dim_u)), (ops_w, Mat.identity(dim_w))):
+        assert _conjugate(ops, ops, ident) == ident, "the inverse operations do not undo"
+    pi = _conjugate(ops_w, ops_u, pi0)
+    gens = tuple(
+        (_conjugate(ops_u, ops_u, gu0), _conjugate(ops_w, ops_w, gw0))
+        for gu0, gw0 in gens0
+    )
     for i, (gu, gw) in enumerate(gens):
         assert pi * gu == gw * pi, f"generator {i}: equivariance fails"
     return LinearInstance(dim_u, dim_w, pi, gens, {})

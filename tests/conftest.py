@@ -7,7 +7,8 @@ import pytest
 
 from eqcohom.errors import PreconditionError
 from eqcohom.graphs import Cochain1, potential
-from eqcohom.linalg import Mat, Subspace, rat, rref, solve
+from eqcohom.instance import gbar_map
+from eqcohom.linalg import Mat, Subspace, rat, rref, solve, solve_many, vec
 
 
 def run_cli(args, cwd=None):
@@ -58,6 +59,23 @@ def fixed_W(inst):
     if not inst.generators:
         return Subspace.full(inst.dim_W)
     return kernel_reference(Mat.vstack(inst.moves_W))
+
+
+def find_ujk_reference(inst, kernel_basis_choice):
+    """ujk[j][k] as find_ujk built them before the rref of [G | T] was kept
+    on the instance: one solve_many of the stacked (g_i - id) map on the d*m
+    slot targets (0, ..., u_k, ..., 0), or None when one is inconsistent.
+    The vectors are taken to be a basis of ker pi."""
+    basis = [vec(u) for u in kernel_basis_choice]
+    n, d, m = inst.dim_U, inst.d, len(basis)
+    blank = (Fraction(0),) * n
+    targets = [
+        blank * j + u_k + blank * (d - 1 - j) for j in range(d) for u_k in basis
+    ]
+    xs = solve_many(gbar_map(inst), targets)
+    if None in xs:
+        return None
+    return [xs[j * m : (j + 1) * m] for j in range(d)]
 
 
 # Strings at the edge of what linalg.rat accepts: its integer fast path must

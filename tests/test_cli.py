@@ -459,6 +459,29 @@ def test_periodic_non_list_cochain_exit_2(tmp_path, cochain):
     assert "bad 1-cochain JSON" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "cochain, message",
+    [
+        ({"0": "2", "7": "3"}, "1-cochain keys name no edge of the graph: 7"),
+        ({"values": {"0": "2", "7": "3"}}, "1-cochain keys name no edge of the graph: 7"),
+        ({"values": {"0": "2"}, "7": "3"}, '1-cochain keys beside "values": 7'),
+    ],
+)
+def test_periodic_cochain_key_naming_no_edge_exit_2(tmp_path, cochain, message):
+    # A key that names no edge used to be dropped, and the request answered.
+    pgraph = {
+        "vertices": 1,
+        "edges": [{"id": 0, "o": 0, "t": 0}],
+        "d": 1,
+        "voltages": {"0": [1]},
+    }
+    args = ["periodic", write_json(tmp_path / "pg.json", pgraph)]
+    code, out, err = run_cli([*args, write_json(tmp_path / "w.json", cochain)])
+    assert (code, out) == (2, "")
+    assert err == f"input error: {message}\n"
+    assert run_cli([*args, write_json(tmp_path / "ok.json", {"0": "2"})])[0] == 0
+
+
 def test_periodic_edgeless_huge_d_exit_3(tmp_path):
     # With no edges there are no cycle voltages and the HNF has no rows, so
     # the work must not grow with d. The address-space cap keeps a run that

@@ -33,7 +33,11 @@ from eqcohom.instance import (
     u_tilde,
 )
 from eqcohom.periodic import PeriodicGraph
-from eqcohom.randomized import random_graph_instance, random_linear_instance
+from eqcohom.randomized import (
+    random_graph_instance,
+    random_linear_instance,
+    run_verification,
+)
 
 INSTANCE_FIXTURES = ("shear", "double-shear", "identity")
 GRAPH_FIXTURES = ("c4-rotation", "p2-swap", "k3-s3", "two-triangles-swap")
@@ -215,6 +219,21 @@ def _generated_digest(seed: int, draws: int) -> str:
 
 def test_generated_instances_and_decompositions_match_golden_digest():
     assert _generated_digest(2026, 200) == GENERATED_GOLDEN
+
+
+# `verify/seed-7-count-200` pins one long request. This digest pins the
+# reports of 100 short ones, run_verification(s, 10).to_json() for
+# s = 0..99, each serialized with sorted keys and a newline: every seed
+# starts a new generator stream, as a `verify --count 10` request does.
+VERIFY_GOLDEN = "f11046f850ab883416c646f1152ccd0a6d4028feb86343a742b3efb04346e7e4"
+
+
+def test_verify_reports_match_golden_digest():
+    h = hashlib.sha256()
+    for seed in range(100):
+        report = run_verification(seed, 10).to_json()
+        h.update(json.dumps(report, sort_keys=True).encode("utf-8") + b"\n")
+    assert h.hexdigest() == VERIFY_GOLDEN
 
 
 # The four periodic fixtures have one component and integer w. This digest

@@ -38,7 +38,7 @@ from eqcohom.instance import (
 from eqcohom.linalg import Mat, Subspace, kernel_basis, vec
 from eqcohom.randomized import random_graph_instance, random_linear_instance
 
-from conftest import fixed_W
+from conftest import find_ujk_reference, fixed_W
 
 
 def kernel_vectors(inst):
@@ -282,16 +282,16 @@ def test_find_ujk_rejects_non_basis():
 
 
 def test_find_ujk_and_condition_ii_run_one_rref(monkeypatch):
-    # All d*m slot targets share one elimination of [gbar | targets], with
-    # ker pi already cached on the instance; a non-canonical basis costs one
-    # more rref, the check that it spans ker pi.
+    # All d*m slot targets share one elimination of [G | T], kept on the
+    # instance beside ker pi: the first check_condition_ii runs it, and a
+    # repeat call and find_ujk on the canonical basis run no rref. Another
+    # basis costs two, the check that it spans ker pi and its own [G | T].
     rng = random.Random(41)
     instances = [double_shear_instance()]
     while len(instances) < 12:
         inst = random_linear_instance(rng)
         if inst.d * inst.m >= 2:
             instances.append(inst)
-    assert {check_condition_ii(inst) for inst in instances} == {True, False}
     shapes = []
     original = eqcohom.linalg.rref
 
@@ -299,6 +299,7 @@ def test_find_ujk_and_condition_ii_run_one_rref(monkeypatch):
         shapes.append((m.rows, m.cols))
         return original(m)
 
+    answers = set()
     for inst in instances:
         basis = inst.kernel.basis_vectors()
         n, d, m = inst.dim_U, inst.d, inst.m
@@ -306,14 +307,74 @@ def test_find_ujk_and_condition_ii_run_one_rref(monkeypatch):
         holds = check_condition_ii(inst)
         assert shapes == [(d * n, n + d * m)]
         shapes.clear()
+        assert check_condition_ii(inst) == holds
         assert (find_ujk(inst, basis) is not None) == holds
-        assert shapes == [(d * n, n + d * m)]
-        shapes.clear()
+        assert shapes == []
         scaled = [[2 * x for x in u] for u in basis]
         assert (find_ujk(inst, scaled) is not None) == holds
         assert len(shapes) == 2
         shapes.clear()
         monkeypatch.setattr(eqcohom.linalg, "rref", original)
+        answers.add(holds)
+    assert answers == {True, False}
+
+
+def _rescaled(inst, rng):
+    """inst conjugated by diagonal rational D_U on U and D_W on W, so that
+    pi, the generators and the kernel basis get denominators other than 1."""
+    scales = (Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(-3))
+
+    def diag(n):
+        s = [rng.choice(scales) for _ in range(n)]
+        return (
+            Mat([[s[i] if i == j else 0 for j in range(n)] for i in range(n)], cols=n),
+            Mat([[1 / s[i] if i == j else 0 for j in range(n)] for i in range(n)], cols=n),
+        )
+
+    du, du_inv = diag(inst.dim_U)
+    dw, dw_inv = diag(inst.dim_W)
+    return LinearInstance(
+        inst.dim_U,
+        inst.dim_W,
+        dw * inst.pi * du_inv,
+        tuple((du * gu * du_inv, dw * gw * dw_inv) for gu, gw in inst.generators),
+        dict(inst.orders),
+    )
+
+
+def test_moves_reduction_matches_separate_eliminations():
+    # U^G, condition (ii) and the ujk read off the one kept rref of [G | T]
+    # against kernel_basis(gbar_map) and the solve_many construction, on
+    # canonical, scaled and mixed kernel bases; the blocks g - id against
+    # Mat subtraction, with denominators other than 1 among them.
+    rng = random.Random(2718)
+    instances = _rank_identity_instances()
+    instances += [_rescaled(inst, rng) for inst in instances[:400]]
+    kinds = set()
+    for inst in instances:
+        assert validate(inst).ok
+        assert inst.moves_U == tuple(gu - Mat.identity(inst.dim_U) for gu, _ in inst.generators)
+        assert inst.moves_W == tuple(gw - Mat.identity(inst.dim_W) for _, gw in inst.generators)
+        assert inst.fixed_U == kernel_basis(gbar_map(inst))
+        canonical = [list(v) for v in inst.kernel.basis_vectors()]
+        expected = find_ujk_reference(inst, canonical)
+        assert find_ujk(inst, canonical) == expected
+        assert check_condition_ii(inst) == (expected is not None)
+        bases = [[[Fraction(-2, 3) * x for x in u] for u in canonical]]
+        if len(canonical) >= 2:
+            bases.append([[x + 2 * y for x, y in zip(*canonical[:2])], *canonical[1:]])
+        for basis in bases:
+            assert find_ujk(inst, basis) == find_ujk_reference(inst, basis)
+        den = max([gu.den for gu, _ in inst.generators] + [inst.kernel.basis.den])
+        kinds.add((inst.d == 0, inst.m == 0, inst.dim_U == 0, den > 1, expected is not None))
+    assert {k[:4] for k in kinds} >= {
+        (True, False, False, False),
+        (False, True, False, False),
+        (False, True, True, False),
+        (False, False, False, True),
+        (False, False, False, False),
+    }
+    assert {k[4] for k in kinds if not any(k[:3])} == {True, False}
 
 
 def test_decompose_shear():

@@ -10,30 +10,34 @@ the finite-window truncation oracle.
 
 Every traversal reads the quotient's one spanning forest (`Graph.forest`),
 and a PeriodicGraph keeps its fundamental-cycle voltages and period lattices
-once computed. No elimination runs beyond one small solve per component, and
-the realized quotient dimension is the sum of the period lattices' ranks.
+once computed. The only elimination is one rref of at most d rows per
+component, over rank(L_k) independent fundamental cycles; every other cycle
+is checked against its answer by a dot product. The realized quotient
+dimension is the sum of the period lattices' ranks.
 
 The request path computes on Python ints, the way `linalg.Mat` does: w is
 cleared of its denominators once (D), each component's coefficients are
-brought to one integer row over a common E, and the residual, its
-closedness check and the reconstruct round trip all run on integers over
-D*E. Fractions are made only for the returned PeriodicDecomposition. The
-truncation oracle likewise clears one common denominator of w, f and a and
-tabulates the lift window in one flat int list.
+one integer row over a common E, and the residual, its closedness check and
+the reconstruct round trip all run on integers over D*E. Fractions are made
+only for the returned PeriodicDecomposition. The truncation oracle likewise
+clears one common denominator of w, f and a, tabulates the lift window as
+one int row per quotient vertex, and checks the edges of each voltage class
+on their shared box of cells with C-level gathers.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, prod
-from operator import mul
+from math import gcd, lcm, prod
+from operator import itemgetter, mul, sub
 from typing import Optional, Sequence
 
 from .errors import TRUNCATION_BUDGET, InputError, PreconditionError
 from .graphs import Cochain0, Cochain1, Graph, closed_potential
-from .linalg import Mat, _cleared, _frac, integer, json_list, rat_str, solve
+from .linalg import Mat, _cleared, _frac, integer, json_list, rat_str, rref
 
 
 def hermite_normal_form(rows: Sequence[Sequence[int]], cols: int) -> list[list[int]]:
@@ -110,16 +114,28 @@ class PeriodicGraph:
 
     @classmethod
     def make(cls, d: int, quotient: Graph, voltages: dict[int, Sequence[int]]) -> "PeriodicGraph":
+        """A periodic graph from one voltage per quotient edge, keyed by edge
+        id. Each entry is read once with `integer`, so a float or a bool is
+        refused rather than truncated, and so is a key that names no edge."""
         if d < 1:
             raise InputError("periodic rank d must be >= 1")
         volt = {}
         for e in quotient.edges:
             if e.id not in voltages:
                 raise InputError(f"missing voltage for edge {e.id}")
-            t = tuple(int(x) for x in voltages[e.id])
+            try:
+                t = tuple([integer(x) for x in voltages[e.id]])
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"bad voltage of edge {e.id}: {exc}") from exc
             if len(t) != d:
                 raise InputError(f"voltage of edge {e.id} has length != d")
             volt[e.id] = t
+        if len(volt) != len(voltages):
+            unknown = sorted(key for key in voltages if key not in volt)
+            raise InputError(
+                "voltage keys name no edge of the graph: "
+                + ", ".join(map(str, unknown))
+            )
         return cls(d, quotient, volt)
 
     def to_json(self) -> dict:
@@ -201,35 +217,75 @@ def _cochain_ints(pg: PeriodicGraph, w: Cochain1) -> tuple[int, list[int]]:
     return _cleared(w.values)
 
 
+def _independent_positions(rows: Sequence[Sequence[int]], rank: int) -> list[int]:
+    """Positions of the first `rank` rows that are linearly independent of
+    the rows chosen before them, found greedily in order by fraction-free
+    elimination; `rank` is the rank of all the rows, so the choice spans
+    their row space and the scan stops once it has that many."""
+    chosen: list[int] = []
+    basis: list[tuple[int, list[int]]] = []  # (pivot column, reduced row)
+    for i, row in enumerate(rows):
+        if len(chosen) == rank:
+            break
+        v = list(row)
+        for c, b in basis:
+            if v[c]:
+                p, f = b[c], v[c]
+                v = [p * x - f * y for x, y in zip(v, b)]
+                common = gcd(*v)
+                if common > 1:
+                    v = [x // common for x in v]
+        for c, x in enumerate(v):
+            if x:
+                basis.append((c, v))
+                chosen.append(i)
+                break
+    return chosen
+
+
 def _period_coefficients(pg: PeriodicGraph, w_int: Sequence[int]):
     """Per quotient component k, the coefficients a_k with T_k a_k = sums_k,
     where the rows of T_k are the voltages of k's fundamental cycles and
     sums_k their sums of the integer cochain w_int; each as (integer row,
-    denominator), or None where that system is inconsistent.
+    denominator), or None where that system is inconsistent. When L_k has
+    full rank the RREF's identity block holds the denominator, so the row
+    is in lowest terms.
+
+    Only rank(L_k) <= d independent cycles are eliminated: the rref of
+    their r x (d+1) block [T_k | sums_k] gives a_k with the free variables
+    set to zero, and the system is consistent iff T_k a_k = sums_k on every
+    cycle. When it is, every row of [T_k | sums_k] is a combination of the
+    chosen rows, so the full system has the same RREF and the same
+    solution.
 
     A lift cycle is a zero-voltage cycle inside one component, so the lift
     of w is closed exactly when every component's system is consistent.
     Yields lazily, so a caller may stop at the first None.
     """
     g = pg.quotient
+    d = pg.d
     pw = g.forest.integrate(w_int)
-    for comp_cycles in pg.cycles:
+    for comp_cycles, lat in zip(pg.cycles, pg.lattices):
         sums = [
             w_int[pos] + pw[g.edges[pos].o] - pw[g.edges[pos].t]
             for pos, _ in comp_cycles
         ]
-        t_k = Mat.from_ints([cv for _, cv in comp_cycles], cols=pg.d)
-        a_k = solve(t_k, sums)
-        if a_k is None:
-            yield None
-            continue
-        den, row = _cleared(a_k)
-        # Well-definedness: every fundamental cycle, not just a spanning
-        # subset, must agree with these coefficients.
-        assert all(
+        chosen = _independent_positions([cv for _, cv in comp_cycles], lat.rank)
+        row, den = [0] * d, 1
+        if chosen:
+            block = [comp_cycles[i][1] + (sums[i],) for i in chosen]
+            red, pivots = rref(Mat.from_ints(block, cols=d + 1))
+            for c, r in zip(pivots, red.ints):
+                row[c] = r[d]
+            den = red.den
+        # Well-definedness: every fundamental cycle, not just the chosen
+        # ones, must agree with these coefficients.
+        if all(
             sum(map(mul, cv, row)) == den * s for (_, cv), s in zip(comp_cycles, sums)
-        )
-        yield row, den
+        ):
+            yield row, den
+        else:
+            yield None
 
 
 def is_invariant_closed(pg: PeriodicGraph, w: Cochain1) -> bool:
@@ -353,27 +409,38 @@ def truncation_oracle(
     given decomposition of w edge by edge against w itself.
 
     The lift potential F(v, cell) = f(v) + sum_j a_{j,k(v)} cell_j is
-    tabulated once per lift vertex of the window; every lift edge whose two
-    ends lie in the window is then checked exactly against the table. All
-    values are scaled by one common denominator of w, f and a, so the table
-    and the comparisons are on Python ints. The table is one flat list: the
-    vertex (v, cell) is entry index(cell) * n + v, with index(cell) =
-    sum_j (cell_j + radius) * side**j, so the far end of an edge e with
-    voltage t sits a fixed (sum_j t_j * side**j) * n + te - oe entries past
-    its near end. Any mismatch means `dec` does not decompose w and raises
-    AssertionError naming the edge and the cell; the returned report counts
-    the checks performed.
+    tabulated once per lift vertex of the window, as one int row per
+    quotient vertex indexed by index(cell) = sum_j (cell_j + radius) *
+    side**j; every lift edge whose two ends lie in the window is then
+    checked exactly against the table. All values are scaled by one common
+    denominator of w, f and a, so the table and the comparisons are on
+    Python ints.
 
-    The work is predicted first, as (2r+1)^d table entries per quotient
-    vertex plus, per edge of voltage t, the prod_j max(0, 2r+1-|t_j|) cells
-    whose translate stays in the window; above TRUNCATION_BUDGET it raises
-    PreconditionError("budget", ...) before anything is tabulated.
+    The edges are grouped by voltage. For each distinct voltage t, the box
+    of cells c with c and c + t both in the window is the product of one
+    range per coordinate, and its index list (in lexicographic cell order)
+    and that list shifted by sum_j t_j * side**j are built once. An edge e
+    of voltage t is then checked on its whole box at once: both lists are
+    gathered from the rows of te and oe, every difference is formed, and
+    each is compared with w(e). Edges are checked in stored order; any
+    mismatch means `dec` does not decompose w and raises AssertionError
+    naming the edge and the first bad cell of its box; the returned report
+    counts the checks performed.
+
+    The work is predicted first, from the box sizes alone, as (2r+1)^d
+    table entries per quotient vertex plus, per edge of voltage t, the
+    prod_j max(0, 2r+1-|t_j|) cells of its box; above TRUNCATION_BUDGET it
+    raises PreconditionError("budget", ...) before any index list or table
+    is built.
     """
     if radius < 0:
         raise InputError(f"truncation radius must be >= 0, got {radius}")
     side = 2 * radius + 1
-    work = side**pg.d * pg.quotient.n_vertices + sum(
-        prod(max(0, side - abs(tj)) for tj in t) for t in pg.voltages.values()
+    g = pg.quotient
+    by_voltage = Counter(pg.voltages.values())  # voltage -> number of edges
+    box_size = {t: prod([max(0, side - abs(tj)) for tj in t]) for t in by_voltage}
+    work = side**pg.d * g.n_vertices + sum(
+        count * box_size[t] for t, count in by_voltage.items()
     )
     if work > TRUNCATION_BUDGET:
         raise PreconditionError(
@@ -381,13 +448,10 @@ def truncation_oracle(
             f"truncation at radius {radius} predicts {work} table entries "
             f"and checks, over the budget of {TRUNCATION_BUDGET}",
         )
-    g = pg.quotient
-    comp_of = g.forest.comp_of
-    m = len(g.forest.comps)
     den = lcm(
-        *(x.denominator for x in w.values),
-        *(x.denominator for x in dec.f.values),
-        *(x.denominator for row in dec.a for x in row),
+        *[x.denominator for x in w.values],
+        *[x.denominator for x in dec.f.values],
+        *[x.denominator for row in dec.a for x in row],
     )
 
     def scaled(values) -> list[int]:
@@ -395,44 +459,61 @@ def truncation_oracle(
 
     w_int, f_int = scaled(w.values), scaled(dec.f.values)
     a_int = [scaled(row) for row in dec.a]
-    n = g.n_vertices
     lo, hi = -radius, radius
-    # Cell c of the window has index sum_j (c_j - lo) * side**j, and the lift
-    # vertex (v, c) is entry index * n + v of one flat table of F.
-    strides = [side**j * n for j in range(pg.d)]
-    shifts = [[0] * m]  # per cell, sum_j a_{j,k} c_j for each component k
-    for j in range(pg.d):
-        shifts = [
-            [s + a_jk * c for s, a_jk in zip(sh, a_int[j])]
-            for c in range(lo, hi + 1)
-            for sh in shifts
-        ]
-    table = [fv + sh[k] for sh in shifts for fv, k in zip(f_int, comp_of)]
+    strides = [side**j for j in range(pg.d)]
+    # Per component k, sum_j a_{j,k} cell_j at every cell index; F(v, .) is
+    # f(v) plus the row of v's component.
+    shift_rows = []
+    for k in range(len(g.forest.comps)):
+        row = [0]
+        for j in range(pg.d):
+            a_jk = a_int[j][k]
+            row = [s + a_jk * c for c in range(lo, hi + 1) for s in row]
+        shift_rows.append(row)
+    table = [
+        [fv + s for s in shift_rows[k]] for fv, k in zip(f_int, g.forest.comp_of)
+    ]
 
-    checks = 0
-    for pos, e in enumerate(g.edges):
-        t = pg.voltages[e.id]
-        value = w_int[pos]
-        # Entry of (e.o, cell) for every cell whose translate by t stays in
-        # the window, in lexicographic cell order; (e.t, cell + t) sits a
-        # fixed offset further on.
-        starts = [e.o]
+    # Per voltage with a nonempty box: its near-end cell indices, and the
+    # gathers of those indices and of their translates by t.
+    boxes = {}
+    for t, size in box_size.items():
+        if not size:
+            continue
+        near = [0]
         for tj, stride in zip(t, strides):
             steps = [
                 (c - lo) * stride
                 for c in range(max(lo, lo - tj), min(hi, hi - tj) + 1)
             ]
-            starts = [b + s for b in starts for s in steps]
-        offset = sum(map(mul, t, strides)) + e.t - e.o
-        for b in starts:
-            if table[b + offset] - table[b] != value:
-                index = (b - e.o) // n
-                cell = tuple(index // side**j % side + lo for j in range(pg.d))
-                raise AssertionError(
-                    f"truncation mismatch on edge {e.id} at cell {cell}"
-                )
-        checks += len(starts)
+            near = [b + s for b in near for s in steps]
+        offset = sum(map(mul, t, strides))
+        far = [b + offset for b in near]
+        boxes[t] = (near, _gather(near), _gather(far))
+
+    checks = 0
+    for e, value in zip(g.edges, w_int):
+        box = boxes.get(pg.voltages[e.id])
+        if box is None:
+            continue
+        near, gather_near, gather_far = box
+        diffs = list(map(sub, gather_far(table[e.t]), gather_near(table[e.o])))
+        if diffs.count(value) != len(diffs):
+            index = near[next(i for i, x in enumerate(diffs) if x != value)]
+            cell = tuple(index // stride % side + lo for stride in strides)
+            raise AssertionError(f"truncation mismatch on edge {e.id} at cell {cell}")
+        checks += len(diffs)
     return {"radius": radius, "checks": checks, "ok": True}
+
+
+def _gather(indices: Sequence[int]):
+    """A function reading the entries at `indices` (nonempty) of a list as
+    a tuple, at C level; itemgetter alone returns a bare entry for one
+    index."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda row: (row[i],)
+    return itemgetter(*indices)
 
 
 def realized_quotient_dim(pg: PeriodicGraph) -> int:

@@ -207,6 +207,25 @@ def test_periodic_truncation_budget_exit_3(tmp_path):
     assert str(5**9 + 9 * 5**8 * 4) in err
 
 
+def test_periodic_huge_radius_refused_at_once(tmp_path, capsys):
+    # The budget is read off the box sizes before any table or index list
+    # is built, so radius 10**6 in d = 3 is refused in well under a second.
+    load_fixture(tmp_path, "torus-3")
+    gpath = str(tmp_path / "torus-3.pgraph.json")
+    wpath = write_json(tmp_path / "w.json", {"0": "1", "1": "2", "2": "3"})
+    start = time.perf_counter()
+    code = main(["periodic", gpath, wpath, "--radius", str(10**6)])
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    side = 2 * 10**6 + 1
+    assert err == (
+        f"precondition not met (budget): truncation at radius {10**6} predicts "
+        f"{side**3 + 3 * side**2 * (side - 1)} table entries and checks, over "
+        "the budget of 1000000\n"
+    )
+
+
 def test_analyze_dense_budget_exit_3(tmp_path):
     # 60 bytes that would otherwise make the kernel an N x N dense basis.
     payload = {"dim_U": 10**6, "dim_W": 0, "pi": [], "generators": []}
@@ -480,6 +499,24 @@ def test_periodic_cochain_key_naming_no_edge_exit_2(tmp_path, cochain, message):
     assert (code, out) == (2, "")
     assert err == f"input error: {message}\n"
     assert run_cli([*args, write_json(tmp_path / "ok.json", {"0": "2"})])[0] == 0
+
+
+def test_periodic_voltage_key_naming_no_edge_exit_2(tmp_path):
+    # A voltage whose key names no edge used to be dropped, and the request
+    # answered.
+    pgraph = {
+        "vertices": 1,
+        "edges": [{"id": 0, "o": 0, "t": 0}],
+        "d": 1,
+        "voltages": {"0": [1], "9": [5]},
+    }
+    wpath = write_json(tmp_path / "w.json", {"0": "2"})
+    code, out, err = run_cli(["periodic", write_json(tmp_path / "pg.json", pgraph), wpath])
+    assert (code, out) == (2, "")
+    assert err == "input error: voltage keys name no edge of the graph: 9\n"
+    del pgraph["voltages"]["9"]
+    ok = run_cli(["periodic", write_json(tmp_path / "ok.json", pgraph), wpath])
+    assert ok[0] == 0
 
 
 def test_periodic_edgeless_huge_d_exit_3(tmp_path):

@@ -7,6 +7,7 @@ from math import lcm, prod
 
 import pytest
 
+from eqcohom import linalg, periodic
 from eqcohom.errors import InputError, PreconditionError
 from eqcohom.fixtures import (
     halfline_periodic,
@@ -450,12 +451,14 @@ def lift_mismatches(pg, w, a, f, radius):
 def test_truncation_oracle_checks_and_names_first_mismatch():
     rng = random.Random(31)
     caught = Counter()
-    for trial in range(120):
+    shapes = Counter()
+    for trial in range(240):
         pg, w, kind = random_periodic_case(rng)
         if kind != "closed" or not all(lat.is_full() for lat in pg.lattices):
             continue
         dec = decompose_periodic(pg, w)
-        radius = rng.randint(0, 2)
+        radius = rng.randint(0, 3)
+        shapes[pg.d, radius] += 1
         side = 2 * radius + 1
         predicted = sum(
             prod(max(0, side - abs(tj)) for tj in t) for t in pg.voltages.values()
@@ -482,6 +485,121 @@ def test_truncation_oracle_checks_and_names_first_mismatch():
         assert str(err.value) == f"truncation mismatch on edge {first[0]} at cell {first[1]}"
         caught[which] += 1
     assert caught["f"] >= 5 and caught["a"] >= 5, caught
+    assert all(shapes[d, r] for d in (1, 2, 3) for r in range(4)), shapes
+
+
+def test_truncation_oracle_empty_and_one_cell_boxes():
+    # Voltages (3, 0) and (-4, 1) leave the window at radius 1 (side 3) and
+    # every nonzero voltage does at radius 0, so those boxes are empty; at
+    # radius 0 a zero voltage has a box of one cell.
+    g = Graph.make(2, [(0, 0, 0), (1, 0, 0), (2, 0, 1), (3, 1, 0), (4, 1, 1)])
+    volts = {0: (1, 0), 1: (0, 1), 2: (0, 0), 3: (3, 0), 4: (-4, 1)}
+    pg = PeriodicGraph.make(2, g, volts)
+    w = reconstruct(pg, [[Fraction(1, 2)], [-2]], Cochain0.make([0, 3]))
+    dec = decompose_periodic(pg, w)
+    for radius, checks in ((0, 1), (1, 6 + 6 + 9), (2, 20 + 20 + 25 + 10 + 4)):
+        assert lift_mismatches(pg, w, dec.a, dec.f.values, radius) == (checks, None)
+        assert truncation_oracle(pg, w, dec, radius) == {
+            "radius": radius, "checks": checks, "ok": True
+        }
+    moved = replace(dec, f=Cochain0((dec.f.values[0], dec.f.values[1] + 1)))
+    for radius, cell in ((0, (0, 0)), (1, (-1, -1))):
+        assert lift_mismatches(pg, w, moved.a, moved.f.values, radius)[1] == (2, cell)
+        with pytest.raises(AssertionError) as err:
+            truncation_oracle(pg, w, moved, radius)
+        assert str(err.value) == f"truncation mismatch on edge 2 at cell {cell}"
+    # A zero-voltage loop alone: one cell, one check, at radius 0.
+    loop = PeriodicGraph.make(1, Graph.make(1, [(0, 0, 0), (1, 0, 0)]), {0: (1,), 1: (0,)})
+    w = Cochain1.make([5, 0])
+    assert truncation_oracle(loop, w, decompose_periodic(loop, w), 0)["checks"] == 1
+
+
+def test_truncation_oracle_shared_voltages_match_brute_force():
+    # Many edges per voltage: each class's box is built once and gathered
+    # for every edge, so a mismatch must still name the first edge in
+    # stored order and the first cell of its box.
+    rng = random.Random(57)
+    caught = 0
+    for trial in range(60):
+        d = rng.randint(1, 3)
+        n = rng.randint(2, 6)
+        palette = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(2)]
+        raw = [(i, rng.randrange(i), rng.choice(palette)) for i in range(1, n)]
+        raw += [
+            (*rng.sample(range(n), 2), rng.choice(palette))
+            for _ in range(rng.randint(6, 14))
+        ]
+        raw += [(0, 0, tuple(int(i == j) for i in range(d))) for j in range(d)]
+        rng.shuffle(raw)
+        g = Graph.make(n, [(i, o, t) for i, (o, t, _) in enumerate(raw)])
+        pg = PeriodicGraph.make(d, g, {i: t for i, (_, _, t) in enumerate(raw)})
+        assert max(Counter(pg.voltages.values()).values()) >= 4
+        _, _, w = random_cochain_pair(rng, pg)
+        dec = decompose_periodic(pg, w)
+        radius = rng.randint(0, 2)
+        checks, first = lift_mismatches(pg, w, dec.a, dec.f.values, radius)
+        assert first is None
+        assert truncation_oracle(pg, w, dec, radius)["checks"] == checks
+        f_moved = list(dec.f.values)
+        f_moved[rng.randrange(1, n)] += Fraction(1, 2)
+        moved = replace(dec, f=Cochain0(tuple(f_moved)))
+        checks, first = lift_mismatches(pg, w, moved.a, f_moved, radius)
+        if first is None:
+            assert truncation_oracle(pg, w, moved, radius)["checks"] == checks
+            continue
+        with pytest.raises(AssertionError) as err:
+            truncation_oracle(pg, w, moved, radius)
+        assert str(err.value) == f"truncation mismatch on edge {first[0]} at cell {first[1]}"
+        caught += 1
+    assert caught >= 30, caught
+
+
+def test_period_coefficients_eliminate_rank_many_cycles(monkeypatch):
+    # Each component runs at most one rref, of its rank(L_k) chosen cycles
+    # and d + 1 columns, and no solve over all of its cycles; the other
+    # cycles are checked against the answer.
+    cases = []
+    rng = random.Random(4242)
+    for _ in range(200):
+        pg, w, _ = random_periodic_case(rng)
+        cases.append((pg, w, reference_period_coefficients(pg, w)))
+    shapes = []
+    real_rref = periodic.rref
+
+    def spy(m):
+        shapes.append((m.rows, m.cols))
+        return real_rref(m)
+
+    def no_solve(*args):
+        raise AssertionError("solve reached")
+
+    monkeypatch.setattr(periodic, "rref", spy)
+    for name in ("solve", "solve_many", "_solve_ints"):
+        monkeypatch.setattr(linalg, name, no_solve)
+    seen = Counter()
+    for pg, w, reference in cases:
+        shapes.clear()
+        closed = is_invariant_closed(pg, w)
+        assert closed == (None not in reference)
+        expected = []
+        for comp_cycles, lat, ref in zip(pg.cycles, pg.lattices, reference):
+            if lat.rank:
+                expected.append((lat.rank, pg.d + 1))
+            seen["cycles beyond rank"] += len(comp_cycles) > lat.rank
+            if ref is None:
+                break
+        assert shapes == expected
+        assert all(rows <= pg.d for rows, _ in shapes)
+        if closed:
+            # The coefficients of w_int = D * w are D times those of w.
+            den_w, w_int = linalg._cleared(w.values)
+            got = [
+                [Fraction(x, den) for x in row]
+                for row, den in periodic._period_coefficients(pg, w_int)
+            ]
+            assert got == [[den_w * x for x in a_k] for a_k in reference]
+        seen["closed" if closed else "not closed"] += 1
+    assert seen["cycles beyond rank"] >= 100 and seen["not closed"] >= 20, seen
 
 
 def reference_realized_quotient_dim(pg):
@@ -589,6 +707,18 @@ def test_periodic_json_roundtrip():
     assert again.d == pg.d
     assert again.quotient == pg.quotient
     assert again.voltages == pg.voltages
+
+
+def test_make_reads_voltage_entries_exactly_and_refuses_unknown_keys():
+    g = Graph.make(1, [(0, 0, 0)])
+    for bad in ((1.5,), (True,), (1.0,), (None,)):
+        with pytest.raises(InputError) as err:
+            PeriodicGraph.make(1, g, {0: bad})
+        assert str(err.value).startswith("bad voltage of edge 0: not an integer")
+    assert PeriodicGraph.make(1, g, {0: ["-2"]}).voltages == {0: (-2,)}
+    with pytest.raises(InputError) as err:
+        PeriodicGraph.make(1, g, {0: (1,), 10: (5,), 9: (5,)})
+    assert str(err.value) == "voltage keys name no edge of the graph: 9, 10"
 
 
 def test_parse_invariant_cochain_loop_rules():

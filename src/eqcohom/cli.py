@@ -48,10 +48,12 @@ def _digest(path: Path) -> str:
 
 
 def _load_json(path: str) -> tuple[dict, str]:
+    """Read a JSON file. Every failure to read or decode it, the nesting
+    depth and Python's int-string digit limit included, is an InputError."""
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text), _digest(p)
@@ -59,6 +61,10 @@ def _load_json(path: str) -> tuple[dict, str]:
         raise InputError(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}"
         ) from exc
+    except RecursionError as exc:
+        raise InputError(f"JSON in {path} is nested too deeply") from exc
+    except ValueError as exc:
+        raise InputError(f"malformed JSON in {path}: {exc}") from exc
 
 
 def _emit(report: dict, as_text: bool) -> None:
@@ -155,13 +161,11 @@ def cmd_verify(args) -> int:
     _emit(report, args.text)
     if not result.ok:
         repro = Path(args.reproducer)
-        repro.write_text(
-            json.dumps(
-                result.violations[0].instance_json, sort_keys=True, indent=2
-            )
-            + "\n",
-            encoding="utf-8",
-        )
+        text = json.dumps(result.violations[0].instance_json, sort_keys=True, indent=2)
+        try:
+            repro.write_text(text + "\n", encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot write {repro}: {exc}") from exc
         print(f"reproducer written to {repro}", file=sys.stderr)
         return EXIT_VIOLATION
     return EXIT_OK
@@ -170,15 +174,18 @@ def cmd_verify(args) -> int:
 def cmd_fixtures(args) -> int:
     files = fixture_files(args.name)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for fname, payload in sorted(files.items()):
-        path = out_dir / fname
-        path.write_text(
-            json.dumps(payload, sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
-        written.append(str(path))
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for fname, payload in sorted(files.items()):
+            path = out_dir / fname
+            path.write_text(
+                json.dumps(payload, sort_keys=True, indent=2) + "\n",
+                encoding="utf-8",
+            )
+            written.append(str(path))
+    except OSError as exc:
+        raise InputError(f"cannot write {out_dir}: {exc}") from exc
     _emit({"command": "fixtures", "name": args.name, "written": written}, args.text)
     return EXIT_OK
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import InputError, PreconditionError
+from .errors import GRAPH_BUDGET, InputError, PreconditionError
 from .instance import LinearInstance
 from .linalg import Mat, integer, json_list, rat, rat_str, vec
 
@@ -45,6 +45,16 @@ class Graph:
 
     @classmethod
     def make(cls, n_vertices: int, edges: Sequence[tuple[int, int, int]]) -> "Graph":
+        """A validated graph, refused with PreconditionError("budget", ...)
+        before anything is built when its vertices plus edges exceed
+        GRAPH_BUDGET."""
+        size = n_vertices + len(edges)
+        if size > GRAPH_BUDGET:
+            raise PreconditionError(
+                "budget",
+                f"graph has {size} vertices plus edges, "
+                f"over the budget of {GRAPH_BUDGET}",
+            )
         es = tuple(Edge(i, o, t) for i, o, t in sorted(edges))
         g = cls(n_vertices, es)
         g.validate()

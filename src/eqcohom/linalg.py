@@ -9,6 +9,10 @@ integer rows; fractions.Fraction values are made only where entries and
 vectors leave the module (`Mat.data`, built on first use, `mulvec` and
 `solve_many`). Subspaces are canonicalized by reduced row echelon form,
 which makes equality and containment purely syntactic.
+
+Every elimination of the package runs here: `rref`, the `Reduction` of an
+augmented system that every solve reads, and `independent_rows`, which
+picks independent rows and decides nonsingularity.
 """
 
 from __future__ import annotations
@@ -280,7 +284,7 @@ class Mat:
         return len(rref(self)[1])
 
     def is_invertible(self) -> bool:
-        return self.rows == self.cols and self.rank() == self.rows
+        return self.rows == self.cols == len(independent_rows(self.ints))
 
     def to_lists(self, as_str: bool = False) -> list[list]:
         if as_str:
@@ -338,16 +342,101 @@ def rref(m: Mat) -> tuple[Mat, list[int]]:
     return Mat._new(*_lowest(tuple(out), den), n_cols), pivots
 
 
-def _rref_augmented(m: Mat, columns: Sequence[Sequence[int]]) -> tuple[Mat, list[int]]:
-    """rref of [m.ints | c_1 ... c_k]: the integer rows of m (its
-    denominator dropped) with the integer columns c_j appended."""
-    extra = list(zip(*columns)) if columns else [()] * m.rows
-    aug = Mat._new(
-        tuple([row + cs for row, cs in zip(m.ints, extra)]),
-        1,
-        m.cols + len(columns),
-    )
-    return rref(aug)
+def independent_rows(
+    rows: Sequence[Sequence[int]], stop: Optional[int] = None
+) -> list[int]:
+    """Positions of the integer rows that are independent of the rows
+    before them, found greedily in order by fraction-free elimination and
+    stopping once `stop` are found: the pivot columns of the rref of the
+    transpose. Each kept row is reduced against the kept rows before it,
+    so its first nonzero entry is zero in every row kept after it."""
+    chosen: list[int] = []
+    basis: list[tuple[int, list[int]]] = []  # (pivot column, reduced row)
+    for i, row in enumerate(rows):
+        if len(chosen) == stop:
+            break
+        v = list(row)
+        for c, b in basis:
+            if v[c]:
+                p, f = b[c], v[c]
+                v = [p * x - f * y for x, y in zip(v, b)]
+                common = gcd(*v)
+                if common > 1:
+                    v = [x // common for x in v]
+        for c, x in enumerate(v):
+            if x:
+                basis.append((c, v))
+                chosen.append(i)
+                break
+    return chosen
+
+
+class Reduction:
+    """The rref of [m.ints | c_1 ... c_k]: the integer rows of m (its
+    denominator dropped) with the integer columns c_j appended, reduced
+    once and read for every c_j; an m with no rows needs no rref.
+
+    The first `rank` rows carry the pivots of m, and the rows below have a
+    zero m-part. Column c_j is consistent iff it is zero in every one of
+    those lower rows, and its solution reads the pivot entries off the
+    first rows with the free variables zero: the same as a one-column
+    solve, since a pivot in some c_i only adds a lower row, which is zero
+    in every consistent column.
+    """
+
+    __slots__ = ("_m", "_red", "_pivots", "rank")
+
+    def __init__(self, m: Mat, columns: Sequence[Sequence[int]]):
+        width = m.cols + len(columns)
+        if m.rows == 0:
+            self._red, self._pivots = Mat.zeros(0, width), []
+        else:
+            extra = list(zip(*columns)) if columns else [()] * m.rows
+            aug = tuple([row + cs for row, cs in zip(m.ints, extra)])
+            self._red, self._pivots = rref(Mat._new(aug, 1, width))
+        self._m = m
+        self.rank = sum(1 for c in self._pivots if c < m.cols)
+
+    def consistent(self, j: int) -> bool:
+        """Whether m x = c_j has a solution."""
+        col = self._m.cols + j
+        return not any(row[col] for row in self._red.ints[self.rank :])
+
+    def solution(self, j: int, den: int = 1) -> Optional[tuple[int, list[int]]]:
+        """(den_x, x), not reduced, with x / den_x the solution of
+        m x = c_j / den whose free variables are zero, or None when c_j is
+        inconsistent. m.ints y = c_j gives x = y * m.den, and the pivot
+        rows read y at each pivot as row[col] / red.den."""
+        if not self.consistent(j):
+            return None
+        m = self._m
+        col = m.cols + j
+        x = [0] * m.cols
+        for row, c in zip(self._red.ints[: self.rank], self._pivots):
+            x[c] = row[col] * m.den
+        return self._red.den * den, x
+
+    def kernel(self) -> "Subspace":
+        """ker m in canonical form: for each free column f, the vector with
+        red.den at f and minus column f of the pivot rows at their pivots.
+        When every such column is zero those are unit vectors in increasing
+        order, canonical already; otherwise one small rref of the n - rank
+        vectors canonicalizes them."""
+        n = self._m.cols
+        top = self._red.ints[: self.rank]
+        pivots = self._pivots[: self.rank]
+        free = sorted(set(range(n)).difference(pivots))
+        if not any(row[f] for row in top for f in free):
+            units = [(0,) * f + (1,) + (0,) * (n - 1 - f) for f in free]
+            return Subspace._canonical(Mat._new(tuple(units), 1, n))
+        vectors = []
+        for f in free:
+            v = [0] * n
+            v[f] = self._red.den
+            for row, c in zip(top, pivots):
+                v[c] = -row[f]
+            vectors.append(tuple(v))
+        return Subspace(n, Mat._new(tuple(vectors), 1, n))
 
 
 def _solve_ints(
@@ -359,38 +448,17 @@ def _solve_ints(
     inconsistent b."""
     if any(len(b) != m.rows for _, b in rhs):
         raise ValueError("rhs length mismatch")
-    n = m.cols
-    if m.rows == 0 or not rhs:
-        return [(1, [0] * n) for _ in rhs]
-    red, pivots = _rref_augmented(m, [b for _, b in rhs])
-    rank = sum(1 for c in pivots if c < n)
-    top, lower = red.ints[:rank], red.ints[rank:]
-    out: list[Optional[tuple[int, list[int]]]] = []
-    for j, (den_b, _) in enumerate(rhs, start=n):
-        if any(row[j] for row in lower):
-            out.append(None)
-            continue
-        x = [0] * n
-        for row, c in zip(top, pivots):
-            x[c] = row[j] * m.den
-        out.append((red.den * den_b, x))
-    return out
+    if not rhs:
+        return []
+    red = Reduction(m, [b for _, b in rhs])
+    return [red.solution(j, den_b) for j, (den_b, _) in enumerate(rhs)]
 
 
 def solve_many(m: Mat, rhs: Sequence[Sequence]) -> list[Optional[tuple[Fraction, ...]]]:
-    """Particular solutions of m x = b for every b in rhs, from one rref of
-    [m | b_1 ... b_k]; None for an inconsistent b.
-
-    The augmented matrix holds the integer rows of m and each b_j cleared
-    of its denominator d_j, so a solution y of that system gives
-    x = y * m.den / d_j. The first r rows of the rref carry the r pivots of
-    m, and the rows below have a zero m-part. Column b_j is consistent iff
-    it is zero in every one of those lower rows; its solution reads the
-    pivot entries off the first r rows and sets the free variables to zero,
-    which makes it deterministic and the same as a one-column solve. A
-    pivot in a right-hand-side column only adds a lower row to the others,
-    and a lower row is zero in every consistent column, so it leaves those
-    columns as they are.
+    """Particular solutions of m x = b for every b in rhs, from one
+    Reduction of [m | b_1 ... b_k], each b_j cleared of its denominator
+    d_j (so a solution y of that system gives x = y / d_j); None for an
+    inconsistent b. Free variables are set to zero.
     """
     out: list[Optional[tuple[Fraction, ...]]] = []
     for sol in _solve_ints(m, [_cleared(b) for b in rhs]):

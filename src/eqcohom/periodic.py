@@ -10,10 +10,12 @@ the finite-window truncation oracle.
 
 Every traversal reads the quotient's one spanning forest (`Graph.forest`),
 and a PeriodicGraph keeps its fundamental-cycle voltages and period lattices
-once computed. The only elimination is one rref of at most d rows per
-component, over rank(L_k) independent fundamental cycles; every other cycle
-is checked against its answer by a dot product. The realized quotient
-dimension is the sum of the period lattices' ranks.
+once computed. Apart from the lattice HNF, the module eliminates nothing
+itself: per component, linalg.independent_rows picks rank(L_k) independent
+fundamental cycles, and one linalg.Reduction of their at most d rows gives
+the period coefficients; every other cycle is checked against that answer
+by a dot product. The realized quotient dimension is the sum of the period
+lattices' ranks.
 
 The request path computes on Python ints, the way `linalg.Mat` does: w is
 cleared of its denominators once (D), each component's coefficients are
@@ -31,13 +33,22 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm, prod
+from math import lcm, prod
 from operator import itemgetter, mul, sub
 from typing import Optional, Sequence
 
 from .errors import TRUNCATION_BUDGET, InputError, PreconditionError
 from .graphs import Cochain0, Cochain1, Graph, closed_potential
-from .linalg import Mat, _cleared, _frac, integer, json_list, rat_str, rref
+from .linalg import (
+    Mat,
+    Reduction,
+    _cleared,
+    _frac,
+    independent_rows,
+    integer,
+    json_list,
+    rat_str,
+)
 
 
 def hermite_normal_form(rows: Sequence[Sequence[int]], cols: int) -> list[list[int]]:
@@ -217,32 +228,6 @@ def _cochain_ints(pg: PeriodicGraph, w: Cochain1) -> tuple[int, list[int]]:
     return _cleared(w.values)
 
 
-def _independent_positions(rows: Sequence[Sequence[int]], rank: int) -> list[int]:
-    """Positions of the first `rank` rows that are linearly independent of
-    the rows chosen before them, found greedily in order by fraction-free
-    elimination; `rank` is the rank of all the rows, so the choice spans
-    their row space and the scan stops once it has that many."""
-    chosen: list[int] = []
-    basis: list[tuple[int, list[int]]] = []  # (pivot column, reduced row)
-    for i, row in enumerate(rows):
-        if len(chosen) == rank:
-            break
-        v = list(row)
-        for c, b in basis:
-            if v[c]:
-                p, f = b[c], v[c]
-                v = [p * x - f * y for x, y in zip(v, b)]
-                common = gcd(*v)
-                if common > 1:
-                    v = [x // common for x in v]
-        for c, x in enumerate(v):
-            if x:
-                basis.append((c, v))
-                chosen.append(i)
-                break
-    return chosen
-
-
 def _period_coefficients(pg: PeriodicGraph, w_int: Sequence[int]):
     """Per quotient component k, the coefficients a_k with T_k a_k = sums_k,
     where the rows of T_k are the voltages of k's fundamental cycles and
@@ -251,33 +236,28 @@ def _period_coefficients(pg: PeriodicGraph, w_int: Sequence[int]):
     full rank the RREF's identity block holds the denominator, so the row
     is in lowest terms.
 
-    Only rank(L_k) <= d independent cycles are eliminated: the rref of
-    their r x (d+1) block [T_k | sums_k] gives a_k with the free variables
-    set to zero, and the system is consistent iff T_k a_k = sums_k on every
-    cycle. When it is, every row of [T_k | sums_k] is a combination of the
-    chosen rows, so the full system has the same RREF and the same
-    solution.
+    Only rank(L_k) <= d independent cycles are eliminated: linalg's
+    independent_rows picks them, stopping at the lattice rank, and the
+    Reduction of their r x (d+1) block [T_k | sums_k] gives a_k with the
+    free variables set to zero. The system is consistent iff
+    T_k a_k = sums_k on every cycle. When it is, every row of
+    [T_k | sums_k] is a combination of the chosen rows, so the full system
+    has the same RREF and the same solution.
 
     A lift cycle is a zero-voltage cycle inside one component, so the lift
     of w is closed exactly when every component's system is consistent.
     Yields lazily, so a caller may stop at the first None.
     """
     g = pg.quotient
-    d = pg.d
     pw = g.forest.integrate(w_int)
     for comp_cycles, lat in zip(pg.cycles, pg.lattices):
         sums = [
             w_int[pos] + pw[g.edges[pos].o] - pw[g.edges[pos].t]
             for pos, _ in comp_cycles
         ]
-        chosen = _independent_positions([cv for _, cv in comp_cycles], lat.rank)
-        row, den = [0] * d, 1
-        if chosen:
-            block = [comp_cycles[i][1] + (sums[i],) for i in chosen]
-            red, pivots = rref(Mat.from_ints(block, cols=d + 1))
-            for c, r in zip(pivots, red.ints):
-                row[c] = r[d]
-            den = red.den
+        chosen = independent_rows([cv for _, cv in comp_cycles], stop=lat.rank)
+        block = Mat.from_ints([comp_cycles[i][1] for i in chosen], cols=pg.d)
+        den, row = Reduction(block, [[sums[i] for i in chosen]]).solution(0)
         # Well-definedness: every fundamental cycle, not just the chosen
         # ones, must agree with these coefficients.
         if all(

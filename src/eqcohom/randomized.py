@@ -28,35 +28,9 @@ def random_invertible(rng: random.Random, n: int, lo: int = -2, hi: int = 2) -> 
     if n == 0:
         return Mat.zeros(0, 0)
     while True:
-        rows = [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
-        if _nonsingular(rows):
-            return Mat.from_ints(rows)
-
-
-def _nonsingular(rows: list[list[int]]) -> bool:
-    """Whether a square integer matrix has nonzero determinant, by
-    fraction-free (Bareiss) elimination: after step k every entry below
-    row k is a (k+1) x (k+1) minor, so each division by the previous pivot
-    is exact and the entries stay integers. `rows` is left as it is."""
-    a = list(rows)
-    n = len(a)
-    prev = 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if a[i][k]), None)
-        if p is None:
-            return False
-        a[k], a[p] = a[p], a[k]
-        pivot_row = a[k]
-        pivot = pivot_row[k]
-        for i in range(k + 1, n):
-            row = a[i]
-            f = row[k]
-            a[i] = [0] * (k + 1) + [
-                (pivot * x - f * y) // prev
-                for x, y in zip(row[k + 1 :], pivot_row[k + 1 :])
-            ]
-        prev = pivot
-    return True
+        m = Mat.from_ints([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)])
+        if m.is_invertible():
+            return m
 
 
 def _elementary_ops(rng: random.Random, n: int) -> list[tuple[int, ...]]:

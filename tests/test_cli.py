@@ -62,6 +62,36 @@ def test_analyze_malformed_json(tmp_path):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize(
+    "content, fragment",
+    [
+        (b"\xff\xfe{}", "cannot read"),
+        (b"[" * 100_000, "is nested too deeply"),
+        (b'{"dim_U": ' + b"7" * 5000 + b"}", "integer string conversion"),
+    ],
+    ids=["not-utf8", "deep-nesting", "huge-int-literal"],
+)
+def test_analyze_undecodable_json_exit_2(tmp_path, capsys, content, fragment):
+    # Each decode failure ends in one input-error line, not a traceback.
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code = main(["analyze", str(bad)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: ") and err.count("\n") == 1
+    assert fragment in err and str(bad) in err
+
+
+def test_fixtures_out_dir_is_a_file_exit_2(tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out_dir in (taken, taken / "sub"):
+        code, out, err = run_cli(["fixtures", "shear", "--out-dir", str(out_dir)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"input error: cannot write {out_dir}: ")
+        assert "Traceback" not in err
+
+
 def test_analyze_invalid_instance(tmp_path):
     payload = {
         "dim_U": 2,
@@ -240,6 +270,49 @@ def test_analyze_dense_budget_exit_3(tmp_path):
     )
 
 
+def _run_capped(args):
+    """Run the CLI in a subprocess under a 1 GiB address-space cap;
+    returns (the completed process, its wall time in seconds)."""
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "eqcohom", *args],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=cap_memory,
+    )
+    return result, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("command", ["graph", "periodic"])
+def test_huge_vertex_count_refused_at_once(tmp_path, command):
+    # A vertex count is one JSON number, so the graph budget is checked
+    # before any vertex is built; the address-space cap keeps a run that
+    # does build them from exhausting the host's memory.
+    graph = {"vertices": 10**9, "edges": []}
+    if command == "graph":
+        second = {"generators": []}
+    else:
+        graph.update(d=2, voltages={})
+        second = {}
+    args = [
+        command,
+        write_json(tmp_path / "g.json", graph),
+        write_json(tmp_path / "second.json", second),
+    ]
+    result, seconds = _run_capped(args)
+    assert seconds < 2
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr == (
+        "precondition not met (budget): graph has 1000000000 vertices plus "
+        "edges, over the budget of 1000000\n"
+    )
+
+
 def test_in_process_main_calls_do_not_leak_flags(tmp_path, capsys):
     load_fixture(tmp_path, "torus-2")
     gpath = str(tmp_path / "torus-2.pgraph.json")
@@ -294,6 +367,20 @@ def test_verify_mutant_condition_ii_detected(monkeypatch):
     assert not result.ok
     assert any(v.kind == "iff" for v in result.violations)
     assert all(v.instance_json for v in result.violations)
+
+
+def test_verify_unwritable_reproducer_exit_2(monkeypatch, tmp_path, capsys):
+    # The mutant of test_verify_mutant_condition_ii_detected makes verify
+    # write a reproducer; a directory in its place is an input error.
+    monkeypatch.setattr(
+        eqcohom.instance, "check_condition_ii", lambda inst: not check_condition_ii(inst)
+    )
+    code = main(["verify", "--seed", "7", "--count", "60", "--reproducer", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert json.loads(out)["ok"] is False
+    assert err.startswith(f"input error: cannot write {tmp_path}: ")
+    assert err.count("\n") == 1
 
 
 def test_text_mode(tmp_path):
@@ -529,19 +616,8 @@ def test_periodic_edgeless_huge_d_exit_3(tmp_path):
         write_json(tmp_path / "pg.json", pgraph),
         write_json(tmp_path / "w.json", {}),
     ]
-
-    def cap_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
-
-    start = time.perf_counter()
-    result = subprocess.run(
-        [sys.executable, "-m", "eqcohom", *args],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        preexec_fn=cap_memory,
-    )
-    assert time.perf_counter() - start < 2
+    result, seconds = _run_capped(args)
+    assert seconds < 2
     assert result.returncode == 3
     assert "precondition not met (action-not-closed)" in result.stderr
 

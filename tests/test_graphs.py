@@ -6,7 +6,7 @@ import pytest
 import eqcohom.graphs
 import eqcohom.instance
 import eqcohom.linalg
-from eqcohom.errors import InputError, PreconditionError
+from eqcohom.errors import GRAPH_BUDGET, InputError, PreconditionError
 from eqcohom.fixtures import (
     c4_graph,
     c4_rotation,
@@ -606,3 +606,15 @@ def test_analyze_graph_action_does_no_dense_work(monkeypatch):
     assert (rep["quotient_dim"], rep["group_order"], rep["is_free"]) == (0, 144, True)
     # Two edge orbits (the two translation directions), 145 fundamental cycles.
     assert rref_calls == [(2, 145)]
+
+
+def test_graph_budget_counts_vertices_plus_edges():
+    # At the budget a graph is built; one vertex or one edge more is
+    # refused before any edge is read.
+    assert Graph.make(GRAPH_BUDGET, []).n_vertices == GRAPH_BUDGET
+    assert Graph.make(GRAPH_BUDGET - 1, [(0, 0, 1)]).n_edges == 1
+    for n, edges in ((GRAPH_BUDGET + 1, []), (GRAPH_BUDGET, [(0, 0, 1)])):
+        with pytest.raises(PreconditionError) as err:
+            Graph.make(n, edges)
+        assert err.value.code == "budget"
+        assert str(GRAPH_BUDGET + 1) in err.value.detail

@@ -7,7 +7,9 @@ import pytest
 import eqcohom.linalg
 from eqcohom.linalg import (
     Mat,
+    Reduction,
     Subspace,
+    independent_rows,
     integer,
     kernel_basis,
     quotient_dim,
@@ -356,6 +358,67 @@ def test_solve_many_inconsistent_column_before_consistent_ones():
     assert solve_many(m, []) == []
     with pytest.raises(ValueError):
         solve_many(m, [[1, 2]])
+
+
+def test_independent_rows_are_the_transpose_rref_pivots():
+    # The greedy echelon choice against the pivot columns of the rref of the
+    # transpose, on seeded rectangular and rank-deficient integer matrices,
+    # some with zero rows spliced in, and with `stop` at and below the rank.
+    assert independent_rows([]) == []
+    assert independent_rows([], stop=0) == []
+    assert independent_rows([(0, 0), (0, 0)]) == []
+    assert independent_rows([(1, 2), (2, 4), (0, 1), (5, 5)]) == [0, 2]
+    rng = random.Random(41)
+    kinds = set()
+    for _ in range(300):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        low_rank = rng.random() < 0.5
+        m = (_low_rank_matrix if low_rank else random_matrix)(rng, rows, cols)
+        ints = [list(row) for row in m.ints]
+        for _ in range(rng.randint(0, 2)):
+            ints.insert(rng.randint(0, len(ints)), [0] * cols)
+        copy = [row[:] for row in ints]
+        expected = rref(Mat.from_ints(ints).transpose())[1]
+        got = independent_rows(ints)
+        assert ints == copy
+        assert got == expected
+        assert independent_rows(ints, stop=len(expected)) == expected
+        stop = rng.randint(0, len(expected))
+        assert independent_rows(ints, stop=stop) == expected[:stop]
+        kinds.add((len(expected) < min(len(ints), cols), stop < len(expected)))
+    assert kinds == {(a, b) for a in (True, False) for b in (True, False)}
+
+
+def test_reduction_reads_rank_consistency_solutions_and_kernel():
+    # One Reduction of [m | c_1 ... c_k] against the separate answers: the
+    # rank, solve_many for each column (its consistency and its solution),
+    # and kernel_basis; m with denominators and with no rows among them.
+    rng = random.Random(43)
+    shapes = [(0, 0), (0, 3), (3, 0), (2, 2)]
+    shapes += [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(120)]
+    kinds = set()
+    for rows, cols in shapes:
+        m = (_low_rank_matrix if rng.random() < 0.6 else random_matrix)(rng, rows, cols)
+        columns = []
+        for _ in range(rng.randint(0, 3)):
+            if rng.random() < 0.5:
+                target = [rng.randint(-3, 3) for _ in range(cols)]
+                columns.append([sum(map(int.__mul__, row, target)) for row in m.ints])
+            else:
+                columns.append([rng.randint(-3, 3) for _ in range(rows)])
+        red = Reduction(m, columns)
+        assert red.rank == fraction_free_rank([list(row) for row in m.data])
+        assert red.kernel() == kernel_basis(m)
+        for j, x in enumerate(solve_many(m, columns)):
+            assert red.consistent(j) == (x is not None)
+            if x is None:
+                assert red.solution(j, 5) is None
+            else:
+                den, ints = red.solution(j, 5)
+                assert tuple(Fraction(5 * v, den) for v in ints) == x
+        kinds.add((m.den > 1, red.rank < cols, any(x is None for x in solve_many(m, columns))))
+    assert {(True, True), (True, False), (False, True), (False, False)} <= {k[:2] for k in kinds}
+    assert {k[2] for k in kinds} == {True, False}
 
 
 def _inverse_columns(m):

@@ -564,7 +564,7 @@ def test_period_coefficients_eliminate_rank_many_cycles(monkeypatch):
         pg, w, _ = random_periodic_case(rng)
         cases.append((pg, w, reference_period_coefficients(pg, w)))
     shapes = []
-    real_rref = periodic.rref
+    real_rref = linalg.rref
 
     def spy(m):
         shapes.append((m.rows, m.cols))
@@ -573,7 +573,7 @@ def test_period_coefficients_eliminate_rank_many_cycles(monkeypatch):
     def no_solve(*args):
         raise AssertionError("solve reached")
 
-    monkeypatch.setattr(periodic, "rref", spy)
+    monkeypatch.setattr(linalg, "rref", spy)
     for name in ("solve", "solve_many", "_solve_ints"):
         monkeypatch.setattr(linalg, name, no_solve)
     seen = Counter()

@@ -16,11 +16,10 @@ from eqcohom.instance import (
     validate,
     verify_iff,
 )
-from eqcohom.linalg import Mat
+from eqcohom.linalg import Mat, independent_rows
 from eqcohom.randomized import (
     _conjugate,
     _elementary_ops,
-    _nonsingular,
     random_linear_instance,
     random_unimodular,
     run_verification,
@@ -50,14 +49,20 @@ def test_random_unimodular_inverse_pair():
 
 
 def test_nonsingular_matches_rank():
-    # Bareiss elimination against the rank from rref: every 2x2 matrix with
-    # entries in [-2, 2], then seeded 3x3 to 6x6 ones, a share of them
-    # singular by construction (a product through a narrower middle).
+    # Mat.is_invertible, decided by linalg.independent_rows, against the
+    # rank from rref: every 2x2 matrix with entries in [-2, 2], then seeded
+    # 3x3 to 6x6 ones, a share of them singular by construction (a product
+    # through a narrower middle).
+    def nonsingular(rows):
+        m = Mat.from_ints(rows)
+        assert len(independent_rows(rows)) == m.rank()
+        return m.is_invertible()
+
     singular = 0
     for a, b, c, d in itertools.product(range(-2, 3), repeat=4):
         rows = [[a, b], [c, d]]
-        assert _nonsingular(rows) == Mat.from_ints(rows).is_invertible()
-        singular += not _nonsingular(rows)
+        assert nonsingular(rows) == (Mat.from_ints(rows).rank() == 2)
+        singular += not nonsingular(rows)
     assert singular == sum(
         1 for a, b, c, d in itertools.product(range(-2, 3), repeat=4) if a * d == b * c
     )
@@ -73,9 +78,9 @@ def test_nonsingular_matches_rank():
                 right = Mat.from_ints([[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)])
                 rows = [list(row) for row in (left * right).ints]
             copy = [row[:] for row in rows]
-            answer = _nonsingular(rows)
+            answer = nonsingular(rows)
             assert rows == copy
-            assert answer == Mat.from_ints(rows).is_invertible()
+            assert answer == (Mat.from_ints(rows).rank() == n)
             seen.add((n, answer))
     assert seen == {(n, answer) for n in range(3, 7) for answer in (True, False)}
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -43,20 +44,19 @@ EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 
 
-def _digest(path: Path) -> str:
-    return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _load_json(path: str) -> tuple[dict, str]:
-    """Read a JSON file. Every failure to read or decode it, the nesting
-    depth and Python's int-string digit limit included, is an InputError."""
-    p = Path(path)
+    """Read a JSON file and the sha256 digest of its bytes. The file is
+    read once, and the digest is of the same bytes that are decoded, as
+    UTF-8 with universal newlines, and parsed. Every failure to read or
+    decode it, the nesting depth and Python's int-string digit limit
+    included, is an InputError."""
     try:
-        text = p.read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(text), _digest(p)
+        return json.loads(text), "sha256:" + hashlib.sha256(data).hexdigest()
     except json.JSONDecodeError as exc:
         raise InputError(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}"
@@ -158,17 +158,20 @@ def cmd_periodic(args) -> int:
 def cmd_verify(args) -> int:
     result = run_verification(args.seed, args.count, max_dim=args.max_dim)
     report = {"command": "verify", **result.to_json()}
+    if result.ok:
+        _emit(report, args.text)
+        return EXIT_OK
+    # The reproducer is written before the report is printed, so a failed
+    # write ends in exit 2 with nothing on stdout.
+    repro = Path(args.reproducer)
+    text = json.dumps(result.violations[0].instance_json, sort_keys=True, indent=2)
+    try:
+        repro.write_text(text + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {repro}: {exc}") from exc
     _emit(report, args.text)
-    if not result.ok:
-        repro = Path(args.reproducer)
-        text = json.dumps(result.violations[0].instance_json, sort_keys=True, indent=2)
-        try:
-            repro.write_text(text + "\n", encoding="utf-8")
-        except OSError as exc:
-            raise InputError(f"cannot write {repro}: {exc}") from exc
-        print(f"reproducer written to {repro}", file=sys.stderr)
-        return EXIT_VIOLATION
-    return EXIT_OK
+    print(f"reproducer written to {repro}", file=sys.stderr)
+    return EXIT_VIOLATION
 
 
 def cmd_fixtures(args) -> int:

@@ -39,6 +39,13 @@ them in linalg:
 - U~: kernel_basis of the stacked (gW_i - id) pi, its own rref, so that
   the rank identity above is not true by construction.
 - rank(G K): one rref of the (d * dim_U) x m matrix G K.
+
+The decomposition of one target w, once per target rather than once per
+choice of the u_jk (Decomposer):
+
+- the preimage u0 of w: one Reduction of [pi | w];
+- the coefficients of each (g_j - id)u0 in the chosen basis of ker pi: one
+  Reduction of [K^T | (g_1 - id)u0 ... (g_d - id)u0].
 """
 
 from __future__ import annotations
@@ -255,17 +262,16 @@ def _reduce_moves(inst: LinearInstance, basis: Mat) -> Reduction:
 
 def _slot_solutions(
     inst: LinearInstance, basis: Mat, reduction: Reduction
-) -> Optional[list[list[tuple[Fraction, ...]]]]:
-    """ujk[j][k] with G ujk[j][k] the target u_k in slot j and every free
-    variable zero, read off the Reduction of [G | T] for `basis`, or None
-    when condition (ii) fails. T holds the integer rows of basis, so each
-    target is over basis.den."""
+) -> Optional[list[list[tuple[int, list[int]]]]]:
+    """ujk[j][k] = (den, x) with G x/den the target u_k in slot j and every
+    free variable zero, read off the Reduction of [G | T] for `basis`, or
+    None when condition (ii) fails. T holds the integer rows of basis, so
+    each target is over basis.den."""
     m = basis.rows
     sols = [reduction.solution(t, basis.den) for t in range(inst.d * m)]
     if None in sols:
         return None
-    xs = [tuple([_frac(v, den) for v in x]) for den, x in sols]
-    return [xs[j * m : (j + 1) * m] for j in range(inst.d)]
+    return [sols[j * m : (j + 1) * m] for j in range(inst.d)]
 
 
 def _stacked_kernel(blocks: Sequence[Mat], dim: int) -> Subspace:
@@ -354,6 +360,13 @@ def verify_iff(inst: LinearInstance) -> IffReport:
     return IffReport(m, d, dim, ci, cii, bound_ok, iff_ok)
 
 
+def slot_solutions(inst: LinearInstance) -> Optional[list[list[tuple[int, list[int]]]]]:
+    """find_ujk on the canonical basis of ker pi, in integers: ujk[j][k] is
+    (den, x), not reduced, with u_jk = x / den. They are read off the kept
+    `moves_reduction`, so this runs no rref."""
+    return _slot_solutions(inst, inst.kernel.basis, inst.moves_reduction)
+
+
 def find_ujk(
     inst: LinearInstance, kernel_basis_choice: Sequence[Sequence]
 ) -> Optional[list[list[tuple[Fraction, ...]]]]:
@@ -363,21 +376,25 @@ def find_ujk(
     right-hand sides of one system in the stacked (g_i - id) map, reduced
     by one linalg.Reduction of [G | T], and each solution sets the free
     variables to zero. For the canonical basis of ker pi this reads the
-    instance's kept reduction, so it runs no rref; another basis costs one
-    rref to check that it spans ker pi and one for its own [G | T]. Returns
-    ujk[j][k], or None when some target is inconsistent, which happens
-    exactly when condition (ii) fails.
+    instance's kept reduction (slot_solutions), so it runs no rref; another
+    basis costs one rref to check that it spans ker pi and one for its own
+    [G | T]. Returns ujk[j][k], or None when some target is inconsistent,
+    which happens exactly when condition (ii) fails.
     """
     basis = [vec(u) for u in kernel_basis_choice]
     ker = inst.kernel
     if tuple(basis) == ker.basis_vectors():
-        return _slot_solutions(inst, ker.basis, inst.moves_reduction)
-    if len(basis) != ker.dim or Subspace(inst.dim_U, basis) != ker:
+        ujk = slot_solutions(inst)
+    elif len(basis) != ker.dim or Subspace(inst.dim_U, basis) != ker:
         raise PreconditionError(
             "kernel-basis", "supplied vectors are not a basis of ker pi"
         )
-    chosen = Mat(basis, cols=inst.dim_U)
-    return _slot_solutions(inst, chosen, _reduce_moves(inst, chosen))
+    else:
+        chosen = Mat(basis, cols=inst.dim_U)
+        ujk = _slot_solutions(inst, chosen, _reduce_moves(inst, chosen))
+    if ujk is None:
+        return None
+    return [[tuple([_frac(v, den) for v in x]) for den, x in row] for row in ujk]
 
 
 @dataclass(frozen=True)
@@ -396,6 +413,80 @@ class Decomposition:
         }
 
 
+class Decomposer:
+    """The integer core of the decomposition of one invariant image vector
+    w = w_ints / den_w in one basis of ker pi, the rows of `kernel`.
+
+    It solves pi u0 = w once, checks that w is fixed by the action, and
+    solves the coordinates a_j of each (g_j - id)u0 in the basis once; the
+    coefficients do not depend on the u_jk. assemble then builds
+    sum a_{j,k} u_{j,k} and the invariant part for any choice of the u_jk,
+    and checks both properties. Refusals are PreconditionErrors, with the
+    codes `not-in-image`, `not-invariant` and `kernel-escape` in that
+    order; a failed property check is an AssertionError.
+    """
+
+    __slots__ = ("_inst", "_den_w", "_w", "_den_0", "_u0", "coefficients")
+
+    def __init__(
+        self, inst: LinearInstance, den_w: int, w_ints: Sequence[int], kernel: Mat
+    ):
+        (sol,) = _solve_ints(inst.pi, [(den_w, w_ints)])
+        if sol is None:
+            raise PreconditionError("not-in-image", "w is not in the image of pi")
+        if any(_moved(move, w_ints) for move in inst.moves_W):
+            raise PreconditionError("not-invariant", "w is not fixed by the action")
+        den_0, u0 = sol
+        coeffs = _solve_ints(
+            kernel.transpose(),
+            [(move.den * den_0, _apply(move, u0)) for move in inst.moves_U],
+        )
+        if None in coeffs:
+            raise PreconditionError(
+                "kernel-escape",
+                "(g - id)u0 left ker pi; conditions (i)/(ii) do not hold",
+            )
+        self._inst = inst
+        self._den_w, self._w = den_w, w_ints
+        self._den_0, self._u0 = den_0, u0
+        # One (den_a, a) per generator j, with a_{j,k} = a[k] / den_a.
+        self.coefficients: list[tuple[int, list[int]]] = coeffs
+
+    def assemble(
+        self, ujk: Sequence[Sequence[tuple[int, Sequence[int]]]]
+    ) -> tuple[int, list[int], list[int]]:
+        """(den, u, preimage) with u the invariant part u0 - sum a_{j,k}
+        u_{j,k} and preimage = u + sum a_{j,k} u_{j,k}, both integer
+        vectors over den, for ujk[j][k] = (den_u, x) meaning x / den_u.
+        Raises AssertionError when u is not fixed by every generator or pi
+        of the preimage is not w."""
+        inst = self._inst
+        # The nonzero terms a_{j,k} u_{j,k}, each as (a, den_t, u) with the
+        # term equal to a * u / den_t for integers a and u.
+        terms = []
+        for j, (den_a, a_ints) in enumerate(self.coefficients):
+            for k, a in enumerate(a_ints):
+                if a:
+                    den_u, u_ints = ujk[j][k]
+                    terms.append((a, den_a * den_u, u_ints))
+        den_0 = self._den_0
+        den = lcm(den_0, *[t[1] for t in terms])
+        periods = [0] * inst.dim_U
+        for a, den_t, u_ints in terms:
+            k = a * (den // den_t)
+            periods = [x + k * y for x, y in zip(periods, u_ints)]
+        scale = den // den_0
+        u_inv = [scale * x - y for x, y in zip(self._u0, periods)]
+        if any(_moved(move, u_inv) for move in inst.moves_U):
+            raise AssertionError("invariant part not fixed")
+        preimage = [x + y for x, y in zip(u_inv, periods)]
+        image = _apply(inst.pi, preimage)
+        den_w = self._den_w
+        if [den_w * x for x in image] != [inst.pi.den * den * x for x in self._w]:
+            raise AssertionError("reconstruction failed")
+        return den, u_inv, preimage
+
+
 def decompose(
     inst: LinearInstance,
     w: Sequence,
@@ -406,51 +497,18 @@ def decompose(
 
     The coefficients come from expressing each (g_j - id)u0 in the chosen
     kernel basis, where u0 is the deterministic preimage of w. They do not
-    depend on the particular ujk solutions. Everything runs on integer
-    vectors over one denominator; Fractions are made only for the result.
+    depend on the particular ujk solutions. The work is a Decomposer's, on
+    integer vectors over one denominator; Fractions are made only for the
+    result.
     """
     w = vec(w)
-    den_w, w_ints = _cleared(w)
-    (sol,) = _solve_ints(inst.pi, [(den_w, w_ints)])
-    if sol is None:
-        raise PreconditionError("not-in-image", "w is not in the image of pi")
-    if any(_moved(move, w_ints) for move in inst.moves_W):
-        raise PreconditionError("not-invariant", "w is not fixed by the action")
-    den_0, u0 = sol
-    basis = [vec(u) for u in kernel_basis_choice]
-    kmat = Mat.from_cols(basis) if basis else Mat.zeros(inst.dim_U, 0)
-    coeffs = _solve_ints(
-        kmat, [(move.den * den_0, _apply(move, u0)) for move in inst.moves_U]
+    kernel = Mat([vec(u) for u in kernel_basis_choice], cols=inst.dim_U)
+    core = Decomposer(inst, *_cleared(w), kernel)
+    den, u_inv, preimage = core.assemble(
+        [[_cleared(u) for u in row] for row in ujk]
     )
-    if None in coeffs:
-        raise PreconditionError(
-            "kernel-escape",
-            "(g - id)u0 left ker pi; conditions (i)/(ii) do not hold",
-        )
-    # The nonzero terms a_{j,k} u_{j,k}, each as (a, den_t, u) with the
-    # term equal to a * u / den_t for integers a and u.
-    terms = []
-    for j, (den_a, a_ints) in enumerate(coeffs):
-        for k, a in enumerate(a_ints):
-            if a:
-                den_u, u_ints = _cleared(ujk[j][k])
-                terms.append((a, den_a * den_u, u_ints))
-    den = lcm(den_0, *[t[1] for t in terms])
-    periods = [0] * inst.dim_U
-    for a, den_t, u_ints in terms:
-        k = a * (den // den_t)
-        periods = [x + k * y for x, y in zip(periods, u_ints)]
-    scale = den // den_0
-    u_inv = [scale * x - y for x, y in zip(u0, periods)]
-    for move in inst.moves_U:
-        assert not _moved(move, u_inv), "invariant part not fixed"
-    preimage = [x + y for x, y in zip(u_inv, periods)]
-    image = _apply(inst.pi, preimage)
-    assert [den_w * x for x in image] == [
-        inst.pi.den * den * x for x in w_ints
-    ], "reconstruction failed"
     return Decomposition(
-        tuple([tuple([_frac(x, den_a) for x in a]) for den_a, a in coeffs]),
+        tuple([tuple([_frac(x, den_a) for x in a]) for den_a, a in core.coefficients]),
         tuple([_frac(x, den) for x in u_inv]),
         tuple([_frac(x, den) for x in preimage]),
         w,

@@ -342,8 +342,10 @@ def decompose_periodic(pg: PeriodicGraph, w: Cochain1) -> PeriodicDecomposition:
     periods = _reconstruct_ints(pg, a_int, [0] * pg.quotient.n_vertices)
     residual = [x - p for x, p in zip(w_int, periods)]
     f_int = closed_potential(pg.quotient, residual)
-    assert f_int is not None, "residual 1-form must be exact on the quotient"
-    assert _reconstruct_ints(pg, a_int, f_int) == w_int
+    if f_int is None:
+        raise AssertionError("residual 1-form must be exact on the quotient")
+    if _reconstruct_ints(pg, a_int, f_int) != w_int:
+        raise AssertionError
     den = den_w * den_a
     a = tuple(tuple(_frac(row[j], den) for row in a_int) for j in range(pg.d))
     return PeriodicDecomposition(

@@ -10,14 +10,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import VERIFY_BUDGET, InputError, PreconditionError
 from .graphs import Graph, GraphAction, to_instance
-from .instance import LinearInstance, decompose, find_ujk, u_tilde, verify_iff
-from .linalg import Mat, Subspace
+from .instance import (
+    Decomposer,
+    LinearInstance,
+    _apply,
+    slot_solutions,
+    verify_iff,
+)
+from .linalg import Mat
 
 MAX_GENS = 3  # most generators of a random linear instance
 
@@ -145,27 +150,29 @@ def _conjugated(
 
     P and Q are never formed: their row operations, and the inverses as
     column operations, are applied to each matrix directly (_conjugate),
-    one pass over a row or a column per operation. The asserts need no
-    elimination. The
-    inverse operations must undo the operations on the identity, which is
-    P P^-1 = I and Q Q^-1 = I. Each g0 is block triangular with diagonal
-    blocks that are identities or checked by random_invertible, so it is
-    invertible, and so is its conjugate; equivariance is checked on the
-    conjugates themselves by dense products. The full validate runs in the
-    tests, on many seeded draws.
+    one pass over a row or a column per operation. The checks need no
+    elimination, and they raise AssertionError explicitly, so they run
+    under python -O too. The inverse operations must undo the operations
+    on the identity, which is P P^-1 = I and Q Q^-1 = I. Each g0 is block
+    triangular with diagonal blocks that are identities or checked by
+    random_invertible, so it is invertible, and so is its conjugate;
+    equivariance is checked on the conjugates themselves by dense products.
+    The full validate runs in the tests, on many seeded draws.
     """
     dim_u, dim_w = pi0.cols, pi0.rows
     ops_u = _elementary_ops(rng, dim_u)
     ops_w = _elementary_ops(rng, dim_w)
     for ops, ident in ((ops_u, Mat.identity(dim_u)), (ops_w, Mat.identity(dim_w))):
-        assert _conjugate(ops, ops, ident) == ident, "the inverse operations do not undo"
+        if _conjugate(ops, ops, ident) != ident:
+            raise AssertionError("the inverse operations do not undo")
     pi = _conjugate(ops_w, ops_u, pi0)
     gens = tuple(
         (_conjugate(ops_u, ops_u, gu0), _conjugate(ops_w, ops_w, gw0))
         for gu0, gw0 in gens0
     )
     for i, (gu, gw) in enumerate(gens):
-        assert pi * gu == gw * pi, f"generator {i}: equivariance fails"
+        if pi * gu != gw * pi:
+            raise AssertionError(f"generator {i}: equivariance fails")
     return LinearInstance(dim_u, dim_w, pi, gens, {})
 
 
@@ -298,23 +305,15 @@ class VerifyResult:
         }
 
 
-def _random_combination(
-    rng: random.Random, space: Subspace, bound: int
-) -> tuple[Fraction, ...]:
-    """sum_i c_i b_i over the canonical basis b_i of `space`, each c_i drawn
-    in turn from [-bound, bound]."""
-    coeffs = [rng.randint(-bound, bound) for _ in range(space.dim)]
-    return (Mat.from_ints([coeffs], cols=space.dim) * space.basis).row(0)
-
-
-def _random_invariant_image_vector(
-    rng: random.Random, inst: LinearInstance
-) -> Optional[tuple[Fraction, ...]]:
-    """Random w in im(pi) fixed by the action, as pi of a random preimage."""
-    ut = u_tilde(inst)
-    if ut.dim == 0:
-        return None
-    return inst.pi.mulvec(_random_combination(rng, ut, 3))
+def _combination(rng: random.Random, basis: Mat, bound: int) -> list[int]:
+    """sum_i c_i b_i over the integer rows b_i of `basis`, each c_i drawn in
+    turn from [-bound, bound]: an integer vector over basis.den."""
+    coeffs = [rng.randint(-bound, bound) for _ in range(basis.rows)]
+    out = [0] * basis.cols
+    for c, row in zip(coeffs, basis.ints):
+        if c:
+            out = [x + c * y for x, y in zip(out, row)]
+    return out
 
 
 def check_one_instance(
@@ -322,7 +321,15 @@ def check_one_instance(
 ) -> None:
     """Flag the bound/iff failures that verify_iff reports and, when
     possible, run a decomposition round-trip with a coefficient-invariance
-    shift."""
+    shift.
+
+    The round trip runs on integers: w = pi u for a random integer
+    combination u of the basis of U~ = pi^-1(W^G), the u_jk are the slot
+    solutions of the canonical basis of ker pi, and one Decomposer of w
+    assembles both those u_jk and the u_jk shifted by random fixed
+    vectors. Its coefficients do not depend on the u_jk, so the shifted
+    ones must pass the same two checks with the same coefficients.
+    """
     iff = verify_iff(inst)
     m, d, dim = iff.m, iff.d, iff.dim
     ci, cii = iff.condition_i, iff.condition_ii
@@ -341,33 +348,39 @@ def check_one_instance(
 
     if not (ci and cii and m > 0):
         return
-    kernel_vecs = [list(v) for v in inst.kernel.basis_vectors()]
-    ujk = find_ujk(inst, kernel_vecs)
+    ujk = slot_solutions(inst)
     if ujk is None:
         flag("find-ujk", "condition (ii) holds but the ujk solve failed")
         return
-    w = _random_invariant_image_vector(rng, inst)
-    if w is None:
-        return
+    # ker pi lies in U~, so U~ is not zero.
+    ut = inst.fixed_preimage.basis
+    u = _combination(rng, ut, 3)
+    w = _apply(inst.pi, u)  # pi u, over inst.pi.den * ut.den
+    core = Decomposer(inst, inst.pi.den * ut.den, w, inst.kernel.basis)
     try:
-        dec = decompose(inst, w, ujk, kernel_vecs)
+        core.assemble(ujk)
     except AssertionError as exc:
         flag("decompose", str(exc))
         return
     result.decompositions += 1
-    # Shift every ujk by a random fixed vector: coefficients must not move.
-    if inst.fixed_U.dim == 0:
+    # Shift every ujk by a random fixed vector: the same coefficients must
+    # still decompose w.
+    fixed = inst.fixed_U.basis
+    if fixed.rows == 0:
         return
-    shifted = [
-        [
-            tuple(x + y for x, y in zip(u, _random_combination(rng, inst.fixed_U, 2)))
-            for u in row
-        ]
-        for row in ujk
-    ]
-    dec2 = decompose(inst, w, shifted, kernel_vecs)
-    if dec2.coefficients != dec.coefficients:
-        flag("shift-invariance", "coefficients changed under a fixed-vector shift")
+    shifted = []
+    for row in ujk:
+        out = []
+        for den_u, x in row:
+            s = _combination(rng, fixed, 2)
+            out.append(
+                (den_u * fixed.den, [fixed.den * a + den_u * b for a, b in zip(x, s)])
+            )
+        shifted.append(out)
+    try:
+        core.assemble(shifted)
+    except AssertionError as exc:
+        flag("shift-invariance", f"{exc} under a fixed-vector shift")
 
 
 def run_verification(seed: int, count: int, max_dim: int = 6) -> VerifyResult:

@@ -1,4 +1,7 @@
+import hashlib
 import json
+import os
+import pathlib
 import resource
 import subprocess
 import sys
@@ -8,7 +11,8 @@ import pytest
 
 import eqcohom.instance
 import eqcohom.randomized
-from eqcohom.cli import main
+from eqcohom.cli import _load_json, main
+from eqcohom.errors import InputError
 from eqcohom.instance import check_condition_ii
 from eqcohom.randomized import run_verification
 
@@ -60,6 +64,44 @@ def test_analyze_malformed_json(tmp_path):
     code, out, err = run_cli(["analyze", str(bad)])
     assert code == 2
     assert "line 1" in err
+
+
+def test_load_json_reads_each_input_once(monkeypatch, tmp_path):
+    # The file is opened once, and the digest is the sha256 of the bytes
+    # that were parsed, even when the file is replaced right after that
+    # open.
+    path = tmp_path / "in.json"
+    first = b'{"a": [1, 2]}\r\n'
+    path.write_bytes(first)
+    opened = []
+    real_open = pathlib.Path.open
+
+    def open_then_replace(self, *args, **kwargs):
+        handle = real_open(self, *args, **kwargs)
+        opened.append(self)
+        if len(opened) == 1:
+            nxt = tmp_path / "next.json"
+            with real_open(nxt, "wb") as f:
+                f.write(b'{"a": 3}')
+            os.replace(nxt, path)
+        return handle
+
+    monkeypatch.setattr(pathlib.Path, "open", open_then_replace)
+    obj, digest = _load_json(str(path))
+    assert opened == [path]
+    assert obj == {"a": [1, 2]}
+    assert digest == "sha256:" + hashlib.sha256(first).hexdigest()
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+def test_load_json_reads_universal_newlines(tmp_path, newline):
+    # Every newline convention counts as a line break in the error's line
+    # and column.
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"{" + newline + b'"dim_U": 2,,}')
+    with pytest.raises(InputError) as err:
+        _load_json(str(bad))
+    assert str(err.value) == f"malformed JSON in {bad} at line 2, column 12"
 
 
 @pytest.mark.parametrize(
@@ -378,9 +420,36 @@ def test_verify_unwritable_reproducer_exit_2(monkeypatch, tmp_path, capsys):
     code = main(["verify", "--seed", "7", "--count", "60", "--reproducer", str(tmp_path)])
     out, err = capsys.readouterr()
     assert code == 2
-    assert json.loads(out)["ok"] is False
+    # The reproducer is written before the report: a failed write leaves
+    # no violation report on stdout.
+    assert out == ""
     assert err.startswith(f"input error: cannot write {tmp_path}: ")
     assert err.count("\n") == 1
+
+
+def test_verify_flags_a_shift_that_is_not_fixed(monkeypatch, tmp_path, capsys):
+    # A u_jk shift drawn off U^G moves the invariant part of the shifted
+    # decomposition: verify flags it as a violation, writes the reproducer
+    # and exits 1, with no traceback.
+    combination = eqcohom.randomized._combination
+
+    def off_fixed(rng, basis, bound):
+        out = combination(rng, basis, bound)
+        return [x + 1 for x in out] if bound == 2 else out
+
+    monkeypatch.setattr(eqcohom.randomized, "_combination", off_fixed)
+    repro = tmp_path / "repro.json"
+    code = main(["verify", "--seed", "7", "--count", "60", "--reproducer", str(repro)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    report = json.loads(out)
+    assert report["ok"] is False and report["checked"] == 60
+    assert report["violations"]
+    for v in report["violations"]:
+        assert v["kind"] == "shift-invariance"
+        assert v["detail"] == "invariant part not fixed under a fixed-vector shift"
+    assert set(json.loads(repro.read_text())) == {"dim_U", "dim_W", "pi", "generators"}
+    assert err == f"reproducer written to {repro}\n"
 
 
 def test_text_mode(tmp_path):

@@ -21,7 +21,9 @@ from eqcohom.fixtures import (
 )
 from eqcohom.graphs import to_instance
 from eqcohom.instance import (
+    Decomposer,
     LinearInstance,
+    _apply,
     _power,
     check_condition_i,
     check_condition_ii,
@@ -31,6 +33,7 @@ from eqcohom.instance import (
     find_ujk,
     gbar_map,
     oracle_quotient_dim,
+    slot_solutions,
     u_tilde,
     validate,
     verify_iff,
@@ -424,6 +427,63 @@ def test_decompose_error_codes():
     with pytest.raises(PreconditionError) as err:
         decompose(inst2, [1, 0], ujk2, [])
     assert err.value.code == "not-invariant"
+
+
+def test_decompose_refuses_a_corrupt_ujk():
+    # A u_jk that is not a slot solution leaves an invariant part that the
+    # generator moves. The check is an explicit raise, so it holds under
+    # python -O too.
+    inst = shear_instance()
+    kb = [[0, 1]]
+    ((u,),) = find_ujk(inst, kb)
+    corrupt = [[tuple(x + 1 for x in u)]]
+    with pytest.raises(AssertionError, match="invariant part not fixed"):
+        decompose(inst, [1], corrupt, kb)
+
+
+def test_decompose_matches_the_integer_core():
+    # On seeded instances with the canonical basis of ker pi, the public
+    # decompose (Fractions in and out) gives the coefficients, invariant
+    # part and preimage of the Decomposer that verify runs on integers,
+    # for the slot solutions and for them shifted by a fixed vector.
+    rng = random.Random(31)
+    seen = shifted_seen = 0
+    for i in range(400):
+        inst = random_linear_instance(rng, max_dim=2 + i % 5)
+        ujk_ints = slot_solutions(inst)
+        if inst.m == 0 or not check_condition_i(inst) or ujk_ints is None:
+            continue
+        ut = inst.fixed_preimage.basis
+        coeffs = [rng.randint(-3, 3) for _ in range(ut.rows)]
+        u = [sum(c * row[k] for c, row in zip(coeffs, ut.ints)) for k in range(ut.cols)]
+        den_w, w_ints = inst.pi.den * ut.den, _apply(inst.pi, u)
+        w = [Fraction(x, den_w) for x in w_ints]
+        core = Decomposer(inst, den_w, w_ints, inst.kernel.basis)
+        kb = [list(v) for v in inst.kernel.basis_vectors()]
+        choices = [(ujk_ints, find_ujk(inst, kb))]
+        fixed = inst.fixed_U.basis
+        if fixed.rows:
+            f = fixed.ints[0]
+            choices.append(
+                (
+                    [[(den * fixed.den, [fixed.den * x + den * y for x, y in zip(v, f)])
+                      for den, v in row] for row in ujk_ints],
+                    [[tuple(x + Fraction(y, fixed.den) for x, y in zip(v, f)) for v in row]
+                     for row in find_ujk(inst, kb)],
+                )
+            )
+            shifted_seen += 1
+        for ints, fracs in choices:
+            den, u_inv, preimage = core.assemble(ints)
+            dec = decompose(inst, w, fracs, kb)
+            assert dec.coefficients == tuple(
+                tuple(Fraction(x, den_a) for x in a) for den_a, a in core.coefficients
+            )
+            assert dec.invariant_part == tuple(Fraction(x, den) for x in u_inv)
+            assert dec.preimage == tuple(Fraction(x, den) for x in preimage)
+            assert dec.target == tuple(w)
+        seen += 1
+    assert seen >= 60 and shifted_seen >= 30
 
 
 def test_decompose_coefficients_invariant_under_ujk_shift():

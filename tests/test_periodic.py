@@ -190,6 +190,22 @@ def test_decompose_roundtrip():
             assert reconstruct(pg, dec.a, dec.f).values == w.values
 
 
+def test_decompose_property_checks_are_explicit(monkeypatch):
+    # The exact-residual and round-trip checks raise AssertionError
+    # themselves, so they hold under python -O too: a potential that is
+    # missing or wrong is refused.
+    pg = hex_periodic()
+    w = Cochain1.make([Fraction(1, 3), 2, Fraction(-1, 2)])
+    monkeypatch.setattr(periodic, "closed_potential", lambda graph, values: None)
+    with pytest.raises(AssertionError, match="residual 1-form must be exact"):
+        decompose_periodic(pg, w)
+    monkeypatch.setattr(
+        periodic, "closed_potential", lambda graph, values: [1] * graph.n_vertices
+    )
+    with pytest.raises(AssertionError):
+        decompose_periodic(pg, w)
+
+
 def test_decompose_refuses_non_closed_action():
     for pg in (square_index2_periodic(), halfline_periodic()):
         w = Cochain1.make([0] * pg.quotient.n_edges)

@@ -4,6 +4,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 import eqcohom.instance
 import eqcohom.linalg
 import eqcohom.randomized
@@ -122,6 +124,33 @@ def test_conjugation_by_operations_matches_dense_products(monkeypatch):
         assert old.getstate() == new.getstate()
 
 
+def test_conjugated_checks_are_explicit(monkeypatch):
+    # _conjugated's two checks raise AssertionError themselves, so they hold
+    # under python -O too: inverse operations that do not undo, and a
+    # conjugated pi off by one entry, are both refused.
+    apply_ops = eqcohom.randomized._apply_ops
+    conjugate = eqcohom.randomized._conjugate
+
+    def no_inverse(ops, rows, inverse=False):
+        return list(rows) if inverse else apply_ops(ops, rows)
+
+    def pi_off_by_one(left, right, m):
+        out = conjugate(left, right, m)
+        if left is right:
+            return out
+        ints = [list(row) for row in out.ints]
+        ints[0][0] += out.den
+        return Mat._new(tuple(map(tuple, ints)), out.den, out.cols)
+
+    monkeypatch.setattr(eqcohom.randomized, "_apply_ops", no_inverse)
+    with pytest.raises(AssertionError, match="the inverse operations do not undo"):
+        random_linear_instance(random.Random(0))
+    monkeypatch.undo()
+    monkeypatch.setattr(eqcohom.randomized, "_conjugate", pi_off_by_one)
+    with pytest.raises(AssertionError, match="generator 0: equivariance fails"):
+        random_linear_instance(random.Random(0))
+
+
 def test_fixed_spaces_and_kernel_built_once(monkeypatch):
     # verify_iff, find_ujk and decompose build ker pi and U~ = pi^-1(W^G)
     # once each, and the rref of [G | T] behind U^G, condition (ii) and the
@@ -180,21 +209,31 @@ def test_verify_runs_no_subspace_oracle(monkeypatch):
 
 def test_verify_rref_budget_per_request(monkeypatch):
     # With one rref per kernel, the quotient dimension read off ranks, one
-    # rref of [G | T] per instance for U^G, condition (ii) and the ujk, and
-    # no rref in the generator, a `verify --count 10` request runs about 55
-    # rrefs (seeds 0-19).
+    # rref of [G | T] per instance for U^G, condition (ii) and the ujk, no
+    # rref in the generator, and the decomposition's two solves run once
+    # per target rather than once per choice of the ujk, a
+    # `verify --count 10` request runs about 50 rrefs and 56 matrix
+    # products (seeds 0-19).
     calls = []
+    products = []
     rref = eqcohom.linalg.rref
+    mul = Mat.__mul__
 
     def counted(m):
         calls.append(1)
         return rref(m)
 
+    def counted_mul(a, b):
+        products.append(1)
+        return mul(a, b)
+
     monkeypatch.setattr(eqcohom.linalg, "rref", counted)
+    monkeypatch.setattr(Mat, "__mul__", counted_mul)
     seeds = range(20)
     for seed in seeds:
         assert run_verification(seed, 10).ok
-    assert len(calls) <= 60 * len(seeds)
+    assert len(calls) <= 52 * len(seeds)
+    assert len(products) <= 60 * len(seeds)
 
 
 def test_smallest_max_dim_draws():

@@ -21,12 +21,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import GRAPH_BUDGET, InputError, PreconditionError
 from .instance import LinearInstance
-from .linalg import Mat, integer, json_list, rat, rat_str, vec
+from .linalg import Mat, _cleared, _frac, integer, json_list, rat_str, vec
 
 GROUP_CLOSURE_CAP = 100000
 
@@ -182,47 +182,91 @@ class Cochain0:
         return {str(i): rat_str(v) for i, v in enumerate(self.values)}
 
 
-@dataclass(frozen=True)
 class Cochain1:
-    values: tuple[Fraction, ...]  # indexed by stored edge position
+    """A 1-cochain, indexed by stored edge position, kept as `Mat` keeps its
+    entries: the integers `ints` over one positive common denominator
+    `den`, in lowest terms, so equality compares integers. The Fraction
+    `values` are built on first use; equality and hashing are those of
+    the values."""
+
+    __slots__ = ("den", "ints", "_values")
+
+    def __init__(self, values: Sequence):
+        """Values are ints, Fractions or "p/q" strings (see linalg.rat)."""
+        den, ints = _cleared(values)
+        self.den, self.ints, self._values = den, tuple(ints), None
 
     @classmethod
     def make(cls, values: Sequence) -> "Cochain1":
-        return cls(vec(values))
+        return cls(values)
+
+    @classmethod
+    def from_ints(cls, den: int, ints: Sequence[int]) -> "Cochain1":
+        """The cochain ints / den, for a positive den."""
+        g = gcd(den, *ints)
+        if g > 1:
+            den, ints = den // g, [x // g for x in ints]
+        w = object.__new__(cls)
+        w.den, w.ints, w._values = den, tuple(ints), None
+        return w
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        if self._values is None:
+            den = self.den
+            self._values = tuple([_frac(x, den) for x in self.ints])
+        return self._values
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.den == other.den and self.ints == other.ints
+
+    def __hash__(self) -> int:
+        return hash((self.values,))
+
+    def __repr__(self) -> str:
+        return f"Cochain1(values={self.values!r})"
 
     @classmethod
     def from_json(cls, graph: Graph, obj, forbid_loop_values: bool = True) -> "Cochain1":
         """Read a list of values in stored edge order, or an object keyed by
         edge id, bare or as {"values": {...}}. An object must name every
         edge and nothing else: a key that names no edge is refused, and so
-        is a key beside "values"."""
+        is a key beside "values". Values are read straight to integers over
+        one denominator (linalg._cleared): the same values, and the same
+        errors, as reading each one with linalg.rat."""
         try:
             if isinstance(obj, dict):
                 src = obj["values"] if "values" in obj else obj
                 if type(src) is not dict:
                     raise TypeError("1-cochain values are not a JSON object")
-                vals = [rat(src[str(e.id)]) for e in graph.edges]
+                keys = [str(e.id) for e in graph.edges]
+                # Lazily, so a missing key and a bad value are met in edge order.
+                den, ints = _cleared(map(src.__getitem__, keys))
             else:
-                vals = [rat(x) for x in json_list(obj)]
+                den, ints = _cleared(json_list(obj))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad 1-cochain JSON: {exc}") from exc
         if isinstance(obj, dict):
-            ids = {str(e.id) for e in graph.edges}
-            unknown = sorted(key for key in src if key not in ids)
-            if unknown:
+            # Every edge's key is in src, so src has more keys iff some
+            # name no edge.
+            if len(src) != len(keys):
+                ids = set(keys)
+                unknown = sorted(key for key in src if key not in ids)
                 raise InputError(
                     f"1-cochain keys name no edge of the graph: {', '.join(unknown)}"
                 )
             beside = [] if src is obj else sorted(key for key in obj if key != "values")
             if beside:
                 raise InputError(f'1-cochain keys beside "values": {", ".join(beside)}')
-        if len(vals) != graph.n_edges:
+        if len(ints) != graph.n_edges:
             raise InputError("1-cochain length does not match edge count")
         if forbid_loop_values:
-            for e, v in zip(graph.edges, vals):
-                if e.o == e.t and v != 0:
+            for e, x in zip(graph.edges, ints):
+                if e.o == e.t and x:
                     raise InputError(f"loop edge {e.id} must carry value 0")
-        return cls(tuple(vals))
+        return cls.from_ints(den, ints)
 
     def to_json(self, graph: Graph) -> dict:
         return {str(e.id): rat_str(v) for e, v in zip(graph.edges, self.values)}
@@ -279,15 +323,25 @@ class GraphAction:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GraphAction":
+        """Read "generators" and the optional "orders", an object keyed by
+        generator index. As with 1-cochain and voltage keys, an order key
+        must be the index exactly as str(index) writes it, so "00" and " 0"
+        are refused rather than read as generator 0."""
         try:
             gens = tuple(
                 tuple(integer(x) for x in json_list(p))
                 for p in json_list(obj["generators"])
             )
-            orders = {
-                integer(i): integer(n) for i, n in (obj.get("orders") or {}).items()
-            }
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            given = obj.get("orders") or {}
+            if type(given) is not dict:
+                raise TypeError('"orders" is not a JSON object')
+            orders = {}
+            for key, n in given.items():
+                i = integer(key)
+                if str(i) != key:
+                    raise ValueError(f"order key {key!r} is not a generator index")
+                orders[i] = integer(n)
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad action JSON: {exc}") from exc
         return cls(gens, orders)
 

@@ -11,12 +11,15 @@ vectors leave the module (`Mat.data`, built on first use, `mulvec` and
 which makes equality and containment purely syntactic.
 
 Every elimination of the package runs here: `rref`, the `Reduction` of an
-augmented system that every solve reads, and `independent_rows`, which
-picks independent rows and decides nonsingularity.
+augmented system that every solve reads, `independent_rows`, which picks
+independent rows and decides nonsingularity, and `hermite_normal_form`,
+the one lattice routine, which reduces over Z and names the rows that
+opened its pivots.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -24,6 +27,8 @@ from typing import Iterable, Optional, Sequence
 
 _ZERO = Fraction(0)
 _SMALL = {-1: Fraction(-1), 0: _ZERO, 1: Fraction(1)}
+# The strings read with int(): on these, int() and Fraction() agree.
+_int_literal = re.compile(r"-?[0-9]+").fullmatch
 
 
 def rat(value) -> Fraction:
@@ -38,8 +43,7 @@ def rat(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
-        digits = value[1:] if value[:1] == "-" else value
-        if not (digits.isascii() and digits.isdigit()):
+        if not _int_literal(value):
             try:
                 return Fraction(value)
             except ZeroDivisionError:
@@ -88,8 +92,15 @@ def vec(values) -> tuple[Fraction, ...]:
 
 def _cleared(values) -> tuple[int, list[int]]:
     """(den, ints) with values == ints / den for a vector of exact
-    rationals entering the module; den is the lcm of the denominators."""
-    v = [x if type(x) is int else rat(x) for x in values]
+    rationals entering the module (anything rat reads), in lowest terms:
+    den is the lcm of the reduced denominators. Ints and -?[0-9]+ strings
+    are read as ints, with no Fraction made; every other entry goes
+    through rat, so the same entries are accepted with the same values and
+    refused with the same errors, the first bad entry first."""
+    v = [
+        x if type(x) is int else int(x) if type(x) is str and _int_literal(x) else rat(x)
+        for x in values
+    ]
     den = lcm(*[x.denominator for x in v])
     if den == 1:
         return 1, [x.numerator for x in v]
@@ -342,19 +353,15 @@ def rref(m: Mat) -> tuple[Mat, list[int]]:
     return Mat._new(*_lowest(tuple(out), den), n_cols), pivots
 
 
-def independent_rows(
-    rows: Sequence[Sequence[int]], stop: Optional[int] = None
-) -> list[int]:
+def independent_rows(rows: Sequence[Sequence[int]]) -> list[int]:
     """Positions of the integer rows that are independent of the rows
-    before them, found greedily in order by fraction-free elimination and
-    stopping once `stop` are found: the pivot columns of the rref of the
-    transpose. Each kept row is reduced against the kept rows before it,
-    so its first nonzero entry is zero in every row kept after it."""
+    before them, found greedily in order by fraction-free elimination: the
+    pivot columns of the rref of the transpose. Each kept row is reduced
+    against the kept rows before it, so its first nonzero entry is zero in
+    every row kept after it."""
     chosen: list[int] = []
     basis: list[tuple[int, list[int]]] = []  # (pivot column, reduced row)
     for i, row in enumerate(rows):
-        if len(chosen) == stop:
-            break
         v = list(row)
         for c, b in basis:
             if v[c]:
@@ -369,6 +376,81 @@ def independent_rows(
                 chosen.append(i)
                 break
     return chosen
+
+
+def hermite_normal_form(
+    rows: Iterable[Sequence[int]], cols: int
+) -> tuple[list[list[int]], list[int]]:
+    """Row-style HNF of the lattice spanned by integer rows, and the
+    positions of the rows that opened a pivot.
+
+    Canonical form: positive pivots, entries above a pivot reduced into
+    [0, pivot), zero rows dropped.
+
+    Incremental (Cohen, A Course in Computational Algebraic Number Theory,
+    2.4): the rows are read one at a time into an echelon basis of at most
+    `cols` rows. A row is cleared column by column: where the basis row of
+    pivot p meets an entry x that p does not divide, the unimodular step
+    [[s, t], [-x/g, p/g]], with s*p + t*x = g = gcd(p, x), leaves g as the
+    pivot and clears x; a row still nonzero at a column with no basis row
+    opens a pivot there. That happens exactly when the row is independent
+    of the rows before it, so the positions are independent_rows(rows).
+    Each change is followed by reducing the entries above the pivots, so
+    the basis is always the HNF of the rows read so far and its entries
+    stay as small as that lattice's. Reading stops once the basis is the
+    identity: the lattice is Z^cols, and no later row changes it.
+    """
+    basis: dict[int, list[int]] = {}  # pivot column -> row
+    opened: list[int] = []
+    for i, row in enumerate(rows):
+        v = list(row)
+        if len(v) != cols:
+            raise ValueError("row length mismatch")
+        changed = False
+        for c in range(cols):
+            x = v[c]
+            if not x:
+                continue
+            b = basis.get(c)
+            if b is None:
+                basis[c] = v if x > 0 else [-y for y in v]
+                opened.append(i)
+                changed = True
+                break
+            p = b[c]
+            if x % p:
+                g, s, t = _xgcd(p, x)
+                pg, xg = p // g, x // g
+                basis[c] = [s * y + t * z for y, z in zip(b, v)]
+                v = [pg * z - xg * y for y, z in zip(b, v)]
+                changed = True
+            else:
+                q = x // p
+                v = [z - q * y for y, z in zip(b, v)]
+        if changed:
+            pivots = sorted(basis)
+            for k, c in enumerate(pivots):
+                b = basis[c]
+                p = b[c]
+                for above in pivots[:k]:
+                    r = basis[above]
+                    q = r[c] // p
+                    if q:
+                        basis[above] = [y - q * z for y, z in zip(r, b)]
+            if len(basis) == cols and all(basis[c][c] == 1 for c in pivots):
+                break
+    return [basis[c] for c in sorted(basis)], opened
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b == g == gcd(a, b) > 0, for a, b not both 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a > 0 else (-a, -s0, -t0)
 
 
 class Reduction:

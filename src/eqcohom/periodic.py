@@ -10,19 +10,20 @@ the finite-window truncation oracle.
 
 Every traversal reads the quotient's one spanning forest (`Graph.forest`),
 and a PeriodicGraph keeps its fundamental-cycle voltages and period lattices
-once computed. Apart from the lattice HNF, the module eliminates nothing
-itself: per component, linalg.independent_rows picks rank(L_k) independent
-fundamental cycles, and one linalg.Reduction of their at most d rows gives
-the period coefficients; every other cycle is checked against that answer
-by a dot product. The realized quotient dimension is the sum of the period
-lattices' ranks.
+once computed. The module eliminates nothing itself. Per component,
+linalg.hermite_normal_form reduces the cycle voltages to the period
+lattice's HNF and names the rank(L_k) cycles that opened its pivots; one
+linalg.Reduction of those at most d rows gives the period coefficients,
+and every other cycle is checked against that answer by a dot product.
+The realized quotient dimension is the sum of the period lattices' ranks.
 
-The request path computes on Python ints, the way `linalg.Mat` does: w is
-cleared of its denominators once (D), each component's coefficients are
-one integer row over a common E, and the residual, its closedness check and
-the reconstruct round trip all run on integers over D*E. Fractions are made
+The request path computes on Python ints, the way `linalg.Mat` does: w
+arrives as integers over one denominator D (a Cochain1 reads its JSON
+straight to that form), each component's coefficients are one integer row
+over a common E, and the residual, its closedness check and the
+reconstruct round trip all run on integers over D*E. Fractions are made
 only for the returned PeriodicDecomposition. The truncation oracle likewise
-clears one common denominator of w, f and a, tabulates the lift window as
+brings w, f and a to one common denominator, tabulates the lift window as
 one int row per quotient vertex, and checks the edges of each voltage class
 on their shared box of cells with C-level gathers.
 """
@@ -30,7 +31,7 @@ on their shared box of cells with C-level gathers.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
@@ -38,65 +39,27 @@ from operator import itemgetter, mul, sub
 from typing import Optional, Sequence
 
 from .errors import TRUNCATION_BUDGET, InputError, PreconditionError
-from .graphs import Cochain0, Cochain1, Graph, closed_potential
+from .graphs import Cochain0, Cochain1, Edge, Graph, closed_potential
 from .linalg import (
     Mat,
     Reduction,
     _cleared,
     _frac,
-    independent_rows,
+    hermite_normal_form,
     integer,
     json_list,
     rat_str,
 )
 
 
-def hermite_normal_form(rows: Sequence[Sequence[int]], cols: int) -> list[list[int]]:
-    """Row-style HNF of the lattice spanned by integer rows.
-
-    Canonical form: positive pivots, entries above a pivot reduced into
-    [0, pivot), zero rows dropped. The column walk stops once every row
-    holds a pivot, so the work is bounded by the rows, not by `cols`.
-    """
-    a = [list(map(int, r)) for r in rows]
-    for r in a:
-        if len(r) != cols:
-            raise ValueError("row length mismatch")
-    m = len(a)
-    r = 0
-    for c in range(cols):
-        if r == m:
-            break
-        while True:
-            nz = [i for i in range(r, m) if a[i][c] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: (abs(a[i][c]), i))
-            a[r], a[i0] = a[i0], a[r]
-            done = True
-            for i in range(r + 1, m):
-                if a[i][c] != 0:
-                    q = a[i][c] // a[r][c]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                    if a[i][c] != 0:
-                        done = False
-            if done:
-                break
-        if r < m and a[r][c] != 0:
-            if a[r][c] < 0:
-                a[r] = [-x for x in a[r]]
-            for i in range(r):
-                q = a[i][c] // a[r][c]
-                if q:
-                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-            r += 1
-    return a[:r]
-
-
 @dataclass(frozen=True)
 class PeriodLattice:
     d: int
     basis: tuple[tuple[int, ...], ...]  # HNF rows
+    # Positions, among its component's fundamental cycles, of the rank-many
+    # cycles whose voltages opened the HNF's pivots: independent, and
+    # spanning the lattice over Q. Not part of the lattice's value.
+    independent_cycles: tuple[int, ...] = field(default=(), compare=False)
 
     @property
     def rank(self) -> int:
@@ -128,16 +91,27 @@ class PeriodicGraph:
         """A periodic graph from one voltage per quotient edge, keyed by edge
         id. Each entry is read once with `integer`, so a float or a bool is
         refused rather than truncated, and so is a key that names no edge."""
+
+        def read(e: Edge, t: Sequence) -> tuple[int, ...]:
+            try:
+                return tuple([integer(x) for x in t])
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"bad voltage of edge {e.id}: {exc}") from exc
+
+        return cls._build(d, quotient, voltages, read)
+
+    @classmethod
+    def _build(cls, d: int, quotient: Graph, voltages: dict, read) -> "PeriodicGraph":
+        """A periodic graph whose edge e has the voltage read(e, t) of the
+        entry t under e.id. An edge with no entry, a voltage whose length
+        is not d, and a key that names no edge are refused."""
         if d < 1:
             raise InputError("periodic rank d must be >= 1")
         volt = {}
         for e in quotient.edges:
             if e.id not in voltages:
                 raise InputError(f"missing voltage for edge {e.id}")
-            try:
-                t = tuple([integer(x) for x in voltages[e.id]])
-            except (TypeError, ValueError) as exc:
-                raise InputError(f"bad voltage of edge {e.id}: {exc}") from exc
+            t = read(e, voltages[e.id])
             if len(t) != d:
                 raise InputError(f"voltage of edge {e.id} has length != d")
             volt[e.id] = t
@@ -157,16 +131,26 @@ class PeriodicGraph:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PeriodicGraph":
+        """Read a graph with "d" and "voltages", an object keyed by edge id.
+        As with 1-cochains, a key must be an edge id exactly as str(id)
+        writes it, so "01" and " 1" name no edge rather than edge 1."""
         graph = Graph.from_json(obj)
         try:
             d = integer(obj["d"])
+            given = obj["voltages"]
+            if type(given) is not dict:
+                raise TypeError('"voltages" is not a JSON object')
             voltages = {
-                integer(i): [integer(x) for x in json_list(t)]
-                for i, t in obj["voltages"].items()
+                key: tuple([integer(x) for x in json_list(t)])
+                for key, t in given.items()
             }
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad periodic graph JSON: {exc}") from exc
-        return cls.make(d, graph, voltages)
+        # Keys that are edge ids as str writes them become the ids; every
+        # other key stays a string, which names no edge.
+        ids = {str(e.id): e.id for e in graph.edges}
+        voltages = {ids.get(key, key): t for key, t in voltages.items()}
+        return cls._build(d, graph, voltages, lambda e, t: t)
 
     @cached_property
     def cycles(self) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
@@ -194,14 +178,13 @@ class PeriodicGraph:
 
     @cached_property
     def lattices(self) -> tuple["PeriodLattice", ...]:
-        """Per quotient component, its period lattice; see period_lattices."""
-        return tuple(
-            PeriodLattice(
-                self.d,
-                tuple(map(tuple, hermite_normal_form([cv for _, cv in comp], self.d))),
-            )
-            for comp in self.cycles
-        )
+        """Per quotient component, its period lattice, with the positions of
+        the cycles that opened its pivots; see period_lattices."""
+        out = []
+        for comp in self.cycles:
+            basis, opened = hermite_normal_form((cv for _, cv in comp), self.d)
+            out.append(PeriodLattice(self.d, tuple(map(tuple, basis)), tuple(opened)))
+        return tuple(out)
 
 
 def period_lattices(pg: PeriodicGraph) -> list[PeriodLattice]:
@@ -221,11 +204,11 @@ def lift_component_count(pg: PeriodicGraph):
     return total
 
 
-def _cochain_ints(pg: PeriodicGraph, w: Cochain1) -> tuple[int, list[int]]:
-    """(D, w_int) with w == w_int / D: w cleared of its denominators once."""
-    if len(w.values) != pg.quotient.n_edges:
+def _cochain_ints(pg: PeriodicGraph, w: Cochain1) -> tuple[int, Sequence[int]]:
+    """(D, w_int) with w == w_int / D, as w keeps them."""
+    if len(w.ints) != pg.quotient.n_edges:
         raise InputError("1-cochain length does not match edge count")
-    return _cleared(w.values)
+    return w.den, w.ints
 
 
 def _period_coefficients(pg: PeriodicGraph, w_int: Sequence[int]):
@@ -236,10 +219,10 @@ def _period_coefficients(pg: PeriodicGraph, w_int: Sequence[int]):
     full rank the RREF's identity block holds the denominator, so the row
     is in lowest terms.
 
-    Only rank(L_k) <= d independent cycles are eliminated: linalg's
-    independent_rows picks them, stopping at the lattice rank, and the
-    Reduction of their r x (d+1) block [T_k | sums_k] gives a_k with the
-    free variables set to zero. The system is consistent iff
+    Only rank(L_k) <= d independent cycles are eliminated: those whose
+    voltages opened the pivots of L_k's HNF, and the Reduction of their
+    r x (d+1) block [T_k | sums_k] gives a_k with the free variables set
+    to zero. The system is consistent iff
     T_k a_k = sums_k on every cycle. When it is, every row of
     [T_k | sums_k] is a combination of the chosen rows, so the full system
     has the same RREF and the same solution.
@@ -255,7 +238,7 @@ def _period_coefficients(pg: PeriodicGraph, w_int: Sequence[int]):
             w_int[pos] + pw[g.edges[pos].o] - pw[g.edges[pos].t]
             for pos, _ in comp_cycles
         ]
-        chosen = independent_rows([cv for _, cv in comp_cycles], stop=lat.rank)
+        chosen = lat.independent_cycles
         block = Mat.from_ints([comp_cycles[i][1] for i in chosen], cols=pg.d)
         den, row = Reduction(block, [[sums[i] for i in chosen]]).solution(0)
         # Well-definedness: every fundamental cycle, not just the chosen
@@ -300,12 +283,9 @@ def parse_invariant_cochain(pg: PeriodicGraph, obj) -> Cochain1:
     """Parse a 1-cochain on the quotient. Only zero-voltage loops lift to
     genuine loops, so only those are forced to carry value 0."""
     w = Cochain1.from_json(pg.quotient, obj, forbid_loop_values=False)
-    for pos, e in enumerate(pg.quotient.edges):
-        if e.o == e.t and all(x == 0 for x in pg.voltages[e.id]):
-            if w.values[pos] != 0:
-                raise InputError(
-                    f"zero-voltage loop edge {e.id} must carry value 0"
-                )
+    for e, x in zip(pg.quotient.edges, w.ints):
+        if x and e.o == e.t and not any(pg.voltages[e.id]):
+            raise InputError(f"zero-voltage loop edge {e.id} must carry value 0")
     return w
 
 
@@ -381,7 +361,7 @@ def reconstruct(
     flat = iter(ints)
     a_rows = [[next(flat) for _ in row] for row in rows]
     values = _reconstruct_ints(pg, list(zip(*a_rows)), list(flat))
-    return Cochain1(tuple(_frac(x, den) for x in values))
+    return Cochain1.from_ints(den, values)
 
 
 def truncation_oracle(
@@ -431,7 +411,7 @@ def truncation_oracle(
             f"and checks, over the budget of {TRUNCATION_BUDGET}",
         )
     den = lcm(
-        *[x.denominator for x in w.values],
+        w.den,
         *[x.denominator for x in dec.f.values],
         *[x.denominator for row in dec.a for x in row],
     )
@@ -439,7 +419,9 @@ def truncation_oracle(
     def scaled(values) -> list[int]:
         return [x.numerator * (den // x.denominator) for x in values]
 
-    w_int, f_int = scaled(w.values), scaled(dec.f.values)
+    w_scale = den // w.den
+    w_int = [x * w_scale for x in w.ints] if w_scale > 1 else w.ints
+    f_int = scaled(dec.f.values)
     a_int = [scaled(row) for row in dec.a]
     lo, hi = -radius, radius
     strides = [side**j for j in range(pg.d)]

@@ -78,6 +78,47 @@ def find_ujk_reference(inst, kernel_basis_choice):
     return [xs[j * m : (j + 1) * m] for j in range(d)]
 
 
+def hnf_reference(rows, cols):
+    """Row-style HNF by Euclid's method on whole rows, column by column: the
+    row of least nonzero |entry| is swapped up and the rows below reduced by
+    it until the column is clear, then the pivot is made positive and the
+    rows above reduced into [0, pivot). The routine that
+    linalg.hermite_normal_form replaced, kept as its reference."""
+    a = [list(map(int, r)) for r in rows]
+    for r in a:
+        if len(r) != cols:
+            raise ValueError("row length mismatch")
+    m = len(a)
+    r = 0
+    for c in range(cols):
+        if r == m:
+            break
+        while True:
+            nz = [i for i in range(r, m) if a[i][c] != 0]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: (abs(a[i][c]), i))
+            a[r], a[i0] = a[i0], a[r]
+            done = True
+            for i in range(r + 1, m):
+                if a[i][c] != 0:
+                    q = a[i][c] // a[r][c]
+                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+                    if a[i][c] != 0:
+                        done = False
+            if done:
+                break
+        if r < m and a[r][c] != 0:
+            if a[r][c] < 0:
+                a[r] = [-x for x in a[r]]
+            for i in range(r):
+                q = a[i][c] // a[r][c]
+                if q:
+                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+            r += 1
+    return a[:r]
+
+
 # Strings at the edge of what linalg.rat accepts: its integer fast path must
 # accept and reject exactly what Fraction parsing does (which differs between
 # Python versions, e.g. for "1_0").

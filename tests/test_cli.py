@@ -675,6 +675,77 @@ def test_periodic_voltage_key_naming_no_edge_exit_2(tmp_path):
     assert ok[0] == 0
 
 
+def _write_in_order(path, payload):
+    """Write JSON keeping the payload's key order, so a test can put
+    colliding keys in either order (write_json sorts keys)."""
+    path.write_text(json.dumps(payload) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "voltages, bad",
+    [
+        ({"0": [1], "1": [2], "01": [5]}, "01"),
+        ({"01": [5], "0": [1], "1": [2]}, "01"),
+        ({"0": [1], " 1": [5], "1": [2]}, " 1"),
+        ({"1": [2], "0": [1], "+1": [5]}, "+1"),
+    ],
+)
+def test_periodic_voltage_keys_that_read_as_an_edge_id_exit_2(tmp_path, voltages, bad):
+    # "01", " 1" and "+1" all read as 1 through int(), and the last of the
+    # colliding keys used to win: in one order the request exited 3 with
+    # not-closed, in the other it exited 0. Like 1-cochain keys, a voltage
+    # key must be the edge id as str(id) writes it, whatever the order.
+    pgraph = {
+        "vertices": 1,
+        "edges": [{"id": 0, "o": 0, "t": 0}, {"id": 1, "o": 0, "t": 0}],
+        "d": 1,
+        "voltages": voltages,
+    }
+    wpath = write_json(tmp_path / "w.json", {"0": "3", "1": "6"})
+    code, out, err = run_cli(["periodic", _write_in_order(tmp_path / "pg.json", pgraph), wpath])
+    assert (code, out) == (2, "")
+    assert err == f"input error: voltage keys name no edge of the graph: {bad}\n"
+    del voltages[bad]
+    ok = run_cli(["periodic", _write_in_order(tmp_path / "ok.json", pgraph), wpath])
+    assert ok[0] == 0 and json.loads(ok[1])["decomposition"]["a"] == [["3"]]
+
+
+def test_periodic_voltage_list_names_the_field(tmp_path):
+    pgraph = {"vertices": 1, "edges": [{"id": 0, "o": 0, "t": 0}], "d": 1, "voltages": [[1]]}
+    wpath = write_json(tmp_path / "w.json", {"0": "1"})
+    code, out, err = run_cli(["periodic", write_json(tmp_path / "pg.json", pgraph), wpath])
+    assert (code, out) == (2, "")
+    assert err == 'input error: bad periodic graph JSON: "voltages" is not a JSON object\n'
+
+
+@pytest.mark.parametrize(
+    "orders, bad",
+    [
+        ({"0": 2, "00": 3}, "00"),
+        ({"00": 3, "0": 2}, "00"),
+        ({" 0": 3, "0": 2}, " 0"),
+        ({"0": 2, "-0": 3}, "-0"),
+    ],
+)
+def test_graph_order_keys_that_read_as_an_index_exit_2(tmp_path, orders, bad):
+    # The reflection of the triangle has order 2. "00", " 0" and "-0" read
+    # as generator 0 through int(), and the last of the colliding keys used
+    # to win, so {"0": 2, "00": 3} exited 2 and {"00": 3, "0": 2} exited 0.
+    # An order key must be the generator index as str(index) writes it.
+    graph = {
+        "vertices": 3,
+        "edges": [{"id": 0, "o": 0, "t": 1}, {"id": 1, "o": 1, "t": 2}, {"id": 2, "o": 2, "t": 0}],
+    }
+    action = {"generators": [[0, 2, 1]], "orders": orders}
+    args = ["graph", write_json(tmp_path / "g.json", graph)]
+    code, out, err = run_cli([*args, _write_in_order(tmp_path / "a.json", action)])
+    assert (code, out) == (2, "")
+    assert err == f"input error: bad action JSON: order key {bad!r} is not a generator index\n"
+    del orders[bad]
+    assert run_cli([*args, _write_in_order(tmp_path / "ok.json", action)])[0] == 0
+
+
 def test_periodic_edgeless_huge_d_exit_3(tmp_path):
     # With no edges there are no cycle voltages and the HNF has no rows, so
     # the work must not grow with d. The address-space cap keeps a run that

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -36,7 +37,7 @@ from eqcohom.graphs import (
     to_instance,
 )
 from eqcohom.instance import check_condition_i, oracle_quotient_dim, validate
-from eqcohom.linalg import Mat, Subspace, kernel_basis
+from eqcohom.linalg import Mat, Subspace, kernel_basis, rat
 from eqcohom.randomized import random_graph, random_graph_instance
 
 from conftest import fixed_W
@@ -139,6 +140,68 @@ def test_loop_forces_zero_value():
     assert potential(g, Cochain1.make([1])) is None
     with pytest.raises(InputError):
         Cochain1.from_json(g, ["1"])
+
+
+# Cochain entries at the edge of what linalg.rat reads: padded, signed,
+# underscored and exponent strings, a non-ASCII digit, zero and leading
+# zeros, fractions in and out of lowest terms, a zero denominator, strings
+# that are no number, JSON numbers that are not exact integers, and a
+# string one digit over int()'s default limit of 4,300.
+READER_ENTRIES = (
+    " 1", "+1", "1_0", "1e3", "\u0661", "-0", "007", "1/2", "2/4", "1/0", "",
+    "abc", 1.5, True, None, "9" * 4301,
+)
+
+
+@pytest.mark.parametrize("entry", READER_ENTRIES, ids=lambda e: ascii(e)[:12])
+def test_cochain_reader_matches_rat(entry):
+    # Cochain1.from_json reads values straight to integers over one
+    # denominator; each entry must give what reading it with rat gave (the
+    # reader before): the same value, or the same InputError text.
+    g = Graph.make(2, [(0, 0, 1), (1, 1, 0)])
+    try:
+        expected = (rat(entry), Fraction(-3, 2))
+    except (TypeError, ValueError) as exc:
+        expected = f"bad 1-cochain JSON: {exc}"
+    sources = ([entry, "-3/2"], {"0": entry, "1": "-3/2"}, {"values": {"1": "-3/2", "0": entry}})
+    for obj in sources:
+        if isinstance(expected, str):
+            with pytest.raises(InputError) as err:
+                Cochain1.from_json(g, obj)
+            assert str(err.value) == expected
+        else:
+            w = Cochain1.from_json(g, obj)
+            assert w.values == expected
+            assert all(type(x) is Fraction for x in w.values)
+            assert (w.den, w.ints) == (lcm(*[x.denominator for x in expected]),
+                                       tuple(x * w.den for x in expected))
+
+
+def test_cochain_equality_hash_and_values():
+    # A Cochain1 keeps integers over one denominator; equality, hashing and
+    # the Fraction values are those of the values alone, however they were
+    # written, as when the values were the stored field.
+    g = Graph.make(2, [(0, 0, 1), (1, 1, 0), (2, 0, 1)])
+    values = (Fraction(1, 2), Fraction(-3), Fraction(0))
+    spellings = [
+        Cochain1(values),
+        Cochain1.make(["2/4", -3, "0"]),
+        Cochain1.from_json(g, ["1/2", "-3", "-0"]),
+        Cochain1.from_json(g, {"2": 0, "1": "-6/2", "0": "3/6"}),
+        Cochain1.from_ints(4, [2, -12, 0]),
+    ]
+    for w in spellings:
+        assert w == spellings[0] and not w != spellings[0]
+        assert w.values == values and all(type(x) is Fraction for x in w.values)
+        assert hash(w) == hash((values,))
+        assert (w.den, w.ints) == (2, (1, -6, 0))
+        assert repr(w) == f"Cochain1(values={values!r})"
+    assert len(set(spellings)) == 1
+    assert Cochain1(values) != Cochain1((Fraction(1, 2), Fraction(-3), Fraction(1)))
+    assert Cochain1(values) != Cochain0(values) and Cochain1(values) != values
+    zero = Cochain1.from_ints(6, [0, 0])
+    assert (zero.den, zero.ints, zero.values) == (1, (0, 0), (0, 0))
+    assert Cochain1([]) == Cochain1.from_json(Graph.make(1, []), {})
 
 
 def test_action_checks_c4():

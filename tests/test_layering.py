@@ -1,12 +1,13 @@
 """Every elimination runs in linalg: no other module of src/eqcohom imports
-`rref` or reaches into a `Reduction`. The package `__init__` re-exports
-`rref` as public API, and may, since it holds nothing but imports and
-assignments."""
+`rref` or reaches into a `Reduction`, and the one lattice routine, the HNF,
+is linalg's. The package `__init__` re-exports `rref` as public API, and
+may, since it holds nothing but imports and assignments."""
 
 import ast
 from pathlib import Path
 
-from eqcohom.linalg import Reduction
+from eqcohom import periodic
+from eqcohom.linalg import Reduction, hermite_normal_form
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "eqcohom"
 FORBIDDEN_NAMES = {"rref", "_rref_augmented"}
@@ -52,3 +53,16 @@ def test_package_init_only_reexports():
         assert isinstance(stmt, (ast.ImportFrom, ast.Assign, ast.Expr)), ast.dump(stmt)
         if isinstance(stmt, ast.Expr):
             assert isinstance(stmt.value, ast.Constant)
+
+
+def test_the_hnf_is_linalgs_and_names_the_solve_cycles():
+    # periodic reads the HNF under its old name, and the cycles that opened
+    # the HNF's pivots are its solve cycles: it runs no second elimination
+    # over the cycle voltages to pick them.
+    assert hermite_normal_form.__module__ == "eqcohom.linalg"
+    assert periodic.hermite_normal_form is hermite_normal_form
+    source = SRC / "periodic.py"
+    tree = ast.parse(source.read_text(encoding="utf-8"), filename=str(source))
+    imported = {name for node in ast.walk(tree) for name in _linalg_imports(node)[0]}
+    assert "hermite_normal_form" in imported
+    assert "independent_rows" not in imported

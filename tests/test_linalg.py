@@ -1,4 +1,6 @@
 import random
+import time
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -9,6 +11,7 @@ from eqcohom.linalg import (
     Mat,
     Reduction,
     Subspace,
+    hermite_normal_form,
     independent_rows,
     integer,
     kernel_basis,
@@ -21,7 +24,13 @@ from eqcohom.linalg import (
     subspace_intersection,
 )
 
-from conftest import RAT_STRINGS, fraction_of, kernel_reference, subspace_sum
+from conftest import (
+    RAT_STRINGS,
+    fraction_of,
+    hnf_reference,
+    kernel_reference,
+    subspace_sum,
+)
 
 
 def fraction_free_rank(rows):
@@ -363,9 +372,8 @@ def test_solve_many_inconsistent_column_before_consistent_ones():
 def test_independent_rows_are_the_transpose_rref_pivots():
     # The greedy echelon choice against the pivot columns of the rref of the
     # transpose, on seeded rectangular and rank-deficient integer matrices,
-    # some with zero rows spliced in, and with `stop` at and below the rank.
+    # some with zero rows spliced in.
     assert independent_rows([]) == []
-    assert independent_rows([], stop=0) == []
     assert independent_rows([(0, 0), (0, 0)]) == []
     assert independent_rows([(1, 2), (2, 4), (0, 1), (5, 5)]) == [0, 2]
     rng = random.Random(41)
@@ -382,11 +390,120 @@ def test_independent_rows_are_the_transpose_rref_pivots():
         got = independent_rows(ints)
         assert ints == copy
         assert got == expected
-        assert independent_rows(ints, stop=len(expected)) == expected
-        stop = rng.randint(0, len(expected))
-        assert independent_rows(ints, stop=stop) == expected[:stop]
-        kinds.add((len(expected) < min(len(ints), cols), stop < len(expected)))
-    assert kinds == {(a, b) for a in (True, False) for b in (True, False)}
+        kinds.add(len(expected) < min(len(ints), cols))
+    assert kinds == {True, False}
+
+
+def _hnf_rows(rng):
+    """A seeded row set for the HNF: up to 9 rows of width d <= 8, with
+    |entries| up to 10^6. Half are rank-deficient: the rows are small
+    combinations of fewer base rows, and some columns may be zero. Zero or
+    repeated rows may be spliced into either kind."""
+    cols = rng.randint(1, 8)
+    scale = rng.choice([1, 3, 40, 1000, 250_000])
+
+    def entry():
+        return int(rng.random() * (2 * scale + 1)) - scale
+
+    n_rows = rng.randint(0, 9)
+    if rng.random() < 0.5:
+        live = [c for c in range(cols) if rng.random() < 0.75]
+        base = []
+        for _ in range(rng.randint(0, min(cols, 4))):
+            b = [0] * cols
+            for c in live:
+                b[c] = entry()
+            base.append(b)
+        rows = []
+        for _ in range(n_rows):
+            coeffs = [rng.choice((-2, -1, 0, 1, 2)) for _ in base]
+            rows.append([sum([k * b[c] for k, b in zip(coeffs, base)]) for c in range(cols)])
+    else:
+        rows = [[entry() for _ in range(cols)] for _ in range(n_rows)]
+    for _ in range(rng.randint(0, 2)):
+        extra = rng.choice(rows) if rows and rng.random() < 0.5 else [0] * cols
+        rows.insert(rng.randint(0, len(rows)), list(extra))
+    return rows, cols
+
+
+def test_hnf_matches_the_euclid_reference():
+    # The incremental HNF against the Euclid HNF it replaced, and the rows
+    # that opened its pivots against the greedy independent rows, on 20,000
+    # seeded row sets; the input rows are left as they were.
+    assert hermite_normal_form([], 3) == ([], [])
+    assert hermite_normal_form([(0, 0)], 2) == ([], [])
+    assert hermite_normal_form([(4, 6), (6, 9), (0, 5)], 2) == ([[2, 3], [0, 5]], [0, 2])
+    assert hermite_normal_form([(-3, 7, 1)], 3) == ([[3, -7, -1]], [0])
+    with pytest.raises(ValueError):
+        hermite_normal_form([(1, 2), (3,)], 2)
+    rng = random.Random(47)
+    kinds = Counter()
+    for _ in range(20_000):
+        rows, cols = _hnf_rows(rng)
+        copy = [row[:] for row in rows]
+        basis, opened = hermite_normal_form(rows, cols)
+        assert rows == copy
+        assert basis == hnf_reference(rows, cols), (rows, cols)
+        assert opened == independent_rows(rows), (rows, cols)
+        kinds["rank-deficient" if len(basis) < cols else "full rank"] += 1
+        kinds["identity"] += basis == [[int(i == j) for j in range(cols)] for i in range(cols)]
+        kinds["entries above 10^5"] += any(abs(x) > 10**5 for row in rows for x in row)
+        kinds["dependent rows"] += len(opened) < len(rows)
+    assert min(kinds.values()) >= 2000, kinds
+
+
+def test_hnf_reads_no_row_past_the_identity():
+    # Once the basis is the identity the lattice is Z^d, and the rows left
+    # cannot change it: an iterator that raises when read past that point
+    # is never read there, and the answer is still the reference's.
+    rng = random.Random(53)
+    stopped = 0
+    for _ in range(1000):
+        cols = rng.randint(1, 5)
+        rows = [
+            [rng.choice([-2, -1, 0, 0, 1, 2, 3]) for _ in range(cols)]
+            for _ in range(rng.randint(1, 10))
+        ]
+        identity = [[int(i == j) for j in range(cols)] for i in range(cols)]
+        read = next(
+            (k for k in range(1, len(rows) + 1) if hnf_reference(rows[:k], cols) == identity),
+            None,
+        )
+        if read is None:
+            continue
+
+        def feed():
+            yield from rows[:read]
+            raise AssertionError(f"row {read} read past the identity")
+
+        assert hermite_normal_form(feed(), cols) == (identity, independent_rows(rows))
+        stopped += read < len(rows)
+    assert stopped >= 200, stopped
+
+
+def test_hnf_on_consecutive_fibonacci_pairs_finishes_fast():
+    # Consecutive Fibonacci numbers are Euclid's worst case: each gcd takes
+    # as many steps as the index. 200 rows at d = 8 whose lattice is never
+    # Z^8, so every row is read: eight consecutive Fibonacci numbers (a
+    # rank-2 lattice), and a pair twice over at sliding columns.
+    fib = [0, 1]
+    while len(fib) < 1300:
+        fib.append(fib[-1] + fib[-2])
+    runs = [
+        [fib[k : k + 8] for k in range(1000, 1200)],
+        [
+            [2 * fib[1200 - k + (c - k % 7)] if c - k % 7 in (0, 1) else 0 for c in range(8)]
+            for k in range(200)
+        ],
+    ]
+    for rows in runs:
+        start = time.perf_counter()
+        basis, opened = hermite_normal_form(rows, 8)
+        assert time.perf_counter() - start < 0.5
+        assert basis == hnf_reference(rows, 8)
+        assert opened == independent_rows(rows)
+        assert basis != [[int(i == j) for j in range(8)] for i in range(8)]
+    assert len(hermite_normal_form(runs[0], 8)[1]) == 2
 
 
 def test_reduction_reads_rank_consistency_solutions_and_kernel():

@@ -1,13 +1,16 @@
+import contextlib
+import io
 import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import lcm, prod
+from pathlib import Path
 
 import pytest
 
-from eqcohom import linalg, periodic
+from eqcohom import cli, graphs, linalg, periodic
 from eqcohom.errors import InputError, PreconditionError
 from eqcohom.fixtures import (
     halfline_periodic,
@@ -56,11 +59,11 @@ def random_cochain_pair(rng, pg):
 
 
 def test_hnf_torus_loops():
-    assert hermite_normal_form([(1, 0), (0, 1)], 2) == [[1, 0], [0, 1]]
+    assert hermite_normal_form([(1, 0), (0, 1)], 2) == ([[1, 0], [0, 1]], [0, 1])
 
 
 def test_hnf_rank_deficient():
-    assert hermite_normal_form([(2, 0)], 2) == [[2, 0]]
+    assert hermite_normal_form([(2, 0)], 2) == ([[2, 0]], [0])
 
 
 def test_hnf_canonical_under_row_operations():
@@ -70,7 +73,7 @@ def test_hnf_canonical_under_row_operations():
         rows = [
             [rng.randint(-5, 5) for _ in range(d)] for _ in range(rng.randint(0, 5))
         ]
-        h = hermite_normal_form(rows, d)
+        h, _ = hermite_normal_form(rows, d)
         # Unimodular row mixing must not change the canonical form.
         if rows:
             u, _ = random_unimodular(rng, len(rows))
@@ -85,7 +88,7 @@ def test_hnf_canonical_under_row_operations():
                         for j in range(d)
                     ]
                 )
-            assert hermite_normal_form(mixed_rows, d) == h
+            assert hermite_normal_form(mixed_rows, d)[0] == h
         # Pivot structure: echelon with positive pivots, reduced above.
         last = -1
         for row in h:
@@ -599,6 +602,8 @@ def test_period_coefficients_eliminate_rank_many_cycles(monkeypatch):
         assert closed == (None not in reference)
         expected = []
         for comp_cycles, lat, ref in zip(pg.cycles, pg.lattices, reference):
+            voltages = [cv for _, cv in comp_cycles]
+            assert list(lat.independent_cycles) == linalg.independent_rows(voltages)
             if lat.rank:
                 expected.append((lat.rank, pg.d + 1))
             seen["cycles beyond rank"] += len(comp_cycles) > lat.rank
@@ -616,6 +621,40 @@ def test_period_coefficients_eliminate_rank_many_cycles(monkeypatch):
             assert got == [[den_w * x for x in a_k] for a_k in reference]
         seen["closed" if closed else "not closed"] += 1
     assert seen["cycles beyond rank"] >= 100 and seen["not closed"] >= 20, seen
+
+
+def test_periodic_requests_pick_no_rows_outside_the_hnf(tmp_path, monkeypatch):
+    # On the benchmark's seed-81 periodic requests, the HNF of each
+    # component's cycle voltages names the cycles that the period
+    # coefficients are solved on, so no request calls independent_rows.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    calls = Counter()
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for fn in (linalg.independent_rows, linalg.hermite_normal_form):
+        wrapper = spy(fn.__name__, fn)
+        for module in (linalg, periodic, graphs, cli):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, wrapper)
+    stream = workloads.generate("periodic", 81)
+    for _ in range(24):
+        req = workloads.materialize(next(stream), tmp_path)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(req.argv)
+        assert code == 0
+        assert workloads.check("periodic", req, code, out.getvalue(), "") is None
+    assert calls["hermite_normal_form"] >= 24
+    assert calls["independent_rows"] == 0
 
 
 def reference_realized_quotient_dim(pg):

@@ -114,13 +114,10 @@ def halfline_periodic() -> PeriodicGraph:
 def fixture_files(name: str) -> dict[str, dict]:
     """File payloads for a fixture name; see FIXTURE_NAMES."""
     if name.startswith("torus-"):
-        try:
-            d = int(name.split("-", 1)[1])
-        except ValueError:
-            raise InputError(f"bad torus fixture name: {name}")
-        if not 1 <= d <= 9:
-            raise InputError("torus rank must be in 1..9")
-        return {f"{name}.pgraph.json": torus_periodic(d).to_json()}
+        d = name[len("torus-"):]
+        if len(d) != 1 or not "1" <= d <= "9":
+            raise InputError(f"bad torus fixture name {name!r}: type torus-1 .. torus-9")
+        return {f"{name}.pgraph.json": torus_periodic(int(d)).to_json()}
     if name == "hex":
         return {"hex.pgraph.json": hex_periodic().to_json()}
     if name == "square-index2":
@@ -157,7 +154,7 @@ def fixture_files(name: str) -> dict[str, dict]:
 
 
 FIXTURE_NAMES = (
-    "torus-d",
+    "torus-d (d = 1..9)",
     "hex",
     "square-index2",
     "c4-rotation",

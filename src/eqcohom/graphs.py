@@ -3,7 +3,8 @@
 A graph stores one chosen orientation per geometric edge; the reversed edge
 is implicit and 1-cochains obey w(reversed e) = -w(e) through accessors.
 Components, potentials and the periodic cycle voltages all read one BFS
-spanning forest per graph (`Graph.forest`), built on first use.
+spanning forest per graph (`Graph.forest`), built on first use and kept on
+the Graph, whose fields are read-only (records.Frozen), so it cannot go stale.
 A vertex permutation that induces a graph automorphism permutes vertices
 and signed edges, and `analyze_graph_action` answers from those orbits
 (`orbit_quotient_dim`): pi(U^G) is read off the vertex orbits and the
@@ -18,7 +19,6 @@ declared orders are checked on the permutations' cycles.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
@@ -27,21 +27,24 @@ from typing import NamedTuple, Optional, Sequence
 from .errors import GRAPH_BUDGET, InputError, PreconditionError
 from .instance import LinearInstance
 from .linalg import Mat, _cleared, _frac, integer, json_list, rat_str, vec
+from .records import Frozen, Record
 
 GROUP_CLOSURE_CAP = 100000
 
 
-@dataclass(frozen=True)
-class Edge:
-    id: int
-    o: int  # origin
-    t: int  # target
+class Edge(Record):
+    __slots__ = _fields = ("id", "o", "t")  # o the origin, t the target
+
+    def __init__(self, id: int, o: int, t: int):
+        self.id, self.o, self.t = id, o, t
 
 
-@dataclass(frozen=True)
-class Graph:
-    n_vertices: int
-    edges: tuple[Edge, ...]  # sorted by id; row index in C^1 = position
+class Graph(Frozen):
+    _fields = ("n_vertices", "edges")
+
+    def __init__(self, n_vertices: int, edges: tuple[Edge, ...]):
+        # edges sorted by id; row index in C^1 = position
+        self.__dict__.update(n_vertices=n_vertices, edges=edges)
 
     @classmethod
     def make(cls, n_vertices: int, edges: Sequence[tuple[int, int, int]]) -> "Graph":
@@ -103,8 +106,7 @@ class Graph:
         return cls.make(n, edges)
 
 
-@dataclass(frozen=True)
-class Forest:
+class Forest(Record):
     """BFS spanning forest of a graph: the one traversal that components,
     potentials and the periodic cycle voltages all read.
 
@@ -112,6 +114,7 @@ class Forest:
     (vertex, edge position) order; loops are never tree edges.
     """
 
+    __slots__ = _fields = ("comps", "comp_of", "order", "parent", "tree_positions")
     comps: tuple[tuple[int, ...], ...]  # sorted, ordered by smallest vertex
     comp_of: tuple[int, ...]  # vertex -> component index
     order: tuple[int, ...]  # BFS order: every vertex after its parent
@@ -119,6 +122,10 @@ class Forest:
     # vertex else -1), or None for a root
     parent: tuple[Optional[tuple[int, int, int]], ...]
     tree_positions: frozenset[int]
+
+    def __init__(self, comps, comp_of, order, parent, tree_positions):
+        self.comps, self.comp_of, self.order = comps, comp_of, order
+        self.parent, self.tree_positions = parent, tree_positions
 
     @classmethod
     def build(cls, graph: Graph) -> "Forest":
@@ -170,8 +177,7 @@ class Forest:
         return out
 
 
-@dataclass(frozen=True)
-class Cochain0:
+class Cochain0(NamedTuple):
     values: tuple[Fraction, ...]  # indexed by vertex id
 
     @classmethod
@@ -310,10 +316,12 @@ def closed_potential(graph: Graph, values: Sequence, zero=0) -> Optional[list]:
     return f
 
 
-@dataclass(frozen=True)
-class GraphAction:
-    generators: tuple[tuple[int, ...], ...]  # vertex permutations
-    orders: dict[int, int] = field(default_factory=dict)
+class GraphAction(Frozen):
+    _fields = ("generators", "orders")
+
+    def __init__(self, generators: tuple[tuple[int, ...], ...], orders: Optional[dict] = None):
+        # generators: vertex permutations; orders: index -> declared order
+        self.__dict__.update(generators=generators, orders={} if orders is None else orders)
 
     def to_json(self) -> dict:
         out: dict = {"generators": [list(p) for p in self.generators]}
@@ -452,8 +460,7 @@ def close_group(
     return els
 
 
-@dataclass(frozen=True)
-class ActionChecks:
+class ActionChecks(NamedTuple):
     is_automorphism: bool
     is_free_on_generated_group: Optional[bool]
     is_closed_in_components: Optional[bool]

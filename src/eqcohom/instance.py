@@ -2,7 +2,8 @@
 
 A LinearInstance packages a rational linear map pi : U -> W together with a
 finite list of commuting-with-pi generator actions (gU_i, gW_i), and keeps
-ker pi, the fixed space U^G and the spaces below once computed. The module
+ker pi, the fixed space U^G and the spaces below once computed; its fields
+are read-only (records.Frozen), so what it keeps cannot go stale. The module
 computes the quotient dimension dim (im(pi) ^ fixed) / pi(fixed), checks the
 two sharp conditions that characterize when it equals m*d, and performs the
 constructive decomposition of an invariant image vector into period
@@ -50,12 +51,11 @@ choice of the u_jk (Decomposer):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import DENSE_BUDGET, InputError, PreconditionError
 from .linalg import (
@@ -74,15 +74,16 @@ from .linalg import (
     subspace_intersection,
     vec,
 )
+from .records import Frozen
 
 
-@dataclass(frozen=True)
-class LinearInstance:
-    dim_U: int
-    dim_W: int
-    pi: Mat
-    generators: tuple[tuple[Mat, Mat], ...]  # (gU, gW) pairs
-    orders: dict[int, int] = field(default_factory=dict)  # index -> finite order
+class LinearInstance(Frozen):
+    _fields = ("dim_U", "dim_W", "pi", "generators", "orders")
+
+    def __init__(self, dim_U: int, dim_W: int, pi: Mat, generators, orders=None):
+        # generators: (gU, gW) pairs of Mats; orders: index -> finite order
+        orders = {} if orders is None else orders
+        self.__dict__.update(dim_U=dim_U, dim_W=dim_W, pi=pi, generators=generators, orders=orders)
 
     @property
     def d(self) -> int:
@@ -182,8 +183,7 @@ def _matrix(rows, cols: Optional[int] = None) -> Mat:
     return Mat([json_list(row) for row in json_list(rows)], cols=cols)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     issues: tuple[str, ...]
 
@@ -294,8 +294,7 @@ def gbar_map(inst: LinearInstance) -> Mat:
     return Mat.vstack([Mat.zeros(0, inst.dim_U), *inst.moves_U])
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     dim: int
     pi_U_G: Subspace  # im(pi) intersected with the W fixed space
     pi_of_UG: Subspace  # image of the U fixed space
@@ -328,8 +327,7 @@ def check_condition_ii(inst: LinearInstance) -> bool:
     return all(map(reduction.consistent, range(inst.d * inst.m)))
 
 
-@dataclass(frozen=True)
-class IffReport:
+class IffReport(NamedTuple):
     m: int
     d: int
     dim: int
@@ -397,8 +395,7 @@ def find_ujk(
     return [[tuple([_frac(v, den) for v in x]) for den, x in row] for row in ujk]
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     coefficients: tuple[tuple[Fraction, ...], ...]  # d x m
     invariant_part: tuple[Fraction, ...]
     preimage: tuple[Fraction, ...]
@@ -545,8 +542,7 @@ def check_lemma_commutation(inst: LinearInstance) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class TorsionReport:
+class TorsionReport(NamedTuple):
     checked: tuple[int, ...]  # generator indices with a declared finite order
     all_fixed: Optional[bool]  # None when vacuous
 

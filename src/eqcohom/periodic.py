@@ -10,7 +10,8 @@ the finite-window truncation oracle.
 
 Every traversal reads the quotient's one spanning forest (`Graph.forest`),
 and a PeriodicGraph keeps its fundamental-cycle voltages and period lattices
-once computed. The module eliminates nothing itself. Per component,
+once computed; its fields are read-only (records.Frozen), so these cannot go
+stale. The module eliminates nothing itself. Per component,
 linalg.hermite_normal_form reduces the cycle voltages to the period
 lattice's HNF and names the rank(L_k) cycles that opened its pivots; one
 linalg.Reduction of those at most d rows gives the period coefficients,
@@ -31,12 +32,11 @@ on their shared box of cells with C-level gathers.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
 from operator import itemgetter, mul, sub
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import TRUNCATION_BUDGET, InputError, PreconditionError
 from .graphs import Cochain0, Cochain1, Edge, Graph, closed_potential
@@ -50,16 +50,19 @@ from .linalg import (
     json_list,
     rat_str,
 )
+from .records import Frozen, Record
 
 
-@dataclass(frozen=True)
-class PeriodLattice:
-    d: int
-    basis: tuple[tuple[int, ...], ...]  # HNF rows
-    # Positions, among its component's fundamental cycles, of the rank-many
-    # cycles whose voltages opened the HNF's pivots: independent, and
-    # spanning the lattice over Q. Not part of the lattice's value.
-    independent_cycles: tuple[int, ...] = field(default=(), compare=False)
+class PeriodLattice(Record):
+    # independent_cycles: positions, among its component's fundamental
+    # cycles, of the rank-many cycles whose voltages opened the HNF's pivots:
+    # independent, and spanning the lattice over Q. Not part of the
+    # lattice's value, so not among its _fields.
+    __slots__ = ("d", "basis", "independent_cycles")
+    _fields = ("d", "basis")  # basis: the HNF rows
+
+    def __init__(self, d: int, basis: tuple[tuple[int, ...], ...], independent_cycles=()):
+        self.d, self.basis, self.independent_cycles = d, basis, independent_cycles
 
     @property
     def rank(self) -> int:
@@ -80,11 +83,12 @@ class PeriodLattice:
         return idx
 
 
-@dataclass(frozen=True)
-class PeriodicGraph:
-    d: int
-    quotient: Graph
-    voltages: dict[int, tuple[int, ...]]  # edge id -> Z^d label
+class PeriodicGraph(Frozen):
+    _fields = ("d", "quotient", "voltages")
+
+    def __init__(self, d: int, quotient: Graph, voltages: dict[int, tuple[int, ...]]):
+        # voltages: edge id -> Z^d label
+        self.__dict__.update(d=d, quotient=quotient, voltages=voltages)
 
     @classmethod
     def make(cls, d: int, quotient: Graph, voltages: dict[int, Sequence[int]]) -> "PeriodicGraph":
@@ -260,8 +264,7 @@ def is_invariant_closed(pg: PeriodicGraph, w: Cochain1) -> bool:
     return all(a_k is not None for a_k in _period_coefficients(pg, w_int))
 
 
-@dataclass(frozen=True)
-class PeriodicDecomposition:
+class PeriodicDecomposition(NamedTuple):
     a: tuple[tuple[Fraction, ...], ...]  # d x n_components
     f: Cochain0  # quotient potential, 0 at each component root
     lattices: tuple[PeriodLattice, ...]

@@ -9,9 +9,8 @@ sampling instances on both sides of the sharp characterization.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from math import gcd
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import VERIFY_BUDGET, InputError, PreconditionError
 from .graphs import Graph, GraphAction, to_instance
@@ -23,6 +22,7 @@ from .instance import (
     verify_iff,
 )
 from .linalg import Mat
+from .records import Record
 
 MAX_GENS = 3  # most generators of a random linear instance
 
@@ -271,21 +271,20 @@ def random_graph_instance(rng: random.Random) -> LinearInstance:
     return to_instance(g, act)
 
 
-@dataclass
-class Violation:
+class Violation(NamedTuple):
     index: int
     kind: str
     detail: str
     instance_json: dict
 
 
-@dataclass
-class VerifyResult:
-    seed: int
-    count: int
-    checked: int = 0
-    decompositions: int = 0
-    violations: list[Violation] = field(default_factory=list)
+class VerifyResult(Record):
+    _fields = ("seed", "count", "checked", "decompositions", "violations")
+
+    def __init__(self, seed: int, count: int):
+        self.seed, self.count = seed, count
+        self.checked = self.decompositions = 0
+        self.violations: list[Violation] = []
 
     @property
     def ok(self) -> bool:

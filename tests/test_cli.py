@@ -39,6 +39,22 @@ def test_fixtures_unknown_name():
     assert "torus-d" in err and "shear" in err
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["torus-+3", "torus- 3", "torus-03", "torus-3 ", "torus-0", "torus-10", "torus-d",
+     "torus-", "torus-٣", "torus-3.0"],
+)
+def test_fixtures_torus_takes_exactly_one_digit_1_to_9(name, tmp_path, capsys):
+    # int() reads each of these spellings, or refuses it with another
+    # message; only torus-1 .. torus-9 name a fixture.
+    assert main(["fixtures", name, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "bad torus fixture name" in err and "torus-1 .. torus-9" in err
+    assert list(tmp_path.iterdir()) == []
+    assert main(["fixtures", "torus-9", "--out-dir", str(tmp_path)]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["torus-9.pgraph.json"]
+
+
 def test_analyze_shear(tmp_path):
     load_fixture(tmp_path, "shear")
     code, out, err = run_cli(["analyze", str(tmp_path / "shear.instance.json")])

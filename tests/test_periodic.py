@@ -2,7 +2,6 @@ import contextlib
 import io
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import lcm, prod
@@ -317,11 +316,11 @@ def test_truncation_oracle_rejects_wrong_decomposition():
     f = list(dec.f.values)
     f[1] += 1
     with pytest.raises(AssertionError):
-        truncation_oracle(pg, w, replace(dec, f=Cochain0(tuple(f))), 2)
+        truncation_oracle(pg, w, dec._replace(f=Cochain0(tuple(f))), 2)
     a = [list(row) for row in dec.a]
     a[0][0] += Fraction(1, 3)
     with pytest.raises(AssertionError):
-        truncation_oracle(pg, w, replace(dec, a=tuple(map(tuple, a))), 2)
+        truncation_oracle(pg, w, dec._replace(a=tuple(map(tuple, a))), 2)
 
 
 def test_truncation_oracle_rejects_negative_radius():
@@ -348,11 +347,11 @@ def test_truncation_oracle_integer_scaling():
     report = truncation_oracle(pg, w, dec, 2)
     # Per edge of voltage t, prod_j (5 - |t_j|) cells keep both ends inside.
     assert report == {"radius": 2, "checks": 20 + 20 + 25 + 16, "ok": True}
-    shifted_a = replace(dec, a=((dec.a[0][0] + Fraction(1, 7),), dec.a[1]))
+    shifted_a = dec._replace(a=((dec.a[0][0] + Fraction(1, 7),), dec.a[1]))
     with pytest.raises(AssertionError):
         truncation_oracle(pg, w, shifted_a, 2)
     f_vals = (dec.f.values[0], dec.f.values[1] + Fraction(1, 11))
-    shifted_f = replace(dec, f=Cochain0(f_vals))
+    shifted_f = dec._replace(f=Cochain0(f_vals))
     with pytest.raises(AssertionError):
         truncation_oracle(pg, w, shifted_f, 2)
 
@@ -495,7 +494,7 @@ def test_truncation_oracle_checks_and_names_first_mismatch():
             which = "a"
         checks, first = lift_mismatches(pg, w, a, f, radius)
         assert checks == predicted
-        mutated = replace(dec, a=tuple(map(tuple, a)), f=Cochain0(tuple(f)))
+        mutated = dec._replace(a=tuple(map(tuple, a)), f=Cochain0(tuple(f)))
         if first is None:
             assert truncation_oracle(pg, w, mutated, radius)["ok"]
             continue
@@ -521,7 +520,7 @@ def test_truncation_oracle_empty_and_one_cell_boxes():
         assert truncation_oracle(pg, w, dec, radius) == {
             "radius": radius, "checks": checks, "ok": True
         }
-    moved = replace(dec, f=Cochain0((dec.f.values[0], dec.f.values[1] + 1)))
+    moved = dec._replace(f=Cochain0((dec.f.values[0], dec.f.values[1] + 1)))
     for radius, cell in ((0, (0, 0)), (1, (-1, -1))):
         assert lift_mismatches(pg, w, moved.a, moved.f.values, radius)[1] == (2, cell)
         with pytest.raises(AssertionError) as err:
@@ -561,7 +560,7 @@ def test_truncation_oracle_shared_voltages_match_brute_force():
         assert truncation_oracle(pg, w, dec, radius)["checks"] == checks
         f_moved = list(dec.f.values)
         f_moved[rng.randrange(1, n)] += Fraction(1, 2)
-        moved = replace(dec, f=Cochain0(tuple(f_moved)))
+        moved = dec._replace(f=Cochain0(tuple(f_moved)))
         checks, first = lift_mismatches(pg, w, moved.a, f_moved, radius)
         if first is None:
             assert truncation_oracle(pg, w, moved, radius)["checks"] == checks

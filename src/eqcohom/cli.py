@@ -32,7 +32,6 @@ from .periodic import (
     decompose_periodic,
     lift_component_count,
     parse_invariant_cochain,
-    period_lattices,
     realized_quotient_dim,
     truncation_oracle,
 )
@@ -138,14 +137,13 @@ def cmd_periodic(args) -> int:
     wobj, wdigest = _load_json(args.cochain)
     pg = PeriodicGraph.from_json(pobj)
     w = parse_invariant_cochain(pg, wobj)
-    lattices = period_lattices(pg)
     dec = decompose_periodic(pg, w)
     trunc = truncation_oracle(pg, w, dec, args.radius)
     report = {
         "command": "periodic",
         "input_digests": {"pgraph": pdigest, "cochain": wdigest},
         "d": pg.d,
-        "components": len(lattices),
+        "components": len(pg.lattices),
         "lift_components": lift_component_count(pg),
         "realized_quotient_dim": realized_quotient_dim(pg),
         "decomposition": dec.to_json(),

@@ -32,6 +32,7 @@ DENSE_BUDGET = 10**6
 # MAX_GENS * max_dim^3: the stacked (g_i - id) blocks of up to MAX_GENS
 # generators, each max_dim x max_dim, reduced over max_dim pivot columns.
 VERIFY_BUDGET = 10**6
-# Most vertices plus edges of one graph, checked before it is built: a
-# vertex count is a single JSON number, so no input size bounds it.
+# Most vertices plus edges of one graph, checked before it is built, and
+# most vertices plus edges plus rank d of one periodic graph: a vertex count
+# and a rank are single JSON numbers, so no input size bounds them.
 GRAPH_BUDGET = 10**6

@@ -111,6 +111,36 @@ def halfline_periodic() -> PeriodicGraph:
     return PeriodicGraph.make(2, g, {0: (2, 0)})
 
 
+# Fixture name -> (file name, builder of the file's object) per file, in
+# listing order. The torus-d fixtures are named by their rank and built
+# apart.
+_FIXTURES = {
+    "hex": (("hex.pgraph.json", hex_periodic),),
+    "square-index2": (("square-index2.pgraph.json", square_index2_periodic),),
+    "c4-rotation": (
+        ("c4.graph.json", c4_graph),
+        ("c4-rotation.action.json", c4_rotation),
+    ),
+    "p2-swap": (
+        ("p2.graph.json", p2_graph),
+        ("p2-swap.action.json", p2_swap),
+    ),
+    "k3-s3": (
+        ("k3.graph.json", k3_graph),
+        ("k3-s3.action.json", k3_s3_action),
+    ),
+    "shear": (("shear.instance.json", shear_instance),),
+    "double-shear": (("double-shear.instance.json", double_shear_instance),),
+    "identity": (("identity.instance.json", identity_instance),),
+    "two-triangles-swap": (
+        ("two-triangles.graph.json", two_triangles_graph),
+        ("two-triangles-swap.action.json", two_triangles_swap),
+    ),
+}
+
+FIXTURE_NAMES = ("torus-d (d = 1..9)", *_FIXTURES)
+
+
 def fixture_files(name: str) -> dict[str, dict]:
     """File payloads for a fixture name; see FIXTURE_NAMES."""
     if name.startswith("torus-"):
@@ -118,50 +148,8 @@ def fixture_files(name: str) -> dict[str, dict]:
         if len(d) != 1 or not "1" <= d <= "9":
             raise InputError(f"bad torus fixture name {name!r}: type torus-1 .. torus-9")
         return {f"{name}.pgraph.json": torus_periodic(int(d)).to_json()}
-    if name == "hex":
-        return {"hex.pgraph.json": hex_periodic().to_json()}
-    if name == "square-index2":
-        return {"square-index2.pgraph.json": square_index2_periodic().to_json()}
-    if name == "c4-rotation":
-        return {
-            "c4.graph.json": c4_graph().to_json(),
-            "c4-rotation.action.json": c4_rotation().to_json(),
-        }
-    if name == "p2-swap":
-        return {
-            "p2.graph.json": p2_graph().to_json(),
-            "p2-swap.action.json": p2_swap().to_json(),
-        }
-    if name == "k3-s3":
-        return {
-            "k3.graph.json": k3_graph().to_json(),
-            "k3-s3.action.json": k3_s3_action().to_json(),
-        }
-    if name == "two-triangles-swap":
-        return {
-            "two-triangles.graph.json": two_triangles_graph().to_json(),
-            "two-triangles-swap.action.json": two_triangles_swap().to_json(),
-        }
-    if name == "shear":
-        return {"shear.instance.json": shear_instance().to_json()}
-    if name == "double-shear":
-        return {"double-shear.instance.json": double_shear_instance().to_json()}
-    if name == "identity":
-        return {"identity.instance.json": identity_instance().to_json()}
-    raise InputError(
-        f"unknown fixture {name!r}; known: {', '.join(FIXTURE_NAMES)}"
-    )
-
-
-FIXTURE_NAMES = (
-    "torus-d (d = 1..9)",
-    "hex",
-    "square-index2",
-    "c4-rotation",
-    "p2-swap",
-    "k3-s3",
-    "shear",
-    "double-shear",
-    "identity",
-    "two-triangles-swap",
-)
+    if name not in _FIXTURES:
+        raise InputError(
+            f"unknown fixture {name!r}; known: {', '.join(FIXTURE_NAMES)}"
+        )
+    return {fname: build().to_json() for fname, build in _FIXTURES[name]}

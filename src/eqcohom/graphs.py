@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import GRAPH_BUDGET, InputError, PreconditionError
 from .instance import LinearInstance
-from .linalg import Mat, _cleared, _frac, integer, json_list, rat_str, vec
+from .linalg import Mat, _cleared, _frac, integer, json_list
 from .records import Frozen, Record
 
 GROUP_CLOSURE_CAP = 100000
@@ -50,7 +50,8 @@ class Graph(Frozen):
     def make(cls, n_vertices: int, edges: Sequence[tuple[int, int, int]]) -> "Graph":
         """A validated graph, refused with PreconditionError("budget", ...)
         before anything is built when its vertices plus edges exceed
-        GRAPH_BUDGET."""
+        GRAPH_BUDGET, and with InputError for a negative vertex count, a
+        repeated edge id or an endpoint that names no vertex."""
         size = n_vertices + len(edges)
         if size > GRAPH_BUDGET:
             raise PreconditionError(
@@ -59,24 +60,15 @@ class Graph(Frozen):
                 f"over the budget of {GRAPH_BUDGET}",
             )
         es = tuple(Edge(i, o, t) for i, o, t in sorted(edges))
-        g = cls(n_vertices, es)
-        g.validate()
-        return g
-
-    def validate(self) -> list[str]:
-        """Raises on structural errors; returns warnings (loops)."""
-        if self.n_vertices < 0:
-            raise InputError(f"vertex count {self.n_vertices} < 0")
-        ids = [e.id for e in self.edges]
+        if n_vertices < 0:
+            raise InputError(f"vertex count {n_vertices} < 0")
+        ids = [e.id for e in es]
         if len(set(ids)) != len(ids):
             raise InputError("duplicate edge ids")
-        warnings = []
-        for e in self.edges:
-            if not (0 <= e.o < self.n_vertices and 0 <= e.t < self.n_vertices):
+        for e in es:
+            if not (0 <= e.o < n_vertices and 0 <= e.t < n_vertices):
                 raise InputError(f"edge {e.id} has a dangling endpoint")
-            if e.o == e.t:
-                warnings.append(f"edge {e.id} is a loop; its 1-form value must be 0")
-        return warnings
+        return cls(n_vertices, es)
 
     @property
     def n_edges(self) -> int:
@@ -180,13 +172,6 @@ class Forest(Record):
 class Cochain0(NamedTuple):
     values: tuple[Fraction, ...]  # indexed by vertex id
 
-    @classmethod
-    def make(cls, values: Sequence) -> "Cochain0":
-        return cls(vec(values))
-
-    def to_json(self) -> dict:
-        return {str(i): rat_str(v) for i, v in enumerate(self.values)}
-
 
 class Cochain1:
     """A 1-cochain, indexed by stored edge position, kept as `Mat` keeps its
@@ -201,10 +186,6 @@ class Cochain1:
         """Values are ints, Fractions or "p/q" strings (see linalg.rat)."""
         den, ints = _cleared(values)
         self.den, self.ints, self._values = den, tuple(ints), None
-
-    @classmethod
-    def make(cls, values: Sequence) -> "Cochain1":
-        return cls(values)
 
     @classmethod
     def from_ints(cls, den: int, ints: Sequence[int]) -> "Cochain1":
@@ -235,7 +216,7 @@ class Cochain1:
         return f"Cochain1(values={self.values!r})"
 
     @classmethod
-    def from_json(cls, graph: Graph, obj, forbid_loop_values: bool = True) -> "Cochain1":
+    def from_json(cls, graph: Graph, obj) -> "Cochain1":
         """Read a list of values in stored edge order, or an object keyed by
         edge id, bare or as {"values": {...}}. An object must name every
         edge and nothing else: a key that names no edge is refused, and so
@@ -268,14 +249,7 @@ class Cochain1:
                 raise InputError(f'1-cochain keys beside "values": {", ".join(beside)}')
         if len(ints) != graph.n_edges:
             raise InputError("1-cochain length does not match edge count")
-        if forbid_loop_values:
-            for e, x in zip(graph.edges, ints):
-                if e.o == e.t and x:
-                    raise InputError(f"loop edge {e.id} must carry value 0")
         return cls.from_ints(den, ints)
-
-    def to_json(self, graph: Graph) -> dict:
-        return {str(e.id): rat_str(v) for e, v in zip(graph.edges, self.values)}
 
 
 def coboundary(graph: Graph) -> Mat:
@@ -332,7 +306,8 @@ class GraphAction(Frozen):
     @classmethod
     def from_json(cls, obj: dict) -> "GraphAction":
         """Read "generators" and the optional "orders", an object keyed by
-        generator index. As with 1-cochain and voltage keys, an order key
+        generator index; null reads as no orders, and any other non-object
+        is refused. As with 1-cochain and voltage keys, an order key
         must be the index exactly as str(index) writes it, so "00" and " 0"
         are refused rather than read as generator 0."""
         try:
@@ -340,8 +315,10 @@ class GraphAction(Frozen):
                 tuple(integer(x) for x in json_list(p))
                 for p in json_list(obj["generators"])
             )
-            given = obj.get("orders") or {}
-            if type(given) is not dict:
+            given = obj.get("orders")
+            if given is None:
+                given = {}
+            elif type(given) is not dict:
                 raise TypeError('"orders" is not a JSON object')
             orders = {}
             for key, n in given.items():

@@ -64,8 +64,6 @@ from .linalg import (
     Subspace,
     _cleared,
     _frac,
-    _solve_ints,
-    column_space,
     integer,
     json_list,
     kernel_basis,
@@ -136,14 +134,14 @@ class LinearInstance(Frozen):
     def to_json(self) -> dict:
         gens = []
         for i, (gu, gw) in enumerate(self.generators):
-            g = {"gU": gu.to_lists(as_str=True), "gW": gw.to_lists(as_str=True)}
+            g = {"gU": gu.to_lists(), "gW": gw.to_lists()}
             if i in self.orders:
                 g["order"] = self.orders[i]
             gens.append(g)
         return {
             "dim_U": self.dim_U,
             "dim_W": self.dim_W,
-            "pi": self.pi.to_lists(as_str=True),
+            "pi": self.pi.to_lists(),
             "generators": gens,
         }
 
@@ -304,7 +302,7 @@ def oracle_quotient_dim(inst: LinearInstance) -> OracleResult:
     """Brute-force the quotient dimension from the defining subspaces: the
     reference that verify_iff's rank identity is checked against."""
     fixed_w = _stacked_kernel(inst.moves_W, inst.dim_W)
-    pi_u_g = subspace_intersection(column_space(inst.pi), fixed_w)
+    pi_u_g = subspace_intersection(Subspace(inst.dim_W, inst.pi.transpose()), fixed_w)
     pi_of_ug = Subspace(inst.dim_W, inst.fixed_U.basis * inst.pi.transpose())
     return OracleResult(quotient_dim(pi_u_g, pi_of_ug), pi_u_g, pi_of_ug)
 
@@ -428,16 +426,15 @@ class Decomposer:
     def __init__(
         self, inst: LinearInstance, den_w: int, w_ints: Sequence[int], kernel: Mat
     ):
-        (sol,) = _solve_ints(inst.pi, [(den_w, w_ints)])
+        sol = Reduction(inst.pi, [w_ints]).solution(0, den_w)
         if sol is None:
             raise PreconditionError("not-in-image", "w is not in the image of pi")
         if any(_moved(move, w_ints) for move in inst.moves_W):
             raise PreconditionError("not-invariant", "w is not fixed by the action")
         den_0, u0 = sol
-        coeffs = _solve_ints(
-            kernel.transpose(),
-            [(move.den * den_0, _apply(move, u0)) for move in inst.moves_U],
-        )
+        moves = inst.moves_U
+        red = Reduction(kernel.transpose(), [_apply(move, u0) for move in moves])
+        coeffs = [red.solution(j, move.den * den_0) for j, move in enumerate(moves)]
         if None in coeffs:
             raise PreconditionError(
                 "kernel-escape",
@@ -523,15 +520,20 @@ def _moved(move: Mat, v: Sequence[int]) -> bool:
     return any(_apply(move, v))
 
 
+def _require_condition_i(inst: LinearInstance) -> None:
+    """Refuse unless ker pi lies in the U fixed space: condition (i)."""
+    if not check_condition_i(inst):
+        raise PreconditionError(
+            "condition-i", "ker pi is not contained in the U fixed space"
+        )
+
+
 def check_lemma_commutation(inst: LinearInstance) -> bool:
     """Generator pairs commute on the preimage of the W fixed space.
 
     Requires ker pi inside the U fixed space; refuses otherwise.
     """
-    if not check_condition_i(inst):
-        raise PreconditionError(
-            "condition-i", "ker pi is not contained in the U fixed space"
-        )
+    _require_condition_i(inst)
     ut = u_tilde(inst).basis
     gts = [gu.transpose() for gu, _ in inst.generators]
     for a in range(len(gts)):
@@ -553,10 +555,7 @@ class TorsionReport(NamedTuple):
 
 def check_torsion_trivial(inst: LinearInstance) -> TorsionReport:
     """Declared finite-order generators must fix the preimage space pointwise."""
-    if not check_condition_i(inst):
-        raise PreconditionError(
-            "condition-i", "ker pi is not contained in the U fixed space"
-        )
+    _require_condition_i(inst)
     indices = tuple(sorted(i for i, n in inst.orders.items() if n >= 1))
     if not indices:
         return TorsionReport((), None)

@@ -5,10 +5,11 @@ in lowest terms: the gcd of the denominator and every entry is 1, and a
 zero matrix has denominator 1. That form is unique, so equality and
 hashing compare integers, and no tolerance appears anywhere. Products,
 sums, stacking, elimination and the subspace operations all run on the
-integer rows; fractions.Fraction values are made only where entries and
-vectors leave the module (`Mat.data`, built on first use, `mulvec` and
-`solve_many`). Subspaces are canonicalized by reduced row echelon form,
-which makes equality and containment purely syntactic.
+integer rows, and entries enter through `_cleared`; fractions.Fraction
+values are made only where entries and vectors leave the module
+(`Mat.data`, built on first use, `mulvec` and `solve_many`). Subspaces are
+canonicalized by reduced row echelon form, which makes equality and
+containment purely syntactic.
 
 Every elimination of the package runs here: `rref`, the `Reduction` of an
 augmented system that every solve reads, `independent_rows`, which picks
@@ -151,16 +152,10 @@ class Mat:
         width = len(rows[0]) if rows else (cols or 0)
         if any(len(row) != width for row in rows):
             raise ValueError("ragged rows")
-        den = 1
-        if not set(map(type, chain.from_iterable(rows))) <= {int}:
-            # The lcm of reduced denominators leaves the form in lowest terms.
-            fracs = [[rat(x) for x in row] for row in rows]
-            den = lcm(*[x.denominator for row in fracs for x in row])
-            rows = [
-                tuple([x.numerator * (den // x.denominator) for x in row])
-                for row in fracs
-            ]
-        self.ints = tuple(rows)
+        den, flat = _cleared(chain.from_iterable(rows))
+        self.ints = tuple(
+            [tuple(flat[i * width : (i + 1) * width]) for i in range(len(rows))]
+        )
         self.den = den
         self.rows = len(rows)
         self.cols = width
@@ -200,10 +195,6 @@ class Mat:
         return cls._new(((0,) * cols,) * rows, 1, cols)
 
     @classmethod
-    def from_cols(cls, cols: Sequence[Sequence]) -> "Mat":
-        return cls(cols, cols=0).transpose()
-
-    @classmethod
     def vstack(cls, mats: Sequence["Mat"]) -> "Mat":
         """Rows of every matrix in turn. Over the lcm of the denominators
         the stack is in lowest terms already."""
@@ -239,10 +230,7 @@ class Mat:
         return hash((self.cols, self.den, self.ints))
 
     def __repr__(self) -> str:
-        return f"Mat({self.to_lists(as_str=True)})"
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.data[i]
+        return f"Mat({self.to_lists()})"
 
     def transpose(self) -> "Mat":
         if self.rows == 0 or self.cols == 0:
@@ -297,10 +285,9 @@ class Mat:
     def is_invertible(self) -> bool:
         return self.rows == self.cols == len(independent_rows(self.ints))
 
-    def to_lists(self, as_str: bool = False) -> list[list]:
-        if as_str:
-            return [[rat_str(x) for x in row] for row in self.data]
-        return [list(row) for row in self.data]
+    def to_lists(self) -> list[list[str]]:
+        """The entries as "p/q" strings (see rat_str), row by row."""
+        return [[rat_str(x) for x in row] for row in self.data]
 
 
 def rref(m: Mat) -> tuple[Mat, list[int]]:
@@ -469,6 +456,8 @@ class Reduction:
     __slots__ = ("_m", "_red", "_pivots", "rank")
 
     def __init__(self, m: Mat, columns: Sequence[Sequence[int]]):
+        if any(len(c) != m.rows for c in columns):
+            raise ValueError("rhs length mismatch")
         width = m.cols + len(columns)
         if m.rows == 0:
             self._red, self._pivots = Mat.zeros(0, width), []
@@ -521,29 +510,17 @@ class Reduction:
         return Subspace(n, Mat._new(tuple(vectors), 1, n))
 
 
-def _solve_ints(
-    m: Mat, rhs: Sequence[tuple[int, Sequence[int]]]
-) -> list[Optional[tuple[int, list[int]]]]:
-    """The integer core of solve_many: each right-hand side is (den_b, b)
-    with b a vector of ints over den_b, and each solution is (den_x, x)
-    with x a list of ints over den_x, not reduced; None for an
-    inconsistent b."""
-    if any(len(b) != m.rows for _, b in rhs):
-        raise ValueError("rhs length mismatch")
-    if not rhs:
-        return []
-    red = Reduction(m, [b for _, b in rhs])
-    return [red.solution(j, den_b) for j, (den_b, _) in enumerate(rhs)]
-
-
 def solve_many(m: Mat, rhs: Sequence[Sequence]) -> list[Optional[tuple[Fraction, ...]]]:
     """Particular solutions of m x = b for every b in rhs, from one
     Reduction of [m | b_1 ... b_k], each b_j cleared of its denominator
     d_j (so a solution y of that system gives x = y / d_j); None for an
     inconsistent b. Free variables are set to zero.
     """
+    cleared = [_cleared(b) for b in rhs]
+    red = Reduction(m, [b for _, b in cleared])
     out: list[Optional[tuple[Fraction, ...]]] = []
-    for sol in _solve_ints(m, [_cleared(b) for b in rhs]):
+    for j, (den_b, _) in enumerate(cleared):
+        sol = red.solution(j, den_b)
         if sol is None:
             out.append(None)
         else:
@@ -645,24 +622,16 @@ class Subspace:
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
-    def _spans(self, rows: tuple) -> bool:
-        """Whether integer rows (each scaled as it may be) lie in the span:
-        the basis stacked on them keeps its rank. Row scaling moves no rank,
-        so the stack needs no common denominator."""
-        if not rows:
-            return True
-        return Mat._new(self.basis.ints + rows, 1, self.ambient_dim).rank() == self.dim
-
-    def contains(self, v: Sequence) -> bool:
-        _, ints = _cleared(v)
-        if len(ints) != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        return self._spans((tuple(ints),))
-
     def is_subspace_of(self, other: "Subspace") -> bool:
+        """Whether other's basis stacked on this one's integer rows keeps
+        its rank. Row scaling moves no rank, so the stack needs no common
+        denominator."""
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return other._spans(self.basis.ints)
+        if not self.dim:
+            return True
+        stack = Mat._new(other.basis.ints + self.basis.ints, 1, self.ambient_dim)
+        return stack.rank() == other.dim
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
@@ -688,10 +657,6 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     ker = kernel_basis(stacked)
     alphas = Mat._new(tuple([row[: a.dim] for row in ker.basis.ints]), 1, a.dim)
     return Subspace(a.ambient_dim, alphas * a.basis)
-
-
-def column_space(m: Mat) -> Subspace:
-    return Subspace(m.rows, m.transpose())
 
 
 def quotient_dim(a: Subspace, b: Subspace) -> int:

@@ -38,7 +38,7 @@ from math import lcm, prod
 from operator import itemgetter, mul, sub
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import TRUNCATION_BUDGET, InputError, PreconditionError
+from .errors import GRAPH_BUDGET, TRUNCATION_BUDGET, InputError, PreconditionError
 from .graphs import Cochain0, Cochain1, Edge, Graph, closed_potential
 from .linalg import (
     Mat,
@@ -108,9 +108,17 @@ class PeriodicGraph(Frozen):
     def _build(cls, d: int, quotient: Graph, voltages: dict, read) -> "PeriodicGraph":
         """A periodic graph whose edge e has the voltage read(e, t) of the
         entry t under e.id. An edge with no entry, a voltage whose length
-        is not d, and a key that names no edge are refused."""
+        is not d, and a key that names no edge are refused, and so is a d
+        that brings vertices plus edges plus d over GRAPH_BUDGET."""
         if d < 1:
             raise InputError("periodic rank d must be >= 1")
+        size = quotient.n_vertices + quotient.n_edges + d
+        if size > GRAPH_BUDGET:
+            raise PreconditionError(
+                "budget",
+                f"periodic graph has {size} vertices plus edges plus rank d, "
+                f"over the budget of {GRAPH_BUDGET}",
+            )
         volt = {}
         for e in quotient.edges:
             if e.id not in voltages:
@@ -285,7 +293,7 @@ class PeriodicDecomposition(NamedTuple):
 def parse_invariant_cochain(pg: PeriodicGraph, obj) -> Cochain1:
     """Parse a 1-cochain on the quotient. Only zero-voltage loops lift to
     genuine loops, so only those are forced to carry value 0."""
-    w = Cochain1.from_json(pg.quotient, obj, forbid_loop_values=False)
+    w = Cochain1.from_json(pg.quotient, obj)
     for e, x in zip(pg.quotient.edges, w.ints):
         if x and e.o == e.t and not any(pg.voltages[e.id]):
             raise InputError(f"zero-voltage loop edge {e.id} must carry value 0")
@@ -400,8 +408,11 @@ def truncation_oracle(
     """
     if radius < 0:
         raise InputError(f"truncation radius must be >= 0, got {radius}")
-    side = 2 * radius + 1
     g = pg.quotient
+    if not g.n_vertices:
+        # No vertex and no edge: no window cell, whatever d is.
+        return {"radius": radius, "checks": 0, "ok": True}
+    side = 2 * radius + 1
     by_voltage = Counter(pg.voltages.values())  # voltage -> number of edges
     box_size = {t: prod([max(0, side - abs(tj)) for tj in t]) for t in by_voltage}
     work = side**pg.d * g.n_vertices + sum(

@@ -27,13 +27,13 @@ from .records import Record
 MAX_GENS = 3  # most generators of a random linear instance
 
 
-def random_invertible(rng: random.Random, n: int, lo: int = -2, hi: int = 2) -> Mat:
+def random_invertible(rng: random.Random, n: int) -> Mat:
     """A random invertible n x n integer matrix: dense blocks with entries
-    in [lo, hi] are drawn until one is nonsingular."""
+    in [-2, 2] are drawn until one is nonsingular."""
     if n == 0:
         return Mat.zeros(0, 0)
     while True:
-        m = Mat.from_ints([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)])
+        m = Mat.from_ints([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
         if m.is_invertible():
             return m
 
@@ -105,6 +105,17 @@ def random_unimodular(rng: random.Random, n: int) -> tuple[Mat, Mat]:
     return p, p_inv
 
 
+def _adapted_pi(m: int, r: int, s: int) -> Mat:
+    """pi0 = [0 I_r; 0 0], of shape (r + s) x (m + r): ker pi0 is spanned
+    by the first m coordinates of U."""
+    dim_u = m + r
+    return Mat.from_ints(
+        [[1 if c == m + row else 0 for c in range(dim_u)] for row in range(r)]
+        + [[0] * dim_u for _ in range(s)],
+        cols=dim_u,
+    )
+
+
 def random_linear_instance(rng: random.Random, max_dim: int = 6) -> LinearInstance:
     """Valid random instance: adapted-basis block construction + conjugation."""
     if rng.random() < 0.35:
@@ -114,14 +125,9 @@ def random_linear_instance(rng: random.Random, max_dim: int = 6) -> LinearInstan
     r = dim_u - m
     s_min = 0 if r > 0 else 1
     s = rng.randint(s_min, max_dim - r)
-    dim_w = r + s
     d = rng.randint(1, MAX_GENS)
 
-    pi0 = Mat.from_ints(
-        [[1 if c == m + row else 0 for c in range(dim_u)] for row in range(r)]
-        + [[0] * dim_u for _ in range(s)],
-        cols=dim_u,
-    )
+    pi0 = _adapted_pi(m, r, s)
 
     gens0 = []
     for _ in range(d):
@@ -188,14 +194,9 @@ def _designed_equality_instance(rng: random.Random, max_dim: int) -> LinearInsta
     ]
     m, d = rng.choice(choices)
     r = m * d + rng.randint(0, max_dim - m - m * d)
-    dim_u = m + r
     s = rng.randint(0, max(0, max_dim - r))
     dim_w = r + s
-    pi0 = Mat.from_ints(
-        [[1 if c == m + row else 0 for c in range(dim_u)] for row in range(r)]
-        + [[0] * dim_u for _ in range(s)],
-        cols=dim_u,
-    )
+    pi0 = _adapted_pi(m, r, s)
     gens0 = []
     for j in range(d):
         b = [[0] * r for _ in range(m)]

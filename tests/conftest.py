@@ -128,6 +128,17 @@ RAT_STRINGS = (
 )
 
 
+# JSON entries at the edge of what linalg.rat reads: padded, signed,
+# underscored and exponent strings, a non-ASCII digit, zero and leading
+# zeros, fractions in and out of lowest terms, a zero denominator, strings
+# that are no number, JSON numbers that are not exact integers, and a
+# string one digit over int()'s default limit of 4,300.
+READER_ENTRIES = (
+    " 1", "+1", "1_0", "1e3", "\u0661", "-0", "007", "1/2", "2/4", "1/0", "",
+    "abc", 1.5, True, None, "9" * 4301,
+)
+
+
 def fraction_of(text: str) -> Fraction:
     """Parse a string with Fraction alone, "p/0" raising ValueError: the
     reference for linalg.rat on strings."""

@@ -162,7 +162,7 @@ def test_criterion_5_torus_dimension():
         pg = torus_periodic(d)
         assert realized_quotient_dim(pg) == d
         c = [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3])) for _ in range(d)]
-        dec = decompose_periodic(pg, Cochain1.make(c))
+        dec = decompose_periodic(pg, Cochain1(c))
         assert dec.a == tuple((cj,) for cj in c)
         assert dec.f.values == (Fraction(0),)
     print("ACCEPTANCE 5 (torus yields d period generators, a = c, f = 0): PASS")

@@ -12,7 +12,7 @@ import pytest
 import eqcohom.instance
 import eqcohom.randomized
 from eqcohom.cli import _load_json, main
-from eqcohom.errors import InputError
+from eqcohom.errors import GRAPH_BUDGET, InputError
 from eqcohom.instance import check_condition_ii
 from eqcohom.randomized import run_verification
 
@@ -564,6 +564,19 @@ def test_graph_action_bad_integers_exit_2(tmp_path, action):
     assert "bad action JSON" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("orders", [[], 0, False, ""], ids=repr)
+def test_graph_falsy_non_object_orders_exit_2(tmp_path, orders):
+    code, out, err = _triangle_graph(tmp_path, {"generators": [[1, 2, 0]], "orders": orders})
+    assert (code, out) == (2, "")
+    assert err == 'input error: bad action JSON: "orders" is not a JSON object\n'
+
+
+def test_graph_null_orders_read_as_absent(tmp_path):
+    code, out, err = _triangle_graph(tmp_path, {"generators": [[1, 2, 0]], "orders": None})
+    assert code == 0, err
+    assert json.loads(out)["group_order"] == 3
+
+
 def test_graph_bool_vertex_count_exit_2(tmp_path):
     graph = {"vertices": True, "edges": []}
     code, out, err = run_cli(
@@ -764,9 +777,10 @@ def test_graph_order_keys_that_read_as_an_index_exit_2(tmp_path, orders, bad):
 
 def test_periodic_edgeless_huge_d_exit_3(tmp_path):
     # With no edges there are no cycle voltages and the HNF has no rows, so
-    # the work must not grow with d. The address-space cap keeps a run that
-    # does walk all d coordinates from exhausting the host's memory.
-    pgraph = {"vertices": 1, "edges": [], "d": 10**9, "voltages": {}}
+    # the work must not grow with d, up to the largest d that the graph
+    # budget admits beside one vertex. The address-space cap keeps a run
+    # that does walk all d coordinates from exhausting the host's memory.
+    pgraph = {"vertices": 1, "edges": [], "d": GRAPH_BUDGET - 1, "voltages": {}}
     args = [
         "periodic",
         write_json(tmp_path / "pg.json", pgraph),
@@ -776,6 +790,32 @@ def test_periodic_edgeless_huge_d_exit_3(tmp_path):
     assert seconds < 2
     assert result.returncode == 3
     assert "precondition not met (action-not-closed)" in result.stderr
+
+
+@pytest.mark.parametrize("d", [60000, 10**7, 10**9])
+def test_periodic_vertexless_rank_is_bounded(tmp_path, d):
+    # With no vertex the window has no cell, so no stride of the d
+    # coordinates is built; d is one JSON number, so it counts against the
+    # graph budget beside the vertices and edges.
+    pgraph = {"vertices": 0, "edges": [], "d": d, "voltages": {}}
+    args = [
+        "periodic",
+        write_json(tmp_path / "pg.json", pgraph),
+        write_json(tmp_path / "w.json", []),
+    ]
+    result, seconds = _run_capped(args)
+    assert seconds < 10
+    if d <= GRAPH_BUDGET:
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout)
+        assert report["truncation"] == {"radius": 2, "checks": 0, "ok": True}
+        assert report["decomposition"]["a"] == [[]] * d
+    else:
+        assert (result.returncode, result.stdout) == (3, "")
+        assert result.stderr == (
+            f"precondition not met (budget): periodic graph has {d} vertices "
+            f"plus edges plus rank d, over the budget of {GRAPH_BUDGET}\n"
+        )
 
 
 @pytest.mark.parametrize(

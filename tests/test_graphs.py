@@ -37,10 +37,10 @@ from eqcohom.graphs import (
     to_instance,
 )
 from eqcohom.instance import check_condition_i, oracle_quotient_dim, validate
-from eqcohom.linalg import Mat, Subspace, kernel_basis, rat
+from eqcohom.linalg import Mat, Subspace, kernel_basis, rat, vec
 from eqcohom.randomized import random_graph, random_graph_instance
 
-from conftest import fixed_W
+from conftest import READER_ENTRIES, fixed_W
 
 
 def test_coboundary_single_edge():
@@ -62,7 +62,6 @@ def test_coboundary_two_triangles_kernel():
 def test_coboundary_loop_row_zero():
     g = Graph.make(1, [(0, 0, 0)])
     assert coboundary(g) == Mat([[0]])
-    assert g.validate() == ["edge 0 is a loop; its 1-form value must be 0"]
 
 
 def _indicators(graph):
@@ -101,7 +100,7 @@ def test_potential_recovers_function():
     perturbed = 0
     for _ in range(20):
         g = random_graph(rng)
-        f = Cochain0.make([rng.randint(-5, 5) for _ in range(g.n_vertices)])
+        f = Cochain0(vec([rng.randint(-5, 5) for _ in range(g.n_vertices)]))
         w = Cochain1(coboundary(g).mulvec(f.values))
         rec = potential(g, w)
         assert rec is not None
@@ -122,7 +121,7 @@ def test_potential_recovers_function():
 
 
 def test_triangle_circulation_not_closed():
-    w = Cochain1.make([1, 1, 1])
+    w = Cochain1([1, 1, 1])
     assert potential(k3_graph(), w) is None
 
 
@@ -130,27 +129,14 @@ def test_tree_always_closed():
     g = Graph.make(4, [(0, 0, 1), (1, 1, 2), (2, 1, 3)])
     rng = random.Random(1)
     for _ in range(10):
-        w = Cochain1.make([rng.randint(-4, 4) for _ in range(3)])
+        w = Cochain1([rng.randint(-4, 4) for _ in range(3)])
         assert potential(g, w) is not None
 
 
 def test_loop_forces_zero_value():
     g = Graph.make(1, [(0, 0, 0)])
-    assert potential(g, Cochain1.make([0])) is not None
-    assert potential(g, Cochain1.make([1])) is None
-    with pytest.raises(InputError):
-        Cochain1.from_json(g, ["1"])
-
-
-# Cochain entries at the edge of what linalg.rat reads: padded, signed,
-# underscored and exponent strings, a non-ASCII digit, zero and leading
-# zeros, fractions in and out of lowest terms, a zero denominator, strings
-# that are no number, JSON numbers that are not exact integers, and a
-# string one digit over int()'s default limit of 4,300.
-READER_ENTRIES = (
-    " 1", "+1", "1_0", "1e3", "\u0661", "-0", "007", "1/2", "2/4", "1/0", "",
-    "abc", 1.5, True, None, "9" * 4301,
-)
+    assert potential(g, Cochain1([0])) is not None
+    assert potential(g, Cochain1([1])) is None
 
 
 @pytest.mark.parametrize("entry", READER_ENTRIES, ids=lambda e: ascii(e)[:12])
@@ -185,7 +171,7 @@ def test_cochain_equality_hash_and_values():
     values = (Fraction(1, 2), Fraction(-3), Fraction(0))
     spellings = [
         Cochain1(values),
-        Cochain1.make(["2/4", -3, "0"]),
+        Cochain1(["2/4", -3, "0"]),
         Cochain1.from_json(g, ["1/2", "-3", "-0"]),
         Cochain1.from_json(g, {"2": 0, "1": "-6/2", "0": "3/6"}),
         Cochain1.from_ints(4, [2, -12, 0]),

@@ -5,7 +5,7 @@ import pytest
 
 import eqcohom.linalg
 import eqcohom.randomized
-from eqcohom.errors import PreconditionError
+from eqcohom.errors import InputError, PreconditionError
 from eqcohom.fixtures import (
     c4_graph,
     c4_rotation,
@@ -38,10 +38,10 @@ from eqcohom.instance import (
     validate,
     verify_iff,
 )
-from eqcohom.linalg import Mat, Subspace, kernel_basis, vec
+from eqcohom.linalg import Mat, Subspace, kernel_basis, rat, vec
 from eqcohom.randomized import random_graph_instance, random_linear_instance
 
-from conftest import find_ujk_reference, fixed_W
+from conftest import READER_ENTRIES, find_ujk_reference, fixed_W
 
 
 def kernel_vectors(inst):
@@ -522,7 +522,7 @@ def test_decompose_basis_covariance():
     dec_scaled = decompose(inst, [3], ujk_scaled, kb_scaled)
     assert dec_scaled.coefficients[0][0] == dec.coefficients[0][0] / c
     diff = tuple(a - b for a, b in zip(dec.preimage, dec_scaled.preimage))
-    assert inst.fixed_U.contains(diff)
+    assert Subspace(inst.dim_U, [diff]).is_subspace_of(inst.fixed_U)
 
 
 def test_gbar_map_blocks():
@@ -601,6 +601,52 @@ def test_json_roundtrip_empty_dimension(dim_u, dim_w):
     again = LinearInstance.from_json(inst.to_json())
     assert again == inst
     assert validate(again).ok
+
+
+@pytest.mark.parametrize("entry", READER_ENTRIES, ids=lambda e: ascii(e)[:12])
+def test_instance_reader_matches_rat(entry):
+    # Matrix entries are read through linalg._cleared; each must give what
+    # reading it with rat gives: the same value, or the same InputError
+    # text, and in a row the first bad entry is the one refused.
+    def instance(pi):
+        return {"dim_U": len(pi[0]), "dim_W": 1, "pi": pi, "generators": []}
+
+    try:
+        expected = rat(entry)
+    except (TypeError, ValueError) as exc:
+        for pi in ([[entry]], [[entry, "abc"]]):
+            with pytest.raises(InputError) as err:
+                LinearInstance.from_json(instance(pi))
+            assert str(err.value) == f"bad instance JSON: {exc}"
+    else:
+        pi = LinearInstance.from_json(instance([[entry]])).pi
+        assert pi.data == ((expected,),)
+        assert (pi.den, pi.ints) == (expected.denominator, ((expected.numerator,),))
+        with pytest.raises(ValueError) as bad:
+            rat("abc")
+        with pytest.raises(InputError) as err:
+            LinearInstance.from_json(instance([[entry, "abc"]]))
+        assert str(err.value) == f"bad instance JSON: {bad.value}"
+
+
+def test_instance_reader_builds_no_fraction_for_integers(monkeypatch):
+    # Ints and -?[0-9]+ strings are read straight to ints: rat, the one
+    # maker of Fractions on the way in, is never reached for them.
+    def refuse(value):
+        raise AssertionError(f"rat reached for {value!r}")
+
+    monkeypatch.setattr(eqcohom.linalg, "rat", refuse)
+    obj = {
+        "dim_U": 2,
+        "dim_W": 1,
+        "pi": [["1", "-0"]],
+        "generators": [{"gU": [["1", 0], ["007", "-1"]], "gW": [[-1]], "order": 2}],
+    }
+    inst = LinearInstance.from_json(obj)
+    assert (inst.pi.den, inst.pi.ints) == (1, ((1, 0),))
+    gu, gw = inst.generators[0]
+    assert (gu.den, gu.ints) == (1, ((1, 0), (7, -1)))
+    assert (gw.den, gw.ints) == (1, ((-1,),))
 
 
 def test_dense_budget_boundary():

@@ -544,11 +544,19 @@ def _inverse_columns(m):
     return solve_many(m, Mat.identity(m.rows).data)
 
 
+def test_reduction_refuses_a_column_of_the_wrong_length():
+    # zip would cut a long column short, or drop rows of m for a short one.
+    for m in (Mat([[1, 0], [0, 1]]), Mat.zeros(0, 2)):
+        for columns in ([[1]], [[1, 2, 3]], [[0] * m.rows, [1]]):
+            with pytest.raises(ValueError, match="rhs length mismatch"):
+                Reduction(m, columns)
+
+
 def test_inverse():
     m = Mat([[2, 1], [1, 1]])
     cols = _inverse_columns(m)
     assert cols == [(1, -1), (-1, 2)]
-    assert m * Mat.from_cols(cols) == Mat.identity(2)
+    assert m * Mat(cols).transpose() == Mat.identity(2)
     assert None in _inverse_columns(Mat([[1, 2], [2, 4]]))
 
 
@@ -563,7 +571,7 @@ def test_inverse_roundtrip_and_singular():
         if fraction_free_rank([list(row) for row in m.data]) < n:
             assert None in cols
             continue
-        inv = Mat.from_cols(cols)
+        inv = Mat(cols).transpose()
         assert m * inv == Mat.identity(n) and inv * m == Mat.identity(n)
         inverted += 1
     assert inverted > 20
@@ -621,8 +629,8 @@ def test_containment():
     b = Subspace(3, [[1, 0, 0], [0, 1, 0]])
     assert a.is_subspace_of(b)
     assert not b.is_subspace_of(a)
-    assert b.contains([1, 2, 0])
-    assert not b.contains([0, 0, 1])
+    assert Subspace(3, [[1, 2, 0]]).is_subspace_of(b)
+    assert not Subspace(3, [[0, 0, 1]]).is_subspace_of(b)
 
 
 # Integer form against plain-Fraction definitions. A Mat holds integer rows

@@ -15,7 +15,7 @@ from eqcohom.instance import (
     TorsionReport,
     ValidationReport,
 )
-from eqcohom.linalg import Mat, Subspace
+from eqcohom.linalg import Mat, Subspace, vec
 from eqcohom.periodic import PeriodicDecomposition, PeriodicGraph, PeriodLattice
 from eqcohom.randomized import VerifyResult, Violation
 
@@ -32,7 +32,7 @@ CASES = {
     "Edge": (lambda x: Edge(0, 1, x), True),
     "Graph": (lambda x: Graph.make(3, [(0, 0, 1), (1, 1, x)]), True),
     "Forest": (lambda x: Graph.make(3, [(0, 0, x)]).forest, True),
-    "Cochain0": (lambda x: Cochain0.make([x, "1/2"]), True),
+    "Cochain0": (lambda x: Cochain0(vec([x, "1/2"])), True),
     "GraphAction": (lambda x: GraphAction(((1, 0),), {0: x}), False),
     "ActionChecks": (lambda x: ActionChecks(True, x == 1, True, 2), True),
     "LinearInstance": (lambda x: LinearInstance(1, 1, Mat([[x]]), (), {}), False),
@@ -54,7 +54,7 @@ CASES = {
     ),
     "PeriodicDecomposition": (
         lambda x: PeriodicDecomposition(
-            ((Fraction(x),),), Cochain0.make([0]), (PeriodLattice(1, ((1,),)),)
+            ((Fraction(x),),), Cochain0(vec([0])), (PeriodLattice(1, ((1,),)),)
         ),
         True,
     ),

@@ -86,7 +86,7 @@ def torus_periodic(d: int) -> PeriodicGraph:
     """Single quotient vertex with d loops labelled by the standard basis."""
     g = Graph.make(1, [(j, 0, 0) for j in range(d)])
     voltages = {
-        j: tuple(1 if i == j else 0 for i in range(d)) for j in range(d)
+        j: tuple([1 if i == j else 0 for i in range(d)]) for j in range(d)
     }
     return PeriodicGraph.make(d, g, voltages)
 

@@ -59,7 +59,7 @@ class Graph(Frozen):
                 f"graph has {size} vertices plus edges, "
                 f"over the budget of {GRAPH_BUDGET}",
             )
-        es = tuple(Edge(i, o, t) for i, o, t in sorted(edges))
+        es = tuple([Edge(i, o, t) for i, o, t in sorted(edges)])
         if n_vertices < 0:
             raise InputError(f"vertex count {n_vertices} < 0")
         ids = [e.id for e in es]
@@ -312,8 +312,10 @@ class GraphAction(Frozen):
         are refused rather than read as generator 0."""
         try:
             gens = tuple(
-                tuple(integer(x) for x in json_list(p))
-                for p in json_list(obj["generators"])
+                [
+                    tuple([integer(x) for x in json_list(p)])
+                    for p in json_list(obj["generators"])
+                ]
             )
             given = obj.get("orders")
             if given is None:
@@ -405,7 +407,7 @@ class ActionOrbits:
                 a, b = _find(root, v), _find(root, u)
                 if a != b:
                     root[b] = a
-        return tuple(_find(root, v) for v in range(len(root)))
+        return tuple([_find(root, v) for v in range(len(root))])
 
 
 def _perm_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

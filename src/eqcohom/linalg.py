@@ -136,10 +136,13 @@ class Mat:
     (a tuple of equal-length tuples) over the common denominator `den`,
     in lowest terms.
 
-    Rows are built at their known length, by tuple([...]) or zip, never by
-    tuple(<generator>): that allocates by a length guess and resizes, so
-    each freed row lands in the interpreter's free list for its length and
-    is never reused, and over many calls those lists hold megabytes.
+    Rows, and tuples throughout the package, are built at their known
+    length, from a list, a tuple or a slice (zip's own rows qualify), never
+    by tuple() over a generator or over zip, map or filter: that allocates
+    by a length guess and resizes, so each freed tuple lands in the
+    interpreter's free list for its new length and is seldom reused, and
+    over many calls those lists hold megabytes. tests/test_exact_tuples.py
+    keeps the rule.
     """
 
     __slots__ = ("rows", "cols", "den", "ints", "_data")
@@ -235,7 +238,7 @@ class Mat:
     def transpose(self) -> "Mat":
         if self.rows == 0 or self.cols == 0:
             return Mat.zeros(self.cols, self.rows)
-        return Mat._new(tuple(zip(*self.ints)), self.den, self.rows)
+        return Mat._new(tuple(list(zip(*self.ints))), self.den, self.rows)
 
     def _plus(self, other: "Mat", sign: int) -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):

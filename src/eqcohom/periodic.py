@@ -186,7 +186,7 @@ class PeriodicGraph(Frozen):
                 for j, bj in b.items():
                     cv[j] += bj[e.o] - bj[e.t]
                 cycles[forest.comp_of[e.o]].append((pos, tuple(cv)))
-        return tuple(map(tuple, cycles))
+        return tuple([tuple(comp) for comp in cycles])
 
     @cached_property
     def lattices(self) -> tuple["PeriodLattice", ...]:
@@ -195,7 +195,8 @@ class PeriodicGraph(Frozen):
         out = []
         for comp in self.cycles:
             basis, opened = hermite_normal_form((cv for _, cv in comp), self.d)
-            out.append(PeriodLattice(self.d, tuple(map(tuple, basis)), tuple(opened)))
+            rows = tuple([tuple(row) for row in basis])
+            out.append(PeriodLattice(self.d, rows, tuple(opened)))
         return tuple(out)
 
 
@@ -338,9 +339,9 @@ def decompose_periodic(pg: PeriodicGraph, w: Cochain1) -> PeriodicDecomposition:
     if _reconstruct_ints(pg, a_int, f_int) != w_int:
         raise AssertionError
     den = den_w * den_a
-    a = tuple(tuple(_frac(row[j], den) for row in a_int) for j in range(pg.d))
+    a = tuple([tuple([_frac(row[j], den) for row in a_int]) for j in range(pg.d)])
     return PeriodicDecomposition(
-        a, Cochain0(tuple(_frac(x, den) for x in f_int)), pg.lattices
+        a, Cochain0(tuple([_frac(x, den) for x in f_int])), pg.lattices
     )
 
 
@@ -478,7 +479,7 @@ def truncation_oracle(
         diffs = list(map(sub, gather_far(table[e.t]), gather_near(table[e.o])))
         if diffs.count(value) != len(diffs):
             index = near[next(i for i, x in enumerate(diffs) if x != value)]
-            cell = tuple(index // stride % side + lo for stride in strides)
+            cell = tuple([index // stride % side + lo for stride in strides])
             raise AssertionError(f"truncation mismatch on edge {e.id} at cell {cell}")
         checks += len(diffs)
     return {"radius": radius, "checks": checks, "ok": True}

@@ -78,15 +78,23 @@ def _apply_ops(
     return rows
 
 
-def _conjugate(left: list, right: list, m: Mat) -> Mat:
-    """L m R^-1 for L the product of the row operations `left` and R that
-    of `right`: the row operations applied to m's rows, then the inverse
-    operations of `right` applied to the columns. L and R are unimodular,
-    so the result keeps m's denominator and stays in lowest terms."""
-    rows = _apply_ops(left, m.ints)
-    cols = _apply_ops(right, list(zip(*rows)) if rows else [()] * m.cols, inverse=True)
-    out = tuple(zip(*cols)) if cols else ((),) * m.rows
-    return Mat._new(out, m.den, m.cols)
+def _transposed(rows: list, width: int) -> list:
+    """The columns of the matrix with these rows, as tuples of exact
+    length; `width` is their number, which no row shows when there is
+    none."""
+    return list(zip(*rows)) if rows else [()] * width
+
+
+def _beside(n: int, mats: list[Mat]) -> list[list[int]]:
+    """The integer rows of [I_n | m_1 | ... | m_k], each a list."""
+    rows = []
+    for i in range(n):
+        row = [0] * n
+        row[i] = 1
+        for m in mats:
+            row += m.ints[i]
+        rows.append(row)
+    return rows
 
 
 def random_unimodular(rng: random.Random, n: int) -> tuple[Mat, Mat]:
@@ -95,8 +103,9 @@ def random_unimodular(rng: random.Random, n: int) -> tuple[Mat, Mat]:
 
     P is the operations applied to the rows of the identity, and P^-1 =
     E_1^-1 ... E_2n^-1 their inverses applied, as column operations, to
-    the identity: the same operations that _conjugated applies to each
-    matrix of an instance.
+    the identity. _conjugated applies the same operations, in one pass
+    per side, to every matrix of an instance at once, and reads P P^-1
+    off the identity block of that pass.
     """
     ops = _elementary_ops(rng, n)
     ident = Mat.identity(n).ints
@@ -154,32 +163,70 @@ def _conjugated(
     """Conjugate an adapted-basis instance by random unimodular P on U and Q
     on W: pi = Q pi0 P^-1, g = P g0 P^-1 and Q g0 Q^-1.
 
-    P and Q are never formed: their row operations, and the inverses as
-    column operations, are applied to each matrix directly (_conjugate),
-    one pass over a row or a column per operation. The checks need no
+    P and Q are never formed. A row operation acts alike on every block of
+    a side-by-side stack, and a column operation on every block of a
+    vertical one, so each side's operations run in one pass over all its
+    matrices: ops_u on the rows of [I | gu0_1 ... gu0_d] and ops_w on those
+    of [I | pi0 | gw0_1 ... gw0_d]; then the inverse ops_u on the columns
+    of [P ; Q pi0 ; P gu0_1 ; ...] and the inverse ops_w on those of
+    [Q ; Q gw0_1 ; ...], that is on the rows of their transposes. Four
+    passes in all, each operation one pass over a row. Every block keeps
+    its own denominator: the operations are unimodular, so it stays in
+    lowest terms.
+
+    The identity blocks come out as P P^-1 and Q Q^-1, and must be I: the
+    inverse operations undo the operations. The checks need no
     elimination, and they raise AssertionError explicitly, so they run
-    under python -O too. The inverse operations must undo the operations
-    on the identity, which is P P^-1 = I and Q Q^-1 = I. Each g0 is block
-    triangular with diagonal blocks that are identities or checked by
-    random_invertible, so it is invertible, and so is its conjugate;
-    equivariance is checked on the conjugates themselves by dense products.
-    The full validate runs in the tests, on many seeded draws.
+    under python -O too. Each g0 is block triangular with diagonal blocks
+    that are identities or checked by random_invertible, so it is
+    invertible, and so is its conjugate; equivariance is checked on the
+    conjugates themselves by dense products. The full validate runs in the
+    tests, on many seeded draws.
     """
     dim_u, dim_w = pi0.cols, pi0.rows
+    d = len(gens0)
     ops_u = _elementary_ops(rng, dim_u)
     ops_w = _elementary_ops(rng, dim_w)
-    for ops, ident in ((ops_u, Mat.identity(dim_u)), (ops_w, Mat.identity(dim_w))):
-        if _conjugate(ops, ops, ident) != ident:
-            raise AssertionError("the inverse operations do not undo")
-    pi = _conjugate(ops_w, ops_u, pi0)
-    gens = tuple(
-        (_conjugate(ops_u, ops_u, gu0), _conjugate(ops_w, ops_w, gw0))
-        for gu0, gw0 in gens0
+    # The columns of P [I | gu0_1 ...] and of Q [I | pi0 | gw0_1 ...].
+    pu = _transposed(
+        _apply_ops(ops_u, _beside(dim_u, [gu0 for gu0, _ in gens0])),
+        dim_u * (1 + d),
     )
-    for i, (gu, gw) in enumerate(gens):
+    qw = _transposed(
+        _apply_ops(ops_w, _beside(dim_w, [pi0] + [gw0 for _, gw0 in gens0])),
+        dim_w * (1 + d) + dim_u,
+    )
+    # Row c of each transpose holds column c of every block in turn.
+    rows_u = []
+    for c in range(dim_u):
+        row = [*pu[c], *qw[dim_w + c]]
+        for col in pu[dim_u + c :: dim_u]:
+            row += col
+        rows_u.append(row)
+    rows_w = []
+    for c in range(dim_w):
+        row = list(qw[c])
+        for col in qw[dim_w + dim_u + c :: dim_w]:
+            row += col
+        rows_w.append(row)
+    # The rows of [P P^-1 ; pi ; gu_1 ...] and of [Q Q^-1 ; gw_1 ...].
+    su = _transposed(_apply_ops(ops_u, rows_u, inverse=True), dim_u * (1 + d) + dim_w)
+    sw = _transposed(_apply_ops(ops_w, rows_w, inverse=True), dim_w * (1 + d))
+    if (
+        tuple(su[:dim_u]) != Mat.identity(dim_u).ints
+        or tuple(sw[:dim_w]) != Mat.identity(dim_w).ints
+    ):
+        raise AssertionError("the inverse operations do not undo")
+    pi = Mat._new(tuple(su[dim_u : dim_u + dim_w]), pi0.den, dim_u)
+    gens = []
+    for i, (gu0, gw0) in enumerate(gens0):
+        at_u, at_w = dim_u + dim_w + i * dim_u, (i + 1) * dim_w
+        gu = Mat._new(tuple(su[at_u : at_u + dim_u]), gu0.den, dim_u)
+        gw = Mat._new(tuple(sw[at_w : at_w + dim_w]), gw0.den, dim_w)
         if pi * gu != gw * pi:
             raise AssertionError(f"generator {i}: equivariance fails")
-    return LinearInstance(dim_u, dim_w, pi, gens, {})
+        gens.append((gu, gw))
+    return LinearInstance(dim_u, dim_w, pi, tuple(gens), {})
 
 
 def _designed_equality_instance(rng: random.Random, max_dim: int) -> LinearInstance:
@@ -246,7 +293,7 @@ def random_graph_instance(rng: random.Random) -> LinearInstance:
         n = rng.randint(3, 6)
         g = Graph.make(n, [(i, i, (i + 1) % n) for i in range(n)])
         shift = rng.randint(1, n - 1)
-        perm = tuple((v + shift) % n for v in range(n))
+        perm = tuple([(v + shift) % n for v in range(n)])
         act = GraphAction((perm,), {0: n // gcd(n, shift)})
     elif kind == 1:
         # Two disjoint copies of a random graph, swapped.
@@ -263,7 +310,7 @@ def random_graph_instance(rng: random.Random) -> LinearInstance:
         # Path with the end-to-end reflection.
         n = rng.randint(2, 6)
         g = Graph.make(n, [(i, i, i + 1) for i in range(n - 1)])
-        perm = tuple(n - 1 - v for v in range(n))
+        perm = tuple([n - 1 - v for v in range(n)])
         act = GraphAction((perm,), {0: 2})
     else:
         # Identity action on an arbitrary random graph.

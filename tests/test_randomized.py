@@ -20,8 +20,7 @@ from eqcohom.instance import (
 )
 from eqcohom.linalg import Mat, independent_rows
 from eqcohom.randomized import (
-    _conjugate,
-    _elementary_ops,
+    _conjugated,
     random_linear_instance,
     random_unimodular,
     run_verification,
@@ -96,24 +95,47 @@ def _dense_conjugated(rng, pi0, gens0):
     return LinearInstance(pi0.cols, pi0.rows, q * pi0 * p_inv, gens, {})
 
 
+def _block(rng, rows, cols, den):
+    return Mat(
+        [[Fraction(rng.randint(-3, 3), den) for _ in range(cols)] for _ in range(rows)],
+        cols=cols,
+    )
+
+
 def test_conjugation_by_operations_matches_dense_products(monkeypatch):
-    # The same draws, conjugated op by op and by dense products of the
-    # (P, P^-1) that random_unimodular builds from those ops; the rng
-    # stream after each instance must agree too.
+    # The same draws, conjugated op by op in one pass per side and by dense
+    # products of the (P, P^-1) and (Q, Q^-1) that random_unimodular builds
+    # from those ops, for every size 0..6 on each side and 0..3 generators;
+    # the rng stream after each instance must agree too. The blocks of one
+    # instance are over different denominators (1, 2 and 3, before lowest
+    # terms), and each must come out over its own. With generators, pi0 is
+    # zero, so that any blocks are equivariant; without, it is any matrix.
     rng = random.Random(5)
+    seen_dens = set()
     for n in range(7):
-        for _ in range(20):
-            state = rng.getstate()
-            ops = _elementary_ops(rng, n)
-            after = rng.getstate()
-            rng.setstate(state)
-            p, p_inv = random_unimodular(rng, n)
-            assert rng.getstate() == after
-            g0 = Mat.from_ints([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)], cols=n)
-            assert _conjugate(ops, ops, g0) == p * g0 * p_inv
-            assert _conjugate(ops, ops, Mat.identity(n)) == Mat.identity(n)
-            half = Mat([[Fraction(x, 2) for x in row] for row in g0.ints], cols=n)
-            assert _conjugate(ops, ops, half) == p * half * p_inv
+        for k in range(7):
+            for d in range(4):
+                pi0 = Mat.zeros(k, n) if d else _block(rng, k, n, 2)
+                gens0 = [
+                    (_block(rng, n, n, 1 + i % 3), _block(rng, k, k, 1 + (i + 1) % 3))
+                    for i in range(d)
+                ]
+                state = rng.getstate()
+                inst = _conjugated(rng, pi0, gens0)
+                after = rng.getstate()
+                rng.setstate(state)
+                p, p_inv = random_unimodular(rng, n)
+                q, q_inv = random_unimodular(rng, k)
+                assert rng.getstate() == after
+                assert (inst.dim_U, inst.dim_W) == (n, k)
+                assert inst.pi == q * pi0 * p_inv
+                assert len(inst.generators) == d
+                for (gu, gw), (gu0, gw0) in zip(inst.generators, gens0):
+                    assert gu == p * gu0 * p_inv
+                    assert gw == q * gw0 * q_inv
+                    seen_dens.update([gu.den, gw.den])
+                seen_dens.add(inst.pi.den)
+    assert seen_dens == {1, 2, 3}
     for seed in range(1000):
         new = random.Random(seed)
         inst = random_linear_instance(new, max_dim=2 + seed % 5)
@@ -129,26 +151,50 @@ def test_conjugated_checks_are_explicit(monkeypatch):
     # under python -O too: inverse operations that do not undo, and a
     # conjugated pi off by one entry, are both refused.
     apply_ops = eqcohom.randomized._apply_ops
-    conjugate = eqcohom.randomized._conjugate
 
     def no_inverse(ops, rows, inverse=False):
         return list(rows) if inverse else apply_ops(ops, rows)
 
-    def pi_off_by_one(left, right, m):
-        out = conjugate(left, right, m)
-        if left is right:
-            return out
-        ints = [list(row) for row in out.ints]
-        ints[0][0] += out.den
-        return Mat._new(tuple(map(tuple, ints)), out.den, out.cols)
+    def pi_off_by_one(ops, rows, inverse=False):
+        # The first inverse pass is U's, on the rows of [P P^-1 ; pi ; gu_1
+        # ...] transposed: row 0 holds column 0 of P P^-1, dim_U = len(rows)
+        # entries, and then pi[0][0], over pi0's denominator 1.
+        out = apply_ops(ops, rows, inverse)
+        if inverse and not faulted:
+            faulted.append(True)
+            out[0][len(out)] += 1
+        return out
 
     monkeypatch.setattr(eqcohom.randomized, "_apply_ops", no_inverse)
     with pytest.raises(AssertionError, match="the inverse operations do not undo"):
         random_linear_instance(random.Random(0))
-    monkeypatch.undo()
-    monkeypatch.setattr(eqcohom.randomized, "_conjugate", pi_off_by_one)
+    monkeypatch.setattr(eqcohom.randomized, "_apply_ops", pi_off_by_one)
+    faulted = []
     with pytest.raises(AssertionError, match="generator 0: equivariance fails"):
         random_linear_instance(random.Random(0))
+    assert faulted == [True]
+
+
+def test_conjugated_runs_one_pass_per_side(monkeypatch):
+    # Each side's operations run once over all of its matrices: four
+    # _apply_ops calls per linear draw (rows of U's and W's stacks, then
+    # their columns), whatever the number of generators, and none of them
+    # on an identity of its own.
+    apply_ops = eqcohom.randomized._apply_ops
+    passes = []
+
+    def counted(ops, rows, inverse=False):
+        passes.append(inverse)
+        return apply_ops(ops, rows, inverse)
+
+    monkeypatch.setattr(eqcohom.randomized, "_apply_ops", counted)
+    generators = set()
+    for seed in range(300):
+        passes.clear()
+        inst = random_linear_instance(random.Random(seed), max_dim=2 + seed % 5)
+        assert passes == [False, False, True, True], seed
+        generators.add(len(inst.generators))
+    assert generators == {1, 2, 3}
 
 
 def test_fixed_spaces_and_kernel_built_once(monkeypatch):

@@ -29,14 +29,14 @@ as the independent reference.
 Which elimination yields what, each run at most once per instance, all of
 them in linalg:
 
-- ker pi: kernel_basis(pi), one rref.
+- ker pi: kernel_basis(pi), one rref (none when dim_W = 0).
 - U^G, condition (ii) and the u_jk for the canonical basis of ker pi: one
   linalg.Reduction of [G | T], where T holds the d*m slot targets
   (0, ..., u_k, ..., 0), kept as `moves_reduction`. Condition (ii) holds
   iff every target column is consistent; the u_jk are its solutions with
   the free variables zero; U^G is its kernel of G, one vector per free
-  column of G, brought to canonical form by one small rref of those
-  n - rank(G) vectors (none when they are unit vectors already).
+  column of G, canonical as read (linalg.Reduction.kernel), so it runs no
+  rref of its own.
 - U~: kernel_basis of the stacked (gW_i - id) pi, its own rref, so that
   the rank identity above is not true by construction.
 - rank(G K): one rref of the (d * dim_U) x m matrix G K.
@@ -110,8 +110,8 @@ class LinearInstance(Frozen):
     def moves_reduction(self) -> Reduction:
         """The Reduction of [G | T] for the canonical basis of ker pi, kept
         like `kernel`: the one elimination behind U^G, condition (ii) and
-        find_ujk on that basis."""
-        return _reduce_moves(self, self.kernel.basis)
+        find_ujk."""
+        return _reduce_moves(self)
 
     @cached_property
     def fixed_U(self) -> Subspace:
@@ -244,32 +244,18 @@ def _minus_identity(g: Mat) -> Mat:
     )
 
 
-def _reduce_moves(inst: LinearInstance, basis: Mat) -> Reduction:
+def _reduce_moves(inst: LinearInstance) -> Reduction:
     """The Reduction of [G | T]: G = gbar_map(inst), and T the d*m slot
-    targets (0, ..., u_k, ..., 0), u_k in slot j, with the rows u_k of
-    `basis` (a basis of ker pi, over basis.den) as the integer columns
+    targets (0, ..., u_k, ..., 0), u_k in slot j, with the rows u_k of the
+    canonical basis of ker pi (over its den) as the integer columns
     j*m + k of T."""
     n, d = inst.dim_U, inst.d
     targets = [
         (0,) * (j * n) + u_k + (0,) * ((d - 1 - j) * n)
         for j in range(d)
-        for u_k in basis.ints
+        for u_k in inst.kernel.basis.ints
     ]
     return Reduction(gbar_map(inst), targets)
-
-
-def _slot_solutions(
-    inst: LinearInstance, basis: Mat, reduction: Reduction
-) -> Optional[list[list[tuple[int, list[int]]]]]:
-    """ujk[j][k] = (den, x) with G x/den the target u_k in slot j and every
-    free variable zero, read off the Reduction of [G | T] for `basis`, or
-    None when condition (ii) fails. T holds the integer rows of basis, so
-    each target is over basis.den."""
-    m = basis.rows
-    sols = [reduction.solution(t, basis.den) for t in range(inst.d * m)]
-    if None in sols:
-        return None
-    return [sols[j * m : (j + 1) * m] for j in range(inst.d)]
 
 
 def _stacked_kernel(blocks: Sequence[Mat], dim: int) -> Subspace:
@@ -358,9 +344,16 @@ def verify_iff(inst: LinearInstance) -> IffReport:
 
 def slot_solutions(inst: LinearInstance) -> Optional[list[list[tuple[int, list[int]]]]]:
     """find_ujk on the canonical basis of ker pi, in integers: ujk[j][k] is
-    (den, x), not reduced, with u_jk = x / den. They are read off the kept
-    `moves_reduction`, so this runs no rref."""
-    return _slot_solutions(inst, inst.kernel.basis, inst.moves_reduction)
+    (den, x), not reduced, with u_jk = x / den, G x / den the target u_k in
+    slot j and every free variable zero, or None when condition (ii) fails.
+    They are read off the kept `moves_reduction`, so this runs no rref."""
+    basis = inst.kernel.basis
+    m = basis.rows
+    reduction = inst.moves_reduction
+    sols = [reduction.solution(t, basis.den) for t in range(inst.d * m)]
+    if None in sols:
+        return None
+    return [sols[j * m : (j + 1) * m] for j in range(inst.d)]
 
 
 def find_ujk(
@@ -369,28 +362,32 @@ def find_ujk(
     """Solve (g_i - id) x = delta_{ij} u_k simultaneously over all i.
 
     All d*m slot targets (0, ..., u_k, ..., 0), u_k in slot j, are the
-    right-hand sides of one system in the stacked (g_i - id) map, reduced
-    by one linalg.Reduction of [G | T], and each solution sets the free
-    variables to zero. For the canonical basis of ker pi this reads the
-    instance's kept reduction (slot_solutions), so it runs no rref; another
-    basis costs one rref to check that it spans ker pi and one for its own
-    [G | T]. Returns ujk[j][k], or None when some target is inconsistent,
-    which happens exactly when condition (ii) fails.
+    right-hand sides of one system in the stacked (g_i - id) map, and each
+    solution sets the free variables to zero. For the canonical basis K of
+    ker pi they are the instance's slot_solutions, so this runs no rref.
+    Each K_l is 1 at its last nonzero entry f_l, where every other K_l' is
+    0, so another basis B is C K with C[k][l] = B_k[f_l]; such a solution
+    is linear in its target and G alone fixes the pivots, so the u_jk of B
+    are C times the canonical ones. Another basis costs only the rref that
+    checks it spans ker pi. Returns ujk[j][k], or None when some target is
+    inconsistent, which happens exactly when condition (ii) fails.
     """
     basis = [vec(u) for u in kernel_basis_choice]
     ker = inst.kernel
-    if tuple(basis) == ker.basis_vectors():
-        ujk = slot_solutions(inst)
-    elif len(basis) != ker.dim or Subspace(inst.dim_U, basis) != ker:
+    canonical = tuple(basis) == ker.basis_vectors()
+    if not canonical and (len(basis) != ker.dim or Subspace(inst.dim_U, basis) != ker):
         raise PreconditionError(
             "kernel-basis", "supplied vectors are not a basis of ker pi"
         )
-    else:
-        chosen = Mat(basis, cols=inst.dim_U)
-        ujk = _slot_solutions(inst, chosen, _reduce_moves(inst, chosen))
+    ujk = slot_solutions(inst)
     if ujk is None:
         return None
-    return [[tuple([_frac(v, den) for v in x]) for den, x in row] for row in ujk]
+    ujk = [[tuple([_frac(v, den) for v in x]) for den, x in row] for row in ujk]
+    if canonical:
+        return ujk
+    lasts = [max([i for i, x in enumerate(row) if x]) for row in ker.basis.ints]
+    change = Mat([[u[f] for f in lasts] for u in basis], cols=ker.dim)
+    return [list((change * Mat(row, cols=inst.dim_U)).data) for row in ujk]
 
 
 class Decomposition(NamedTuple):

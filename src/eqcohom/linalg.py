@@ -8,8 +8,9 @@ sums, stacking, elimination and the subspace operations all run on the
 integer rows, and entries enter through `_cleared`; fractions.Fraction
 values are made only where entries and vectors leave the module
 (`Mat.data`, built on first use, `mulvec` and `solve_many`). Subspaces are
-canonicalized by reduced row echelon form, which makes equality and
-containment purely syntactic.
+kept in reverse RREF (see `Subspace`), which is unique, so equality and
+containment are purely syntactic, and every kernel is read in that form
+off the one rref of its `Reduction`.
 
 Every elimination of the package runs here: `rref`, the `Reduction` of an
 augmented system that every solve reads, `independent_rows`, which picks
@@ -491,26 +492,27 @@ class Reduction:
         return self._red.den * den, x
 
     def kernel(self) -> "Subspace":
-        """ker m in canonical form: for each free column f, the vector with
-        red.den at f and minus column f of the pivot rows at their pivots.
-        When every such column is zero those are unit vectors in increasing
-        order, canonical already; otherwise one small rref of the n - rank
-        vectors canonicalizes them."""
+        """ker m in canonical form, with no further elimination: for each
+        free column f, in increasing order, the vector with red.den at f and
+        minus column f of the pivot rows at their pivots. A pivot row is
+        zero left of its pivot, so f is that vector's last nonzero entry,
+        and every other vector is 0 at f: the vectors are the reverse RREF
+        of ker m."""
         n = self._m.cols
         top = self._red.ints[: self.rank]
         pivots = self._pivots[: self.rank]
-        free = sorted(set(range(n)).difference(pivots))
-        if not any(row[f] for row in top for f in free):
-            units = [(0,) * f + (1,) + (0,) * (n - 1 - f) for f in free]
-            return Subspace._canonical(Mat._new(tuple(units), 1, n))
+        pivot_set = set(pivots)
+        den = self._red.den
         vectors = []
-        for f in free:
+        for f in range(n):
+            if f in pivot_set:
+                continue
             v = [0] * n
-            v[f] = self._red.den
+            v[f] = den
             for row, c in zip(top, pivots):
                 v[c] = -row[f]
             vectors.append(tuple(v))
-        return Subspace(n, Mat._new(tuple(vectors), 1, n))
+        return Subspace._canonical(Mat._new(*_lowest(tuple(vectors), den), n))
 
 
 def solve_many(m: Mat, rhs: Sequence[Sequence]) -> list[Optional[tuple[Fraction, ...]]]:
@@ -539,59 +541,40 @@ def solve(m: Mat, b: Sequence) -> Optional[tuple[Fraction, ...]]:
 
 
 def kernel_basis(m: Mat) -> "Subspace":
-    """Kernel of m as a canonical subspace of the column domain, from one
-    rref: that of m with its columns reversed.
-
-    Reversed, the rref's pivots p_i pick the last column basis of m in
-    column order, and its free columns the complement. By matroid duality
-    the complement of a basis of the column matroid of m is a basis of the
-    dual matroid, the column matroid of the kernel's basis matrix, and the
-    complement of the last basis is the first one: the pivot columns of
-    the kernel's RREF. For each such column f (free column n-1-f of the
-    reversed m) the kernel vector has red.den at f and -red[i][n-1-f] at
-    column n-1-p_i. Those nonzeros lie right of f (p_i < n-1-f, or the
-    entry is zero) and on no other vector's pivot column, so the vectors
-    in increasing f are already the kernel's RREF, with pivot entries
-    red.den.
-    """
-    n = m.cols
-    red, pivots = rref(Mat._new(tuple([row[::-1] for row in m.ints]), 1, n))
-    pivot_set = set(pivots)
-    last = n - 1
-    vectors = []
-    for f in range(n):
-        col = last - f
-        if col in pivot_set:
-            continue
-        v = [0] * n
-        v[f] = red.den
-        for row, p in zip(red.ints, pivots):
-            v[last - p] = -row[col]
-        vectors.append(tuple(v))
-    return Subspace._canonical(Mat._new(*_lowest(tuple(vectors), red.den), n))
+    """Kernel of m as a canonical subspace of the column domain: the kernel
+    of its Reduction, one rref, or none when m has no rows."""
+    return Reduction(m, ()).kernel()
 
 
 class Subspace:
-    """Linear subspace in canonical form: RREF basis with no zero rows."""
+    """Linear subspace in canonical form: its basis in reverse RREF. Each
+    basis vector's last nonzero entry is 1, every other basis vector is 0
+    there, and the vectors are ordered by that position, ascending. That
+    basis is unique, and it is the one a kernel's free columns give (see
+    Reduction.kernel)."""
 
     __slots__ = ("ambient_dim", "basis")
 
     def __init__(self, ambient_dim: int, vectors):
         """The span of `vectors`: the rows of a Mat, or an iterable of
-        vectors of exact rationals."""
+        vectors of exact rationals. One rref of the rows with their columns
+        reversed gives the basis, each kept row reversed back and the rows
+        taken in reverse order."""
         span = vectors if isinstance(vectors, Mat) else Mat(vectors, cols=ambient_dim)
         if span.cols != ambient_dim:
             raise ValueError("vector length != ambient dimension")
         if span.rows:
-            red, pivots = rref(span)
-            span = Mat._new(red.ints[: len(pivots)], red.den, ambient_dim)
+            reversed_rows = tuple([row[::-1] for row in span.ints])
+            red, pivots = rref(Mat._new(reversed_rows, 1, ambient_dim))
+            kept = red.ints[: len(pivots)][::-1]
+            span = Mat._new(tuple([row[::-1] for row in kept]), red.den, ambient_dim)
         self.basis = span
         self.ambient_dim = ambient_dim
 
     @classmethod
     def _canonical(cls, basis: Mat) -> "Subspace":
-        """Wrap a basis that is already the nonzero rows of an RREF in
-        lowest terms: the constructor for spaces computed in this module."""
+        """Wrap a basis that is already in reverse RREF and in lowest terms:
+        the constructor for spaces computed in this module."""
         space = object.__new__(cls)
         space.basis = basis
         space.ambient_dim = basis.cols

@@ -336,7 +336,9 @@ def decompose_periodic(pg: PeriodicGraph, w: Cochain1) -> PeriodicDecomposition:
     f_int = closed_potential(pg.quotient, residual)
     if f_int is None:
         raise AssertionError("residual 1-form must be exact on the quotient")
-    if _reconstruct_ints(pg, a_int, f_int) != w_int:
+    # The round trip w = reconstruct(a, f), with the periods built above.
+    edges = pg.quotient.edges
+    if [f_int[e.t] - f_int[e.o] + p for e, p in zip(edges, periods)] != w_int:
         raise AssertionError
     den = den_w * den_a
     a = tuple([tuple([_frac(row[j], den) for row in a_int]) for j in range(pg.d)])

@@ -37,9 +37,10 @@ def subspace_sum(a, b):
 
 def kernel_reference(m):
     """ker m as one vector per free column f of rref(m), red.den at f and
-    minus the RREF's integer column f at the pivots, canonicalized by
-    Subspace: the two-rref construction that linalg.kernel_basis replaced,
-    kept as its reference."""
+    minus the RREF's integer column f at the pivots, canonicalized anew by
+    Subspace: a reference for linalg.kernel_basis that takes the full rref
+    of m rather than a Reduction and trusts no form of the vectors it
+    reads."""
     red, pivots = rref(m)
     vectors = []
     for f in range(m.cols):

@@ -288,7 +288,8 @@ def test_find_ujk_and_condition_ii_run_one_rref(monkeypatch):
     # All d*m slot targets share one elimination of [G | T], kept on the
     # instance beside ker pi: the first check_condition_ii runs it, and a
     # repeat call and find_ujk on the canonical basis run no rref. Another
-    # basis costs two, the check that it spans ker pi and its own [G | T].
+    # basis costs one, the check that it spans ker pi: its u_jk are read
+    # from the canonical ones by a change of basis.
     rng = random.Random(41)
     instances = [double_shear_instance()]
     while len(instances) < 12:
@@ -315,11 +316,33 @@ def test_find_ujk_and_condition_ii_run_one_rref(monkeypatch):
         assert shapes == []
         scaled = [[2 * x for x in u] for u in basis]
         assert (find_ujk(inst, scaled) is not None) == holds
-        assert len(shapes) == 2
+        assert shapes == [(m, n)]
         shapes.clear()
         monkeypatch.setattr(eqcohom.linalg, "rref", original)
         answers.add(holds)
     assert answers == {True, False}
+
+
+def test_fixed_space_runs_no_rref_past_the_moves_reduction(monkeypatch):
+    # U^G is the kernel of G read off the kept Reduction of [G | T], in
+    # canonical form as read: once that Reduction is built, fixed_U runs
+    # no rref, and it equals the span of its own basis canonicalized anew.
+    rng = random.Random(2024)
+    original = eqcohom.linalg.rref
+
+    def forbidden(m):
+        raise AssertionError("fixed_U ran an rref")
+
+    dims = set()
+    for _ in range(200):
+        inst = random_linear_instance(rng)
+        assert inst.moves_reduction.rank <= inst.dim_U
+        monkeypatch.setattr(eqcohom.linalg, "rref", forbidden)
+        fixed = inst.fixed_U
+        monkeypatch.setattr(eqcohom.linalg, "rref", original)
+        assert fixed == Subspace(inst.dim_U, fixed.basis.data)
+        dims.add((fixed.dim == 0, fixed.dim == inst.dim_U))
+    assert dims >= {(True, False), (False, False)}
 
 
 def _rescaled(inst, rng):

@@ -213,7 +213,8 @@ def test_rref_rank_one():
     red, pivots = rref(Mat([[1, 2], [2, 4]]))
     assert red == Mat([[1, 2], [0, 0]])
     assert pivots == [0]
-    assert Subspace(2, [[1, 2], [2, 4]]).basis == Mat([[1, 2]])
+    # A subspace keeps its basis in reverse RREF: last nonzero entry 1.
+    assert Subspace(2, [[1, 2], [2, 4]]).basis == Mat([["1/2", 1]])
 
 
 def test_rref_rank_matches_fraction_free_oracle():
@@ -242,9 +243,10 @@ def test_rank_nullity():
 
 
 def test_kernel_basis_one_rref_matches_reference(monkeypatch):
-    # The one-rref kernel (of m with its columns reversed) equals the
-    # free-column construction canonicalized by a second rref, on zero,
-    # empty, tall, wide and full-rank matrices, over non-unit denominators.
+    # The kernel read off the one rref of m (none when m has no rows)
+    # equals the free-column construction canonicalized by a second rref,
+    # on zero, empty, tall, wide and full-rank matrices, over non-unit
+    # denominators.
     rng = random.Random(29)
     mats = [
         Mat.zeros(0, 0), Mat.zeros(0, 4), Mat.zeros(3, 0), Mat.zeros(3, 5),
@@ -272,7 +274,7 @@ def test_kernel_basis_one_rref_matches_reference(monkeypatch):
         monkeypatch.setattr(eqcohom.linalg, "rref", counted)
         ker = kernel_basis(m)
         monkeypatch.setattr(eqcohom.linalg, "rref", rref)
-        assert calls == [(m.rows, m.cols)]
+        assert calls == ([(m.rows, m.cols)] if m.rows else [])
         calls.clear()
         assert ker == expected
         assert (ker.ambient_dim, ker.dim) == (m.cols, m.cols - m.rank())
@@ -595,6 +597,58 @@ def test_subspace_canonical_idempotent():
         assert Subspace(5, s.basis.data) == s
 
 
+def _check_reverse_rref(basis):
+    """The reverse RREF, checked on the entries alone: each row's last
+    nonzero entry is 1, every other row is 0 at that position, and those
+    positions ascend."""
+    rows = _fractions(basis)
+    lasts = []
+    for row in rows:
+        last = max(c for c, x in enumerate(row) if x)
+        assert row[last] == 1
+        lasts.append(last)
+    assert lasts == sorted(set(lasts))
+    for i, row in enumerate(rows):
+        assert all(row[c] == 0 for k, c in enumerate(lasts) if k != i)
+
+
+def test_every_kernel_reader_and_subspace_give_one_reverse_rref():
+    # kernel_basis(m), the kernel of a Reduction of m with extra columns,
+    # and Subspace of a scaled, padded and shuffled spanning set of that
+    # kernel are one and the same basis, in reverse RREF, on matrices up to
+    # 8 x 8 over the denominators {1, 2, 3, 6}, with no rows or no columns
+    # among them.
+    rng = random.Random(2312)
+    shapes = [(0, 0), (0, 5), (5, 0), (0, 8), (8, 0)]
+    shapes += [(rng.randint(0, 8), rng.randint(0, 8)) for _ in range(300)]
+    dims = set()
+    for rows, cols in shapes:
+        if rng.random() < 0.5 and rows and cols:
+            m = _low_rank_matrix(rng, rows, cols)
+        else:
+            m = _sixths_matrix(rng, rows, cols)
+        ker = kernel_basis(m)
+        _check_normal_form(ker.basis)
+        _check_reverse_rref(ker.basis)
+        assert ker.dim == cols - fraction_free_rank(_fractions(m))
+        assert all(not any(m.mulvec(v)) for v in ker.basis_vectors())
+        extra = [[rng.randint(-3, 3) for _ in range(rows)] for _ in range(rng.randint(1, 3))]
+        assert Reduction(m, extra).kernel() == ker
+        vectors = ker.basis_vectors()
+        scales = [Fraction(rng.choice((-3, -1, 2)), rng.choice((1, 2, 3, 6))) for _ in vectors]
+        spanning = [[k * x for x in v] for k, v in zip(scales, vectors)]
+        for _ in range(rng.randint(0, 2)):
+            k = [rng.randint(-2, 2) for _ in vectors]
+            spanning.append([sum(a * v[c] for a, v in zip(k, vectors)) for c in range(cols)])
+        rng.shuffle(spanning)
+        space = Subspace(cols, spanning)
+        assert space == ker
+        _check_reverse_rref(space.basis)
+        dims.add((ker.dim == 0, ker.dim == cols, rows == 0 or cols == 0))
+    assert dims >= {(True, False, False), (False, True, False), (False, False, False),
+                    (True, True, True), (False, True, True)}
+
+
 def test_quotient_dim_equal_spaces():
     s = Subspace(3, [[1, 0, 0], [0, 1, 0]])
     assert quotient_dim(s, s) == 0
@@ -673,9 +727,11 @@ def _ref_rref(rows, n_cols):
 
 
 def _ref_span(rows, n_cols):
-    """Canonical basis of a row space: nonzero rows of its RREF."""
-    red, pivots = _ref_rref(rows, n_cols)
-    return [tuple(row) for row in red[: len(pivots)]]
+    """Canonical basis of a row space, its reverse RREF: the nonzero rows
+    of the RREF of the rows with their columns reversed, each reversed
+    back, in reverse order."""
+    red, pivots = _ref_rref([list(r)[::-1] for r in rows], n_cols)
+    return [tuple(row[::-1]) for row in reversed(red[: len(pivots)])]
 
 
 def _ref_kernel(rows, n_cols):

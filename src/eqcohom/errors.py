@@ -36,3 +36,10 @@ VERIFY_BUDGET = 10**6
 # most vertices plus edges plus rank d of one periodic graph: a vertex count
 # and a rank are single JSON numbers, so no input size bounds them.
 GRAPH_BUDGET = 10**6
+# Most permutation entries, |G| * |V|, that the group closure of a graph
+# action may hold: each element is a |V|-tuple, and neither GRAPH_BUDGET nor
+# the closure's element cap bounds their product. The 60 x 60 torus grid
+# with both translations holds 3600 * 3600 = 1.3 * 10**7. Unlike the budgets
+# above, it is answered with the closure's own code, by graphs.close_group:
+# PreconditionError("closure-cap", ...).
+CLOSURE_ENTRY_BUDGET = 2 * 10**7

@@ -6,14 +6,16 @@ Components, potentials and the periodic cycle voltages all read one BFS
 spanning forest per graph (`Graph.forest`), built on first use and kept on
 the Graph, whose fields are read-only (records.Frozen), so it cannot go stale.
 A vertex permutation that induces a graph automorphism permutes vertices
-and signed edges, and `analyze_graph_action` answers from those orbits
+and signed edges, and `analyze_graph_action` answers from the vertex orbits
 (`orbit_quotient_dim`): pi(U^G) is read off the vertex orbits and the
-components, and pi(U) ^ W^G off the signed edge orbits and their
-fundamental-cycle sums, with one small elimination and no |V|- or |E|-sized
-matrix. An action also compiles into a LinearInstance (0-cochains as U,
-1-cochains as W, coboundary as pi), on which the abstract quotient-dimension
-oracle checks the orbit answer. A compiled action is valid by construction;
-declared orders are checked on the permutations' cycles.
+components with two union-finds, and pi(U) ^ W^G = pi(U)^G has the same
+dimension, because averaging over the finite group G commutes with pi. So a
+`graph` request builds no matrix and eliminates nothing. An action also
+compiles into a LinearInstance (0-cochains as U, 1-cochains as W,
+coboundary as pi), on which the tests' abstract quotient-dimension oracle
+checks the orbit answer, beside the signed-edge-orbit cycle-sum rank kept
+in tests/conftest.py. A compiled action is valid by construction; declared
+orders are checked on the permutations' cycles.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ from collections import Counter
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import GRAPH_BUDGET, InputError, PreconditionError
+from .errors import CLOSURE_ENTRY_BUDGET, GRAPH_BUDGET, InputError, PreconditionError
 from .instance import LinearInstance
 from .linalg import Mat, _cleared, _frac, integer, json_list
 from .records import Frozen, Record
@@ -410,31 +413,42 @@ class ActionOrbits:
         return tuple([_find(root, v) for v in range(len(root))])
 
 
-def _perm_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple([a[x] for x in b])
-
-
 def close_group(
     generators: Sequence[tuple[int, ...]], n: int, cap: int = GROUP_CLOSURE_CAP
 ) -> set[tuple[int, ...]]:
-    """Closure of the generated permutation group, with an explicit cap."""
+    """Closure of the generated permutation group of 0..n-1, refused with
+    PreconditionError("closure-cap", ...) when it has more than `cap`
+    elements or more than CLOSURE_ENTRY_BUDGET entries (|G| * n). |G| is a
+    multiple of each generator's order, so a generator whose order passes
+    a bound is refused before any product is built; otherwise the element
+    that would pass a bound is never stored."""
+    if n and CLOSURE_ENTRY_BUDGET // n < cap:
+        limit = CLOSURE_ENTRY_BUDGET // n
+        detail = (
+            f"group closure exceeded the budget of {CLOSURE_ENTRY_BUDGET} "
+            f"entries (at most {limit} permutations of {n} vertices)"
+        )
+    else:
+        limit, detail = cap, f"group closure exceeded the cap of {cap} elements"
+    gens = [tuple(g) for g in generators]
+    if lcm(*[_order(g) for g in gens]) > limit:
+        raise PreconditionError("closure-cap", detail)
     ident = tuple(range(n))
     els = {ident}
+    if n < 2:  # only the identity; and itemgetter of one index returns no tuple
+        return els
     frontier = [ident]
-    gens = [tuple(g) for g in generators]
     while frontier:
         new = []
-        for g in gens:
-            for h in frontier:
-                p = _perm_mul(g, h)
+        for h in frontier:
+            compose = itemgetter(*h)  # g -> g o h, at C speed
+            for g in gens:
+                p = compose(g)
                 if p not in els:
+                    if len(els) == limit:
+                        raise PreconditionError("closure-cap", detail)
                     els.add(p)
                     new.append(p)
-                    if len(els) > cap:
-                        raise PreconditionError(
-                            "closure-cap",
-                            f"group closure exceeded the cap of {cap} elements",
-                        )
         frontier = new
     return els
 
@@ -553,86 +567,33 @@ class OrbitQuotient(NamedTuple):
     pi_of_UG: int  # dim of pi(U^G)
 
 
-def _signed_edge_orbits(
-    n_edges: int, edge_maps: Sequence[list[tuple[int, int]]]
-) -> list[list[tuple[int, int]]]:
-    """The orbit forms spanning W^G: per signed edge orbit without a parity
-    conflict, its (position, sign) list, the signs relative to the orbit's
-    representative, ordered by smallest position.
-
-    A signed union-find over the relations w[dst] = sign * w[src] of every
-    edge map; `rel[x]` is w[x] / w[root[x]]. An orbit that relates an edge
-    to its own negative forces every form on it to 0 and spans nothing.
-    """
-    root = list(range(n_edges))
-    rel = [1] * n_edges
-    conflict = [False] * n_edges
-
-    def find(x: int) -> tuple[int, int]:
-        path = []
-        while root[x] != x:
-            path.append(x)
-            x = root[x]
-        sign = 1
-        for y in reversed(path):  # nearest the root first
-            sign *= rel[y]
-            root[y], rel[y] = x, sign
-        return x, (rel[path[0]] if path else 1)
-
-    for emap in edge_maps:
-        for src, (dst, sign) in enumerate(emap):
-            (a, sa), (b, sb) = find(src), find(dst)
-            if a == b:
-                conflict[a] = conflict[a] or sb != sign * sa
-            else:
-                root[b], rel[b] = a, sb * sign * sa
-                conflict[a] = conflict[a] or conflict[b]
-    forms: dict[int, list[tuple[int, int]]] = {}
-    for pos in range(n_edges):
-        r, sign = find(pos)
-        if not conflict[r]:
-            forms.setdefault(r, []).append((pos, sign))
-    return list(forms.values())
-
-
 def orbit_quotient_dim(orbits: ActionOrbits) -> OrbitQuotient:
-    """The quotient dimension of an automorphism action, from its orbits.
+    """The quotient dimension of an automorphism action, from its vertex
+    orbits alone, in O(|V| + |E|).
 
     U^G is spanned by the vertex-orbit indicators, and pi kills exactly the
     functions constant on components, so dim pi(U^G) = #vertex orbits -
-    #classes of (vertex orbit v component). W^G is spanned by the k orbit
-    forms of `_signed_edge_orbits`, which have disjoint supports; a form
-    lies in pi(U) iff its sum around every fundamental cycle of
-    `Graph.forest` is 0 (a loop is a non-tree edge whose cycle is itself).
-    So dim pi(U) ^ W^G = k - rank(C), C the k x c matrix of those sums:
-    the only elimination, of small integers.
+    #classes of (vertex orbit v component). pi(U) ^ W^G is pi(U)^G, and it
+    has the same dimension: G is a finite permutation group and the field
+    is Q, so the average R = |G|^-1 sum_g g projects each G-stable space
+    onto its fixed vectors, and R commutes with pi because every g does.
+    So pi(U)^G = R(pi(U)) = pi(R(U)) = pi(U^G), and the quotient dimension
+    is 0 on every automorphism action. The tests check both dimensions
+    against the dense oracle (`to_instance` + `oracle_quotient_dim`) and
+    against the rank of the signed edge orbits' cycle sums
+    (tests/conftest.py).
     """
-    graph = orbits.graph
-    forest = graph.forest
     orbit = orbits.vertex_orbit
     n_orbits = sum(1 for v, r in enumerate(orbit) if v == r)
     root = list(orbit)
     classes = n_orbits
-    for e in graph.edges:
+    for e in orbits.graph.edges:
         a, b = _find(root, e.o), _find(root, e.t)
         if a != b:
             root[b] = a
             classes -= 1
     pi_of_ug = n_orbits - classes
-
-    cycles = [
-        (pos, e) for pos, e in enumerate(graph.edges) if pos not in forest.tree_positions
-    ]
-    sums = []
-    for form in _signed_edge_orbits(graph.n_edges, orbits.edge_maps):
-        labels = [0] * graph.n_edges
-        for pos, sign in form:
-            labels[pos] = sign
-        p = forest.integrate(labels)
-        sums.append([labels[pos] - p[e.t] + p[e.o] for pos, e in cycles])
-    rank = Mat.from_ints(sums).rank() if sums and cycles else 0
-    pi_u_g = len(sums) - rank
-    return OrbitQuotient(pi_u_g - pi_of_ug, pi_u_g, pi_of_ug)
+    return OrbitQuotient(0, pi_of_ug, pi_of_ug)
 
 
 def analyze_graph_action(graph: Graph, action: GraphAction) -> dict:
@@ -640,9 +601,15 @@ def analyze_graph_action(graph: Graph, action: GraphAction) -> dict:
     prediction (dimension 0) into one report.
 
     The action is read once (`ActionOrbits`), and the quotient dimension
-    comes from its orbits (`orbit_quotient_dim`), never from a compiled
-    instance. Errors keep their order: a non-automorphism, then the group
-    closure cap, then a wrong declared order.
+    comes from its vertex orbits (`orbit_quotient_dim`), never from a
+    compiled instance: no matrix is built and nothing is eliminated. Each
+    generator must be an automorphism (pi*gU = gW*pi edge by edge,
+    `_edge_image_map`), the hypothesis of the averaging argument, and the
+    group closure and the declared orders are checked. Errors keep their
+    order: a non-automorphism, then the group closure cap, then a wrong
+    declared order. `consistent` compares the quotient dimension with the
+    finite-group prediction; it holds by that theorem, and the tests carry
+    the independent check.
     """
     orbits = ActionOrbits(graph, action)
     checks = action_checks(graph, action, orbits)

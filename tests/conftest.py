@@ -149,6 +149,73 @@ def fraction_of(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
+def signed_edge_orbits(n_edges, edge_maps):
+    """The orbit forms spanning W^G: per signed edge orbit without a parity
+    conflict, its (position, sign) list, the signs relative to the orbit's
+    representative, ordered by smallest position.
+
+    A signed union-find over the relations w[dst] = sign * w[src] of every
+    edge map; `rel[x]` is w[x] / w[root[x]]. An orbit that relates an edge
+    to its own negative forces every form on it to 0 and spans nothing.
+    The routine graphs.orbit_quotient_dim read before it answered from the
+    vertex orbits alone, kept as a reference for W^G.
+    """
+    root = list(range(n_edges))
+    rel = [1] * n_edges
+    conflict = [False] * n_edges
+
+    def find(x):
+        path = []
+        while root[x] != x:
+            path.append(x)
+            x = root[x]
+        sign = 1
+        for y in reversed(path):  # nearest the root first
+            sign *= rel[y]
+            root[y], rel[y] = x, sign
+        return x, (rel[path[0]] if path else 1)
+
+    for emap in edge_maps:
+        for src, (dst, sign) in enumerate(emap):
+            (a, sa), (b, sb) = find(src), find(dst)
+            if a == b:
+                conflict[a] = conflict[a] or sb != sign * sa
+            else:
+                root[b], rel[b] = a, sb * sign * sa
+                conflict[a] = conflict[a] or conflict[b]
+    forms = {}
+    for pos in range(n_edges):
+        r, sign = find(pos)
+        if not conflict[r]:
+            forms.setdefault(r, []).append((pos, sign))
+    return list(forms.values())
+
+
+def cycle_sum_pi_U_G(orbits):
+    """dim pi(U) ^ W^G of an automorphism action, as k - rank(C): W^G is
+    spanned by the k orbit forms of `signed_edge_orbits`, which have
+    disjoint supports, and a form lies in pi(U) iff its sum around every
+    fundamental cycle of `Graph.forest` is 0 (a loop is a non-tree edge
+    whose cycle is itself); C is the k x c matrix of those sums. The
+    elimination that graphs.orbit_quotient_dim ran before the averaging
+    argument made it unnecessary, kept as a reference that shares no step
+    with it."""
+    graph = orbits.graph
+    forest = graph.forest
+    cycles = [
+        (pos, e) for pos, e in enumerate(graph.edges) if pos not in forest.tree_positions
+    ]
+    sums = []
+    for form in signed_edge_orbits(graph.n_edges, orbits.edge_maps):
+        labels = [0] * graph.n_edges
+        for pos, sign in form:
+            labels[pos] = sign
+        p = forest.integrate(labels)
+        sums.append([labels[pos] - p[e.t] + p[e.o] for pos, e in cycles])
+    rank = Mat.from_ints(sums).rank() if sums and cycles else 0
+    return len(sums) - rank
+
+
 # A Fraction-only periodic decomposition, entry by entry: the reference for
 # the integer path of eqcohom.periodic.
 

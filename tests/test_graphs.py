@@ -1,13 +1,15 @@
+import itertools
 import random
+import time
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 import pytest
 
 import eqcohom.graphs
 import eqcohom.instance
 import eqcohom.linalg
-from eqcohom.errors import GRAPH_BUDGET, InputError, PreconditionError
+from eqcohom.errors import CLOSURE_ENTRY_BUDGET, GRAPH_BUDGET, InputError, PreconditionError
 from eqcohom.fixtures import (
     c4_graph,
     c4_rotation,
@@ -26,7 +28,6 @@ from eqcohom.graphs import (
     Graph,
     GraphAction,
     OrbitQuotient,
-    _signed_edge_orbits,
     action_checks,
     analyze_graph_action,
     close_group,
@@ -40,7 +41,7 @@ from eqcohom.instance import check_condition_i, oracle_quotient_dim, validate
 from eqcohom.linalg import Mat, Subspace, kernel_basis, rat, vec
 from eqcohom.randomized import random_graph, random_graph_instance
 
-from conftest import READER_ENTRIES, fixed_W
+from conftest import READER_ENTRIES, cycle_sum_pi_U_G, fixed_W, signed_edge_orbits
 
 
 def test_coboundary_single_edge():
@@ -228,6 +229,50 @@ def test_close_group_cap():
         close_group(gens, 6, cap=10)
     assert err.value.code == "closure-cap"
     assert len(close_group(gens, 6)) == 720
+
+
+def test_close_group_refuses_over_the_entry_budget_at_once():
+    # A 100,000-vertex cyclic action is within GRAPH_BUDGET and its 100,000
+    # elements within the element cap, but its closure would hold 10**10
+    # entries. |G| is a multiple of the generator's order, so it is refused
+    # before any product is built; and before its wrong declared order.
+    n = 100_000
+    shift = tuple(list(range(1, n)) + [0])
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError) as err:
+        analyze_graph_action(Graph.make(n, []), GraphAction((shift,), {0: 3}))
+    assert time.perf_counter() - start < 1
+    assert err.value.code == "closure-cap"
+    assert str(CLOSURE_ENTRY_BUDGET) in err.value.detail
+    # The 60 x 60 torus grid with both translations still answers.
+    assert 60 * 60 * 60 * 60 <= CLOSURE_ENTRY_BUDGET
+
+
+def test_close_group_entry_budget_boundary(monkeypatch):
+    # Two reflections of C_6 have order 2 and generate D_6, 12 elements of
+    # 6 entries: the closure is built at 72 entries, and one entry less
+    # refuses it while enumerating. A rotation of order 6 is refused off
+    # its order, before any product, when the budget admits fewer than 6
+    # permutations.
+    refl = [tuple((-v) % 6 for v in range(6)), tuple((1 - v) % 6 for v in range(6))]
+    monkeypatch.setattr(eqcohom.graphs, "CLOSURE_ENTRY_BUDGET", 72)
+    assert len(close_group(refl, 6)) == 12
+    monkeypatch.setattr(eqcohom.graphs, "CLOSURE_ENTRY_BUDGET", 71)
+    with pytest.raises(PreconditionError) as err:
+        close_group(refl, 6)
+    assert err.value.code == "closure-cap"
+    assert "at most 11 permutations of 6 vertices" in err.value.detail
+    monkeypatch.setattr(eqcohom.graphs, "CLOSURE_ENTRY_BUDGET", 35)
+    with monkeypatch.context() as m:
+        m.setattr(eqcohom.graphs, "itemgetter", None)
+        with pytest.raises(PreconditionError) as err:
+            close_group([tuple((v + 1) % 6 for v in range(6))], 6)
+    assert "at most 5 permutations" in err.value.detail
+    # The element cap keeps its own message where it binds first.
+    monkeypatch.setattr(eqcohom.graphs, "CLOSURE_ENTRY_BUDGET", 10**6)
+    with pytest.raises(PreconditionError) as err:
+        close_group(refl, 6, cap=11)
+    assert err.value.detail == "group closure exceeded the cap of 11 elements"
 
 
 def test_to_instance_identity():
@@ -530,8 +575,9 @@ def edge_orbit_count(g, gens):
 
 def test_orbit_quotient_dim_matches_dense_oracle():
     # The dense instance is the oracle: the orbit answer must agree on both
-    # subspace dimensions, on every kind of draw, and the orbit forms must
-    # span exactly the dense W^G.
+    # subspace dimensions, on every kind of draw, and so must the cycle-sum
+    # rank of the reference orbit forms, which must span exactly the dense
+    # W^G.
     rng = random.Random(83)
     seen = set()
     positive = forced_zero = 0
@@ -546,8 +592,9 @@ def test_orbit_quotient_dim_matches_dense_oracle():
         assert (orbit.dim, orbit.pi_U_G, orbit.pi_of_UG) == (
             oracle.dim, oracle.pi_U_G.dim, oracle.pi_of_UG.dim
         )
+        assert cycle_sum_pi_U_G(orbits) == oracle.pi_U_G.dim
         forms = []
-        for form in _signed_edge_orbits(g.n_edges, orbits.edge_maps):
+        for form in signed_edge_orbits(g.n_edges, orbits.edge_maps):
             vector = [0] * g.n_edges
             for pos, sign in form:
                 vector[pos] = sign
@@ -593,12 +640,13 @@ def test_action_checks_match_whole_group_definition():
 def test_orbit_quotient_dim_forced_zero_reflection():
     # Reflecting C5 in vertex 0 maps edge 2 = (2, 3) to itself reversed, so
     # its orbit carries no invariant form. Edges 0 and 4, and 1 and 3, pair
-    # up with sign -1: k = 2 forms, each summing to 0 around the one cycle,
-    # so rank C = 0. The vertex orbits {0}, {1, 4}, {2, 3} lie in one
-    # component: dim pi(U^G) = 3 - 1.
+    # up with sign -1: the reference finds k = 2 forms, each summing to 0
+    # around the one cycle, so rank C = 0. The vertex orbits {0}, {1, 4},
+    # {2, 3} lie in one component: dim pi(U^G) = 3 - 1.
     orbits = ActionOrbits(cycle_graph(5), GraphAction(((0, 4, 3, 2, 1),)))
     assert orbits.edge_maps == ([(4, -1), (3, -1), (2, -1), (1, -1), (0, -1)],)
     assert orbit_quotient_dim(orbits) == OrbitQuotient(0, 2, 2)
+    assert cycle_sum_pi_U_G(orbits) == 2
 
 
 def test_signed_edge_orbits_merge_signs_and_conflicts():
@@ -606,11 +654,11 @@ def test_signed_edge_orbits_merge_signs_and_conflicts():
     # makes w2 = -w1; the second makes w2 = w0, so the merge must carry
     # edge 2's own sign relative to its representative: w1 = -w0.
     maps = [[(0, 1), (2, -1), (1, -1)], [(2, 1), (1, 1), (0, 1)]]
-    assert _signed_edge_orbits(3, maps) == [[(0, 1), (1, -1), (2, 1)]]
+    assert signed_edge_orbits(3, maps) == [[(0, 1), (1, -1), (2, 1)]]
     # The first map forces w1 = -w1 before the second joins edges 0 and 1:
     # the merged orbit keeps the conflict and spans nothing.
     maps = [[(0, 1), (1, -1)], [(1, 1), (0, 1)]]
-    assert _signed_edge_orbits(2, maps) == []
+    assert signed_edge_orbits(2, maps) == []
 
 
 def test_action_errors_keep_their_precedence():
@@ -630,9 +678,8 @@ def test_action_errors_keep_their_precedence():
 
 
 def test_analyze_graph_action_does_no_dense_work(monkeypatch):
-    # The orbit path builds no compiled instance, runs no dense oracle, no
-    # matrix product and no kernel, and at most one rref (of the cycle-sum
-    # matrix).
+    # The orbit path builds no compiled instance and no matrix, runs no
+    # dense oracle, no matrix product, no kernel and no rref.
     def forbidden(*args, **kwargs):
         raise AssertionError("analyze_graph_action must not do dense work")
 
@@ -648,13 +695,13 @@ def test_analyze_graph_action_does_no_dense_work(monkeypatch):
         monkeypatch.setattr(module, "oracle_quotient_dim", forbidden, raising=False)
     for module in (eqcohom.linalg, eqcohom.instance):
         monkeypatch.setattr(module, "kernel_basis", forbidden)
-    monkeypatch.setattr(Mat, "__mul__", forbidden)
+    for name in ("__init__", "_new", "__mul__"):
+        monkeypatch.setattr(Mat, name, forbidden)
     monkeypatch.setattr(eqcohom.linalg, "rref", counted_rref)
     g, gens = torus_grid(12)
     rep = analyze_graph_action(g, GraphAction(gens, {0: 12, 1: 24}))
     assert (rep["quotient_dim"], rep["group_order"], rep["is_free"]) == (0, 144, True)
-    # Two edge orbits (the two translation directions), 145 fundamental cycles.
-    assert rref_calls == [(2, 145)]
+    assert rref_calls == []
 
 
 def test_graph_budget_counts_vertices_plus_edges():
@@ -667,3 +714,100 @@ def test_graph_budget_counts_vertices_plus_edges():
             Graph.make(n, edges)
         assert err.value.code == "budget"
         assert str(GRAPH_BUDGET + 1) in err.value.detail
+
+
+def ring_configurations(n_species, n_sites):
+    """The configuration graph of the exchange interaction on a ring, the
+    finite model of Bannai, Kametani and Sasada's configuration spaces: a
+    vertex is a configuration x in S^N (|S| = n_species, N = n_sites >= 3),
+    numbered in itertools.product order, and an edge swaps the differing
+    states of two adjacent sites, stored once, from the configuration with
+    the smaller state first. Returns the graph, the cyclic shift (the state
+    at site i moves to site i + 1) and each vertex's conserved totals (the
+    number of sites in each state)."""
+    configs = list(itertools.product(range(n_species), repeat=n_sites))
+    index = {x: v for v, x in enumerate(configs)}
+    edges = []
+    for v, x in enumerate(configs):
+        for i in range(n_sites):
+            j = (i + 1) % n_sites
+            if x[i] < x[j]:
+                y = list(x)
+                y[i], y[j] = x[j], x[i]
+                edges.append((len(edges), v, index[tuple(y)]))
+    shift = tuple([index[x[-1:] + x[:-1]] for x in configs])
+    totals = [tuple([x.count(s) for s in range(n_species)]) for x in configs]
+    return Graph.make(len(configs), edges), shift, totals
+
+
+@pytest.mark.parametrize("species, sites", [(2, 3), (2, 8), (3, 3), (3, 6)])
+def test_configuration_graph_components_are_conserved_totals(species, sites):
+    # The components of an exchange configuration graph are the level sets
+    # of the conserved totals: N + 1 for exclusion (|S| = 2), C(N+2, 2) for
+    # three species. The shift generates a group of order N, and the
+    # quotient dimension is 0, as the dense oracle confirms on small rings.
+    g, shift, totals = ring_configurations(species, sites)
+    comp_of = g.forest.comp_of
+    level_sets = len(set(totals))
+    assert level_sets == comb(sites + species - 1, species - 1)
+    assert len({(comp_of[v], totals[v]) for v in range(g.n_vertices)}) == level_sets
+    act = GraphAction((shift,), {0: sites})
+    rep = analyze_graph_action(g, act)
+    assert rep["components"] == level_sets
+    assert (rep["group_order"], rep["quotient_dim"], rep["consistent"]) == (sites, 0, True)
+    if g.n_vertices <= 27:
+        oracle = oracle_quotient_dim(to_instance(g, act))
+        orbit = orbit_quotient_dim(ActionOrbits(g, act))
+        assert (orbit.dim, orbit.pi_U_G, orbit.pi_of_UG) == (
+            oracle.dim, oracle.pi_U_G.dim, oracle.pi_of_UG.dim
+        )
+
+
+def test_three_species_ring_of_8_sites_runs_no_elimination(monkeypatch):
+    # 3^8 = 6,561 configurations and 8 * 2,187 = 17,496 exchanges. The
+    # k x c cycle-sum rank took 23.8 s here; the orbit path runs no rref
+    # and answers in well under a second on a 2-core x86-64 host.
+    rref_calls = []
+    rref = eqcohom.linalg.rref
+
+    def counted_rref(m):
+        rref_calls.append((m.rows, m.cols))
+        return rref(m)
+
+    monkeypatch.setattr(eqcohom.linalg, "rref", counted_rref)
+    g, shift, _ = ring_configurations(3, 8)
+    assert (g.n_vertices, g.n_edges) == (6561, 17496)
+    start = time.perf_counter()
+    rep = analyze_graph_action(g, GraphAction((shift,), {0: 8}))
+    assert time.perf_counter() - start < 5
+    assert (rep["components"], rep["group_order"], rep["quotient_dim"]) == (45, 8, 0)
+    assert rref_calls == []
+
+
+def test_orbit_quotient_dim_matches_dense_oracle_on_every_small_graph():
+    # Bounded-exhaustive scope: every graph on at most 3 vertices with at
+    # most 3 edges, loops and multi-edges included (one multiset of stored
+    # (origin, target) pairs per graph, ids in order), with every tuple of
+    # at most 2 of its automorphisms as generators. The cycle-sum reference
+    # must agree too.
+    cases = positive = 0
+    for n in range(4):
+        pairs = [(o, t) for o in range(n) for t in range(n)]
+        perms = list(itertools.permutations(range(n)))
+        for m in range(4):
+            for ends in itertools.combinations_with_replacement(pairs, m):
+                g = Graph.make(n, [(i, o, t) for i, (o, t) in enumerate(ends)])
+                autos = [p for p in perms if not ActionOrbits(g, GraphAction((p,))).issues]
+                for d in range(3):
+                    for gens in itertools.product(autos, repeat=d):
+                        act = GraphAction(gens)
+                        oracle = oracle_quotient_dim(to_instance(g, act))
+                        orbits = ActionOrbits(g, act)
+                        orbit = orbit_quotient_dim(orbits)
+                        assert (orbit.dim, orbit.pi_U_G, orbit.pi_of_UG) == (
+                            oracle.dim, oracle.pi_U_G.dim, oracle.pi_of_UG.dim
+                        )
+                        assert cycle_sum_pi_U_G(orbits) == oracle.pi_U_G.dim
+                        cases += 1
+                        positive += oracle.pi_U_G.dim > 0
+    assert (cases, positive) == (1592, 867)

@@ -104,13 +104,6 @@ def square_index2_periodic() -> PeriodicGraph:
     return PeriodicGraph.make(2, g, {0: (2, 0), 1: (0, 1)})
 
 
-def halfline_periodic() -> PeriodicGraph:
-    """One vertex, single loop of voltage (2,0) in rank 2: rank-deficient
-    period lattice with infinitely many lift components."""
-    g = Graph.make(1, [(0, 0, 0)])
-    return PeriodicGraph.make(2, g, {0: (2, 0)})
-
-
 # Fixture name -> (file name, builder of the file's object) per file, in
 # listing order. The torus-d fixtures are named by their rank and built
 # apart.

@@ -6,16 +6,15 @@ Components, potentials and the periodic cycle voltages all read one BFS
 spanning forest per graph (`Graph.forest`), built on first use and kept on
 the Graph, whose fields are read-only (records.Frozen), so it cannot go stale.
 A vertex permutation that induces a graph automorphism permutes vertices
-and signed edges, and `analyze_graph_action` answers from the vertex orbits
-(`orbit_quotient_dim`): pi(U^G) is read off the vertex orbits and the
-components with two union-finds, and pi(U) ^ W^G = pi(U)^G has the same
-dimension, because averaging over the finite group G commutes with pi. So a
-`graph` request builds no matrix and eliminates nothing. An action also
-compiles into a LinearInstance (0-cochains as U, 1-cochains as W,
-coboundary as pi), on which the tests' abstract quotient-dimension oracle
-checks the orbit answer, beside the signed-edge-orbit cycle-sum rank kept
-in tests/conftest.py. A compiled action is valid by construction; declared
-orders are checked on the permutations' cycles.
+and signed edges. `ActionOrbits` reads an action once: each generator's
+signed edge map and order, and the vertex orbits. `analyze_graph_action`
+reports from those and from the averaging theorem (the quotient dimension
+of a finite permutation group is 0), so a `graph` request builds no matrix
+and eliminates nothing. An action also compiles into a LinearInstance
+(0-cochains as U, 1-cochains as W, coboundary as pi), on which the tests'
+abstract quotient-dimension oracle checks the theorem. A compiled action is
+valid by construction; declared orders are checked on the permutations'
+cycles.
 """
 
 from __future__ import annotations
@@ -106,7 +105,10 @@ class Forest(Record):
     potentials and the periodic cycle voltages all read.
 
     Each component is searched from its smallest vertex id, neighbours in
-    (vertex, edge position) order; loops are never tree edges.
+    edge-position order; loops are never tree edges. No report depends on
+    which spanning forest this is: potentials are 0 at each component's
+    smallest vertex, period lattices are canonical HNFs, and full-rank
+    period coefficients are unique.
     """
 
     __slots__ = _fields = ("comps", "comp_of", "order", "parent", "tree_positions")
@@ -145,7 +147,7 @@ class Forest(Record):
             while i < len(order):  # `order` doubles as the BFS queue
                 v = order[i]
                 i += 1
-                for u, pos, sign in sorted(adj[v]):
+                for u, pos, sign in adj[v]:
                     if comp_of[u] < 0:
                         comp_of[u] = k
                         parent[u] = (v, pos, sign)
@@ -373,13 +375,14 @@ def _find(root: list[int], v: int) -> int:
 
 
 class ActionOrbits:
-    """A graph action read once: each generator's signed edge map, and the
-    vertex orbits of the generated group, computed on first use.
+    """A graph action read once: each generator's signed edge map and its
+    order as a vertex permutation, and the vertex orbits of the generated
+    group, computed on first use.
 
     `issues` names each generator that is no permutation of the vertices or
     no automorphism; the action is an automorphism action iff it is empty,
-    and only then do `edge_maps` (one map per generator) and
-    `vertex_orbit` mean anything.
+    and only then do `edge_maps` and `vertex_orders` (one entry per
+    generator) and `vertex_orbit` mean anything.
     """
 
     def __init__(self, graph: Graph, action: GraphAction):
@@ -387,7 +390,7 @@ class ActionOrbits:
         by_endpoints: dict[tuple[int, int], list[int]] = {}
         for pos, e in enumerate(graph.edges):
             by_endpoints.setdefault((e.o, e.t), []).append(pos)
-        issues, maps = [], []
+        issues, maps, orders = [], [], []
         n = graph.n_vertices
         for i, perm in enumerate(action.generators):
             if len(perm) != n or sorted(perm) != list(range(n)):
@@ -398,8 +401,10 @@ class ActionOrbits:
                 issues.append(f"generator {i}: does not map edges to edges")
             else:
                 maps.append(emap)
+                orders.append(_order(perm))
         self.issues: tuple[str, ...] = tuple(issues)
         self.edge_maps: tuple[list[tuple[int, int]], ...] = () if issues else tuple(maps)
+        self.vertex_orders: tuple[int, ...] = () if issues else tuple(orders)
 
     @cached_property
     def vertex_orbit(self) -> tuple[int, ...]:
@@ -414,14 +419,16 @@ class ActionOrbits:
 
 
 def close_group(
-    generators: Sequence[tuple[int, ...]], n: int, cap: int = GROUP_CLOSURE_CAP
+    generators: Sequence[tuple[int, ...]], n: int, orders: Sequence[int]
 ) -> set[tuple[int, ...]]:
-    """Closure of the generated permutation group of 0..n-1, refused with
-    PreconditionError("closure-cap", ...) when it has more than `cap`
-    elements or more than CLOSURE_ENTRY_BUDGET entries (|G| * n). |G| is a
-    multiple of each generator's order, so a generator whose order passes
-    a bound is refused before any product is built; otherwise the element
-    that would pass a bound is never stored."""
+    """Closure of the group generated by permutations of 0..n-1, given with
+    their orders, refused with PreconditionError("closure-cap", ...) when it
+    has more than GROUP_CLOSURE_CAP elements or more than
+    CLOSURE_ENTRY_BUDGET entries (|G| * n). |G| is a multiple of the lcm of
+    the orders, so a group whose lcm passes a bound is refused before any
+    product is built; otherwise the element that would pass a bound is
+    never stored."""
+    cap = GROUP_CLOSURE_CAP
     if n and CLOSURE_ENTRY_BUDGET // n < cap:
         limit = CLOSURE_ENTRY_BUDGET // n
         detail = (
@@ -430,8 +437,7 @@ def close_group(
         )
     else:
         limit, detail = cap, f"group closure exceeded the cap of {cap} elements"
-    gens = [tuple(g) for g in generators]
-    if lcm(*[_order(g) for g in gens]) > limit:
+    if lcm(*orders) > limit:
         raise PreconditionError("closure-cap", detail)
     ident = tuple(range(n))
     els = {ident}
@@ -442,7 +448,7 @@ def close_group(
         new = []
         for h in frontier:
             compose = itemgetter(*h)  # g -> g o h, at C speed
-            for g in gens:
+            for g in generators:
                 p = compose(g)
                 if p not in els:
                     if len(els) == limit:
@@ -460,27 +466,22 @@ class ActionChecks(NamedTuple):
     group_order: Optional[int]
 
 
-def action_checks(
-    graph: Graph, action: GraphAction, orbits: Optional[ActionOrbits] = None
-) -> ActionChecks:
-    """Automorphism, freeness, closedness in components and group order.
+def action_checks(orbits: ActionOrbits) -> ActionChecks:
+    """Automorphism, freeness, closedness in components and group order of
+    an action read once.
 
     Freeness is read off the orbits (orbit-stabilizer: every stabilizer is
     trivial iff every vertex orbit has |G| elements), and closedness off the
     generators, since products of component-preserving permutations preserve
-    components. Only the group order needs the capped closure. Pass
-    `orbits` when the action has been read already.
+    components. Only the group order needs the capped closure.
     """
-    if orbits is None:
-        orbits = ActionOrbits(graph, action)
     if orbits.issues:
         return ActionChecks(False, None, None, None)
-    order = len(close_group(action.generators, graph.n_vertices))
+    graph, gens = orbits.graph, orbits.action.generators
+    order = len(close_group(gens, graph.n_vertices, orbits.vertex_orders))
     sizes = Counter(orbits.vertex_orbit)
     comp_of = graph.forest.comp_of
-    closed = all(
-        comp_of[u] == comp_of[v] for perm in action.generators for v, u in enumerate(perm)
-    )
+    closed = all(comp_of[u] == comp_of[v] for perm in gens for v, u in enumerate(perm))
     return ActionChecks(True, all(k == order for k in sizes.values()), closed, order)
 
 
@@ -506,14 +507,14 @@ def _check_declared_orders(orbits: ActionOrbits) -> None:
     N: O(|V| + |E|) per generator, whatever N is."""
     action = orbits.action
     issues = []
-    for i, (perm, emap) in enumerate(zip(action.generators, orbits.edge_maps)):
+    for i, (order, emap) in enumerate(zip(orbits.vertex_orders, orbits.edge_maps)):
         n = action.orders.get(i)
         if n is None:
             continue
         if n < 1:
             issues.append(f"generator {i}: declared order {n} < 1")
             continue
-        if n % _order(perm):
+        if n % order:
             issues.append(f"generator {i}: gU^{n} != identity")
         half_edges = [2 * dst + (b ^ (sign < 0)) for dst, sign in emap for b in (0, 1)]
         if n % _order(half_edges):
@@ -561,74 +562,39 @@ def to_instance(graph: Graph, action: GraphAction) -> LinearInstance:
     )
 
 
-class OrbitQuotient(NamedTuple):
-    dim: int  # dim pi(U)^G / pi(U^G)
-    pi_U_G: int  # dim of pi(U) ^ W^G
-    pi_of_UG: int  # dim of pi(U^G)
-
-
-def orbit_quotient_dim(orbits: ActionOrbits) -> OrbitQuotient:
-    """The quotient dimension of an automorphism action, from its vertex
-    orbits alone, in O(|V| + |E|).
-
-    U^G is spanned by the vertex-orbit indicators, and pi kills exactly the
-    functions constant on components, so dim pi(U^G) = #vertex orbits -
-    #classes of (vertex orbit v component). pi(U) ^ W^G is pi(U)^G, and it
-    has the same dimension: G is a finite permutation group and the field
-    is Q, so the average R = |G|^-1 sum_g g projects each G-stable space
-    onto its fixed vectors, and R commutes with pi because every g does.
-    So pi(U)^G = R(pi(U)) = pi(R(U)) = pi(U^G), and the quotient dimension
-    is 0 on every automorphism action. The tests check both dimensions
-    against the dense oracle (`to_instance` + `oracle_quotient_dim`) and
-    against the rank of the signed edge orbits' cycle sums
-    (tests/conftest.py).
-    """
-    orbit = orbits.vertex_orbit
-    n_orbits = sum(1 for v, r in enumerate(orbit) if v == r)
-    root = list(orbit)
-    classes = n_orbits
-    for e in orbits.graph.edges:
-        a, b = _find(root, e.o), _find(root, e.t)
-        if a != b:
-            root[b] = a
-            classes -= 1
-    pi_of_ug = n_orbits - classes
-    return OrbitQuotient(0, pi_of_ug, pi_of_ug)
-
-
 def analyze_graph_action(graph: Graph, action: GraphAction) -> dict:
-    """Bundle action checks, the quotient dimension and the finite-group
-    prediction (dimension 0) into one report.
+    """Report the action checks and the quotient dimension, which is 0 on
+    every automorphism action by the averaging theorem.
 
-    The action is read once (`ActionOrbits`), and the quotient dimension
-    comes from its vertex orbits (`orbit_quotient_dim`), never from a
-    compiled instance: no matrix is built and nothing is eliminated. Each
-    generator must be an automorphism (pi*gU = gW*pi edge by edge,
-    `_edge_image_map`), the hypothesis of the averaging argument, and the
-    group closure and the declared orders are checked. Errors keep their
+    Each generator must be an automorphism (pi*gU = gW*pi edge by edge,
+    `_edge_image_map`). Then G is a finite permutation group, and over Q
+    its average R = |G|^-1 sum_g g projects each G-stable space onto its
+    fixed vectors and commutes with pi, because every g does. So
+    pi(U)^G = R(pi(U)) = pi(R(U)) = pi(U^G): the quotient dimension is 0,
+    and it agrees with the finite-group prediction (`consistent`). The
+    action is read once (`ActionOrbits`); no matrix is built and nothing is
+    eliminated. The tests check the theorem against the dense oracle
+    (`to_instance` + `oracle_quotient_dim`) and against the rank of the
+    signed edge orbits' cycle sums (tests/conftest.py). Errors keep their
     order: a non-automorphism, then the group closure cap, then a wrong
-    declared order. `consistent` compares the quotient dimension with the
-    finite-group prediction; it holds by that theorem, and the tests carry
-    the independent check.
+    declared order.
     """
     orbits = ActionOrbits(graph, action)
-    checks = action_checks(graph, action, orbits)
+    checks = action_checks(orbits)
     if not checks.is_automorphism:
         raise InputError("action generators are not graph automorphisms")
     _check_declared_orders(orbits)
-    quotient = orbit_quotient_dim(orbits)
-    comps = components(graph)
-    m = len(comps)
+    m = len(graph.forest.comps)
     d = len(action.generators)
     # Finite permutation groups have no free abelianized part, so the
-    # quotient dimension is predicted to vanish for nontrivial actions.
-    predicted_zero = checks.group_order is not None and checks.group_order > 1
+    # quotient dimension is predicted to vanish for nontrivial actions. A
+    # nontrivial group has a generator and moves a vertex, so d, m >= 1
+    # and both notes apply.
+    predicted_zero = checks.group_order > 1
     notes = []
     if predicted_zero:
         notes.append("finite symmetry group: free abelian rank 0, expect dim 0")
-        if d >= 1 and m >= 1:
-            notes.append("hypothesis of a free-abelian symmetry group not satisfied")
-    consistent = (not predicted_zero) or quotient.dim == 0
+        notes.append("hypothesis of a free-abelian symmetry group not satisfied")
     return {
         "is_automorphism": checks.is_automorphism,
         "is_free": checks.is_free_on_generated_group,
@@ -636,9 +602,9 @@ def analyze_graph_action(graph: Graph, action: GraphAction) -> dict:
         "group_order": checks.group_order,
         "components": m,
         "generators": d,
-        "quotient_dim": quotient.dim,
+        "quotient_dim": 0,
         "md": m * d,
         "predicted_zero": predicted_zero,
-        "consistent": consistent,
+        "consistent": True,
         "notes": notes,
     }

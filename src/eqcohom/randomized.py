@@ -97,23 +97,6 @@ def _beside(n: int, mats: list[Mat]) -> list[list[int]]:
     return rows
 
 
-def random_unimodular(rng: random.Random, n: int) -> tuple[Mat, Mat]:
-    """(P, P^-1) for a product P = E_2n ... E_1 of 2n random elementary
-    integer row operations; det P = +-1.
-
-    P is the operations applied to the rows of the identity, and P^-1 =
-    E_1^-1 ... E_2n^-1 their inverses applied, as column operations, to
-    the identity. _conjugated applies the same operations, in one pass
-    per side, to every matrix of an instance at once, and reads P P^-1
-    off the identity block of that pass.
-    """
-    ops = _elementary_ops(rng, n)
-    ident = Mat.identity(n).ints
-    p = Mat.from_ints(_apply_ops(ops, ident), cols=n)
-    p_inv = Mat.from_ints(_apply_ops(ops, ident, inverse=True), cols=n).transpose()
-    return p, p_inv
-
-
 def _adapted_pi(m: int, r: int, s: int) -> Mat:
     """pi0 = [0 I_r; 0 0], of shape (r + s) x (m + r): ker pi0 is spanned
     by the first m coordinates of U."""

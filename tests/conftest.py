@@ -6,9 +6,11 @@ from fractions import Fraction
 import pytest
 
 from eqcohom.errors import PreconditionError
-from eqcohom.graphs import Cochain1, potential
+from eqcohom.graphs import Cochain1, Graph, potential
 from eqcohom.instance import gbar_map
 from eqcohom.linalg import Mat, Subspace, rat, rref, solve, solve_many, vec
+from eqcohom.periodic import PeriodicGraph
+from eqcohom.randomized import _apply_ops, _elementary_ops
 
 
 def run_cli(args, cwd=None):
@@ -60,6 +62,30 @@ def fixed_W(inst):
     if not inst.generators:
         return Subspace.full(inst.dim_W)
     return kernel_reference(Mat.vstack(inst.moves_W))
+
+
+def random_unimodular(rng, n):
+    """(P, P^-1) for a product P = E_2n ... E_1 of 2n random elementary
+    integer row operations; det P = +-1.
+
+    P is the operations applied to the rows of the identity, and P^-1 =
+    E_1^-1 ... E_2n^-1 their inverses applied, as column operations, to
+    the identity. randomized._conjugated applies the same operations, in
+    one pass per side, to every matrix of an instance at once; these dense
+    factors are its reference.
+    """
+    ops = _elementary_ops(rng, n)
+    ident = Mat.identity(n).ints
+    p = Mat.from_ints(_apply_ops(ops, ident), cols=n)
+    p_inv = Mat.from_ints(_apply_ops(ops, ident, inverse=True), cols=n).transpose()
+    return p, p_inv
+
+
+def halfline_periodic():
+    """One vertex, single loop of voltage (2,0) in rank 2: rank-deficient
+    period lattice with infinitely many lift components."""
+    g = Graph.make(1, [(0, 0, 0)])
+    return PeriodicGraph.make(2, g, {0: (2, 0)})
 
 
 def find_ujk_reference(inst, kernel_basis_choice):
@@ -157,8 +183,8 @@ def signed_edge_orbits(n_edges, edge_maps):
     A signed union-find over the relations w[dst] = sign * w[src] of every
     edge map; `rel[x]` is w[x] / w[root[x]]. An orbit that relates an edge
     to its own negative forces every form on it to 0 and spans nothing.
-    The routine graphs.orbit_quotient_dim read before it answered from the
-    vertex orbits alone, kept as a reference for W^G.
+    The routine the `graph` answer read before the averaging theorem made
+    W^G unnecessary, kept as a reference for W^G.
     """
     root = list(range(n_edges))
     rel = [1] * n_edges
@@ -197,9 +223,9 @@ def cycle_sum_pi_U_G(orbits):
     disjoint supports, and a form lies in pi(U) iff its sum around every
     fundamental cycle of `Graph.forest` is 0 (a loop is a non-tree edge
     whose cycle is itself); C is the k x c matrix of those sums. The
-    elimination that graphs.orbit_quotient_dim ran before the averaging
-    argument made it unnecessary, kept as a reference that shares no step
-    with it."""
+    elimination the `graph` answer ran before the averaging theorem made it
+    unnecessary, kept as a reference that shares no step with the
+    theorem's dense oracle."""
     graph = orbits.graph
     forest = graph.forest
     cycles = [

@@ -27,13 +27,11 @@ from eqcohom.graphs import (
     Cochain1,
     Graph,
     GraphAction,
-    OrbitQuotient,
     action_checks,
     analyze_graph_action,
     close_group,
     coboundary,
     components,
-    orbit_quotient_dim,
     potential,
     to_instance,
 )
@@ -192,7 +190,7 @@ def test_cochain_equality_hash_and_values():
 
 
 def test_action_checks_c4():
-    checks = action_checks(c4_graph(), c4_rotation())
+    checks = action_checks(ActionOrbits(c4_graph(), c4_rotation()))
     assert checks.is_automorphism
     assert checks.is_free_on_generated_group
     assert checks.is_closed_in_components
@@ -200,7 +198,7 @@ def test_action_checks_c4():
 
 
 def test_action_checks_p2_swap_free():
-    checks = action_checks(p2_graph(), p2_swap())
+    checks = action_checks(ActionOrbits(p2_graph(), p2_swap()))
     assert checks.is_free_on_generated_group  # no fixed vertex
     assert checks.is_closed_in_components
     assert checks.group_order == 2
@@ -209,7 +207,7 @@ def test_action_checks_p2_swap_free():
 def test_action_checks_p3_reflection_not_free():
     g = Graph.make(3, [(0, 0, 1), (1, 1, 2)])
     act = GraphAction(((2, 1, 0),), {0: 2})
-    checks = action_checks(g, act)
+    checks = action_checks(ActionOrbits(g, act))
     assert checks.is_automorphism
     assert not checks.is_free_on_generated_group  # vertex 1 is fixed
 
@@ -222,13 +220,15 @@ def test_action_rejects_non_automorphism():
         to_instance(g, act)
 
 
-def test_close_group_cap():
+def test_close_group_cap(monkeypatch):
     # S_6 has 720 elements; a tiny cap must trip the guardrail.
     gens = [(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)]
-    with pytest.raises(PreconditionError) as err:
-        close_group(gens, 6, cap=10)
+    with monkeypatch.context() as m:
+        m.setattr(eqcohom.graphs, "GROUP_CLOSURE_CAP", 10)
+        with pytest.raises(PreconditionError) as err:
+            close_group(gens, 6, (2, 6))
     assert err.value.code == "closure-cap"
-    assert len(close_group(gens, 6)) == 720
+    assert len(close_group(gens, 6, (2, 6))) == 720
 
 
 def test_close_group_refuses_over_the_entry_budget_at_once():
@@ -256,22 +256,23 @@ def test_close_group_entry_budget_boundary(monkeypatch):
     # permutations.
     refl = [tuple((-v) % 6 for v in range(6)), tuple((1 - v) % 6 for v in range(6))]
     monkeypatch.setattr(eqcohom.graphs, "CLOSURE_ENTRY_BUDGET", 72)
-    assert len(close_group(refl, 6)) == 12
+    assert len(close_group(refl, 6, (2, 2))) == 12
     monkeypatch.setattr(eqcohom.graphs, "CLOSURE_ENTRY_BUDGET", 71)
     with pytest.raises(PreconditionError) as err:
-        close_group(refl, 6)
+        close_group(refl, 6, (2, 2))
     assert err.value.code == "closure-cap"
     assert "at most 11 permutations of 6 vertices" in err.value.detail
     monkeypatch.setattr(eqcohom.graphs, "CLOSURE_ENTRY_BUDGET", 35)
     with monkeypatch.context() as m:
         m.setattr(eqcohom.graphs, "itemgetter", None)
         with pytest.raises(PreconditionError) as err:
-            close_group([tuple((v + 1) % 6 for v in range(6))], 6)
+            close_group([tuple((v + 1) % 6 for v in range(6))], 6, (6,))
     assert "at most 5 permutations" in err.value.detail
     # The element cap keeps its own message where it binds first.
     monkeypatch.setattr(eqcohom.graphs, "CLOSURE_ENTRY_BUDGET", 10**6)
+    monkeypatch.setattr(eqcohom.graphs, "GROUP_CLOSURE_CAP", 11)
     with pytest.raises(PreconditionError) as err:
-        close_group(refl, 6, cap=11)
+        close_group(refl, 6, (2, 2))
     assert err.value.detail == "group closure exceeded the cap of 11 elements"
 
 
@@ -574,10 +575,11 @@ def edge_orbit_count(g, gens):
 
 
 def test_orbit_quotient_dim_matches_dense_oracle():
-    # The dense instance is the oracle: the orbit answer must agree on both
-    # subspace dimensions, on every kind of draw, and so must the cycle-sum
-    # rank of the reference orbit forms, which must span exactly the dense
-    # W^G.
+    # The dense instance is the oracle: the reported quotient dimension 0
+    # must agree with it on every kind of draw, both subspaces must have
+    # the same dimension, as the averaging theorem says, and so must the
+    # cycle-sum rank of the reference orbit forms, which must span exactly
+    # the dense W^G.
     rng = random.Random(83)
     seen = set()
     positive = forced_zero = 0
@@ -587,12 +589,9 @@ def test_orbit_quotient_dim_matches_dense_oracle():
         inst = to_instance(g, act)
         oracle = oracle_quotient_dim(inst)
         orbits = ActionOrbits(g, act)
-        orbit = orbit_quotient_dim(orbits)
         w_fixed = fixed_W(inst)
-        assert (orbit.dim, orbit.pi_U_G, orbit.pi_of_UG) == (
-            oracle.dim, oracle.pi_U_G.dim, oracle.pi_of_UG.dim
-        )
-        assert cycle_sum_pi_U_G(orbits) == oracle.pi_U_G.dim
+        assert analyze_graph_action(g, act)["quotient_dim"] == oracle.dim == 0
+        assert cycle_sum_pi_U_G(orbits) == oracle.pi_U_G.dim == oracle.pi_of_UG.dim
         forms = []
         for form in signed_edge_orbits(g.n_edges, orbits.edge_maps):
             vector = [0] * g.n_edges
@@ -621,14 +620,22 @@ def test_orbit_quotient_dim_matches_dense_oracle():
 
 def test_action_checks_match_whole_group_definition():
     # Freeness by orbit-stabilizer and closedness on the generators agree
-    # with the definitions over every element of the generated group.
+    # with the definitions over every element of the generated group, and
+    # each generator's order is the least k >= 1 with p^k = id.
     rng = random.Random(83)
     seen = set()
     for k in range(400):
         g, gens = random_action(rng, k)
-        checks = action_checks(g, GraphAction(gens))
-        group = close_group(gens, g.n_vertices)
+        orbits = ActionOrbits(g, GraphAction(gens))
+        checks = action_checks(orbits)
+        group = close_group(gens, g.n_vertices, orbits.vertex_orders)
         ident = tuple(range(g.n_vertices))
+        for p, order in zip(gens, orbits.vertex_orders):
+            power = p
+            for _ in range(order - 1):
+                assert power != ident
+                power = tuple(p[v] for v in power)
+            assert power == ident
         free = all(p[v] != v for p in group if p != ident for v in range(g.n_vertices))
         comp_of = g.forest.comp_of
         closed = all(comp_of[p[v]] == comp_of[v] for p in group for v in range(g.n_vertices))
@@ -643,9 +650,12 @@ def test_orbit_quotient_dim_forced_zero_reflection():
     # up with sign -1: the reference finds k = 2 forms, each summing to 0
     # around the one cycle, so rank C = 0. The vertex orbits {0}, {1, 4},
     # {2, 3} lie in one component: dim pi(U^G) = 3 - 1.
-    orbits = ActionOrbits(cycle_graph(5), GraphAction(((0, 4, 3, 2, 1),)))
+    g, act = cycle_graph(5), GraphAction(((0, 4, 3, 2, 1),))
+    orbits = ActionOrbits(g, act)
     assert orbits.edge_maps == ([(4, -1), (3, -1), (2, -1), (1, -1), (0, -1)],)
-    assert orbit_quotient_dim(orbits) == OrbitQuotient(0, 2, 2)
+    oracle = oracle_quotient_dim(to_instance(g, act))
+    assert analyze_graph_action(g, act)["quotient_dim"] == oracle.dim == 0
+    assert (oracle.pi_U_G.dim, oracle.pi_of_UG.dim) == (2, 2)
     assert cycle_sum_pi_U_G(orbits) == 2
 
 
@@ -704,6 +714,31 @@ def test_analyze_graph_action_does_no_dense_work(monkeypatch):
     assert rref_calls == []
 
 
+def test_analyze_graph_action_reads_each_order_once(monkeypatch):
+    # One vertex-permutation order per generator, shared by the closure's
+    # bound and the declared-order check, and one half-edge map order per
+    # declared order.
+    calls = []
+    order = eqcohom.graphs._order
+
+    def counted_order(perm):
+        calls.append(len(perm))
+        return order(perm)
+
+    monkeypatch.setattr(eqcohom.graphs, "_order", counted_order)
+    g, gens = torus_grid(6)
+    n, half_edges = g.n_vertices, 2 * g.n_edges
+    for orders, expected in (
+        ({}, [n, n]),
+        ({0: 6}, [n, n, half_edges]),
+        ({0: 6, 1: 12}, [n, n, half_edges, half_edges]),
+    ):
+        calls.clear()
+        rep = analyze_graph_action(g, GraphAction(gens, orders))
+        assert rep["group_order"] == 36
+        assert calls == expected
+
+
 def test_graph_budget_counts_vertices_plus_edges():
     # At the budget a graph is built; one vertex or one edge more is
     # refused before any edge is read.
@@ -757,10 +792,9 @@ def test_configuration_graph_components_are_conserved_totals(species, sites):
     assert (rep["group_order"], rep["quotient_dim"], rep["consistent"]) == (sites, 0, True)
     if g.n_vertices <= 27:
         oracle = oracle_quotient_dim(to_instance(g, act))
-        orbit = orbit_quotient_dim(ActionOrbits(g, act))
-        assert (orbit.dim, orbit.pi_U_G, orbit.pi_of_UG) == (
-            oracle.dim, oracle.pi_U_G.dim, oracle.pi_of_UG.dim
-        )
+        assert rep["quotient_dim"] == oracle.dim == 0
+        assert cycle_sum_pi_U_G(ActionOrbits(g, act)) == oracle.pi_U_G.dim
+        assert oracle.pi_U_G.dim == oracle.pi_of_UG.dim
 
 
 def test_three_species_ring_of_8_sites_runs_no_elimination(monkeypatch):
@@ -788,8 +822,9 @@ def test_orbit_quotient_dim_matches_dense_oracle_on_every_small_graph():
     # Bounded-exhaustive scope: every graph on at most 3 vertices with at
     # most 3 edges, loops and multi-edges included (one multiset of stored
     # (origin, target) pairs per graph, ids in order), with every tuple of
-    # at most 2 of its automorphisms as generators. The cycle-sum reference
-    # must agree too.
+    # at most 2 of its automorphisms as generators. The reported quotient
+    # dimension 0 must match the oracle, and the cycle-sum reference must
+    # agree with both of the oracle's subspace dimensions.
     cases = positive = 0
     for n in range(4):
         pairs = [(o, t) for o in range(n) for t in range(n)]
@@ -802,12 +837,13 @@ def test_orbit_quotient_dim_matches_dense_oracle_on_every_small_graph():
                     for gens in itertools.product(autos, repeat=d):
                         act = GraphAction(gens)
                         oracle = oracle_quotient_dim(to_instance(g, act))
-                        orbits = ActionOrbits(g, act)
-                        orbit = orbit_quotient_dim(orbits)
-                        assert (orbit.dim, orbit.pi_U_G, orbit.pi_of_UG) == (
-                            oracle.dim, oracle.pi_U_G.dim, oracle.pi_of_UG.dim
+                        rep = analyze_graph_action(g, act)
+                        assert rep["quotient_dim"] == oracle.dim == 0
+                        assert (
+                            cycle_sum_pi_U_G(ActionOrbits(g, act))
+                            == oracle.pi_U_G.dim
+                            == oracle.pi_of_UG.dim
                         )
-                        assert cycle_sum_pi_U_G(orbits) == oracle.pi_U_G.dim
                         cases += 1
                         positive += oracle.pi_U_G.dim > 0
     assert (cases, positive) == (1592, 867)

@@ -11,12 +11,7 @@ import pytest
 
 from eqcohom import cli, graphs, linalg, periodic
 from eqcohom.errors import InputError, PreconditionError
-from eqcohom.fixtures import (
-    halfline_periodic,
-    hex_periodic,
-    square_index2_periodic,
-    torus_periodic,
-)
+from eqcohom.fixtures import hex_periodic, square_index2_periodic, torus_periodic
 from eqcohom.graphs import Cochain0, Cochain1, Graph, coboundary, components
 from eqcohom.linalg import Subspace, vec
 from eqcohom.periodic import (
@@ -31,9 +26,10 @@ from eqcohom.periodic import (
     reconstruct,
     truncation_oracle,
 )
-from eqcohom.randomized import random_unimodular
 
 from conftest import (
+    halfline_periodic,
+    random_unimodular,
     reference_decompose_periodic,
     reference_period_coefficients,
     reference_reconstruct,

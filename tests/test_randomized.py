@@ -22,9 +22,10 @@ from eqcohom.linalg import Mat, independent_rows
 from eqcohom.randomized import (
     _conjugated,
     random_linear_instance,
-    random_unimodular,
     run_verification,
 )
+
+from conftest import random_unimodular
 
 
 def test_random_linear_instances_pass_full_validation():

@@ -3,6 +3,14 @@
 Subcommands: analyze, graph, periodic, verify, fixtures. Reports are
 deterministic for identical inputs and seeds, and JSON by default.
 
+Each input file is read once, in one unbuffered read; its sha256 is taken
+of the bytes that are then decoded as UTF-8, with universal newlines, and
+parsed (`_load_json`). Every indented JSON the CLI writes (reports, the
+`verify` reproducer, fixture files) comes from one writer,
+`indented_json`, which gives the bytes of `json.dumps(value,
+sort_keys=True, indent=2)` without the json module's pure-Python indented
+encoder.
+
 Exit codes: 0 success, 1 assertion/property violation, 2 input error,
 3 mathematical precondition not met.
 """
@@ -12,9 +20,9 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import io
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .errors import InputError, PreconditionError
@@ -45,15 +53,18 @@ EXIT_PRECONDITION = 3
 
 def _load_json(path: str) -> tuple[dict, str]:
     """Read a JSON file and the sha256 digest of its bytes. The file is
-    read once, and the digest is of the same bytes that are decoded, as
-    UTF-8 with universal newlines, and parsed. Every failure to read or
-    decode it, the nesting depth and Python's int-string digit limit
-    included, is an InputError."""
+    read once, in one unbuffered read, and the digest is of the same bytes
+    that are decoded, as UTF-8 with universal newlines, and parsed. Every
+    failure to read or decode it, the nesting depth and Python's int-string
+    digit limit included, is an InputError."""
     try:
-        data = Path(path).read_bytes()
-        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
-    except (OSError, UnicodeDecodeError) as exc:
+        with open(path, "rb", buffering=0) as f:
+            data = f.readall()
+        text = data.decode("utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or not UTF-8
         raise InputError(f"cannot read {path}: {exc}") from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         return json.loads(text), "sha256:" + hashlib.sha256(data).hexdigest()
     except json.JSONDecodeError as exc:
@@ -66,12 +77,44 @@ def _load_json(path: str) -> tuple[dict, str]:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
 
 
+def indented_json(value, indent: str = "\n") -> str:
+    """`json.dumps(value, sort_keys=True, indent=2)`, byte for byte, for the
+    values a report holds: str, int, bool, None, lists and tuples of them,
+    and dicts with str keys. Any other value or key raises TypeError (a key
+    in `_quote`, or in `sorted` if the keys are of mixed types). With
+    an indent, `json` encodes in pure Python; this writer does the same
+    work without its generality. `indent` is the newline and indentation
+    that precede a line at the value's own depth."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [indented_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_quote(k) + ": " + indented_json(v, inner) for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(report: dict, as_text: bool) -> None:
     if as_text:
         for key in sorted(report):
             print(f"{key}: {json.dumps(report[key], sort_keys=True)}")
     else:
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(indented_json(report))
 
 
 def cmd_analyze(args) -> int:
@@ -161,7 +204,7 @@ def cmd_verify(args) -> int:
     # The reproducer is written before the report is printed, so a failed
     # write ends in exit 2 with nothing on stdout.
     repro = Path(args.reproducer)
-    text = json.dumps(result.violations[0].instance_json, sort_keys=True, indent=2)
+    text = indented_json(result.violations[0].instance_json)
     try:
         repro.write_text(text + "\n", encoding="utf-8")
     except OSError as exc:
@@ -179,10 +222,7 @@ def cmd_fixtures(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         for fname, payload in sorted(files.items()):
             path = out_dir / fname
-            path.write_text(
-                json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                encoding="utf-8",
-            )
+            path.write_text(indented_json(payload) + "\n", encoding="utf-8")
             written.append(str(path))
     except OSError as exc:
         raise InputError(f"cannot write {out_dir}: {exc}") from exc

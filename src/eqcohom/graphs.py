@@ -460,29 +460,26 @@ def close_group(
 
 
 class ActionChecks(NamedTuple):
-    is_automorphism: bool
-    is_free_on_generated_group: Optional[bool]
-    is_closed_in_components: Optional[bool]
-    group_order: Optional[int]
+    is_free_on_generated_group: bool
+    is_closed_in_components: bool
+    group_order: int
 
 
 def action_checks(orbits: ActionOrbits) -> ActionChecks:
-    """Automorphism, freeness, closedness in components and group order of
-    an action read once.
+    """Freeness, closedness in components and group order of an
+    automorphism action (`orbits.issues` empty), read once.
 
     Freeness is read off the orbits (orbit-stabilizer: every stabilizer is
     trivial iff every vertex orbit has |G| elements), and closedness off the
     generators, since products of component-preserving permutations preserve
     components. Only the group order needs the capped closure.
     """
-    if orbits.issues:
-        return ActionChecks(False, None, None, None)
     graph, gens = orbits.graph, orbits.action.generators
     order = len(close_group(gens, graph.n_vertices, orbits.vertex_orders))
     sizes = Counter(orbits.vertex_orbit)
     comp_of = graph.forest.comp_of
     closed = all(comp_of[u] == comp_of[v] for perm in gens for v, u in enumerate(perm))
-    return ActionChecks(True, all(k == order for k in sizes.values()), closed, order)
+    return ActionChecks(all(k == order for k in sizes.values()), closed, order)
 
 
 def _order(perm: Sequence[int]) -> int:
@@ -580,9 +577,9 @@ def analyze_graph_action(graph: Graph, action: GraphAction) -> dict:
     declared order.
     """
     orbits = ActionOrbits(graph, action)
-    checks = action_checks(orbits)
-    if not checks.is_automorphism:
+    if orbits.issues:
         raise InputError("action generators are not graph automorphisms")
+    checks = action_checks(orbits)
     _check_declared_orders(orbits)
     m = len(graph.forest.comps)
     d = len(action.generators)
@@ -596,7 +593,7 @@ def analyze_graph_action(graph: Graph, action: GraphAction) -> dict:
         notes.append("finite symmetry group: free abelian rank 0, expect dim 0")
         notes.append("hypothesis of a free-abelian symmetry group not satisfied")
     return {
-        "is_automorphism": checks.is_automorphism,
+        "is_automorphism": True,
         "is_free": checks.is_free_on_generated_group,
         "is_closed_in_components": checks.is_closed_in_components,
         "group_order": checks.group_order,

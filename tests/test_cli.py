@@ -1,18 +1,24 @@
+import builtins
 import hashlib
+import io
 import json
 import os
 import pathlib
+import random
 import resource
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
+import eqcohom.cli
 import eqcohom.instance
 import eqcohom.randomized
-from eqcohom.cli import _load_json, main
+from eqcohom.cli import _load_json, indented_json, main
 from eqcohom.errors import GRAPH_BUDGET, InputError
+from eqcohom.fixtures import FIXTURE_NAMES, fixture_files
 from eqcohom.instance import check_condition_ii
 from eqcohom.randomized import run_verification
 
@@ -90,21 +96,21 @@ def test_load_json_reads_each_input_once(monkeypatch, tmp_path):
     first = b'{"a": [1, 2]}\r\n'
     path.write_bytes(first)
     opened = []
-    real_open = pathlib.Path.open
 
-    def open_then_replace(self, *args, **kwargs):
-        handle = real_open(self, *args, **kwargs)
-        opened.append(self)
+    def open_then_replace(file, *args, **kwargs):
+        handle = builtins.open(file, *args, **kwargs)
+        opened.append(file)
         if len(opened) == 1:
             nxt = tmp_path / "next.json"
-            with real_open(nxt, "wb") as f:
-                f.write(b'{"a": 3}')
+            nxt.write_bytes(b'{"a": 3}')
             os.replace(nxt, path)
         return handle
 
-    monkeypatch.setattr(pathlib.Path, "open", open_then_replace)
+    # The loader's `open` is the builtin, looked up in the module's globals
+    # first.
+    monkeypatch.setattr(eqcohom.cli, "open", open_then_replace, raising=False)
     obj, digest = _load_json(str(path))
-    assert opened == [path]
+    assert opened == [str(path)]
     assert obj == {"a": [1, 2]}
     assert digest == "sha256:" + hashlib.sha256(first).hexdigest()
 
@@ -118,6 +124,144 @@ def test_load_json_reads_universal_newlines(tmp_path, newline):
     with pytest.raises(InputError) as err:
         _load_json(str(bad))
     assert str(err.value) == f"malformed JSON in {bad} at line 2, column 12"
+
+
+@pytest.mark.parametrize(
+    "content, position",
+    [
+        (b'\xef\xbb\xbf{"a": 1}', "line 1, column 1"),  # json refuses a BOM
+        (b'{"a": "x\ry"}', "line 1, column 9"),  # the lone CR, read as LF
+        (b'{"a": "x\r\ny"}', "line 1, column 9"),  # one LF, not two
+        (b'{\r\r\n"a": 1,,}', "line 3, column 8"),  # CR, then CR LF
+    ],
+    ids=["utf8-bom", "lone-cr-in-string", "crlf-in-string", "cr-then-crlf"],
+)
+def test_load_json_newline_and_bom_errors(tmp_path, content, position):
+    # A UTF-8 BOM is not stripped, and a newline inside a string is a raw
+    # control character there, whichever convention wrote it.
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    with pytest.raises(InputError) as err:
+        _load_json(str(bad))
+    assert str(err.value) == f"malformed JSON in {bad} at {position}"
+
+
+def _load_json_via_text_layer(path: str):
+    """The reference loader: the same checks, read through io's text layer,
+    which decodes UTF-8 with universal newlines."""
+    data = pathlib.Path(path).read_bytes()
+    try:
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    except UnicodeDecodeError as exc:
+        return f"cannot read {path}: {exc}"
+    try:
+        return json.loads(text), "sha256:" + hashlib.sha256(data).hexdigest()
+    except json.JSONDecodeError as exc:
+        return f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}"
+
+
+def test_load_json_matches_the_text_layer(tmp_path):
+    # Seeded byte strings over JSON tokens, every newline convention, a BOM
+    # and invalid or truncated UTF-8: the one-read loader returns the same
+    # value and digest, or the same error, as the text-layer reference.
+    rng = random.Random(23)
+    pieces = [b"{", b"}", b"[", b"]", b",", b":", b" ", b'"', b"a", b"1", b"-",
+              b"\n", b"\r", b"\r\n", b"\xef\xbb\xbf", b"\xe2\x82", b"\xe2\x82\xac",
+              b"\xff", b"\\", b'"k": "v\r\nw"', b'[1, 2]', b'{"x": [true, null]}']
+    path = tmp_path / "in.json"
+    kinds = set()
+    for _ in range(1500):
+        content = b"".join(rng.choice(pieces) for _ in range(rng.randint(0, 12)))
+        if rng.random() < 0.3:
+            content = b'{"a": ' + content.replace(b"\r", b"\r\n") + b"}"
+        path.write_bytes(content)
+        want = _load_json_via_text_layer(str(path))
+        try:
+            got = _load_json(str(path))
+        except InputError as exc:
+            got = str(exc)
+        assert got == want, content
+        kinds.add(type(want).__name__ if isinstance(want, tuple) else want.split()[0])
+    assert kinds == {"tuple", "cannot", "malformed"}
+
+
+def test_load_json_path_errors(tmp_path, capsys):
+    # An empty path names no file: it is not read as the directory ".".
+    # A missing file and a directory keep their messages, and a path with
+    # a NUL, which only an in-process caller can pass, is an input error.
+    action = write_json(tmp_path / "a.json", {"generators": []})
+    missing = tmp_path / "missing.json"
+    cases = [
+        ("", "[Errno 2] No such file or directory: ''"),
+        (str(missing), f"[Errno 2] No such file or directory: '{missing}'"),
+        (str(tmp_path), f"[Errno 21] Is a directory: '{tmp_path}'"),
+        ("in\x00.json", "embedded null byte"),
+    ]
+    for path, reason in cases:
+        code = main(["graph", path, action])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == f"input error: cannot read {path}: {reason}\n"
+
+
+_CHARS = ["a", "Z", "0", " ", '"', "\\", "/", "\n", "\r", "\t", "\x00", "\x1f", "\x7f",
+          "\u00e9", "\u20ac", "\u2028", "\U0001d11e", "\ud800"]
+
+
+def _random_text(rng: random.Random, longest: int) -> str:
+    return "".join(rng.choice(_CHARS) for _ in range(rng.randint(0, longest)))
+
+
+def _random_report_value(rng: random.Random, depth: int):
+    """A value of the kinds a report holds: str, int, bool, None, and lists,
+    tuples and str-keyed dicts of them, empty ones included."""
+    kind = rng.randrange(9 if depth else 5)
+    if kind == 0:
+        return _random_text(rng, 6)
+    if kind == 1:
+        return rng.choice([0, 1, -1, 7, -(2**70) + 3, 10**40, rng.randint(-999, 999)])
+    if kind == 2:
+        return rng.choice([True, False])
+    if kind == 3:
+        return None
+    if kind == 4:
+        return rng.choice([[], {}, (), [[]], {"": {}}, [{}, []]])
+    items = [_random_report_value(rng, depth - 1) for _ in range(rng.randint(0, 4))]
+    if kind == 5:
+        return items
+    if kind == 6:
+        return tuple(items)
+    return {_random_text(rng, 3): v for v in items}
+
+
+def test_indented_json_matches_json_dumps():
+    rng = random.Random(29)
+    for _ in range(3000):
+        value = _random_report_value(rng, rng.randint(0, 4))
+        assert indented_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value", [1.0, Fraction(1, 2), {1: "a"}, {"a": 1, 2: "b"}, {None: 0},
+              [0, [Fraction(3)]], {"a": {"b": 0.5}}, b"bytes", {"a"}],
+    ids=["float", "fraction", "int-key", "mixed-keys", "none-key",
+         "nested-fraction", "nested-float", "bytes", "set"],
+)
+def test_indented_json_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        indented_json(value)
+
+
+def test_fixture_files_are_json_dumps_bytes(tmp_path):
+    # Every fixture file is written by the report writer, byte for byte as
+    # json.dumps(payload, sort_keys=True, indent=2) and a newline.
+    names = [n for n in FIXTURE_NAMES if not n.startswith("torus-d")]
+    names += [f"torus-{d}" for d in range(1, 10)]
+    for name in names:
+        assert main(["fixtures", name, "--out-dir", str(tmp_path)]) == 0
+        for fname, payload in fixture_files(name).items():
+            want = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+            assert (tmp_path / fname).read_text(encoding="utf-8") == want
 
 
 @pytest.mark.parametrize(
@@ -464,7 +608,9 @@ def test_verify_flags_a_shift_that_is_not_fixed(monkeypatch, tmp_path, capsys):
     for v in report["violations"]:
         assert v["kind"] == "shift-invariance"
         assert v["detail"] == "invariant part not fixed under a fixed-vector shift"
-    assert set(json.loads(repro.read_text())) == {"dim_U", "dim_W", "pi", "generators"}
+    text = repro.read_text(encoding="utf-8")
+    assert set(json.loads(text)) == {"dim_U", "dim_W", "pi", "generators"}
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
     assert err == f"reproducer written to {repro}\n"
 
 

@@ -6,6 +6,10 @@ fixtures`, runs `eqcohom.cli.main` in-process and compares
 every report byte for byte, so a refactor that changes any answer, key or
 number formatting fails here.
 
+Every report a test here prints, and every value it digests, must also
+be written by `indented_json` exactly as `json.dumps(value,
+sort_keys=True, indent=2)` writes it (`writer_matches_json_dumps`).
+
 `INLINE_GOLDEN` does the same for graph actions built here rather than
 read from fixtures: an ordered 12-cycle, a C5 x K2 prism, a reflected odd
 cycle (whose fixed reversed edge forces its edge orbit to 0) and a wrong
@@ -23,7 +27,8 @@ from fractions import Fraction
 
 import pytest
 
-from eqcohom.cli import main
+import eqcohom.cli
+from eqcohom.cli import indented_json, main
 from eqcohom.fixtures import fixture_files
 from eqcohom.instance import (
     check_condition_i,
@@ -60,6 +65,25 @@ GOLDEN = {
     "periodic/hex": "0 99a132775d0efac00d9285f5db909e683f03eae03c6802d43678d2d6ba7c242d",
     "verify/seed-7-count-200": "0 9f60f36c143824ee8bc995d2f1503ce2c35658108ff422005eef3ac7e1b5f2a2",
 }
+
+
+def _check_writer(value) -> None:
+    assert indented_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.fixture(autouse=True)
+def writer_matches_json_dumps(monkeypatch):
+    """Each report the CLI prints in these tests goes through a checked
+    `indented_json`: the whole report must equal json.dumps of it."""
+    write = eqcohom.cli.indented_json
+
+    def checked(value, indent="\n"):
+        text = write(value, indent)
+        if indent == "\n":  # a whole value, not a nested one
+            assert text == json.dumps(value, sort_keys=True, indent=2)
+        return text
+
+    monkeypatch.setattr(eqcohom.cli, "indented_json", checked)
 
 
 def _write(path, payload) -> str:
@@ -202,6 +226,7 @@ def _generated_digest(seed: int, draws: int) -> str:
     h = hashlib.sha256()
 
     def put(obj) -> None:
+        _check_writer(obj)
         h.update(json.dumps(obj, sort_keys=True).encode("utf-8") + b"\n")
 
     for i in range(draws):
@@ -240,6 +265,7 @@ def test_verify_reports_match_golden_digest():
     h = hashlib.sha256()
     for seed in range(100):
         report = run_verification(seed, 10).to_json()
+        _check_writer({"command": "verify", **report})
         h.update(json.dumps(report, sort_keys=True).encode("utf-8") + b"\n")
     assert h.hexdigest() == VERIFY_GOLDEN
 

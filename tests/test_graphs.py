@@ -190,8 +190,9 @@ def test_cochain_equality_hash_and_values():
 
 
 def test_action_checks_c4():
-    checks = action_checks(ActionOrbits(c4_graph(), c4_rotation()))
-    assert checks.is_automorphism
+    orbits = ActionOrbits(c4_graph(), c4_rotation())
+    assert orbits.issues == ()
+    checks = action_checks(orbits)
     assert checks.is_free_on_generated_group
     assert checks.is_closed_in_components
     assert checks.group_order == 4
@@ -207,8 +208,9 @@ def test_action_checks_p2_swap_free():
 def test_action_checks_p3_reflection_not_free():
     g = Graph.make(3, [(0, 0, 1), (1, 1, 2)])
     act = GraphAction(((2, 1, 0),), {0: 2})
-    checks = action_checks(ActionOrbits(g, act))
-    assert checks.is_automorphism
+    orbits = ActionOrbits(g, act)
+    assert orbits.issues == ()
+    checks = action_checks(orbits)
     assert not checks.is_free_on_generated_group  # vertex 1 is fixed
 
 
@@ -627,6 +629,7 @@ def test_action_checks_match_whole_group_definition():
     for k in range(400):
         g, gens = random_action(rng, k)
         orbits = ActionOrbits(g, GraphAction(gens))
+        assert orbits.issues == ()
         checks = action_checks(orbits)
         group = close_group(gens, g.n_vertices, orbits.vertex_orders)
         ident = tuple(range(g.n_vertices))
@@ -639,7 +642,7 @@ def test_action_checks_match_whole_group_definition():
         free = all(p[v] != v for p in group if p != ident for v in range(g.n_vertices))
         comp_of = g.forest.comp_of
         closed = all(comp_of[p[v]] == comp_of[v] for p in group for v in range(g.n_vertices))
-        assert checks == ActionChecks(True, free, closed, len(group))
+        assert checks == ActionChecks(free, closed, len(group))
         seen.add((free, closed))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 

@@ -34,7 +34,7 @@ CASES = {
     "Forest": (lambda x: Graph.make(3, [(0, 0, x)]).forest, True),
     "Cochain0": (lambda x: Cochain0(vec([x, "1/2"])), True),
     "GraphAction": (lambda x: GraphAction(((1, 0),), {0: x}), False),
-    "ActionChecks": (lambda x: ActionChecks(True, x == 1, True, 2), True),
+    "ActionChecks": (lambda x: ActionChecks(x == 1, True, 2), True),
     "LinearInstance": (lambda x: LinearInstance(1, 1, Mat([[x]]), (), {}), False),
     "ValidationReport": (lambda x: ValidationReport(x == 1, ("issue",)), True),
     "OracleResult": (

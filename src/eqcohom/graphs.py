@@ -161,11 +161,11 @@ class Forest(Record):
             frozenset(link[1] for link in parent if link is not None),
         )
 
-    def integrate(self, labels: Sequence, zero=0) -> list:
-        """Tree potential of edge labels (numbers of any exact type): `zero`
-        at each root, and p(u) = p(parent) +/- labels[pos] along each tree
-        edge, with the sign of the edge's orientation toward u."""
-        out = [zero] * len(self.parent)
+    def integrate(self, labels: Sequence[int]) -> list[int]:
+        """Tree potential of integer edge labels: 0 at each root, and
+        p(u) = p(parent) +/- labels[pos] along each tree edge, with the sign
+        of the edge's orientation toward u."""
+        out = [0] * len(self.parent)
         for u in self.order:
             link = self.parent[u]
             if link is not None:
@@ -277,18 +277,18 @@ def components(graph: Graph) -> list[list[int]]:
 def potential(graph: Graph, w: Cochain1) -> Optional[Cochain0]:
     """Integrate w along the BFS spanning forest, 0 at each component root.
 
-    Returns None when w is not closed (some non-tree edge disagrees).
+    The integers w.ints are integrated, and divided by w.den once. Returns
+    None when w is not closed (some non-tree edge disagrees).
     """
-    f = closed_potential(graph, w.values, Fraction(0))
-    return None if f is None else Cochain0(tuple(f))
+    f = closed_potential(graph, w.ints)
+    return None if f is None else Cochain0(tuple([_frac(x, w.den) for x in f]))
 
 
-def closed_potential(graph: Graph, values: Sequence, zero=0) -> Optional[list]:
-    """Tree potential of edge values of one exact type (ints stay ints),
-    `zero` at each component root, or None when some non-tree edge
-    disagrees with it."""
+def closed_potential(graph: Graph, values: Sequence[int]) -> Optional[list[int]]:
+    """Tree potential of integer edge values, 0 at each component root, or
+    None when some non-tree edge disagrees with it."""
     forest = graph.forest
-    f = forest.integrate(values, zero)
+    f = forest.integrate(values)
     for pos, e in enumerate(graph.edges):
         if pos not in forest.tree_positions and values[pos] != f[e.t] - f[e.o]:
             return None
@@ -343,26 +343,22 @@ def _edge_image_map(
 ) -> Optional[list[tuple[int, int]]]:
     """Per stored edge position: (image position, sign), or None if the
     permutation is not a graph automorphism. `by_endpoints` lists the edge
-    positions per (origin, target); parallel edges are matched greedily in id
-    order."""
-    used = [False] * graph.n_edges
+    positions per (origin, target). Parallel edges are matched greedily in
+    id order: each edge takes the next unused position of its image's list,
+    else, for an image that is no loop, of the reversed pair's. One
+    iterator per list reads each list once, so the time is linear in the
+    edges however many are parallel."""
+    unused = {pair: iter(positions) for pair, positions in by_endpoints.items()}
+    nothing = iter(())
     out: list[tuple[int, int]] = []
     for e in graph.edges:
         io, it = perm[e.o], perm[e.t]
-        chosen = None
-        for cand_pos in by_endpoints.get((io, it), []):
-            if not used[cand_pos]:
-                chosen = (cand_pos, +1)
-                break
-        if chosen is None and io != it:
-            for cand_pos in by_endpoints.get((it, io), []):
-                if not used[cand_pos]:
-                    chosen = (cand_pos, -1)
-                    break
-        if chosen is None:
+        pos, sign = next(unused.get((io, it), nothing), None), +1
+        if pos is None and io != it:
+            pos, sign = next(unused.get((it, io), nothing), None), -1
+        if pos is None:
             return None
-        used[chosen[0]] = True
-        out.append(chosen)
+        out.append((pos, sign))
     return out
 
 
@@ -427,7 +423,8 @@ def close_group(
     CLOSURE_ENTRY_BUDGET entries (|G| * n). |G| is a multiple of the lcm of
     the orders, so a group whose lcm passes a bound is refused before any
     product is built; otherwise the element that would pass a bound is
-    never stored."""
+    never stored. Repeated generators are dropped first: a repeat adds no
+    element and no order, but costs a product per element."""
     cap = GROUP_CLOSURE_CAP
     if n and CLOSURE_ENTRY_BUDGET // n < cap:
         limit = CLOSURE_ENTRY_BUDGET // n
@@ -443,6 +440,7 @@ def close_group(
     els = {ident}
     if n < 2:  # only the identity; and itemgetter of one index returns no tuple
         return els
+    generators = list(dict.fromkeys(generators))
     frontier = [ident]
     while frontier:
         new = []

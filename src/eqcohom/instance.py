@@ -122,8 +122,10 @@ class LinearInstance(Frozen):
     @cached_property
     def fixed_preimage(self) -> Subspace:
         """U~ = pi^-1(W^G), the u with pi u fixed by every gW: the common
-        kernel of the blocks (gW_i - id) pi, kept like `kernel`."""
-        return _stacked_kernel([move * self.pi for move in self.moves_W], self.dim_U)
+        kernel of the blocks (gW_i - id) pi, stacked as in gbar_map, kept
+        like `kernel`."""
+        blocks = [move * self.pi for move in self.moves_W]
+        return kernel_basis(Mat.vstack([Mat.zeros(0, self.dim_U), *blocks]))
 
     @cached_property
     def kernel_moves(self) -> Mat:
@@ -258,14 +260,6 @@ def _reduce_moves(inst: LinearInstance) -> Reduction:
     return Reduction(gbar_map(inst), targets)
 
 
-def _stacked_kernel(blocks: Sequence[Mat], dim: int) -> Subspace:
-    """Common kernel of the blocks, each with `dim` columns. With no blocks
-    (d = 0) nothing constrains the vector, and this is the full space."""
-    if not blocks:
-        return Subspace.full(dim)
-    return kernel_basis(Mat.vstack(blocks))
-
-
 def u_tilde(inst: LinearInstance) -> Subspace:
     """Preimage of the W fixed space under pi: {u : pi u is fixed by all g},
     the cached `fixed_preimage`."""
@@ -274,7 +268,8 @@ def u_tilde(inst: LinearInstance) -> Subspace:
 
 def gbar_map(inst: LinearInstance) -> Mat:
     """The (d * dim_U) x dim_U matrix of u -> ((g_1 - id)u, ..., (g_d - id)u),
-    with no rows when d = 0."""
+    stacked behind a block with no rows, so that d = 0 gives no rows: a
+    matrix with no rows has the whole space as its kernel."""
     return Mat.vstack([Mat.zeros(0, inst.dim_U), *inst.moves_U])
 
 
@@ -287,7 +282,7 @@ class OracleResult(NamedTuple):
 def oracle_quotient_dim(inst: LinearInstance) -> OracleResult:
     """Brute-force the quotient dimension from the defining subspaces: the
     reference that verify_iff's rank identity is checked against."""
-    fixed_w = _stacked_kernel(inst.moves_W, inst.dim_W)
+    fixed_w = kernel_basis(Mat.vstack([Mat.zeros(0, inst.dim_W), *inst.moves_W]))
     pi_u_g = subspace_intersection(Subspace(inst.dim_W, inst.pi.transpose()), fixed_w)
     pi_of_ug = Subspace(inst.dim_W, inst.fixed_U.basis * inst.pi.transpose())
     return OracleResult(quotient_dim(pi_u_g, pi_of_ug), pi_u_g, pi_of_ug)

@@ -7,7 +7,7 @@ hashing compare integers, and no tolerance appears anywhere. Products,
 sums, stacking, elimination and the subspace operations all run on the
 integer rows, and entries enter through `_cleared`; fractions.Fraction
 values are made only where entries and vectors leave the module
-(`Mat.data`, built on first use, `mulvec` and `solve_many`). Subspaces are
+(`Mat.data`, built on first use, `mulvec` and `solve`). Subspaces are
 kept in reverse RREF (see `Subspace`), which is unique, so equality and
 containment are purely syntactic, and every kernel is read in that form
 off the one rref of its `Reduction`.
@@ -515,29 +515,17 @@ class Reduction:
         return Subspace._canonical(Mat._new(*_lowest(tuple(vectors), den), n))
 
 
-def solve_many(m: Mat, rhs: Sequence[Sequence]) -> list[Optional[tuple[Fraction, ...]]]:
-    """Particular solutions of m x = b for every b in rhs, from one
-    Reduction of [m | b_1 ... b_k], each b_j cleared of its denominator
-    d_j (so a solution y of that system gives x = y / d_j); None for an
-    inconsistent b. Free variables are set to zero.
-    """
-    cleared = [_cleared(b) for b in rhs]
-    red = Reduction(m, [b for _, b in cleared])
-    out: list[Optional[tuple[Fraction, ...]]] = []
-    for j, (den_b, _) in enumerate(cleared):
-        sol = red.solution(j, den_b)
-        if sol is None:
-            out.append(None)
-        else:
-            den, x = sol
-            out.append(tuple([_frac(v, den) for v in x]))
-    return out
-
-
 def solve(m: Mat, b: Sequence) -> Optional[tuple[Fraction, ...]]:
     """Particular solution of m x = b with free variables set to zero, or
-    None when the system is inconsistent; see solve_many."""
-    return solve_many(m, [b])[0]
+    None when the system is inconsistent: one Reduction of [m | b], with b
+    cleared of its denominator d_b, so a solution y of that system gives
+    x = y / d_b."""
+    den_b, b_ints = _cleared(b)
+    sol = Reduction(m, [b_ints]).solution(0, den_b)
+    if sol is None:
+        return None
+    den, x = sol
+    return tuple([_frac(v, den) for v in x])
 
 
 def kernel_basis(m: Mat) -> "Subspace":

@@ -1,9 +1,11 @@
 """Seeded random instance generation and the property-verification harness.
 
 Random equivariant instances are built in a basis adapted to ker pi, where
-equivariance is a block-shape condition, and then conjugated by random
-unimodular matrices. This guarantees validity by construction while still
-sampling instances on both sides of the sharp characterization.
+equivariance is a block-shape condition: both linear families draw their
+blocks and build each generator pair through one `_block_pair`. They are
+then conjugated by random unimodular matrices. This guarantees validity by
+construction while still sampling instances on both sides of the sharp
+characterization.
 """
 
 from __future__ import annotations
@@ -108,6 +110,28 @@ def _adapted_pi(m: int, r: int, s: int) -> Mat:
     )
 
 
+def _block_pair(
+    a: Mat, b: Sequence[Sequence[int]], dmat: Mat, f: Sequence[Sequence[int]], h: Mat
+) -> tuple[Mat, Mat]:
+    """The adapted-basis generator gu0 = [a b; 0 dmat] on U and
+    gw0 = [dmat f; 0 h] on W, for square a (m x m), dmat (r x r) and h
+    (s x s), and integer rows b (m x r) and f (r x s). Both are block
+    triangular with the same dmat, so pi0 gu0 = [0 dmat; 0 0] = gw0 pi0
+    for pi0 = _adapted_pi(m, r, s)."""
+    m, r, s = a.rows, dmat.rows, h.rows
+    gu0 = Mat.from_ints(
+        [a.ints[i] + tuple(b[i]) for i in range(m)]
+        + [(0,) * m + dmat.ints[i] for i in range(r)],
+        cols=m + r,
+    )
+    gw0 = Mat.from_ints(
+        [dmat.ints[i] + tuple(f[i]) for i in range(r)]
+        + [(0,) * r + h.ints[i] for i in range(s)],
+        cols=r + s,
+    )
+    return gu0, gw0
+
+
 def random_linear_instance(rng: random.Random, max_dim: int = 6) -> LinearInstance:
     """Valid random instance: adapted-basis block construction + conjugation."""
     if rng.random() < 0.35:
@@ -128,15 +152,7 @@ def random_linear_instance(rng: random.Random, max_dim: int = 6) -> LinearInstan
         b = [[rng.choice([-1, 0, 0, 1, 2]) for _ in range(r)] for _ in range(m)]
         f = [[rng.choice([-1, 0, 0, 1]) for _ in range(s)] for _ in range(r)]
         h = Mat.identity(s) if rng.random() < 0.5 else random_invertible(rng, s)
-        gu0 = Mat.from_ints(
-            [a.ints[i] + tuple(b[i]) for i in range(m)]
-            + [(0,) * m + dmat.ints[i] for i in range(r)]
-        )
-        gw0 = Mat.from_ints(
-            [dmat.ints[i] + tuple(f[i]) for i in range(r)]
-            + [(0,) * r + h.ints[i] for i in range(s)]
-        )
-        gens0.append((gu0, gw0))
+        gens0.append(_block_pair(a, b, dmat, f, h))
     return _conjugated(rng, pi0, gens0)
 
 
@@ -225,34 +241,15 @@ def _designed_equality_instance(rng: random.Random, max_dim: int) -> LinearInsta
     m, d = rng.choice(choices)
     r = m * d + rng.randint(0, max_dim - m - m * d)
     s = rng.randint(0, max(0, max_dim - r))
-    dim_w = r + s
     pi0 = _adapted_pi(m, r, s)
     gens0 = []
     for j in range(d):
         b = [[0] * r for _ in range(m)]
         for k in range(m):
             b[k][j * m + k] = 1
-        gu0 = Mat.from_ints(
-            [
-                [1 if i == c else 0 for c in range(m)] + b[i]
-                for i in range(m)
-            ]
-            + [
-                [0] * m + [1 if i == c else 0 for c in range(r)]
-                for i in range(r)
-            ]
-        )
         f = [[rng.choice([-1, 0, 0, 1]) for _ in range(s)] for _ in range(r)]
         h = Mat.identity(s) if rng.random() < 0.5 else random_invertible(rng, s)
-        gw0 = Mat.from_ints(
-            [
-                [1 if i == c else 0 for c in range(r)] + f[i]
-                for i in range(r)
-            ]
-            + [[0] * r + list(h.ints[i]) for i in range(s)],
-            cols=dim_w,
-        )
-        gens0.append((gu0, gw0))
+        gens0.append(_block_pair(Mat.identity(m), b, Mat.identity(r), f, h))
     return _conjugated(rng, pi0, gens0)
 
 

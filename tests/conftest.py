@@ -8,7 +8,7 @@ import pytest
 from eqcohom.errors import PreconditionError
 from eqcohom.graphs import Cochain1, Graph, potential
 from eqcohom.instance import gbar_map
-from eqcohom.linalg import Mat, Subspace, rat, rref, solve, solve_many, vec
+from eqcohom.linalg import Mat, Subspace, rat, rref, solve, vec
 from eqcohom.periodic import PeriodicGraph
 from eqcohom.randomized import _apply_ops, _elementary_ops
 
@@ -90,8 +90,8 @@ def halfline_periodic():
 
 def find_ujk_reference(inst, kernel_basis_choice):
     """ujk[j][k] as find_ujk built them before the rref of [G | T] was kept
-    on the instance: one solve_many of the stacked (g_i - id) map on the d*m
-    slot targets (0, ..., u_k, ..., 0), or None when one is inconsistent.
+    on the instance: one solve of the stacked (g_i - id) map per slot
+    target (0, ..., u_k, ..., 0), or None when one is inconsistent.
     The vectors are taken to be a basis of ker pi."""
     basis = [vec(u) for u in kernel_basis_choice]
     n, d, m = inst.dim_U, inst.d, len(basis)
@@ -99,7 +99,8 @@ def find_ujk_reference(inst, kernel_basis_choice):
     targets = [
         blank * j + u_k + blank * (d - 1 - j) for j in range(d) for u_k in basis
     ]
-    xs = solve_many(gbar_map(inst), targets)
+    gbar = gbar_map(inst)
+    xs = [solve(gbar, t) for t in targets]
     if None in xs:
         return None
     return [xs[j * m : (j + 1) * m] for j in range(d)]
@@ -173,6 +174,37 @@ def fraction_of(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def edge_image_map_reference(graph, perm):
+    """Per stored edge position: (image position, sign), or None if the
+    vertex permutation is not a graph automorphism. Each edge scans its
+    image's (origin, target) list from the start for the first unused
+    position, then, for an image that is no loop, the reversed pair's
+    list: the quadratic matcher that graphs._edge_image_map replaced, kept
+    as its reference."""
+    by_endpoints = {}
+    for pos, e in enumerate(graph.edges):
+        by_endpoints.setdefault((e.o, e.t), []).append(pos)
+    used = [False] * graph.n_edges
+    out = []
+    for e in graph.edges:
+        io, it = perm[e.o], perm[e.t]
+        chosen = None
+        for cand_pos in by_endpoints.get((io, it), []):
+            if not used[cand_pos]:
+                chosen = (cand_pos, +1)
+                break
+        if chosen is None and io != it:
+            for cand_pos in by_endpoints.get((it, io), []):
+                if not used[cand_pos]:
+                    chosen = (cand_pos, -1)
+                    break
+        if chosen is None:
+            return None
+        used[chosen[0]] = True
+        out.append(chosen)
+    return out
 
 
 def signed_edge_orbits(n_edges, edge_maps):
@@ -250,7 +282,7 @@ def reference_cycle_sums(pg, w):
     """w-sum along each fundamental cycle (per component), using the tree
     potential of w."""
     g = pg.quotient
-    pw = g.forest.integrate(w.values, Fraction(0))
+    pw = g.forest.integrate(w.values)
     return [
         [w.values[pos] + pw[g.edges[pos].o] - pw[g.edges[pos].t] for pos, _ in comp]
         for comp in pg.cycles

@@ -39,7 +39,13 @@ from eqcohom.instance import check_condition_i, oracle_quotient_dim, validate
 from eqcohom.linalg import Mat, Subspace, kernel_basis, rat, vec
 from eqcohom.randomized import random_graph, random_graph_instance
 
-from conftest import READER_ENTRIES, cycle_sum_pi_U_G, fixed_W, signed_edge_orbits
+from conftest import (
+    READER_ENTRIES,
+    cycle_sum_pi_U_G,
+    edge_image_map_reference,
+    fixed_W,
+    signed_edge_orbits,
+)
 
 
 def test_coboundary_single_edge():
@@ -278,6 +284,18 @@ def test_close_group_entry_budget_boundary(monkeypatch):
     assert err.value.detail == "group closure exceeded the cap of 11 elements"
 
 
+def test_close_group_drops_repeated_generators():
+    # A transposition and an 8-cycle generate S_8, 40,320 elements. Repeated
+    # to 400 generators they generate the same group, at the same cost.
+    swap = (1, 0, 2, 3, 4, 5, 6, 7)
+    cycle = tuple((v + 1) % 8 for v in range(8))
+    assert len(close_group([swap, cycle], 8, (2, 8))) == 40320
+    start = time.perf_counter()
+    group = close_group([swap, cycle] * 200, 8, (2, 8) * 200)
+    assert time.perf_counter() - start < 1
+    assert len(group) == 40320
+
+
 def test_to_instance_identity():
     g = k3_graph()
     inst = to_instance(g, GraphAction((tuple(range(3)),), {0: 1}))
@@ -343,6 +361,79 @@ def test_multigraph_automorphism_matching():
     g = Graph.make(2, [(0, 0, 1), (1, 0, 1)])
     inst = to_instance(g, GraphAction(((1, 0),), {0: 2}))
     assert validate(inst).ok
+
+
+def _symmetric_multigraph(rng, n, perm):
+    """A multigraph on n vertices that perm maps onto itself: the orbits of
+    a few random edges under perm, each edge of an orbit stored in either
+    orientation and each orbit taken one to three times, so there are
+    loops, parallel and antiparallel edges; sometimes one edge is dropped,
+    which most often breaks the symmetry. Edge ids are shuffled."""
+    edges = []
+    for _ in range(rng.randint(0, 4)):
+        o, t = rng.randrange(n), rng.randrange(n)
+        for _ in range(rng.randint(1, 3)):
+            a, b = o, t
+            while True:
+                edges.append((a, b) if rng.random() < 0.7 else (b, a))
+                a, b = perm[a], perm[b]
+                if (a, b) == (o, t):
+                    break
+    if edges and rng.random() < 0.2:
+        edges.pop(rng.randrange(len(edges)))
+    ids = rng.sample(range(3 * len(edges) + 1), len(edges))
+    return Graph.make(n, [(i, o, t) for i, (o, t) in zip(ids, edges)])
+
+
+def test_edge_maps_match_the_quadratic_matcher():
+    # ActionOrbits' one-pass matcher against the matcher it replaced, on
+    # seeded multigraphs with loops, parallel and antiparallel edges: the
+    # same signed edge maps, and the same generators refused.
+    rng = random.Random(341)
+    seen = {"automorphism": 0, "refused": 0, "loop": 0, "parallel": 0, "reversed": 0}
+    for _ in range(2000):
+        n = rng.randint(1, 6)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        g = _symmetric_multigraph(rng, n, tuple(perm))
+        gens = [tuple(perm)]
+        if rng.random() < 0.3:
+            other = list(range(n))
+            rng.shuffle(other)
+            gens.insert(rng.randint(0, 1), tuple(other))
+        maps = [edge_image_map_reference(g, p) for p in gens]
+        issues = tuple(
+            f"generator {i}: does not map edges to edges"
+            for i, emap in enumerate(maps)
+            if emap is None
+        )
+        orbits = ActionOrbits(g, GraphAction(tuple(gens)))
+        assert orbits.issues == issues
+        assert orbits.edge_maps == (() if issues else tuple(maps))
+        for emap in maps:
+            if emap is None:
+                seen["refused"] += 1
+                continue
+            seen["automorphism"] += 1
+            seen["reversed"] += any(sign < 0 for _, sign in emap)
+        pairs = [(e.o, e.t) for e in g.edges]
+        seen["loop"] += any(o == t for o, t in pairs)
+        seen["parallel"] += len(set(pairs)) < len(pairs)
+    assert min(seen.values()) > 200, seen
+
+
+def test_parallel_edges_are_matched_in_linear_time():
+    # 60,000 parallel edges swapped end to end: each edge's image is the
+    # next unused edge of the one reversed list, found without a scan.
+    k = 60_000
+    g = Graph.make(2, [(i, 0, 1) for i in range(k)])
+    start = time.perf_counter()
+    rep = analyze_graph_action(g, GraphAction(((1, 0),), {0: 2}))
+    assert time.perf_counter() - start < 3
+    assert (rep["components"], rep["group_order"], rep["quotient_dim"]) == (1, 2, 0)
+    assert ActionOrbits(g, GraphAction(((1, 0),))).edge_maps == (
+        [(pos, -1) for pos in range(k)],
+    )
 
 
 def union_find_partition(g):

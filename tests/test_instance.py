@@ -370,7 +370,7 @@ def _rescaled(inst, rng):
 
 def test_moves_reduction_matches_separate_eliminations():
     # U^G, condition (ii) and the ujk read off the one kept rref of [G | T]
-    # against kernel_basis(gbar_map) and the solve_many construction, on
+    # against kernel_basis(gbar_map) and one solve per slot target, on
     # canonical, scaled and mixed kernel bases; the blocks g - id against
     # Mat subtraction, with denominators other than 1 among them.
     rng = random.Random(2718)

@@ -2,7 +2,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -20,7 +20,6 @@ from eqcohom.linalg import (
     rat_str,
     rref,
     solve,
-    solve_many,
     subspace_intersection,
 )
 
@@ -327,7 +326,15 @@ def _free_columns(m):
     return [c for c in range(m.cols) if ranks[c + 1] == ranks[c]]
 
 
-def test_solve_many_matches_the_defining_equation():
+def _read(red, j, den=1):
+    """Column j of a Reduction, read as solve reads its one column: the
+    Fraction solution of m x = c_j / den, or None when c_j is
+    inconsistent."""
+    sol = red.solution(j, den)
+    return None if sol is None else tuple(Fraction(v, sol[0]) for v in sol[1])
+
+
+def test_solve_matches_the_defining_equation():
     rng = random.Random(29)
     shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (4, 4)]
     shapes += [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(80)]
@@ -342,12 +349,14 @@ def test_solve_many_matches_the_defining_equation():
                 rhs.append(m.mulvec(target))
             else:
                 rhs.append([Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(rows)])
-        xs = solve_many(m, rhs)
-        assert len(xs) == len(rhs)
+        xs = [solve(m, b) for b in rhs]
+        # The same columns in one Reduction, each cleared of its denominator.
+        dens = [lcm(*[Fraction(y).denominator for y in b]) for b in rhs]
+        red = Reduction(m, [[int(y * den) for y in b] for b, den in zip(rhs, dens)])
         rank = fraction_free_rank([list(row) for row in m.data])
         free = _free_columns(m)
-        for b, x in zip(rhs, xs):
-            assert x == solve(m, b)
+        for j, (b, x) in enumerate(zip(rhs, xs)):
+            assert x == _read(red, j, dens[j])
             augmented = [list(row) + [bi] for row, bi in zip(m.data, b)]
             if x is None:
                 kinds["inconsistent"] += 1
@@ -359,16 +368,20 @@ def test_solve_many_matches_the_defining_equation():
     assert min(kinds.values()) > 20, kinds
 
 
-def test_solve_many_inconsistent_column_before_consistent_ones():
+def test_reduction_inconsistent_column_before_consistent_ones():
     # The first column lands a pivot in the right-hand side; the later
-    # consistent columns still read their solutions off the pivot rows.
+    # consistent columns still read their solutions off the pivot rows,
+    # the same as solve reads each column alone.
     m = Mat([[1, 2, 0], [0, 0, 1], [1, 2, 1]])
-    xs = solve_many(m, [[0, 0, 1], [3, 4, 7], [0, 0, 0], [1, 1, 1], [2, -1, 1]])
+    columns = [[0, 0, 1], [3, 4, 7], [0, 0, 0], [1, 1, 1], [2, -1, 1]]
+    red = Reduction(m, columns)
+    xs = [_read(red, j) for j in range(len(columns))]
     assert xs[0] is None and xs[3] is None
     assert xs[1] == (3, 0, 4) and xs[2] == (0, 0, 0) and xs[4] == (2, 0, -1)
-    assert solve_many(m, []) == []
+    assert xs == [solve(m, b) for b in columns]
+    assert Reduction(m, []).kernel() == kernel_basis(m)
     with pytest.raises(ValueError):
-        solve_many(m, [[1, 2]])
+        solve(m, [1, 2])
 
 
 def test_independent_rows_are_the_transpose_rref_pivots():
@@ -510,7 +523,7 @@ def test_hnf_on_consecutive_fibonacci_pairs_finishes_fast():
 
 def test_reduction_reads_rank_consistency_solutions_and_kernel():
     # One Reduction of [m | c_1 ... c_k] against the separate answers: the
-    # rank, solve_many for each column (its consistency and its solution),
+    # rank, solve for each column (its consistency and its solution),
     # and kernel_basis; m with denominators and with no rows among them.
     rng = random.Random(43)
     shapes = [(0, 0), (0, 3), (3, 0), (2, 2)]
@@ -528,22 +541,23 @@ def test_reduction_reads_rank_consistency_solutions_and_kernel():
         red = Reduction(m, columns)
         assert red.rank == fraction_free_rank([list(row) for row in m.data])
         assert red.kernel() == kernel_basis(m)
-        for j, x in enumerate(solve_many(m, columns)):
+        xs = [solve(m, c) for c in columns]
+        for j, x in enumerate(xs):
             assert red.consistent(j) == (x is not None)
             if x is None:
                 assert red.solution(j, 5) is None
             else:
                 den, ints = red.solution(j, 5)
                 assert tuple(Fraction(5 * v, den) for v in ints) == x
-        kinds.add((m.den > 1, red.rank < cols, any(x is None for x in solve_many(m, columns))))
+        kinds.add((m.den > 1, red.rank < cols, None in xs))
     assert {(True, True), (True, False), (False, True), (False, False)} <= {k[:2] for k in kinds}
     assert {k[2] for k in kinds} == {True, False}
 
 
 def _inverse_columns(m):
-    """solve_many against the identity columns: the columns of m^-1, with
-    None for each unit vector outside the image of m."""
-    return solve_many(m, Mat.identity(m.rows).data)
+    """solve against each identity column: the columns of m^-1, with None
+    for each unit vector outside the image of m."""
+    return [solve(m, e) for e in Mat.identity(m.rows).data]
 
 
 def test_reduction_refuses_a_column_of_the_wrong_length():
@@ -837,7 +851,8 @@ def test_integer_form_matches_fraction_definitions():
             [sum((x * y for x, y in zip(r, xs)), Fraction(0)) for r in fa],
             [Fraction(rng.randint(-3, 3), 3) for _ in range(rows)],
         ]
-        for b_vec, x in zip(bs, solve_many(a, bs)):
+        for b_vec in bs:
+            x = solve(a, b_vec)
             aug_red, aug_pivots = _ref_rref(
                 [list(r) + [y] for r, y in zip(fa, b_vec)], cols + 1
             )

@@ -7,7 +7,7 @@ spanning forest per graph (`Graph.forest`), built on first use and kept on
 the Graph, whose fields are read-only (records.Frozen), so it cannot go stale.
 A vertex permutation that induces a graph automorphism permutes vertices
 and signed edges. `ActionOrbits` reads an action once: each generator's
-signed edge map and order, and the vertex orbits. `analyze_graph_action`
+signed edge map and order, and the vertex orbit sizes. `analyze_graph_action`
 reports from those and from the averaging theorem (the quotient dimension
 of a finite permutation group is 0), so a `graph` request builds no matrix
 and eliminates nothing. An action also compiles into a LinearInstance
@@ -19,7 +19,6 @@ cycles.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
@@ -280,19 +279,12 @@ def potential(graph: Graph, w: Cochain1) -> Optional[Cochain0]:
     The integers w.ints are integrated, and divided by w.den once. Returns
     None when w is not closed (some non-tree edge disagrees).
     """
-    f = closed_potential(graph, w.ints)
-    return None if f is None else Cochain0(tuple([_frac(x, w.den) for x in f]))
-
-
-def closed_potential(graph: Graph, values: Sequence[int]) -> Optional[list[int]]:
-    """Tree potential of integer edge values, 0 at each component root, or
-    None when some non-tree edge disagrees with it."""
     forest = graph.forest
-    f = forest.integrate(values)
+    f = forest.integrate(w.ints)
     for pos, e in enumerate(graph.edges):
-        if pos not in forest.tree_positions and values[pos] != f[e.t] - f[e.o]:
+        if pos not in forest.tree_positions and w.ints[pos] != f[e.t] - f[e.o]:
             return None
-    return f
+    return Cochain0(tuple([_frac(x, w.den) for x in f]))
 
 
 class GraphAction(Frozen):
@@ -362,23 +354,15 @@ def _edge_image_map(
     return out
 
 
-def _find(root: list[int], v: int) -> int:
-    """Union-find representative of v, halving the path on the way."""
-    while root[v] != v:
-        root[v] = root[root[v]]
-        v = root[v]
-    return v
-
-
 class ActionOrbits:
     """A graph action read once: each generator's signed edge map and its
-    order as a vertex permutation, and the vertex orbits of the generated
-    group, computed on first use.
+    order as a vertex permutation, and the sizes of the vertex orbits of the
+    generated group, computed on first use.
 
     `issues` names each generator that is no permutation of the vertices or
     no automorphism; the action is an automorphism action iff it is empty,
     and only then do `edge_maps` and `vertex_orders` (one entry per
-    generator) and `vertex_orbit` mean anything.
+    generator) and `orbit_sizes` mean anything.
     """
 
     def __init__(self, graph: Graph, action: GraphAction):
@@ -403,15 +387,27 @@ class ActionOrbits:
         self.vertex_orders: tuple[int, ...] = () if issues else tuple(orders)
 
     @cached_property
-    def vertex_orbit(self) -> tuple[int, ...]:
-        """vertex -> representative of its orbit (union-find over v ~ g(v))."""
-        root = list(range(self.graph.n_vertices))
-        for perm in self.action.generators:
-            for v, u in enumerate(perm):
-                a, b = _find(root, v), _find(root, u)
-                if a != b:
-                    root[b] = a
-        return tuple([_find(root, v) for v in range(len(root))])
+    def orbit_sizes(self) -> list[int]:
+        """The size of each vertex orbit, orbits ordered by their least
+        vertex. Each orbit is grown from its least unseen vertex through the
+        generators' images alone: a permutation's inverse is one of its
+        powers, so the images reach the whole orbit."""
+        gens = self.action.generators
+        seen = [False] * self.graph.n_vertices
+        sizes = []
+        for start in range(len(seen)):
+            if seen[start]:
+                continue
+            seen[start] = True
+            orbit = [start]
+            for v in orbit:  # `orbit` doubles as the queue
+                for perm in gens:
+                    u = perm[v]
+                    if not seen[u]:
+                        seen[u] = True
+                        orbit.append(u)
+            sizes.append(len(orbit))
+        return sizes
 
 
 def close_group(
@@ -474,10 +470,9 @@ def action_checks(orbits: ActionOrbits) -> ActionChecks:
     """
     graph, gens = orbits.graph, orbits.action.generators
     order = len(close_group(gens, graph.n_vertices, orbits.vertex_orders))
-    sizes = Counter(orbits.vertex_orbit)
     comp_of = graph.forest.comp_of
     closed = all(comp_of[u] == comp_of[v] for perm in gens for v, u in enumerate(perm))
-    return ActionChecks(all(k == order for k in sizes.values()), closed, order)
+    return ActionChecks(all(k == order for k in orbits.orbit_sizes), closed, order)
 
 
 def _order(perm: Sequence[int]) -> int:

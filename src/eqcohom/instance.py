@@ -12,7 +12,9 @@ coefficients plus an invariant preimage part.
 The quotient dimension is read off three dimensions, with no subspace
 intersection. Write K for the basis of ker pi (m vectors), G for the stack
 of the blocks gU_i - id, and U~ = pi^-1(W^G), the common kernel of the
-blocks (gW_i - id) pi. Then:
+blocks (gW_i - id) pi. The moves are held in that one shape: `moves_U` is
+G and `moves_W` the stack of the blocks gW_i - id, each one Mat built once
+per instance, with no rows when d = 0. Then:
 
 - im(pi) ^ W^G = pi(U~), and ker pi lies in U~, so its dimension is
   dim U~ - m;
@@ -37,16 +39,18 @@ them in linalg:
   the free variables zero; U^G is its kernel of G, one vector per free
   column of G, canonical as read (linalg.Reduction.kernel), so it runs no
   rref of its own.
-- U~: kernel_basis of the stacked (gW_i - id) pi, its own rref, so that
-  the rank identity above is not true by construction.
-- rank(G K): one rref of the (d * dim_U) x m matrix G K.
+- U~: kernel_basis of the one product `moves_W` * pi, its own rref, so
+  that the rank identity above is not true by construction.
+- rank(G K): no rref; Mat.rank counts the independent rows of the
+  (d * dim_U) x m matrix G K (linalg.independent_rows).
 
 The decomposition of one target w, once per target rather than once per
 choice of the u_jk (Decomposer):
 
 - the preimage u0 of w: one Reduction of [pi | w];
 - the coefficients of each (g_j - id)u0 in the chosen basis of ker pi: one
-  Reduction of [K^T | (g_1 - id)u0 ... (g_d - id)u0].
+  Reduction of [K^T | (g_1 - id)u0 ... (g_d - id)u0], the columns cut
+  from the one product G u0.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from math import lcm
+from math import gcd, isqrt, lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DENSE_BUDGET, InputError, PreconditionError
@@ -97,14 +101,16 @@ class LinearInstance(Frozen):
         return self.kernel.dim
 
     @cached_property
-    def moves_U(self) -> tuple[Mat, ...]:
-        """The blocks gU_i - id, one per generator, kept like `kernel`."""
-        return tuple([_minus_identity(gu) for gu, _ in self.generators])
+    def moves_U(self) -> Mat:
+        """G, the (d * dim_U) x dim_U stack of the blocks gU_i - id: the map
+        u -> ((g_1 - id)u, ..., (g_d - id)u), kept like `kernel`."""
+        return _stacked_moves([gu for gu, _ in self.generators], self.dim_U)
 
     @cached_property
-    def moves_W(self) -> tuple[Mat, ...]:
-        """The blocks gW_i - id, one per generator, kept like `kernel`."""
-        return tuple([_minus_identity(gw) for _, gw in self.generators])
+    def moves_W(self) -> Mat:
+        """The (d * dim_W) x dim_W stack of the blocks gW_i - id, kept like
+        `kernel`."""
+        return _stacked_moves([gw for _, gw in self.generators], self.dim_W)
 
     @cached_property
     def moves_reduction(self) -> Reduction:
@@ -121,17 +127,15 @@ class LinearInstance(Frozen):
 
     @cached_property
     def fixed_preimage(self) -> Subspace:
-        """U~ = pi^-1(W^G), the u with pi u fixed by every gW: the common
-        kernel of the blocks (gW_i - id) pi, stacked as in gbar_map, kept
-        like `kernel`."""
-        blocks = [move * self.pi for move in self.moves_W]
-        return kernel_basis(Mat.vstack([Mat.zeros(0, self.dim_U), *blocks]))
+        """U~ = pi^-1(W^G), the u with pi u fixed by every gW: the kernel
+        of the stacked (gW_i - id) pi, kept like `kernel`."""
+        return kernel_basis(self.moves_W * self.pi)
 
     @cached_property
     def kernel_moves(self) -> Mat:
         """G K, the (d * dim_U) x m matrix of the blocks gU_i - id applied
         to the canonical basis of ker pi, kept like `kernel`."""
-        return gbar_map(self) * self.kernel.basis.transpose()
+        return self.moves_U * self.kernel.basis.transpose()
 
     def to_json(self) -> dict:
         gens = []
@@ -212,13 +216,36 @@ def validate(inst: LinearInstance) -> ValidationReport:
             if n < 1:
                 issues.append(f"generator {i}: declared order {n} < 1")
             else:
-                if _power(gu, n) != Mat.identity(inst.dim_U):
+                # g^n = id iff g^gcd(n, M) = id, M = _order_bound(size).
+                u_exp = gcd(n, _order_bound(inst.dim_U))
+                if _power(gu, u_exp) != Mat.identity(inst.dim_U):
                     issues.append(f"generator {i}: gU^{n} != identity")
-                if _power(gw, n) != Mat.identity(inst.dim_W):
+                w_exp = gcd(n, _order_bound(inst.dim_W))
+                if _power(gw, w_exp) != Mat.identity(inst.dim_W):
                     issues.append(f"generator {i}: gW^{n} != identity")
     for i in sorted(set(inst.orders) - set(range(inst.d))):
         issues.append(f"declared order for generator {i}, which does not exist")
     return ValidationReport(not issues, tuple(issues))
+
+
+def _order_bound(n: int) -> int:
+    """M_n = lcm{k : phi(k) <= n}, a multiple of every finite order in
+    GL_n(Q). A g of finite order is diagonalizable over C with roots of
+    unity as eigenvalues; one of order k has the cyclotomic polynomial
+    Phi_k, of degree phi(k) <= n, as its minimal polynomial over Q, and the
+    order of g is the lcm of those k. phi(p^a) = p^(a-1)(p - 1) divides
+    phi(k) for each p^a exactly dividing k, so M_n is the product over the
+    primes p <= n + 1 of the largest p^a with p^(a-1)(p - 1) <= n. Hence
+    g^N = id iff g^gcd(N, M_n) = id for every N >= 1; for a g of infinite
+    order both are false."""
+    bound = 1
+    for p in range(2, n + 2):
+        if all(p % q for q in range(2, isqrt(p) + 1)):
+            power = p
+            while power * (p - 1) <= n:
+                power *= p
+            bound *= power
+    return bound
 
 
 def _power(m: Mat, n: int) -> Mat:
@@ -233,21 +260,24 @@ def _power(m: Mat, n: int) -> Mat:
     return acc
 
 
-def _minus_identity(g: Mat) -> Mat:
-    """g - id for a square g: den subtracted on the diagonal of g.ints. That
-    is in lowest terms already, because gcd(den, a - den) = gcd(den, a)."""
-    if g.rows != g.cols:
-        raise ValueError("shape mismatch")
-    den = g.den
-    return Mat._new(
-        tuple([row[:i] + (row[i] - den,) + row[i + 1 :] for i, row in enumerate(g.ints)]),
-        den,
-        g.cols,
-    )
+def _stacked_moves(gens: Sequence[Mat], n: int) -> Mat:
+    """The blocks g - id of n x n matrices g, stacked behind a block with no
+    rows, so that d = 0 gives no rows: a matrix with no rows has the whole
+    space as its kernel. Each block is g.ints with g.den subtracted on the
+    diagonal, in lowest terms already, because gcd(den, a - den) =
+    gcd(den, a)."""
+    blocks = [Mat.zeros(0, n)]
+    for g in gens:
+        if (g.rows, g.cols) != (n, n):
+            raise ValueError("shape mismatch")
+        den = g.den
+        rows = [row[:i] + (row[i] - den,) + row[i + 1 :] for i, row in enumerate(g.ints)]
+        blocks.append(Mat._new(tuple(rows), den, n))
+    return Mat.vstack(blocks)
 
 
 def _reduce_moves(inst: LinearInstance) -> Reduction:
-    """The Reduction of [G | T]: G = gbar_map(inst), and T the d*m slot
+    """The Reduction of [G | T]: G = inst.moves_U, and T the d*m slot
     targets (0, ..., u_k, ..., 0), u_k in slot j, with the rows u_k of the
     canonical basis of ker pi (over its den) as the integer columns
     j*m + k of T."""
@@ -257,20 +287,13 @@ def _reduce_moves(inst: LinearInstance) -> Reduction:
         for j in range(d)
         for u_k in inst.kernel.basis.ints
     ]
-    return Reduction(gbar_map(inst), targets)
+    return Reduction(inst.moves_U, targets)
 
 
 def u_tilde(inst: LinearInstance) -> Subspace:
     """Preimage of the W fixed space under pi: {u : pi u is fixed by all g},
     the cached `fixed_preimage`."""
     return inst.fixed_preimage
-
-
-def gbar_map(inst: LinearInstance) -> Mat:
-    """The (d * dim_U) x dim_U matrix of u -> ((g_1 - id)u, ..., (g_d - id)u),
-    stacked behind a block with no rows, so that d = 0 gives no rows: a
-    matrix with no rows has the whole space as its kernel."""
-    return Mat.vstack([Mat.zeros(0, inst.dim_U), *inst.moves_U])
 
 
 class OracleResult(NamedTuple):
@@ -282,7 +305,7 @@ class OracleResult(NamedTuple):
 def oracle_quotient_dim(inst: LinearInstance) -> OracleResult:
     """Brute-force the quotient dimension from the defining subspaces: the
     reference that verify_iff's rank identity is checked against."""
-    fixed_w = kernel_basis(Mat.vstack([Mat.zeros(0, inst.dim_W), *inst.moves_W]))
+    fixed_w = kernel_basis(inst.moves_W)
     pi_u_g = subspace_intersection(Subspace(inst.dim_W, inst.pi.transpose()), fixed_w)
     pi_of_ug = Subspace(inst.dim_W, inst.fixed_U.basis * inst.pi.transpose())
     return OracleResult(quotient_dim(pi_u_g, pi_of_ug), pi_u_g, pi_of_ug)
@@ -421,12 +444,14 @@ class Decomposer:
         sol = Reduction(inst.pi, [w_ints]).solution(0, den_w)
         if sol is None:
             raise PreconditionError("not-in-image", "w is not in the image of pi")
-        if any(_moved(move, w_ints) for move in inst.moves_W):
+        if any(_apply(inst.moves_W, w_ints)):
             raise PreconditionError("not-invariant", "w is not fixed by the action")
         den_0, u0 = sol
-        moves = inst.moves_U
-        red = Reduction(kernel.transpose(), [_apply(move, u0) for move in moves])
-        coeffs = [red.solution(j, move.den * den_0) for j, move in enumerate(moves)]
+        # G u0 over moves.den, cut into the d blocks (g_j - id)u0.
+        moves, n = inst.moves_U, inst.dim_U
+        moved = _apply(moves, u0)
+        red = Reduction(kernel.transpose(), [moved[j * n : (j + 1) * n] for j in range(inst.d)])
+        coeffs = [red.solution(j, moves.den * den_0) for j in range(inst.d)]
         if None in coeffs:
             raise PreconditionError(
                 "kernel-escape",
@@ -463,7 +488,7 @@ class Decomposer:
             periods = [x + k * y for x, y in zip(periods, u_ints)]
         scale = den // den_0
         u_inv = [scale * x - y for x, y in zip(self._u0, periods)]
-        if any(_moved(move, u_inv) for move in inst.moves_U):
+        if any(_apply(inst.moves_U, u_inv)):
             raise AssertionError("invariant part not fixed")
         preimage = [x + y for x, y in zip(u_inv, periods)]
         image = _apply(inst.pi, preimage)
@@ -505,11 +530,6 @@ def _apply(m: Mat, v: Sequence[int]) -> list[int]:
     """m.ints times the integer vector v: m v, scaled by m.den."""
     nonzero = [(k, x) for k, x in enumerate(v) if x]
     return [sum([row[k] * x for k, x in nonzero]) for row in m.ints]
-
-
-def _moved(move: Mat, v: Sequence[int]) -> bool:
-    """Whether the block g - id moves the vector v, i.e. g v != v."""
-    return any(_apply(move, v))
 
 
 def _require_condition_i(inst: LinearInstance) -> None:

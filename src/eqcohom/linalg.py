@@ -12,11 +12,13 @@ kept in reverse RREF (see `Subspace`), which is unique, so equality and
 containment are purely syntactic, and every kernel is read in that form
 off the one rref of its `Reduction`.
 
-Every elimination of the package runs here: `rref`, the `Reduction` of an
-augmented system that every solve reads, `independent_rows`, which picks
-independent rows and decides nonsingularity, and `hermite_normal_form`,
-the one lattice routine, which reduces over Z and names the rows that
-opened its pivots.
+Every elimination of the package runs here: `rref`, run only where
+reduced rows are read (the `Reduction` of an augmented system that every
+solve and kernel reads, and a `Subspace`'s canonical basis),
+`independent_rows`, which picks independent rows and so gives every rank
+(`Mat.rank`, `Mat.is_invertible`) with no RREF built, and
+`hermite_normal_form`, the one lattice routine, which reduces over Z and
+names the rows that opened its pivots.
 """
 
 from __future__ import annotations
@@ -284,10 +286,10 @@ class Mat:
         )
 
     def rank(self) -> int:
-        return len(rref(self)[1])
+        return len(independent_rows(self.ints))
 
     def is_invertible(self) -> bool:
-        return self.rows == self.cols == len(independent_rows(self.ints))
+        return self.rows == self.cols == self.rank()
 
     def to_lists(self) -> list[list[str]]:
         """The entries as "p/q" strings (see rat_str), row by row."""

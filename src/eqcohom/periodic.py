@@ -21,9 +21,10 @@ The realized quotient dimension is the sum of the period lattices' ranks.
 The request path computes on Python ints, the way `linalg.Mat` does: w
 arrives as integers over one denominator D (a Cochain1 reads its JSON
 straight to that form), each component's coefficients are one integer row
-over a common E, and the residual, its closedness check and the
-reconstruct round trip all run on integers over D*E. Fractions are made
-only for the returned PeriodicDecomposition. The truncation oracle likewise
+over a common E, and the residual is integrated once along the forest and
+checked once, by the reconstruct round trip (which implies its exactness),
+all on integers over D*E. Fractions are made only for the returned
+PeriodicDecomposition. The truncation oracle likewise
 brings w, f and a to one common denominator, tabulates the lift window as
 one int row per quotient vertex, and checks the edges of each voltage class
 on their shared box of cells with C-level gathers.
@@ -39,7 +40,7 @@ from operator import itemgetter, mul, sub
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import GRAPH_BUDGET, TRUNCATION_BUDGET, InputError, PreconditionError
-from .graphs import Cochain0, Cochain1, Edge, Graph, closed_potential
+from .graphs import Cochain0, Cochain1, Edge, Graph
 from .linalg import (
     Mat,
     Reduction,
@@ -332,14 +333,12 @@ def decompose_periodic(pg: PeriodicGraph, w: Cochain1) -> PeriodicDecomposition:
     a_int = [[x * (den_a // dk) for x in row] for row, dk in zip(rows, dens)]
     w_int = [den_a * x for x in w_int]
     periods = _reconstruct_ints(pg, a_int, [0] * pg.quotient.n_vertices)
-    residual = [x - p for x, p in zip(w_int, periods)]
-    f_int = closed_potential(pg.quotient, residual)
-    if f_int is None:
-        raise AssertionError("residual 1-form must be exact on the quotient")
-    # The round trip w = reconstruct(a, f), with the periods built above.
+    f_int = pg.quotient.forest.integrate(list(map(sub, w_int, periods)))
+    # The round trip w = reconstruct(a, f): on the tree edges it holds by
+    # construction, and on the others it is the residual's exactness.
     edges = pg.quotient.edges
     if [f_int[e.t] - f_int[e.o] + p for e, p in zip(edges, periods)] != w_int:
-        raise AssertionError
+        raise AssertionError("round trip w = reconstruct(a, f) fails")
     den = den_w * den_a
     a = tuple([tuple([_frac(row[j], den) for row in a_int]) for j in range(pg.d)])
     return PeriodicDecomposition(
@@ -356,7 +355,7 @@ def _reconstruct_ints(
     return [
         f_int[e.t]
         - f_int[e.o]
-        + sum([a * t for a, t in zip(a_int[comp_of[e.o]], pg.voltages[e.id]) if t])
+        + sum(map(mul, a_int[comp_of[e.o]], pg.voltages[e.id]))
         for e in pg.quotient.edges
     ]
 

@@ -7,7 +7,6 @@ import pytest
 
 from eqcohom.errors import PreconditionError
 from eqcohom.graphs import Cochain1, Graph, potential
-from eqcohom.instance import gbar_map
 from eqcohom.linalg import Mat, Subspace, rat, rref, solve, vec
 from eqcohom.periodic import PeriodicGraph
 from eqcohom.randomized import _apply_ops, _elementary_ops
@@ -56,12 +55,19 @@ def kernel_reference(m):
     return Subspace(m.cols, Mat.from_ints(vectors, cols=m.cols))
 
 
+def stacked_moves(gens, n):
+    """The n-column stack of the blocks g - id, built by Mat subtraction:
+    the reference for an instance's `moves_U` and `moves_W`. d = 0 gives
+    a matrix with no rows."""
+    return Mat.vstack([Mat.zeros(0, n), *[g - Mat.identity(n) for g in gens]])
+
+
 def fixed_W(inst):
     """W^G, the vectors of W fixed by every gW: the reference that the
     orbit forms and the fixture spaces are checked against."""
     if not inst.generators:
         return Subspace.full(inst.dim_W)
-    return kernel_reference(Mat.vstack(inst.moves_W))
+    return kernel_reference(stacked_moves([gw for _, gw in inst.generators], inst.dim_W))
 
 
 def random_unimodular(rng, n):
@@ -99,7 +105,7 @@ def find_ujk_reference(inst, kernel_basis_choice):
     targets = [
         blank * j + u_k + blank * (d - 1 - j) for j in range(d) for u_k in basis
     ]
-    gbar = gbar_map(inst)
+    gbar = stacked_moves([gu for gu, _ in inst.generators], n)
     xs = [solve(gbar, t) for t in targets]
     if None in xs:
         return None

@@ -714,7 +714,8 @@ def test_orbit_quotient_dim_matches_dense_oracle():
 def test_action_checks_match_whole_group_definition():
     # Freeness by orbit-stabilizer and closedness on the generators agree
     # with the definitions over every element of the generated group, and
-    # each generator's order is the least k >= 1 with p^k = id.
+    # so do the orbit sizes; each generator's order is the least k >= 1
+    # with p^k = id.
     rng = random.Random(83)
     seen = set()
     for k in range(400):
@@ -734,6 +735,10 @@ def test_action_checks_match_whole_group_definition():
         comp_of = g.forest.comp_of
         closed = all(comp_of[p[v]] == comp_of[v] for p in group for v in range(g.n_vertices))
         assert checks == ActionChecks(free, closed, len(group))
+        # Each orbit, ordered by its least vertex, has |{p[v] : p in G}|
+        # elements.
+        orbit = [{p[v] for p in group} for v in range(g.n_vertices)]
+        assert orbits.orbit_sizes == [len(o) for v, o in enumerate(orbit) if min(o) == v]
         seen.add((free, closed))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -24,6 +25,7 @@ from eqcohom.instance import (
     Decomposer,
     LinearInstance,
     _apply,
+    _order_bound,
     _power,
     check_condition_i,
     check_condition_ii,
@@ -31,7 +33,6 @@ from eqcohom.instance import (
     check_torsion_trivial,
     decompose,
     find_ujk,
-    gbar_map,
     oracle_quotient_dim,
     slot_solutions,
     u_tilde,
@@ -41,7 +42,7 @@ from eqcohom.instance import (
 from eqcohom.linalg import Mat, Subspace, kernel_basis, rat, vec
 from eqcohom.randomized import random_graph_instance, random_linear_instance
 
-from conftest import READER_ENTRIES, find_ujk_reference, fixed_W
+from conftest import READER_ENTRIES, find_ujk_reference, fixed_W, stacked_moves
 
 
 def kernel_vectors(inst):
@@ -106,6 +107,65 @@ def test_validate_huge_declared_order():
         f"generator 0: gU^{10**8 + 2} != identity",
         f"generator 0: gW^{10**8 + 2} != identity",
     )
+
+
+def test_order_bound_is_the_lcm_of_the_orders_phi_allows():
+    # phi(k) >= sqrt(k / 2), so phi(k) <= n needs k <= 2 n^2: the brute
+    # lcm over k <= 2 n^2 + 2 is M_n.
+    def phi(k):
+        return sum(1 for j in range(1, k + 1) if gcd(j, k) == 1)
+
+    for n in range(13):
+        allowed = [k for k in range(1, 2 * n * n + 3) if phi(k) <= n]
+        assert _order_bound(n) == lcm(*allowed), n
+
+
+def test_power_at_the_gcd_with_the_order_bound_decides_the_order():
+    # g^N = id iff g^gcd(N, M_n) = id: on finite orders (permutations, -I,
+    # integer matrices of order 3, 4, 6 and 12), on infinite ones (shears,
+    # [[2]]), on a singular block and on the 0 x 0 matrix.
+    def perm_matrix(p):
+        n = len(p)
+        return Mat.from_ints([[1 if p[j] == i else 0 for j in range(n)] for i in range(n)])
+
+    order3, order4, order6 = [[0, -1], [1, -1]], [[0, -1], [1, 0]], [[1, -1], [1, 0]]
+    order12 = [r + [0, 0] for r in order3] + [[0, 0] + r for r in order4]
+    bounded = [
+        perm_matrix((1, 2, 0)),
+        perm_matrix((1, 0, 3, 2, 4)),
+        perm_matrix((1, 2, 3, 0)),
+        Mat([[-1, 0], [0, -1]]),
+        Mat(order3),
+        Mat(order4),
+        Mat(order6),
+        Mat(order12),
+        Mat([[1, 1], [0, 1]]),
+        Mat([[1, Fraction(1, 2), 0], [0, 1, 0], [0, 0, -1]]),
+        Mat([[1, 0], [0, 0]]),
+        Mat.zeros(0, 0),
+    ]
+    large = [2**k for k in (10, 20, 40, 64)]
+    for g in [*bounded, Mat([[2]])]:
+        bound = _order_bound(g.rows)
+        exponents = list(range(1, 301))
+        if g in bounded:
+            exponents += large
+        ident = Mat.identity(g.rows)
+        for n in exponents:
+            assert (_power(g, n) == ident) == (_power(g, gcd(n, bound)) == ident), (g, n)
+    assert _power(Mat(order12), 12) == Mat.identity(4) != _power(Mat(order12), 6)
+
+
+def test_validate_infinite_order_answers_at_once():
+    # [[2]] has infinite order: however large the declared order, validate
+    # powers it to gcd(N, M_1) = gcd(N, 2) <= 2 and reports both blocks.
+    two = Mat([[2]])
+    for n in (2**30, 10**12, 2**64 + 1):
+        inst = LinearInstance(1, 1, Mat([[1]]), ((two, two),), {0: n})
+        assert validate(inst).issues == (
+            f"generator 0: gU^{n} != identity",
+            f"generator 0: gW^{n} != identity",
+        )
 
 
 def test_invariant_subspace_identity_action():
@@ -370,8 +430,8 @@ def _rescaled(inst, rng):
 
 def test_moves_reduction_matches_separate_eliminations():
     # U^G, condition (ii) and the ujk read off the one kept rref of [G | T]
-    # against kernel_basis(gbar_map) and one solve per slot target, on
-    # canonical, scaled and mixed kernel bases; the blocks g - id against
+    # against kernel_basis(G) and one solve per slot target, on canonical,
+    # scaled and mixed kernel bases; the stacked blocks g - id against
     # Mat subtraction, with denominators other than 1 among them.
     rng = random.Random(2718)
     instances = _rank_identity_instances()
@@ -379,9 +439,9 @@ def test_moves_reduction_matches_separate_eliminations():
     kinds = set()
     for inst in instances:
         assert validate(inst).ok
-        assert inst.moves_U == tuple(gu - Mat.identity(inst.dim_U) for gu, _ in inst.generators)
-        assert inst.moves_W == tuple(gw - Mat.identity(inst.dim_W) for _, gw in inst.generators)
-        assert inst.fixed_U == kernel_basis(gbar_map(inst))
+        assert inst.moves_U == stacked_moves([gu for gu, _ in inst.generators], inst.dim_U)
+        assert inst.moves_W == stacked_moves([gw for _, gw in inst.generators], inst.dim_W)
+        assert inst.fixed_U == kernel_basis(inst.moves_U)
         canonical = [list(v) for v in inst.kernel.basis_vectors()]
         expected = find_ujk_reference(inst, canonical)
         assert find_ujk(inst, canonical) == expected
@@ -548,13 +608,17 @@ def test_decompose_basis_covariance():
     assert Subspace(inst.dim_U, [diff]).is_subspace_of(inst.fixed_U)
 
 
-def test_gbar_map_blocks():
+def test_moves_U_blocks():
     inst = double_shear_instance()
-    gbar = gbar_map(inst)
-    assert (gbar.rows, gbar.cols) == (4 * inst.d, 4)
+    moves = inst.moves_U
+    assert (moves.rows, moves.cols) == (4 * inst.d, 4)
     ident = Mat.identity(4)
     for i, (gu, _) in enumerate(inst.generators):
-        assert gbar.data[4 * i : 4 * (i + 1)] == (gu - ident).data
+        assert moves.data[4 * i : 4 * (i + 1)] == (gu - ident).data
+    # No generator: a stack with no rows, whose kernel is all of U.
+    bare = LinearInstance(inst.dim_U, inst.dim_W, inst.pi, ())
+    assert (bare.moves_U.rows, bare.moves_U.cols) == (0, 4)
+    assert bare.fixed_U == Subspace.full(4)
 
 
 def test_lemma_commutation_abelian():

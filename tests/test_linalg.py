@@ -384,6 +384,39 @@ def test_reduction_inconsistent_column_before_consistent_ones():
         solve(m, [1, 2])
 
 
+def test_rank_counts_the_rref_pivots(monkeypatch):
+    # Mat.rank, read off independent_rows, against the pivots of the rref,
+    # and Mat.is_invertible against a square full rref rank: on matrices
+    # with no rows or no columns, with denominators other than 1, and on
+    # seeded low-rank and full ones. Neither builds an rref.
+    rng = random.Random(59)
+    mats = [
+        Mat.zeros(0, 0), Mat.zeros(0, 3), Mat.zeros(4, 0), Mat.zeros(2, 2),
+        Mat.identity(3), Mat([["1/2", "2/3"], ["3/4", "5/6"]]),
+        Mat([["1/2", "1/3"], ["3/2", 1]]),
+    ]
+    for _ in range(200):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        low_rank = rng.random() < 0.5
+        if low_rank:
+            mats.append(_low_rank_matrix(rng, rows, cols))
+        else:
+            mats.append(random_matrix(rng, rows, cols, denoms=(1, 2, 3, 7)))
+    calls = []
+    kinds = set()
+    for m in mats:
+        pivots = len(rref(m)[1])
+        monkeypatch.setattr(eqcohom.linalg, "rref", lambda m: calls.append(m))
+        rank, invertible = m.rank(), m.is_invertible()
+        monkeypatch.setattr(eqcohom.linalg, "rref", rref)
+        assert rank == pivots, m
+        assert invertible == (m.rows == m.cols == pivots), m
+        kinds.add((m.rows == m.cols, invertible, m.den > 1))
+    assert calls == []
+    assert {(True, True, True), (True, False, True), (True, True, False)} <= kinds
+    assert (True, False, False) in kinds
+
+
 def test_independent_rows_are_the_transpose_rref_pivots():
     # The greedy echelon choice against the pivot columns of the rref of the
     # transpose, on seeded rectangular and rank-deficient integer matrices,

@@ -189,18 +189,22 @@ def test_decompose_roundtrip():
 
 
 def test_decompose_property_checks_are_explicit(monkeypatch):
-    # The exact-residual and round-trip checks raise AssertionError
-    # themselves, so they hold under python -O too: a potential that is
-    # missing or wrong is refused.
+    # The round-trip check raises AssertionError itself, so it holds under
+    # python -O too: periods one off on a non-tree edge leave a residual
+    # that is not exact there, and the decomposition is refused.
     pg = hex_periodic()
     w = Cochain1([Fraction(1, 3), 2, Fraction(-1, 2)])
-    monkeypatch.setattr(periodic, "closed_potential", lambda graph, values: None)
-    with pytest.raises(AssertionError, match="residual 1-form must be exact"):
-        decompose_periodic(pg, w)
-    monkeypatch.setattr(
-        periodic, "closed_potential", lambda graph, values: [1] * graph.n_vertices
-    )
-    with pytest.raises(AssertionError):
+    tree = pg.quotient.forest.tree_positions
+    off = min(pos for pos in range(pg.quotient.n_edges) if pos not in tree)
+    reconstruct_ints = periodic._reconstruct_ints
+
+    def one_off(pg, a_int, f_int):
+        out = reconstruct_ints(pg, a_int, f_int)
+        out[off] += 1
+        return out
+
+    monkeypatch.setattr(periodic, "_reconstruct_ints", one_off)
+    with pytest.raises(AssertionError, match="round trip"):
         decompose_periodic(pg, w)
 
 

@@ -14,18 +14,17 @@ from eqcohom.instance import (
     LinearInstance,
     decompose,
     find_ujk,
-    gbar_map,
     validate,
     verify_iff,
 )
-from eqcohom.linalg import Mat, independent_rows
+from eqcohom.linalg import Mat, independent_rows, rref
 from eqcohom.randomized import (
     _conjugated,
     random_linear_instance,
     run_verification,
 )
 
-from conftest import random_unimodular
+from conftest import random_unimodular, stacked_moves
 
 
 def test_random_linear_instances_pass_full_validation():
@@ -55,15 +54,18 @@ def test_nonsingular_matches_rank():
     # rank from rref: every 2x2 matrix with entries in [-2, 2], then seeded
     # 3x3 to 6x6 ones, a share of them singular by construction (a product
     # through a narrower middle).
+    def rref_rank(rows):
+        return len(rref(Mat.from_ints(rows))[1])
+
     def nonsingular(rows):
         m = Mat.from_ints(rows)
-        assert len(independent_rows(rows)) == m.rank()
+        assert len(independent_rows(rows)) == m.rank() == rref_rank(rows)
         return m.is_invertible()
 
     singular = 0
     for a, b, c, d in itertools.product(range(-2, 3), repeat=4):
         rows = [[a, b], [c, d]]
-        assert nonsingular(rows) == (Mat.from_ints(rows).rank() == 2)
+        assert nonsingular(rows) == (rref_rank(rows) == 2)
         singular += not nonsingular(rows)
     assert singular == sum(
         1 for a, b, c, d in itertools.product(range(-2, 3), repeat=4) if a * d == b * c
@@ -82,7 +84,7 @@ def test_nonsingular_matches_rank():
             copy = [row[:] for row in rows]
             answer = nonsingular(rows)
             assert rows == copy
-            assert answer == (Mat.from_ints(rows).rank() == n)
+            assert answer == (rref_rank(rows) == n)
             seen.add((n, answer))
     assert seen == {(n, answer) for n in range(3, 7) for answer in (True, False)}
 
@@ -205,9 +207,9 @@ def test_fixed_spaces_and_kernel_built_once(monkeypatch):
     inst = double_shear_instance()
     stacks = {
         "ker pi": inst.pi,
-        "U^G": gbar_map(inst),
-        "U~": Mat.vstack([move * inst.pi for move in inst.moves_W]),
-        "W^G": Mat.vstack([gw - Mat.identity(inst.dim_W) for _, gw in inst.generators]),
+        "U^G": stacked_moves([gu for gu, _ in inst.generators], inst.dim_U),
+        "U~": Mat.vstack([(gw - Mat.identity(inst.dim_W)) * inst.pi for _, gw in inst.generators]),
+        "W^G": stacked_moves([gw for _, gw in inst.generators], inst.dim_W),
     }
     assert len(set(stacks.values())) == len(stacks)
     built = {name: 0 for name in stacks}
@@ -254,11 +256,12 @@ def test_verify_runs_no_subspace_oracle(monkeypatch):
 
 def test_verify_rref_budget_per_request(monkeypatch):
     # With one rref per kernel (none for a matrix with no rows), the
-    # quotient dimension read off ranks, one rref of [G | T] per instance
-    # for U^G, condition (ii) and the ujk, no rref in the generator, and
-    # the decomposition's two solves run once per target rather than once
-    # per choice of the ujk, a `verify --count 10` request runs about 45
-    # rrefs and 56 matrix products (seeds 0-19).
+    # quotient dimension read off ranks that build no rref, one rref of
+    # [G | T] per instance for U^G, condition (ii) and the ujk, no rref in
+    # the generator, the decomposition's two solves run once per target
+    # rather than once per choice of the ujk, and one product for U~, a
+    # `verify --count 10` request runs about 35 rrefs and 49 matrix
+    # products (seeds 0-19).
     calls = []
     products = []
     rref = eqcohom.linalg.rref
@@ -277,8 +280,8 @@ def test_verify_rref_budget_per_request(monkeypatch):
     seeds = range(20)
     for seed in seeds:
         assert run_verification(seed, 10).ok
-    assert len(calls) <= 47 * len(seeds)
-    assert len(products) <= 60 * len(seeds)
+    assert len(calls) <= 36 * len(seeds)
+    assert len(products) <= 50 * len(seeds)
 
 
 def test_smallest_max_dim_draws():

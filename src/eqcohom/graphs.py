@@ -5,16 +5,17 @@ is implicit and 1-cochains obey w(reversed e) = -w(e) through accessors.
 Components, potentials and the periodic cycle voltages all read one BFS
 spanning forest per graph (`Graph.forest`), built on first use and kept on
 the Graph, whose fields are read-only (records.Frozen), so it cannot go stale.
-A vertex permutation that induces a graph automorphism permutes vertices
-and signed edges. `ActionOrbits` reads an action once: each generator's
-signed edge map and order, and the vertex orbit sizes. `analyze_graph_action`
-reports from those and from the averaging theorem (the quotient dimension
-of a finite permutation group is 0), so a `graph` request builds no matrix
-and eliminates nothing. An action also compiles into a LinearInstance
+A graph automorphism lifts to a signed permutation of the edges as a
+homomorphism, so one group G acts on 0- and 1-cochains alike.
+`ActionOrbits` reads an action once: each generator's signed edge map and
+order, and the vertex orbit sizes. `analyze_graph_action` reports from
+those and from the averaging theorem (the quotient dimension of a finite
+permutation group is 0), so a `graph` request builds no matrix and
+eliminates nothing. An action also compiles into a LinearInstance
 (0-cochains as U, 1-cochains as W, coboundary as pi), on which the tests'
 abstract quotient-dimension oracle checks the theorem. A compiled action is
-valid by construction; declared orders are checked on the permutations'
-cycles.
+valid by construction; declared orders are checked on the vertex cycles
+alone.
 """
 
 from __future__ import annotations
@@ -331,26 +332,24 @@ class GraphAction(Frozen):
 
 
 def _edge_image_map(
-    graph: Graph, perm: tuple[int, ...], by_endpoints: dict[tuple[int, int], list[int]]
+    graph: Graph, perm: tuple[int, ...], by_pair: dict[tuple[int, int], list[int]]
 ) -> Optional[list[tuple[int, int]]]:
     """Per stored edge position: (image position, sign), or None if the
-    permutation is not a graph automorphism. `by_endpoints` lists the edge
-    positions per (origin, target). Parallel edges are matched greedily in
-    id order: each edge takes the next unused position of its image's list,
-    else, for an image that is no loop, of the reversed pair's. One
-    iterator per list reads each list once, so the time is linear in the
-    edges however many are parallel."""
-    unused = {pair: iter(positions) for pair, positions in by_endpoints.items()}
-    nothing = iter(())
-    out: list[tuple[int, int]] = []
-    for e in graph.edges:
-        io, it = perm[e.o], perm[e.t]
-        pos, sign = next(unused.get((io, it), nothing), None), +1
-        if pos is None and io != it:
-            pos, sign = next(unused.get((it, io), nothing), None), -1
-        if pos is None:
+    permutation is not a graph automorphism. `by_pair` lists the edge
+    positions per unordered endpoint pair (a, b), a <= b, in id order. The
+    k-th edge of {a, b} maps to the k-th edge of {g a, g b}, with sign +1
+    iff g sends its origin to the image's origin, so a loop gets +1. This
+    lift is a homomorphism, lift(g o h) = lift(g) o lift(h), so gU^N = id
+    implies gW^N = id; and it takes time linear in the edges."""
+    edges = graph.edges
+    out: list = [None] * len(edges)
+    for (a, b), positions in by_pair.items():
+        ga, gb = perm[a], perm[b]
+        image = by_pair.get((ga, gb) if ga <= gb else (gb, ga))
+        if image is None or len(image) != len(positions):
             return None
-        out.append((pos, sign))
+        for src, dst in zip(positions, image):
+            out[src] = (dst, 1 if perm[edges[src].o] == edges[dst].o else -1)
     return out
 
 
@@ -367,16 +366,17 @@ class ActionOrbits:
 
     def __init__(self, graph: Graph, action: GraphAction):
         self.graph, self.action = graph, action
-        by_endpoints: dict[tuple[int, int], list[int]] = {}
+        by_pair: dict[tuple[int, int], list[int]] = {}
         for pos, e in enumerate(graph.edges):
-            by_endpoints.setdefault((e.o, e.t), []).append(pos)
+            o, t = e.o, e.t
+            by_pair.setdefault((o, t) if o <= t else (t, o), []).append(pos)
         issues, maps, orders = [], [], []
         n = graph.n_vertices
         for i, perm in enumerate(action.generators):
             if len(perm) != n or sorted(perm) != list(range(n)):
                 issues.append(f"generator {i}: not a permutation of 0..{n - 1}")
                 continue
-            emap = _edge_image_map(graph, perm, by_endpoints)
+            emap = _edge_image_map(graph, perm, by_pair)
             if emap is None:
                 issues.append(f"generator {i}: does not map edges to edges")
             else:
@@ -491,24 +491,20 @@ def _order(perm: Sequence[int]) -> int:
 
 def _check_declared_orders(orbits: ActionOrbits) -> None:
     """Raise InputError unless each declared order N belongs to an existing
-    generator and is a multiple of its true order. gU^N = id iff the vertex
-    permutation's order divides N, and gW^N = id iff the order of the signed
-    edge map, as a permutation of the half-edges 2*pos + (0 or 1), divides
-    N: O(|V| + |E|) per generator, whatever N is."""
+    generator and is a multiple of its true order, read off the vertex
+    cycles alone: gU^N = id iff the vertex permutation's order divides N,
+    and then gW^N = id too, since the edge lift is a homomorphism
+    (`_edge_image_map`). No edge map is read, whatever N is."""
     action = orbits.action
     issues = []
-    for i, (order, emap) in enumerate(zip(orbits.vertex_orders, orbits.edge_maps)):
+    for i, order in enumerate(orbits.vertex_orders):
         n = action.orders.get(i)
         if n is None:
             continue
         if n < 1:
             issues.append(f"generator {i}: declared order {n} < 1")
-            continue
-        if n % order:
+        elif n % order:
             issues.append(f"generator {i}: gU^{n} != identity")
-        half_edges = [2 * dst + (b ^ (sign < 0)) for dst, sign in emap for b in (0, 1)]
-        if n % _order(half_edges):
-            issues.append(f"generator {i}: gW^{n} != identity")
     for i in sorted(set(action.orders) - set(range(len(action.generators)))):
         issues.append(f"declared order for generator {i}, which does not exist")
     if issues:
@@ -522,9 +518,10 @@ def to_instance(graph: Graph, action: GraphAction) -> LinearInstance:
     The compiled action is valid by construction: `_edge_image_map` exists
     only for an automorphism and is a bijection on edge positions, so gU is
     a permutation matrix, gW a signed one, and pi*gU = gW*pi row by row.
-    The declared orders are the caller's: one that the compiled generator
-    does not have, or one for a generator that does not exist, raises
-    InputError (`_check_declared_orders`).
+    The lift is a homomorphism, so the pairs (gU, gW) generate the vertex
+    group G. The declared orders are the caller's: one that the vertex
+    permutation does not have, or one for a generator that does not exist,
+    raises InputError (`_check_declared_orders`).
     """
     orbits = ActionOrbits(graph, action)
     if orbits.issues:

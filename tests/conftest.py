@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from eqcohom.errors import PreconditionError
-from eqcohom.graphs import Cochain1, Graph, potential
+from eqcohom.graphs import ActionOrbits, Cochain1, Graph, GraphAction, potential
 from eqcohom.linalg import Mat, Subspace, rat, rref, solve, vec
 from eqcohom.periodic import PeriodicGraph
 from eqcohom.randomized import _apply_ops, _elementary_ops
@@ -182,35 +182,25 @@ def fraction_of(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def edge_image_map_reference(graph, perm):
-    """Per stored edge position: (image position, sign), or None if the
-    vertex permutation is not a graph automorphism. Each edge scans its
-    image's (origin, target) list from the start for the first unused
-    position, then, for an image that is no loop, the reversed pair's
-    list: the quadratic matcher that graphs._edge_image_map replaced, kept
-    as its reference."""
-    by_endpoints = {}
-    for pos, e in enumerate(graph.edges):
-        by_endpoints.setdefault((e.o, e.t), []).append(pos)
-    used = [False] * graph.n_edges
-    out = []
-    for e in graph.edges:
-        io, it = perm[e.o], perm[e.t]
-        chosen = None
-        for cand_pos in by_endpoints.get((io, it), []):
-            if not used[cand_pos]:
-                chosen = (cand_pos, +1)
-                break
-        if chosen is None and io != it:
-            for cand_pos in by_endpoints.get((it, io), []):
-                if not used[cand_pos]:
-                    chosen = (cand_pos, -1)
-                    break
-        if chosen is None:
-            return None
-        used[chosen[0]] = True
-        out.append(chosen)
-    return out
+def edge_map(graph, perm):
+    """The signed edge map that ActionOrbits lifts one vertex permutation
+    to, or None if the permutation is no automorphism."""
+    orbits = ActionOrbits(graph, GraphAction((perm,)))
+    return None if orbits.issues else orbits.edge_maps[0]
+
+
+def lifts_compose(graph, g, h):
+    """Whether lift(g o h) = lift(g) o lift(h) for automorphisms g and h:
+    h's image position is sent on by g's map, and the signs multiply."""
+    lift_g, lift_h = edge_map(graph, g), edge_map(graph, h)
+    product = [(lift_g[dst][0], sign * lift_g[dst][1]) for dst, sign in lift_h]
+    return edge_map(graph, tuple(g[v] for v in h)) == product
+
+
+def half_edge_permutation(emap):
+    """A signed edge map as a permutation of the half-edges 2*pos (the
+    stored orientation) and 2*pos + 1 (the reversed one)."""
+    return tuple(2 * dst + (b ^ (sign < 0)) for dst, sign in emap for b in (0, 1))
 
 
 def signed_edge_orbits(n_edges, edge_maps):

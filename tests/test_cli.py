@@ -658,6 +658,24 @@ def test_graph_wrong_declared_order_exit_2(tmp_path):
     assert "Traceback" not in err
 
 
+def test_graph_doubled_triangle_true_order_exit_0(tmp_path):
+    # A 3-cycle on a triangle whose sides are doubled in mixed orientations,
+    # given its true order 3. The edge lift is a homomorphism, so gW^3 is the
+    # identity as gU^3 is, and the order is accepted.
+    ends = [(0, 1), (0, 2), (0, 1), (1, 2), (2, 0), (1, 2)]
+    graph = {"vertices": 3, "edges": [{"id": i, "o": o, "t": t} for i, (o, t) in enumerate(ends)]}
+    action = {"generators": [[2, 0, 1]], "orders": {"0": 3}}
+    code, out, err = run_cli(
+        [
+            "graph",
+            write_json(tmp_path / "g.json", graph),
+            write_json(tmp_path / "a.json", action),
+        ]
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["group_order"] == 3
+
+
 def test_graph_40x40_torus_within_time_bound(tmp_path, capsys):
     # C_40 x C_40 with both unit translations and declared orders 40: the
     # orbit path answers without |V| x |V| or |E| x |E| matrices, in about

@@ -189,7 +189,7 @@ INLINE_GOLDEN = {
 }
 INLINE_STDERR = {
     "graph/wrong-declared-order": "input error: invalid declared order: "
-    "generator 0: gU^4 != identity; generator 0: gW^4 != identity\n",
+    "generator 0: gU^4 != identity\n",
 }
 
 

@@ -3,6 +3,23 @@
 Subcommands: analyze, graph, periodic, verify, fixtures. Reports are
 deterministic for identical inputs and seeds, and JSON by default.
 
+The command line is read against one table, COMMANDS, which also writes
+the `-h`/`--help` text, so the parser and the help cannot disagree:
+
+    eqcohom [--text | --json] COMMAND ARGUMENT... [--OPTION VALUE]...
+
+`--text` and `--json` go before the command; the last one wins. A
+command's options may come before, between or after its arguments, as
+`--opt VALUE` or `--opt=VALUE`, abbreviated to any unique prefix; the
+last one given wins, and an integer value is read with int(). A
+negative number is a value, never an option. After `--` every word is
+an argument (so a path that starts with '-' follows a `--`). `-h` or
+`--help` prints the help, that of the command when it follows one, on
+stdout and exits 0. These are the lines the argparse parser that this
+one replaced accepted, with the same values; `tests/conftest.py` keeps
+that parser as the reference. Every other line is an input error: exit
+2 and one `input error: ...` line on stderr.
+
 Each input file is read once, in one unbuffered read; its sha256 is taken
 of the bytes that are then decoded as UTF-8, with universal newlines, and
 parsed (`_load_json`). Every indented JSON the CLI writes (reports, the
@@ -17,10 +34,9 @@ Exit codes: 0 success, 1 assertion/property violation, 2 input error,
 
 from __future__ import annotations
 
-import argparse
-import functools
 import hashlib
 import json
+import re
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -117,8 +133,8 @@ def _emit(report: dict, as_text: bool) -> None:
         print(indented_json(report))
 
 
-def cmd_analyze(args) -> int:
-    obj, digest = _load_json(args.instance)
+def cmd_analyze(instance: str, text: bool) -> int:
+    obj, digest = _load_json(instance)
     inst = LinearInstance.from_json(obj)
     report_v = validate(inst)
     if not report_v.ok:
@@ -129,7 +145,7 @@ def cmd_analyze(args) -> int:
                 "valid": False,
                 "issues": list(report_v.issues),
             },
-            args.text,
+            text,
         )
         return EXIT_INPUT
     iff = verify_iff(inst)
@@ -154,33 +170,31 @@ def cmd_analyze(args) -> int:
             "vacuous": torsion.vacuous,
             "all_fixed": torsion.all_fixed,
         }
-    _emit(report, args.text)
+    _emit(report, text)
     if not (iff.bound_ok and iff.iff_ok):
         return EXIT_VIOLATION
     return EXIT_OK
 
 
-def cmd_graph(args) -> int:
-    gobj, gdigest = _load_json(args.graph)
-    aobj, adigest = _load_json(args.action)
-    graph = Graph.from_json(gobj)
-    action = GraphAction.from_json(aobj)
+def cmd_graph(graph: str, action: str, text: bool) -> int:
+    gobj, gdigest = _load_json(graph)
+    aobj, adigest = _load_json(action)
     report = {
         "command": "graph",
         "input_digests": {"graph": gdigest, "action": adigest},
-        **analyze_graph_action(graph, action),
+        **analyze_graph_action(Graph.from_json(gobj), GraphAction.from_json(aobj)),
     }
-    _emit(report, args.text)
+    _emit(report, text)
     return EXIT_OK
 
 
-def cmd_periodic(args) -> int:
-    pobj, pdigest = _load_json(args.pgraph)
-    wobj, wdigest = _load_json(args.cochain)
+def cmd_periodic(pgraph: str, cochain: str, radius: int, text: bool) -> int:
+    pobj, pdigest = _load_json(pgraph)
+    wobj, wdigest = _load_json(cochain)
     pg = PeriodicGraph.from_json(pobj)
     w = parse_invariant_cochain(pg, wobj)
     dec = decompose_periodic(pg, w)
-    trunc = truncation_oracle(pg, w, dec, args.radius)
+    trunc = truncation_oracle(pg, w, dec, radius)
     report = {
         "command": "periodic",
         "input_digests": {"pgraph": pdigest, "cochain": wdigest},
@@ -191,32 +205,32 @@ def cmd_periodic(args) -> int:
         "decomposition": dec.to_json(),
         "truncation": trunc,
     }
-    _emit(report, args.text)
+    _emit(report, text)
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    result = run_verification(args.seed, args.count, max_dim=args.max_dim)
+def cmd_verify(seed: int, count: int, max_dim: int, reproducer: str, text: bool) -> int:
+    result = run_verification(seed, count, max_dim=max_dim)
     report = {"command": "verify", **result.to_json()}
     if result.ok:
-        _emit(report, args.text)
+        _emit(report, text)
         return EXIT_OK
     # The reproducer is written before the report is printed, so a failed
     # write ends in exit 2 with nothing on stdout.
-    repro = Path(args.reproducer)
-    text = indented_json(result.violations[0].instance_json)
+    repro = Path(reproducer)
+    payload = indented_json(result.violations[0].instance_json)
     try:
-        repro.write_text(text + "\n", encoding="utf-8")
+        repro.write_text(payload + "\n", encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot write {repro}: {exc}") from exc
-    _emit(report, args.text)
+    _emit(report, text)
     print(f"reproducer written to {repro}", file=sys.stderr)
     return EXIT_VIOLATION
 
 
-def cmd_fixtures(args) -> int:
-    files = fixture_files(args.name)
-    out_dir = Path(args.out_dir)
+def cmd_fixtures(name: str, out_dir: str, text: bool) -> int:
+    files = fixture_files(name)
+    out_dir = Path(out_dir)
     written = []
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -226,63 +240,194 @@ def cmd_fixtures(args) -> int:
             written.append(str(path))
     except OSError as exc:
         raise InputError(f"cannot write {out_dir}: {exc}") from exc
-    _emit({"command": "fixtures", "name": args.name, "written": written}, args.text)
+    _emit({"command": "fixtures", "name": name, "written": written}, text)
     return EXIT_OK
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built once per process on first use and shared by
-    every `main` call; parsing never mutates it, and callers must not."""
-    parser = argparse.ArgumentParser(
-        prog="eqcohom",
-        description=(
-            "Quotient dimensions, sharp conditions, and period decompositions "
-            "for linear maps commuting with a group action."
-        ),
-    )
-    parser.add_argument(
-        "--text", action="store_true", help="plain key: value output instead of JSON"
-    )
-    parser.add_argument(
-        "--json", dest="text", action="store_false", help="JSON output (default)"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+DESCRIPTION = (
+    "Quotient dimensions, sharp conditions, and period decompositions "
+    "for linear maps commuting with a group action."
+)
 
-    p = sub.add_parser("analyze", help="analyze a linear instance file")
-    p.add_argument("instance")
-    p.set_defaults(func=cmd_analyze)
+# command: (handler, summary, positional names, {option: (dest, int or str, default)})
+COMMANDS = {
+    "analyze": (cmd_analyze, "analyze a linear instance file", ("instance",), {}),
+    "graph": (cmd_graph, "analyze a graph with a group action", ("graph", "action"), {}),
+    "periodic": (
+        cmd_periodic,
+        "decompose an invariant closed 1-form",
+        ("pgraph", "cochain"),
+        {"--radius": ("radius", int, 2)},
+    ),
+    "verify": (
+        cmd_verify,
+        "randomized property verification",
+        (),
+        {
+            "--seed": ("seed", int, 0),
+            "--count": ("count", int, 100),
+            "--max-dim": ("max_dim", int, 6),
+            "--reproducer": ("reproducer", str, "eqcohom-reproducer.json"),
+        },
+    ),
+    "fixtures": (
+        cmd_fixtures,
+        f"write a canonical fixture to disk; NAME is one of: {', '.join(FIXTURE_NAMES)}",
+        ("name",),
+        {"--out-dir": ("out_dir", str, ".")},
+    ),
+}
+_FORMATS = {"--text": True, "--json": False}
+_HELP = ("--help", "-h")
+_TOP_NAMES = (*_FORMATS, *_HELP)
+_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$").match
 
-    p = sub.add_parser("graph", help="analyze a graph with a group action")
-    p.add_argument("graph")
-    p.add_argument("action")
-    p.set_defaults(func=cmd_graph)
 
-    p = sub.add_parser("periodic", help="decompose an invariant closed 1-form")
-    p.add_argument("pgraph")
-    p.add_argument("cochain")
-    p.add_argument("--radius", type=int, default=2)
-    p.set_defaults(func=cmd_periodic)
+def _option_of(arg: str, names) -> tuple[list[str] | None, str | None]:
+    """The options of `names` that `arg` may spell, and the value given
+    after '=' (None without one). The options are None when `arg` is an
+    argument: '', '-', '--', a word not starting with '-', and a negative
+    number or a word with a space that spells no option. An option may
+    be abbreviated to a prefix, so two or more may match; none match an
+    unknown option."""
+    if arg[:1] != "-" or arg == "-" or arg == "--":
+        return None, None
+    if arg in names:
+        return [arg], None
+    prefix, eq, value = arg.partition("=")
+    if not eq:
+        value = None
+    elif prefix in names:
+        return [prefix], value
+    matches = [name for name in names if name.startswith(prefix)]
+    if matches or not (_NEGATIVE_NUMBER(arg) or " " in arg):
+        return matches, value
+    return None, None
 
-    p = sub.add_parser("verify", help="randomized property verification")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--max-dim", type=int, default=6)
-    p.add_argument("--reproducer", default="eqcohom-reproducer.json")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("fixtures", help="write a canonical fixture to disk")
-    p.add_argument("name", help=f"one of: {', '.join(FIXTURE_NAMES)}")
-    p.add_argument("--out-dir", default=".")
-    p.set_defaults(func=cmd_fixtures)
+def _one_option(arg: str, matches: list[str], command: str | None) -> str:
+    """The one option of `matches`; more or none is an InputError."""
+    where = f"for {command}" if command else "before the command"
+    if len(matches) == 1:
+        return matches[0]
+    if matches:
+        raise InputError(f"ambiguous option {arg!r} {where}: could be {', '.join(matches)}")
+    raise InputError(f"unknown option {arg!r} {where}")
 
-    return parser
+
+def parse_command_line(argv) -> tuple:
+    """(handler, keyword arguments) for one command line, read against
+    COMMANDS by the grammar of the module docstring; `--help` reads as
+    (print_help, {"command": ...}). A malformed line is an InputError."""
+    text = False
+    for i, arg in enumerate(argv):
+        matches, value = _option_of(arg, _TOP_NAMES)
+        if matches is None:
+            break
+        option = _one_option(arg, matches, None)
+        if value is not None:
+            raise InputError(f"{option} takes no value")
+        if option in _HELP:
+            return print_help, {"command": None}
+        text = _FORMATS[option]
+    else:
+        raise InputError(f"missing command; expected one of: {', '.join(COMMANDS)}")
+    command = argv[i]
+    if command not in COMMANDS:
+        raise InputError(f"unknown command {command!r}; expected one of: {', '.join(COMMANDS)}")
+    handler, _, positionals, options = COMMANDS[command]
+    names = (*options, *_HELP)
+    values = {dest: default for dest, _, default in options.values()}
+    values["text"] = text
+    words = []
+    after_word = False
+    rest = iter(argv[i + 1:])
+    for arg in rest:
+        if arg == "--":
+            # argparse dropped a '--' only beside an argument it read
+            if len(words) == len(positionals) and not after_word:
+                raise InputError(f"unexpected argument '--'; usage: eqcohom {_usage(command)}")
+            words.extend(rest)
+            break
+        matches, value = _option_of(arg, names)
+        after_word = matches is None
+        if after_word:
+            words.append(arg)
+            continue
+        option = _one_option(arg, matches, command)
+        if option in _HELP:
+            if value is not None:
+                raise InputError(f"{option} takes no value")
+            return print_help, {"command": command}
+        if value is None:
+            value = next(rest, None)
+            if value is None or value == "--" or _option_of(value, names)[0] is not None:
+                raise InputError(f"{command} {option} expects a value")
+        dest, kind, _ = options[option]
+        try:
+            values[dest] = kind(value)
+        except ValueError:
+            raise InputError(f"{command} {option}: not an {kind.__name__}: {value!r}") from None
+    if len(words) != len(positionals):
+        problem = (
+            f"unexpected argument {words[len(positionals)]!r}"
+            if len(words) > len(positionals)
+            else "missing " + " ".join(p.upper() for p in positionals[len(words):])
+        )
+        raise InputError(f"{problem}; usage: eqcohom {_usage(command)}")
+    values.update(zip(positionals, words))
+    return handler, values
+
+
+def _usage(command: str) -> str:
+    _, _, positionals, options = COMMANDS[command]
+    words = [command, *(p.upper() for p in positionals)]
+    words += [f"[{option} {kind.__name__.upper()}]" for option, (_, kind, _) in options.items()]
+    return " ".join(words)
+
+
+def print_help(command: str | None) -> int:
+    """Print the help of `command`, or of the CLI when it is None, from
+    COMMANDS: the table that the command line is parsed against."""
+    from textwrap import fill
+
+    if command is None:
+        lines = ["usage: eqcohom [--text | --json] COMMAND ...", "", fill(DESCRIPTION, 72)]
+        lines += ["", "commands:"]
+        for name, (_, summary, _, _) in COMMANDS.items():
+            lines += [f"  {_usage(name)}", fill(summary, 72, initial_indent=" " * 6,
+                                                 subsequent_indent=" " * 6)]
+        lines += [
+            "",
+            "options, before the command:",
+            "  --text      plain key: value output instead of JSON",
+            "  --json      JSON output (the default)",
+            "  -h, --help  show this help; after a command, that command's help",
+        ]
+    else:
+        _, summary, _, options = COMMANDS[command]
+        lines = [f"usage: eqcohom [--text | --json] {_usage(command)}", "", fill(summary, 72)]
+        if options:
+            lines += ["", "options:"]
+            lines += [
+                f"  {option} {kind.__name__.upper()}  (default: {default})"
+                for option, (_, kind, default) in options.items()
+            ]
+    lines += [
+        "",
+        "Options may come before, between or after the arguments, as --opt VALUE",
+        "or --opt=VALUE, abbreviated to any unique prefix; the last one given wins.",
+        "After --, every word is an argument. A malformed command line exits 2",
+        "with one 'input error:' line on stderr.",
+    ]
+    print("\n".join(lines))
+    return EXIT_OK
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        handler, kwargs = parse_command_line(sys.argv[1:] if argv is None else argv)
+        return handler(**kwargs)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -1,3 +1,5 @@
+import argparse
+import functools
 import json
 import subprocess
 import sys
@@ -5,7 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+from eqcohom.cli import cmd_analyze, cmd_fixtures, cmd_graph, cmd_periodic, cmd_verify
 from eqcohom.errors import PreconditionError
+from eqcohom.fixtures import FIXTURE_NAMES
 from eqcohom.graphs import ActionOrbits, Cochain1, Graph, GraphAction, potential
 from eqcohom.linalg import Mat, Subspace, rat, rref, solve, vec
 from eqcohom.periodic import PeriodicGraph
@@ -21,6 +25,57 @@ def run_cli(args, cwd=None):
         cwd=cwd,
     )
     return result.returncode, result.stdout, result.stderr
+
+
+# The argparse parser that `eqcohom.cli.parse_command_line` replaced, kept
+# unchanged as the reference that `test_cli.py` checks the command table against.
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process on first use and shared by
+    every `main` call; parsing never mutates it, and callers must not."""
+    parser = argparse.ArgumentParser(
+        prog="eqcohom",
+        description=(
+            "Quotient dimensions, sharp conditions, and period decompositions "
+            "for linear maps commuting with a group action."
+        ),
+    )
+    parser.add_argument(
+        "--text", action="store_true", help="plain key: value output instead of JSON"
+    )
+    parser.add_argument(
+        "--json", dest="text", action="store_false", help="JSON output (default)"
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("analyze", help="analyze a linear instance file")
+    p.add_argument("instance")
+    p.set_defaults(func=cmd_analyze)
+
+    p = sub.add_parser("graph", help="analyze a graph with a group action")
+    p.add_argument("graph")
+    p.add_argument("action")
+    p.set_defaults(func=cmd_graph)
+
+    p = sub.add_parser("periodic", help="decompose an invariant closed 1-form")
+    p.add_argument("pgraph")
+    p.add_argument("cochain")
+    p.add_argument("--radius", type=int, default=2)
+    p.set_defaults(func=cmd_periodic)
+
+    p = sub.add_parser("verify", help="randomized property verification")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--max-dim", type=int, default=6)
+    p.add_argument("--reproducer", default="eqcohom-reproducer.json")
+    p.set_defaults(func=cmd_verify)
+
+    p = sub.add_parser("fixtures", help="write a canonical fixture to disk")
+    p.add_argument("name", help=f"one of: {', '.join(FIXTURE_NAMES)}")
+    p.add_argument("--out-dir", default=".")
+    p.set_defaults(func=cmd_fixtures)
+
+    return parser
 
 
 def write_json(path, payload):

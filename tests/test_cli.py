@@ -1,4 +1,5 @@
 import builtins
+import contextlib
 import hashlib
 import io
 import json
@@ -22,7 +23,7 @@ from eqcohom.fixtures import FIXTURE_NAMES, fixture_files
 from eqcohom.instance import check_condition_ii
 from eqcohom.randomized import run_verification
 
-from conftest import RAT_STRINGS, fraction_of, run_cli, write_json
+from conftest import RAT_STRINGS, build_parser, fraction_of, run_cli, write_json
 
 
 def load_fixture(tmp_path, name):
@@ -1052,3 +1053,130 @@ def test_analyze_huge_declared_order_exit_2(tmp_path):
     report = json.loads(out)
     assert report["valid"] is False
     assert "generator 0: gU^100000000 != identity" in report["issues"]
+
+
+# The vocabulary of the command-line corpus. Left out are the forms that
+# argparse reads differently between Python 3.10 and 3.13: a `--` before the
+# command, last on the line or as an option's value, a second `--`, a
+# negative number spelled with '_' or a letter, a word that starts with '-'
+# and holds a space, and every help option (argparse's help text is not the
+# table's; `test_help_is_written_from_the_command_table` covers help).
+_COMMAND_WORDS = ["analyze", "graph", "periodic", "verify", "fixtures", "nonesuch", ""]
+_FORMAT_WORDS = ["--text", "--json", "--t", "--te", "--j", "--jso", "--text=1", "--json=", "-x", "--=3"]
+_OPTION_WORDS = ["--radius", "--seed", "--count", "--max-dim", "--reproducer", "--out-dir"]
+_PATH_WORDS = ["a.json", "b.json", "dir/c.json", "", "-", "-3", "-x.json"]
+_VALUE_WORDS = [
+    "3", "0", "10", "-3", "-0", "-12", "1_000", " 7", "7 ", "+5", "\u0663", "x", "3.0",
+    "1e3", "1__0", "0x10", "9" * 5000, *_PATH_WORDS,
+]
+
+
+_ARITY = {"analyze": 1, "graph": 2, "periodic": 2, "verify": 0, "fixtures": 1}
+_OWN_OPTIONS = {
+    "periodic": ["--radius"],
+    "verify": ["--seed", "--count", "--max-dim", "--reproducer"],
+    "fixtures": ["--out-dir"],
+}
+
+
+def _option_words(rng, command):
+    own = _OWN_OPTIONS.get(command)
+    option = rng.choice(own if own and rng.random() < 0.8 else _OPTION_WORDS)
+    if rng.random() < 0.5:
+        option = option[: rng.randrange(3, len(option))]
+    value = rng.choice(_VALUE_WORDS)
+    if rng.random() < 0.4:
+        return [f"{option}={value}"]
+    return [option] if rng.random() < 0.05 else [option, value]
+
+
+def _command_line(rng):
+    """A seeded command line and its command word (None if it has none)."""
+    line = [rng.choice(_FORMAT_WORDS) for _ in range(rng.choice([0, 0, 0, 1, 2]))]
+    if rng.random() < 0.03:
+        return line, None
+    command = rng.choice(_COMMAND_WORDS[:5] * 3 + _COMMAND_WORDS)
+    arity = max(0, _ARITY.get(command, 1) + rng.choice([0, 0, 0, 0, 0, -1, 1]))
+    chunks = [[rng.choice(_PATH_WORDS)] for _ in range(arity)]
+    for _ in range(rng.randrange(4) if command in _OWN_OPTIONS else rng.choice([0, 0, 0, 1])):
+        chunks.insert(rng.randrange(len(chunks) + 1), _option_words(rng, command))
+    if rng.random() < 0.1:
+        chunks.insert(rng.randrange(len(chunks) + 1), [rng.choice(_FORMAT_WORDS[:4])])
+    if chunks and rng.random() < 0.2:  # one `--`, never last
+        chunks.insert(rng.randrange(len(chunks)), ["--"])
+    return [*line, command, *(word for chunk in chunks for word in chunk)], command
+
+
+def _argparse_reading(line):
+    """The argparse reference's (handler, values) for a line, or None if it
+    refused the line with exit 2."""
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            namespace = vars(build_parser().parse_args(line))
+        except SystemExit as exc:
+            assert exc.code == 2 and "error:" in err.getvalue(), (line, exc.code)
+            return None
+    namespace.pop("command")
+    return namespace.pop("func"), namespace
+
+
+def test_command_lines_parse_as_argparse_did(capsys):
+    rng = random.Random(27)
+    outcomes = {}
+    for _ in range(3000):
+        line, command = _command_line(rng)
+        reference = _argparse_reading(line)
+        try:
+            handler, values = eqcohom.cli.parse_command_line(line)
+        except InputError:
+            assert reference is None, line
+            capsys.readouterr()
+            assert main(line) == 2
+            out, err = capsys.readouterr()
+            assert out == "", line
+            assert err.startswith("input error: ") and err.count("\n") == 1, (line, err)
+            assert "Traceback" not in err
+        else:
+            assert reference is not None, line
+            assert handler is reference[0], line
+            typed = {k: (type(v), v) for k, v in values.items()}
+            assert typed == {k: (type(v), v) for k, v in reference[1].items()}, line
+        key = (command, reference is not None)
+        outcomes[key] = outcomes.get(key, 0) + 1
+    # Every command is both accepted and refused many times over.
+    for command in _ARITY:
+        assert outcomes.get((command, True), 0) >= 50, outcomes
+        assert outcomes.get((command, False), 0) >= 50, outcomes
+
+
+def test_a_double_dash_beside_no_argument_is_refused():
+    # argparse dropped a `--` only inside the words it read as one argument.
+    parse = eqcohom.cli.parse_command_line
+    for line in (["verify", "--"], ["verify", "--seed", "1", "--"],
+                 ["periodic", "a", "b", "--radius", "3", "--"], ["fixtures", "n", "--out-dir", "d", "--"]):
+        with pytest.raises(InputError, match="unexpected argument '--'"):
+            parse(line)
+    assert parse(["graph", "a", "b", "--"]) == (eqcohom.cli.cmd_graph, {"text": False, "graph": "a", "action": "b"})
+    assert parse(["periodic", "a", "--radius", "3", "b", "--"])[1]["cochain"] == "b"
+    assert parse(["fixtures", "--out-dir", "d", "--", "-n"])[1] == {"out_dir": "d", "text": False, "name": "-n"}
+
+
+def test_help_is_written_from_the_command_table(capsys):
+    assert main(["--help"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("usage: eqcohom [--text | --json] COMMAND")
+    for command in eqcohom.cli.COMMANDS:
+        assert f"\n  {eqcohom.cli._usage(command)}\n" in out
+    for line, command in ((["-h"], None), (["--json", "--he"], None),
+                          (["periodic", "--ra=3", "-h"], "periodic"), (["fixtures", "--help"], "fixtures")):
+        assert eqcohom.cli.parse_command_line(line) == (eqcohom.cli.print_help, {"command": command})
+    for command, (_, summary, _, options) in eqcohom.cli.COMMANDS.items():
+        assert main([command, "--help"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.startswith(f"usage: eqcohom [--text | --json] {eqcohom.cli._usage(command)}\n")
+        assert " ".join(summary.split()) in " ".join(out.split())
+        for option, (_, kind, default) in options.items():
+            assert f"  {option} {kind.__name__.upper()}  (default: {default})\n" in out
+    main(["fixtures", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert all(name in out for name in FIXTURE_NAMES)

@@ -28,14 +28,17 @@ parsed (`_load_json`). Every indented JSON the CLI writes (reports, the
 sort_keys=True, indent=2)` without the json module's pure-Python indented
 encoder.
 
-Exit codes: 0 success, 1 assertion/property violation, 2 input error,
-3 mathematical precondition not met.
+Exit codes: 0 success, 1 assertion/property violation, 2 input error
+(a stdout that cannot be written included, unless the lost report is of
+a violation), 3 mathematical precondition not met. A stderr that cannot
+be written loses its line, not the code.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 import sys
 from json.encoder import encode_basestring_ascii as _quote
@@ -125,12 +128,42 @@ def indented_json(value, indent: str = "\n") -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _emit(report: dict, as_text: bool) -> None:
-    if as_text:
-        for key in sorted(report):
-            print(f"{key}: {json.dumps(report[key], sort_keys=True)}")
-    else:
-        print(indented_json(report))
+def _print(text: str, to_stderr: bool = False) -> None:
+    """Write `text` and a newline on stdout, or on stderr, and flush it. A
+    stream that cannot be written, such as a pipe whose reader has exited
+    or a full disk, has its file descriptor pointed at os.devnull, so that
+    the interpreter's last flush drops what is still buffered instead of
+    failing again. On stdout that is an InputError: the report is lost,
+    which is not a violation. On stderr the exit code alone tells."""
+    stream = sys.stderr if to_stderr else sys.stdout
+    if stream is None:  # the process was started without that stream
+        return
+    try:
+        print(text, file=stream, flush=True)
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+        if not to_stderr:
+            raise InputError(f"cannot write to stdout: {exc}") from None
+
+
+def _emit(report: dict, as_text: bool, code: int = EXIT_OK) -> int:
+    """Print the report and return `code`. A report of a violation that
+    stdout cannot take is lost, with one stderr line, and the violation's
+    code stands; any other such report is an input error."""
+    try:
+        if as_text:
+            _print("\n".join(
+                f"{key}: {json.dumps(report[key], sort_keys=True)}" for key in sorted(report)
+            ))
+        else:
+            _print(indented_json(report))
+    except InputError as exc:
+        if code != EXIT_VIOLATION:
+            raise
+        _print(str(exc), to_stderr=True)
+    return code
 
 
 def cmd_analyze(instance: str, text: bool) -> int:
@@ -170,10 +203,7 @@ def cmd_analyze(instance: str, text: bool) -> int:
             "vacuous": torsion.vacuous,
             "all_fixed": torsion.all_fixed,
         }
-    _emit(report, text)
-    if not (iff.bound_ok and iff.iff_ok):
-        return EXIT_VIOLATION
-    return EXIT_OK
+    return _emit(report, text, EXIT_OK if iff.bound_ok and iff.iff_ok else EXIT_VIOLATION)
 
 
 def cmd_graph(graph: str, action: str, text: bool) -> int:
@@ -223,8 +253,8 @@ def cmd_verify(seed: int, count: int, max_dim: int, reproducer: str, text: bool)
         repro.write_text(payload + "\n", encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot write {repro}: {exc}") from exc
-    _emit(report, text)
-    print(f"reproducer written to {repro}", file=sys.stderr)
+    _emit(report, text, EXIT_VIOLATION)
+    _print(f"reproducer written to {repro}", to_stderr=True)
     return EXIT_VIOLATION
 
 
@@ -420,7 +450,7 @@ def print_help(command: str | None) -> int:
         "After --, every word is an argument. A malformed command line exits 2",
         "with one 'input error:' line on stderr.",
     ]
-    print("\n".join(lines))
+    _print("\n".join(lines))
     return EXIT_OK
 
 
@@ -429,10 +459,10 @@ def main(argv=None) -> int:
         handler, kwargs = parse_command_line(sys.argv[1:] if argv is None else argv)
         return handler(**kwargs)
     except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+        _print(f"input error: {exc}", to_stderr=True)
         return EXIT_INPUT
     except PreconditionError as exc:
-        print(f"precondition not met ({exc.code}): {exc.detail}", file=sys.stderr)
+        _print(f"precondition not met ({exc.code}): {exc.detail}", to_stderr=True)
         return EXIT_PRECONDITION
 
 

@@ -24,15 +24,21 @@ straight to that form), each component's coefficients are one integer row
 over a common E, and the residual is integrated once along the forest and
 checked once, by the reconstruct round trip (which implies its exactness),
 all on integers over D*E. Fractions are made only for the returned
-PeriodicDecomposition. The truncation oracle likewise
-brings w, f and a to one common denominator, tabulates the lift window as
-one int row per quotient vertex, and checks the edges of each voltage class
-on their shared box of cells with C-level gathers.
+PeriodicDecomposition.
+
+A PeriodicGraph also keeps its voltages by edge position and its voltage
+classes: each voltage with the positions of the edges that carry it. The
+truncation oracle likewise brings w, f and a to one common denominator
+and tabulates the lift window as one int row per quotient vertex. The box
+of cells on which the edges of voltage t are checked is a translate of
+one corner box that depends on |t| alone, so each |t| gets one index list
+and, where the box is not much sparser in the index than its cell count,
+one C-level gather, which every edge of every voltage t, -t and sign
+variant applies to its two table rows cut at its own two offsets.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
@@ -166,13 +172,28 @@ class PeriodicGraph(Frozen):
         return cls._build(d, graph, voltages, lambda e, t: t)
 
     @cached_property
+    def edge_voltages(self) -> tuple[tuple[int, ...], ...]:
+        """The voltage of each quotient edge, by stored position."""
+        return tuple([self.voltages[e.id] for e in self.quotient.edges])
+
+    @cached_property
+    def voltage_classes(self) -> dict[tuple[int, ...], list[int]]:
+        """Each voltage, in order of first appearance, with the positions of
+        the edges that carry it, in stored order; built in one pass and not
+        to be changed by its readers."""
+        classes: dict[tuple[int, ...], list[int]] = {}
+        for pos, t in enumerate(self.edge_voltages):
+            classes.setdefault(t, []).append(pos)
+        return classes
+
+    @cached_property
     def cycles(self) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
         """Per quotient component, (edge position, cycle voltage) of each
         non-tree edge of the quotient's spanning forest: the cycle voltage
         is the Z^d label summed around that edge's fundamental cycle."""
         g = self.quotient
         forest = g.forest
-        volts = [self.voltages[e.id] for e in g.edges]
+        volts = self.edge_voltages
         # Tree translation b(v) of each vertex, one coordinate at a time, for
         # the coordinates some tree edge moves; the others are 0. So the work
         # follows the voltages given, not d.
@@ -296,8 +317,8 @@ def parse_invariant_cochain(pg: PeriodicGraph, obj) -> Cochain1:
     """Parse a 1-cochain on the quotient. Only zero-voltage loops lift to
     genuine loops, so only those are forced to carry value 0."""
     w = Cochain1.from_json(pg.quotient, obj)
-    for e, x in zip(pg.quotient.edges, w.ints):
-        if x and e.o == e.t and not any(pg.voltages[e.id]):
+    for e, x, t in zip(pg.quotient.edges, w.ints, pg.edge_voltages):
+        if x and e.o == e.t and not any(t):
             raise InputError(f"zero-voltage loop edge {e.id} must carry value 0")
     return w
 
@@ -353,10 +374,8 @@ def _reconstruct_ints(
     one row per quotient component."""
     comp_of = pg.quotient.forest.comp_of
     return [
-        f_int[e.t]
-        - f_int[e.o]
-        + sum(map(mul, a_int[comp_of[e.o]], pg.voltages[e.id]))
-        for e in pg.quotient.edges
+        f_int[e.t] - f_int[e.o] + sum(map(mul, a_int[comp_of[e.o]], t))
+        for e, t in zip(pg.quotient.edges, pg.edge_voltages)
     ]
 
 
@@ -391,22 +410,31 @@ def truncation_oracle(
     denominator of w, f and a, so the table and the comparisons are on
     Python ints.
 
-    The edges are grouped by voltage. For each distinct voltage t, the box
-    of cells c with c and c + t both in the window is the product of one
-    range per coordinate, and its index list (in lexicographic cell order)
-    and that list shifted by sum_j t_j * side**j are built once. An edge e
-    of voltage t is then checked on its whole box at once: both lists are
-    gathered from the rows of te and oe, every difference is formed, and
-    each is compared with w(e). Edges are checked in stored order; any
-    mismatch means `dec` does not decompose w and raises AssertionError
-    naming the edge and the first bad cell of its box; the returned report
-    counts the checks performed.
+    The box of voltage t, the cells c with c and c + t both in the window,
+    is the product of one range per coordinate, and it is a translate of
+    the corner box of |t|: per coordinate j, the first side - |t_j| cells
+    from the low corner. Its near ends are the corner box moved by o_near
+    = sum_{t_j<0} |t_j| * side**j in the index, and its far ends c + t the
+    corner box moved by o_far = sum_{t_j>0} t_j * side**j. So one index
+    list (in lexicographic cell order) is built per distinct |t| with a
+    nonempty box. An edge e of voltage t is checked on its whole box at
+    once: both ends are gathered from the rows of te and oe, every
+    difference is formed, and each is compared with w(e). Where the corner
+    box spans at most twice as many indices as it has cells, t, -t and
+    every sign variant of t share one C-level gather, which reads each row
+    from a slice of that span cut at the edge's offset; a sparser box (a
+    large |t_j| on a low-stride coordinate) gets, per voltage, the corner
+    list shifted by each offset and gathered from the whole rows. Either
+    way an edge reads and copies a bounded multiple of its box's cells.
+    Edges are checked in stored order; any mismatch means `dec` does not
+    decompose w and raises AssertionError naming the edge and the first bad
+    cell of its box; the returned report counts the checks performed.
 
-    The work is predicted first, from the box sizes alone, as (2r+1)^d
-    table entries per quotient vertex plus, per edge of voltage t, the
-    prod_j max(0, 2r+1-|t_j|) cells of its box; above TRUNCATION_BUDGET it
-    raises PreconditionError("budget", ...) before any index list or table
-    is built.
+    The work is predicted first, from the voltage classes' sizes alone, as
+    (2r+1)^d table entries per quotient vertex plus, per edge of voltage t,
+    the prod_j max(0, 2r+1-|t_j|) cells of its box; above TRUNCATION_BUDGET
+    it raises PreconditionError("budget", ...) before any index list or
+    table is built.
     """
     if radius < 0:
         raise InputError(f"truncation radius must be >= 0, got {radius}")
@@ -415,11 +443,16 @@ def truncation_oracle(
         # No vertex and no edge: no window cell, whatever d is.
         return {"radius": radius, "checks": 0, "ok": True}
     side = 2 * radius + 1
-    by_voltage = Counter(pg.voltages.values())  # voltage -> number of edges
-    box_size = {t: prod([max(0, side - abs(tj)) for tj in t]) for t in by_voltage}
-    work = side**pg.d * g.n_vertices + sum(
-        count * box_size[t] for t, count in by_voltage.items()
-    )
+    # |t| -> (the number of cells of its corner box, [(t, positions), ...])
+    corners = {}
+    work = side**pg.d * g.n_vertices
+    for t, positions in pg.voltage_classes.items():
+        u = tuple([abs(tj) for tj in t])
+        corner = corners.get(u)
+        if corner is None:
+            corner = corners[u] = (prod([max(0, side - uj) for uj in u]), [])
+        corner[1].append((t, positions))
+        work += len(positions) * corner[0]
     if work > TRUNCATION_BUDGET:
         raise PreconditionError(
             "budget",
@@ -454,33 +487,48 @@ def truncation_oracle(
         [fv + s for s in shift_rows[k]] for fv, k in zip(f_int, g.forest.comp_of)
     ]
 
-    # Per voltage with a nonempty box: its near-end cell indices, and the
-    # gathers of those indices and of their translates by t.
-    boxes = {}
-    for t, size in box_size.items():
+    # Per edge position: its corner index list, its offset o_near, its
+    # gathers for the near and far rows, and the cuts at which those rows
+    # are sliced first (0: read whole), or None where the box is empty.
+    # The offsets add up to the reach sum_j |t_j| * side**j and differ by
+    # the shift sum_j t_j * side**j.
+    plan = [None] * g.n_edges
+    for u, (size, members) in corners.items():
         if not size:
             continue
-        near = [0]
-        for tj, stride in zip(t, strides):
-            steps = [
-                (c - lo) * stride
-                for c in range(max(lo, lo - tj), min(hi, hi - tj) + 1)
-            ]
-            near = [b + s for b in near for s in steps]
-        offset = sum(map(mul, t, strides))
-        far = [b + offset for b in near]
-        boxes[t] = (near, _gather(near), _gather(far))
+        index = [0]
+        for uj, stride in zip(u, strides):
+            index = [b + c for b in index for c in range(0, (side - uj) * stride, stride)]
+        span = index[-1] + 1
+        gather = _gather(index) if span <= 2 * size else None
+        reach = sum(map(mul, u, strides))
+        for t, positions in members:
+            shift = sum(map(mul, t, strides))
+            o_near = (reach - shift) // 2
+            o_far = o_near + shift
+            if gather:
+                entry = (index, o_near, gather, gather, o_near, o_far, span)
+            else:
+                near = _gather([b + o_near for b in index])
+                far = _gather([b + o_far for b in index])
+                entry = (index, o_near, near, far, 0, 0, span)
+            for pos in positions:
+                plan[pos] = entry
 
     checks = 0
-    for e, value in zip(g.edges, w_int):
-        box = boxes.get(pg.voltages[e.id])
-        if box is None:
+    for e, value, entry in zip(g.edges, w_int, plan):
+        if entry is None:
             continue
-        near, gather_near, gather_far = box
-        diffs = list(map(sub, gather_far(table[e.t]), gather_near(table[e.o])))
+        index, o_near, gather_near, gather_far, cut_near, cut_far, span = entry
+        near, far = table[e.o], table[e.t]
+        if cut_near:
+            near = near[cut_near : cut_near + span]
+        if cut_far:
+            far = far[cut_far : cut_far + span]
+        diffs = list(map(sub, gather_far(far), gather_near(near)))
         if diffs.count(value) != len(diffs):
-            index = near[next(i for i, x in enumerate(diffs) if x != value)]
-            cell = tuple([index // stride % side + lo for stride in strides])
+            at = o_near + index[next(i for i, x in enumerate(diffs) if x != value)]
+            cell = tuple([at // stride % side + lo for stride in strides])
             raise AssertionError(f"truncation mismatch on edge {e.id} at cell {cell}")
         checks += len(diffs)
     return {"radius": radius, "checks": checks, "ok": True}

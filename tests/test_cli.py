@@ -1180,3 +1180,160 @@ def test_help_is_written_from_the_command_table(capsys):
     main(["fixtures", "--help"])
     out = " ".join(capsys.readouterr().out.split())
     assert all(name in out for name in FIXTURE_NAMES)
+
+
+def _run_into(stdout_fd, args, unbuffered):
+    """Run `python ARGS` in a subprocess whose stdout is `stdout_fd`,
+    buffered or not; returns (exit code, stderr)."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    result = subprocess.run(
+        [sys.executable, *args],
+        stdout=stdout_fd,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    return result.returncode, result.stderr
+
+
+def _run_into_closed_pipe(args, unbuffered):
+    """_run_into a pipe whose read end is closed before the run starts."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return _run_into(write_end, args, unbuffered)
+    finally:
+        os.close(write_end)
+
+
+CLOSED_PIPE = "input error: cannot write to stdout: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--count", "3"],
+        ["--text", "verify", "--count", "3"],
+        ["--help"],
+        ["fixtures", "torus-2", "--out-dir", "{tmp}"],
+        ["periodic", "{tmp}/torus-2.pgraph.json", "{tmp}/w.json"],
+    ],
+)
+def test_closed_stdout_exits_2_without_traceback(tmp_path, args, unbuffered):
+    # Writing the report fails: at once when stdout is unbuffered, and at
+    # the flush that follows it when stdout is buffered. Either way exit 2
+    # with one line on stderr, and nothing from the interpreter's last
+    # flush.
+    load_fixture(tmp_path, "torus-2")
+    write_json(tmp_path / "w.json", {"0": "5", "1": "-3"})
+    args = ["-m", "eqcohom", *(arg.replace("{tmp}", str(tmp_path)) for arg in args)]
+    assert _run_into_closed_pipe(args, unbuffered) == (2, CLOSED_PIPE)
+
+
+def test_closed_stdout_is_pointed_at_devnull(tmp_path):
+    # What stays buffered after the failed flush goes to os.devnull at the
+    # interpreter's last flush, so that flush cannot fail a second time.
+    script = (
+        "import os, sys\n"
+        "from eqcohom.cli import main\n"
+        "code = main(['fixtures', 'torus-2', '--out-dir', sys.argv[1]])\n"
+        "print(code, os.path.samestat(os.fstat(1), os.stat(os.devnull)), file=sys.stderr)\n"
+    )
+    for unbuffered in (False, True):
+        got = _run_into_closed_pipe(["-c", script, str(tmp_path)], unbuffered)
+        assert got == (0, CLOSED_PIPE + "2 True\n")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["verify", "--count", "3"], 2),
+        (["--help"], 2),
+        (["periodic", "{tmp}/missing.json", "{tmp}/missing.json"], 2),
+        (["periodic", "{tmp}/square-index2.pgraph.json", "{tmp}/w.json"], 3),
+    ],
+)
+def test_closed_stdout_and_stderr_keep_the_exit_code(tmp_path, args, code, unbuffered):
+    # `eqcohom ... 2>&1 | head`: stderr is the same closed pipe, so the
+    # error line is lost too, but the exit code still tells what happened.
+    load_fixture(tmp_path, "square-index2")
+    write_json(tmp_path / "w.json", {"0": "1", "1": "0"})
+    args = [arg.replace("{tmp}", str(tmp_path)) for arg in args]
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "eqcohom", *args],
+            stdout=write_end, stderr=write_end, timeout=60, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == code
+
+
+def test_no_stderr_still_exits_2(tmp_path):
+    # With no stderr at all (fd 2 closed, `2>&-`) the error line has
+    # nowhere to go, and nothing of it reaches stdout.
+    missing = str(tmp_path / "missing.json")
+    result = subprocess.run(
+        [sys.executable, "-m", "eqcohom", "periodic", missing, missing],
+        stdout=subprocess.PIPE, text=True, timeout=60, preexec_fn=lambda: os.close(2),
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_exits_2_without_traceback():
+    for unbuffered in (False, True):
+        with open("/dev/full", "wb") as full:
+            code, err = _run_into(full.fileno(), ["-m", "eqcohom", "verify", "--count", "2"], unbuffered)
+        assert (code, err) == (2, "input error: cannot write to stdout: [Errno 28] No space left on device\n")
+
+
+def test_no_stdout_still_exits_0(tmp_path):
+    # With no stdout at all (fd 1 closed, as by `>&-`) sys.stdout is None
+    # and print writes nothing: the report is discarded, as it always was.
+    result = subprocess.run(
+        [sys.executable, "-m", "eqcohom", "fixtures", "torus-2", "--out-dir", str(tmp_path)],
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=60,
+        preexec_fn=lambda: os.close(1),
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert (tmp_path / "torus-2.pgraph.json").exists()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_closed_stdout_keeps_the_violation_code(tmp_path, command, unbuffered):
+    # A violation whose report stdout cannot take still exits 1: the
+    # report is lost, one stderr line says so, and no traceback follows.
+    # The mutant of test_verify_mutant_condition_ii_detected makes both
+    # commands find a violation.
+    load_fixture(tmp_path, "shear")
+    repro = tmp_path / "repro.json"
+    script = (
+        "import sys\n"
+        "import eqcohom.instance as instance\n"
+        "real = instance.check_condition_ii\n"
+        "instance.check_condition_ii = lambda inst: not real(inst)\n"
+        "from eqcohom.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    if command == "analyze":
+        args = ["analyze", str(tmp_path / "shear.instance.json")]
+        tail = ""
+    else:
+        args = ["verify", "--seed", "7", "--count", "60", "--reproducer", str(repro)]
+        tail = f"reproducer written to {repro}\n"
+    code, err = _run_into_closed_pipe(["-c", script, *args], unbuffered)
+    assert (code, err) == (1, CLOSED_PIPE[len("input error: "):] + tail)

@@ -572,6 +572,269 @@ def test_truncation_oracle_shared_voltages_match_brute_force():
     assert caught >= 30, caught
 
 
+def wide_voltage_quotient(rng, d, n_comps, radius):
+    """A quotient with n_comps components on interleaved vertex ids whose
+    voltages have mixed signs and entries |t_j| from 0 to side + 1, where
+    side = 2 * radius + 1, so some boxes are empty and some, one cell thin
+    along a low-stride coordinate, sparse in the index; the voltages are sign
+    variants of a few magnitudes, so corner boxes are shared. Each component
+    carries the d unit loops, so its period lattice is all of Z^d."""
+    side = 2 * radius + 1
+    magnitudes = [
+        tuple(rng.choice([0, 0, 1, 1, 2, side - 1, side, side + 1]) for _ in range(d))
+        for _ in range(3)
+    ]
+    sizes = [rng.randint(1, 4) for _ in range(n_comps)]
+    order = list(range(sum(sizes)))
+    rng.shuffle(order)
+    parts = [order[sum(sizes[:k]) : sum(sizes[: k + 1])] for k in range(n_comps)]
+    raw = []
+    for part in parts:
+        pairs = [(part[i], part[rng.randrange(i)]) for i in range(1, len(part))]
+        pairs += [tuple(rng.choice(part) for _ in range(2)) for _ in range(rng.randint(1, 4))]
+        for o, t in pairs:
+            u = rng.choice(magnitudes)
+            raw.append((o, t, tuple(x * rng.choice((-1, 1)) for x in u)))
+        for j in range(d):
+            v = rng.choice(part)
+            raw.append((v, v, tuple(int(i == j) for i in range(d))))
+    rng.shuffle(raw)
+    g = Graph.make(len(order), [(i, o, t) for i, (o, t, _) in enumerate(raw)])
+    return PeriodicGraph.make(d, g, {i: t for i, (_, _, t) in enumerate(raw)})
+
+
+def corner_box(u, side):
+    """(cells, index span) of the corner box of |t| = u in a window of
+    side `side`: per coordinate j the first side - u_j cells, coordinate j
+    at stride side**j."""
+    size = prod(max(0, side - x) for x in u)
+    return size, 1 + sum((side - x - 1) * side**j for j, x in enumerate(u))
+
+
+def is_sparse(u, side):
+    """Whether the oracle gathers the corner box of u per voltage, from
+    shifted index lists, because it spans more than twice its cells."""
+    size, span = corner_box(u, side)
+    return size and span > 2 * size
+
+
+def test_corner_box_oracle_matches_brute_force():
+    # Every voltage's box is a translate of the corner box of |t|; the
+    # oracle must count the brute-force window's checks and, on a wrong
+    # a or f, name its first mismatch (edge in stored order, then cell in
+    # lexicographic order).
+    rng = random.Random(1729)
+    seen = Counter()
+    for trial in range(150):
+        d, radius, n_comps = rng.randint(1, 3), rng.randint(0, 3), rng.randint(1, 3)
+        pg = wide_voltage_quotient(rng, d, n_comps, radius)
+        comps = components(pg.quotient)
+        a = [[Fraction(rng.randint(-6, 6), rng.choice(DENS)) for _ in comps] for _ in range(d)]
+        f = Cochain0(
+            tuple(Fraction(rng.randint(-5, 5), rng.choice(DENS)) for _ in range(pg.quotient.n_vertices))
+        )
+        w = reference_reconstruct(pg, a, f)
+        dec = decompose_periodic(pg, w)
+        checks, first = lift_mismatches(pg, w, dec.a, dec.f.values, radius)
+        assert first is None
+        assert truncation_oracle(pg, w, dec, radius) == {"radius": radius, "checks": checks, "ok": True}
+        side = 2 * radius + 1
+        seen[d, radius] += 1
+        seen[f"components={len(comps)}"] += 1
+        seen["distinct a columns"] += len(set(zip(*dec.a))) > 1
+        seen["empty box"] += any(max(map(abs, t), default=0) >= side for t in pg.voltages.values())
+        seen["mixed signs"] += any(min(t) < 0 < max(t) for t in pg.voltages.values())
+        seen["sparse box"] += any(
+            is_sparse(tuple(map(abs, t)), side) for t in pg.voltages.values()
+        )
+        a_moved = [list(row) for row in dec.a]
+        f_moved = list(dec.f.values)
+        if trial % 2:
+            f_moved[rng.randrange(len(f_moved))] += Fraction(1, rng.choice(DENS))
+            which = "f"
+        else:
+            a_moved[rng.randrange(d)][rng.randrange(len(comps))] += Fraction(1, 3)
+            which = "a"
+        checks, first = lift_mismatches(pg, w, a_moved, f_moved, radius)
+        moved = dec._replace(a=tuple(map(tuple, a_moved)), f=Cochain0(tuple(f_moved)))
+        if first is None:
+            assert truncation_oracle(pg, w, moved, radius)["checks"] == checks
+            continue
+        with pytest.raises(AssertionError) as err:
+            truncation_oracle(pg, w, moved, radius)
+        assert str(err.value) == f"truncation mismatch on edge {first[0]} at cell {first[1]}"
+        seen[f"caught {which}"] += 1
+    assert all(seen[d, r] for d in (1, 2, 3) for r in range(4)), seen
+    for key in ("components=1", "components=2", "components=3", "distinct a columns",
+                "empty box", "mixed signs", "sparse box", "caught a", "caught f"):
+        assert seen[key] >= 10, (key, seen)
+
+
+def test_sign_variants_share_one_corner_gather(monkeypatch):
+    # One gather per distinct |t| with a nonempty box: t, -t and every
+    # sign variant of t read the same corner box at their own offsets.
+    # Only a sparse corner box, spanning more than twice its cells in the
+    # index, is gathered per voltage instead, from two shifted lists.
+    built = []
+    real_gather = periodic._gather
+
+    def counted(indices):
+        built.append(list(indices))
+        return real_gather(indices)
+
+    monkeypatch.setattr(periodic, "_gather", counted)
+    volts = [(1, -2), (-1, 2), (1, 2), (-1, -2), (2, 1), (0, 0), (5, 0), (-5, 1), (1, 0), (0, 1)]
+    g = Graph.make(2, [(i, i % 2, (i // 2) % 2) for i in range(len(volts))])
+    pg = PeriodicGraph.make(2, g, dict(enumerate(volts)))
+    w = reconstruct(pg, [[Fraction(1, 2)], [-3]], Cochain0(vec([0, 4])))
+    dec = decompose_periodic(pg, w)
+    built.clear()
+    report = truncation_oracle(pg, w, dec, 2)
+    assert report == {"radius": 2, "checks": 4 * 12 + 12 + 25 + 2 * 20, "ok": True}
+    # |t| = (1, 2), (2, 1), (0, 0), (1, 0) and (0, 1); (5, 0) and (5, 1)
+    # leave the window of side 5, so their boxes are empty.
+    side = 5
+
+    def corner(u):  # lexicographic: the first coordinate is the slowest
+        return [i + j * side for i in range(side - u[0]) for j in range(side - u[1])]
+
+    assert sorted(built) == sorted(corner(u) for u in [(1, 2), (2, 1), (0, 0), (1, 0), (0, 1)])
+    # Over seeded quotients, the count is the number of distinct |t| with
+    # a nonempty box that is not sparse, plus two per voltage whose box is.
+    rng = random.Random(86)
+    seen_sparse = 0
+    for _ in range(60):
+        d, radius = rng.randint(1, 3), rng.randint(0, 2)
+        pg = wide_voltage_quotient(rng, d, rng.randint(1, 2), radius)
+        _, _, w = random_cochain_pair(rng, pg)
+        dec = decompose_periodic(pg, w)
+        built.clear()
+        truncation_oracle(pg, w, dec, radius)
+        side = 2 * radius + 1
+        corners = {tuple(map(abs, t)) for t in pg.voltages.values()}
+        sparse = {t for t in pg.voltages.values() if is_sparse(tuple(map(abs, t)), side)}
+        dense = [u for u in corners if corner_box(u, side)[0] and not is_sparse(u, side)]
+        assert len(built) == len(dense) + 2 * len(sparse)
+        seen_sparse += bool(sparse)
+    assert seen_sparse >= 10, seen_sparse
+
+
+def test_oracle_reads_a_bounded_multiple_of_its_boxes(monkeypatch):
+    # A large |t_0| at a large radius makes a box of few cells that spans
+    # almost the whole row in the index. Slicing each row at the edge's
+    # offset would copy that span for every edge; the entries the oracle
+    # gathers and copies must stay within a fixed multiple of the box
+    # cells its work prediction counts.
+    radius, side = 100, 201
+    touched = [0]
+    real_gather = periodic._gather
+
+    def counted(indices):
+        touched[0] += len(indices)
+        gather = real_gather(indices)
+
+        def read(row):
+            # A row shorter than the window is a slice the oracle copied.
+            touched[0] += len(indices) + (len(row) if len(row) < side**2 else 0)
+            return gather(row)
+
+        return read
+
+    monkeypatch.setattr(periodic, "_gather", counted)
+    volts = [(1, 0), (0, 1)] + [(200, 0), (-200, 3), (190, -2), (-199, -1)] * 100
+    g = Graph.make(2, [(i, i % 2, (i // 3) % 2) for i in range(len(volts))])
+    pg = PeriodicGraph.make(2, g, dict(enumerate(volts)))
+    w = reconstruct(pg, [[Fraction(1, 2)], [-3]], Cochain0(vec([0, 4])))
+    dec = decompose_periodic(pg, w)
+    cells = sum(corner_box(tuple(map(abs, t)), side)[0] for t in volts)
+    assert side**2 * 2 + cells <= periodic.TRUNCATION_BUDGET
+    assert truncation_oracle(pg, w, dec, radius) == {"radius": radius, "checks": cells, "ok": True}
+    assert touched[0] <= 8 * cells, (touched[0], cells)
+    # A wrong f is still named at its first cell.
+    moved = dec._replace(f=Cochain0((dec.f.values[0] + 1, dec.f.values[1])))
+    with pytest.raises(AssertionError) as err:
+        truncation_oracle(pg, w, moved, radius)
+    assert str(err.value) == "truncation mismatch on edge 1 at cell (-100, -100)"
+
+
+def brute_force_classes(pg):
+    """Each voltage, in order of first appearance, with the positions of the
+    edges carrying it, in stored order."""
+    classes = {}
+    for pos, e in enumerate(pg.quotient.edges):
+        t = pg.voltages[e.id]
+        if t not in classes:
+            classes[t] = [p for p, e2 in enumerate(pg.quotient.edges) if pg.voltages[e2.id] == t]
+    return classes
+
+
+def test_voltage_classes_group_edges_in_stored_order():
+    rng = random.Random(404)
+    shared = 0
+    for _ in range(80):
+        d = rng.randint(1, 3)
+        pg = random_multi_component_quotient(rng, d, rng.randint(1, 3))
+        # The same edges relabelled, so their stored (id) order changes.
+        ids = list(range(pg.quotient.n_edges))
+        rng.shuffle(ids)
+        g = Graph.make(
+            pg.quotient.n_vertices,
+            [(ids[pos], e.o, e.t) for pos, e in enumerate(pg.quotient.edges)],
+        )
+        volts = {ids[pos]: list(pg.voltages[e.id]) for pos, e in enumerate(pg.quotient.edges)}
+        made = PeriodicGraph.make(d, g, volts)
+        again = PeriodicGraph.from_json(made.to_json())
+        for each in (pg, made, again):
+            classes = each.voltage_classes
+            assert classes == brute_force_classes(each)
+            assert list(classes) == list(brute_force_classes(each))
+            assert each.edge_voltages == tuple(each.voltages[e.id] for e in each.quotient.edges)
+        assert again.voltage_classes == made.voltage_classes
+        shared += max(map(len, made.voltage_classes.values())) > 1
+    assert shared >= 40, shared
+    empty = PeriodicGraph.make(2, Graph.make(1, []), {})
+    assert (empty.voltage_classes, empty.edge_voltages) == ({}, ())
+
+
+def test_reconstruct_ints_match_the_per_edge_formula():
+    # _reconstruct_ints reads the voltages by edge position; a voltage that
+    # several components carry must still get each component's own period.
+    rng = random.Random(515)
+    spanning = 0
+    for _ in range(80):
+        d = rng.randint(1, 3)
+        pg = random_multi_component_quotient(rng, d, rng.randint(1, 3))
+        comp_of = pg.quotient.forest.comp_of
+        m = len(pg.quotient.forest.comps)
+        a = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(d)]
+        f = [rng.randint(-9, 9) for _ in range(pg.quotient.n_vertices)]
+        got = periodic._reconstruct_ints(pg, [list(col) for col in zip(*a)], f)
+        assert got == list(reference_reconstruct(pg, a, Cochain0(vec(f))).values)
+        spanning += any(
+            len({comp_of[pg.quotient.edges[pos].o] for pos in positions}) > 1
+            for positions in pg.voltage_classes.values()
+        )
+    assert spanning >= 30, spanning
+
+
+def test_zero_voltage_loop_error_names_the_first_in_stored_order():
+    # Loops 1 and 3 carry voltage 0; edge 2 also carries voltage 0 but is
+    # not a loop, so it may carry a value.
+    g = Graph.make(2, [(3, 1, 1), (2, 0, 1), (1, 0, 0), (0, 0, 0)])
+    pg = PeriodicGraph.make(1, g, {0: (1,), 1: (0,), 2: (0,), 3: (0,)})
+    assert pg.voltage_classes == {(1,): [0], (0,): [1, 2, 3]}
+    with pytest.raises(InputError) as err:
+        parse_invariant_cochain(pg, {"0": "7", "1": "1", "2": "5", "3": "2"})
+    assert str(err.value) == "zero-voltage loop edge 1 must carry value 0"
+    with pytest.raises(InputError) as err:
+        parse_invariant_cochain(pg, {"0": "7", "1": "0", "2": "5", "3": "2"})
+    assert str(err.value) == "zero-voltage loop edge 3 must carry value 0"
+    assert parse_invariant_cochain(pg, {"0": "7", "1": "0", "2": "5", "3": "0"}).ints == (7, 0, 5, 0)
+    # A cochain of the wrong length is refused before any loop is read.
+    with pytest.raises(InputError) as err:
+        parse_invariant_cochain(pg, ["1", "1"])
+    assert str(err.value) == "1-cochain length does not match edge count"
+
 def test_period_coefficients_eliminate_rank_many_cycles(monkeypatch):
     # Each component runs at most one rref, of its rank(L_k) chosen cycles
     # and d + 1 columns, and no solve over all of its cycles; the other

@@ -9,7 +9,7 @@ two sharp conditions that characterize when it equals m*d, and performs the
 constructive decomposition of an invariant image vector into period
 coefficients plus an invariant preimage part.
 
-The quotient dimension is read off three dimensions, with no subspace
+The quotient dimension is read off three ranks, with no subspace
 intersection. Write K for the basis of ker pi (m vectors), G for the stack
 of the blocks gU_i - id, and U~ = pi^-1(W^G), the common kernel of the
 blocks (gW_i - id) pi. The moves are held in that one shape: `moves_U` is
@@ -22,27 +22,36 @@ per instance, with no rows when d = 0. Then:
   so dim pi(U^G) = dim U^G - m + rank(G K);
 - U^G lies in U~, so pi(U^G) lies in pi(U~), and
 
-      dim pi(U)^G / pi(U^G) = dim U~ - dim U^G - rank(G K).
+      dim pi(U)^G / pi(U^G) = dim U~ - dim U^G - rank(G K)
+                            = rank G - rank((gW - id) pi) - rank(G K),
 
-Condition (i), ker pi inside U^G, is G K = 0. U~ and G K are kept on the
-instance; oracle_quotient_dim computes the two spaces themselves and stays
-as the independent reference.
+  with dim U^G = dim_U - rank G and dim U~ = dim_U - rank((gW - id) pi).
 
-Which elimination yields what, each run at most once per instance, all of
-them in linalg:
+Condition (i), ker pi inside U^G, is G K = 0. oracle_quotient_dim computes
+the two spaces themselves and stays as the independent reference.
 
-- ker pi: kernel_basis(pi), one rref (none when dim_W = 0).
-- U^G, condition (ii) and the u_jk for the canonical basis of ker pi: one
-  linalg.Reduction of [G | T], where T holds the d*m slot targets
-  (0, ..., u_k, ..., 0), kept as `moves_reduction`. Condition (ii) holds
-  iff every target column is consistent; the u_jk are its solutions with
-  the free variables zero; U^G is its kernel of G, one vector per free
-  column of G, canonical as read (linalg.Reduction.kernel), so it runs no
-  rref of its own.
-- U~: kernel_basis of the one product `moves_W` * pi, its own rref, so
-  that the rank identity above is not true by construction.
-- rank(G K): no rref; Mat.rank counts the independent rows of the
-  (d * dim_U) x m matrix G K (linalg.independent_rows).
+Which elimination yields what, all of them in linalg (a forward pass, and
+a back-substitution only where a basis or a solution is read), each run at
+most once per instance:
+
+- ker pi: kernel_basis(pi), one forward pass and one back-substitution
+  (none when ker pi = 0; no elimination when dim_W = 0).
+- rank G, condition (ii), U^G and the u_jk for the canonical basis of
+  ker pi: one linalg.Reduction of [G | T], where T holds the d*m slot
+  targets (0, ..., u_k, ..., 0), kept as `moves_reduction`. Its forward
+  pass gives rank G, and condition (ii) holds iff rank [G | T] = rank G,
+  that is iff every target column is consistent. Its back-substitution
+  runs only when U^G or the u_jk are read: the u_jk are its solutions
+  with the free variables zero, and U^G is its kernel, canonical as read
+  (linalg.Reduction.kernel).
+- U~: the Reduction of the one product `moves_W` * pi, kept as
+  `preimage_reduction`, its own forward pass, so that the rank identity
+  above is not true by construction; its kernel, U~ itself, is
+  back-substituted only when read.
+- rank(G K): Mat.rank counts the independent rows of the (d * dim_U) x m
+  matrix G K (linalg.independent_rows, a forward pass).
+
+So verify_iff runs forward passes only, beyond the kernel of pi.
 
 The decomposition of one target w, once per target rather than once per
 choice of the u_jk (Decomposer):
@@ -115,8 +124,8 @@ class LinearInstance(Frozen):
     @cached_property
     def moves_reduction(self) -> Reduction:
         """The Reduction of [G | T] for the canonical basis of ker pi, kept
-        like `kernel`: the one elimination behind U^G, condition (ii) and
-        find_ujk."""
+        like `kernel`: the one elimination behind rank G, U^G, condition
+        (ii) and find_ujk."""
         return _reduce_moves(self)
 
     @cached_property
@@ -126,10 +135,16 @@ class LinearInstance(Frozen):
         return self.moves_reduction.kernel()
 
     @cached_property
+    def preimage_reduction(self) -> Reduction:
+        """The Reduction of the stacked (gW_i - id) pi, kept like `kernel`:
+        its rank is dim_U - dim U~."""
+        return Reduction(self.moves_W * self.pi, ())
+
+    @cached_property
     def fixed_preimage(self) -> Subspace:
         """U~ = pi^-1(W^G), the u with pi u fixed by every gW: the kernel
-        of the stacked (gW_i - id) pi, kept like `kernel`."""
-        return kernel_basis(self.moves_W * self.pi)
+        of `preimage_reduction`, kept like `kernel`."""
+        return self.preimage_reduction.kernel()
 
     @cached_property
     def kernel_moves(self) -> Mat:
@@ -322,11 +337,12 @@ def check_condition_ii(inst: LinearInstance) -> bool:
 
     It holds iff every slot target (0, ..., u_k, ..., 0), with a basis
     vector u_k of ker pi in slot j, is hit, since those d*m targets span
-    (ker pi)^d: iff every target column of the kept Reduction of [G | T]
-    (`moves_reduction`, shared with U^G and find_ujk) is consistent.
+    (ker pi)^d: iff the targets T add no rank to G, rank [G | T] = rank G,
+    read off the forward pass of the kept Reduction of [G | T]
+    (`moves_reduction`, shared with U^G and find_ujk).
     """
     reduction = inst.moves_reduction
-    return all(map(reduction.consistent, range(inst.d * inst.m)))
+    return reduction.augmented_rank == reduction.rank
 
 
 class IffReport(NamedTuple):
@@ -345,14 +361,20 @@ def verify_iff(inst: LinearInstance) -> IffReport:
     The dimension is dim U~ - dim U^G - rank(G K) (see the module
     docstring): im(pi) ^ W^G = pi(U~) has dimension dim U~ - m, because
     ker pi lies in U~, and pi(U^G) has dimension dim U^G - m + rank(G K),
-    because U^G ^ ker pi is the kernel of G on ker pi.
+    because U^G ^ ker pi is the kernel of G on ker pi. It is read as
+    rank G - rank((gW - id) pi) - rank(G K), off the forward passes of the
+    two kept Reductions and of G K, so no basis of U^G or U~ is built.
 
     iff_ok must always be True; a False value flags a genuine violation of
     the characterization and is treated as a hard failure by callers.
     """
     m = inst.m
     d = inst.d
-    dim = inst.fixed_preimage.dim - inst.fixed_U.dim - inst.kernel_moves.rank()
+    dim = (
+        inst.moves_reduction.rank
+        - inst.preimage_reduction.rank
+        - inst.kernel_moves.rank()
+    )
     ci = check_condition_i(inst)
     cii = check_condition_ii(inst)
     bound_ok = dim <= m * d
@@ -364,13 +386,15 @@ def slot_solutions(inst: LinearInstance) -> Optional[list[list[tuple[int, list[i
     """find_ujk on the canonical basis of ker pi, in integers: ujk[j][k] is
     (den, x), not reduced, with u_jk = x / den, G x / den the target u_k in
     slot j and every free variable zero, or None when condition (ii) fails.
-    They are read off the kept `moves_reduction`, so this runs no rref."""
+    They are read off the kept `moves_reduction`: condition (ii) off its
+    ranks, and the solutions off its back-substitution, which runs on the
+    first read, so this runs no forward pass."""
+    reduction = inst.moves_reduction
+    if reduction.augmented_rank != reduction.rank:
+        return None
     basis = inst.kernel.basis
     m = basis.rows
-    reduction = inst.moves_reduction
     sols = [reduction.solution(t, basis.den) for t in range(inst.d * m)]
-    if None in sols:
-        return None
     return [sols[j * m : (j + 1) * m] for j in range(inst.d)]
 
 
@@ -382,7 +406,8 @@ def find_ujk(
     All d*m slot targets (0, ..., u_k, ..., 0), u_k in slot j, are the
     right-hand sides of one system in the stacked (g_i - id) map, and each
     solution sets the free variables to zero. For the canonical basis K of
-    ker pi they are the instance's slot_solutions, so this runs no rref.
+    ker pi they are the instance's slot_solutions, so this runs no forward
+    pass.
     Each K_l is 1 at its last nonzero entry f_l, where every other K_l' is
     0, so another basis B is C K with C[k][l] = B_k[f_l]; such a solution
     is linear in its target and G alone fixes the pivots, so the u_jk of B

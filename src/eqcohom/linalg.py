@@ -9,16 +9,26 @@ integer rows, and entries enter through `_cleared`; fractions.Fraction
 values are made only where entries and vectors leave the module
 (`Mat.data`, built on first use, `mulvec` and `solve`). Subspaces are
 kept in reverse RREF (see `Subspace`), which is unique, so equality and
-containment are purely syntactic, and every kernel is read in that form
-off the one rref of its `Reduction`.
+containment are purely syntactic.
 
-Every elimination of the package runs here: `rref`, run only where
-reduced rows are read (the `Reduction` of an augmented system that every
-solve and kernel reads, and a `Subspace`'s canonical basis),
-`independent_rows`, which picks independent rows and so gives every rank
-(`Mat.rank`, `Mat.is_invertible`) with no RREF built, and
-`hermite_normal_form`, the one lattice routine, which reduces over Z and
-names the rows that opened its pivots.
+Every elimination of the package runs here, and one routine does it: the
+fraction-free forward pass `_echelon`, which reads the rows in order and
+keeps each one that is independent of those before it, reduced. What it
+yields:
+
+- ranks: `independent_rows` is its positions, so `Mat.rank` and
+  `Mat.is_invertible` build no RREF;
+- a `Reduction` of an augmented system [m | c_1 ... c_k] runs it once and
+  reads rank m, rank [m | c_1 ...] and the consistency of each c_j off the
+  kept rows; the back-substitution `_back_substitute` runs only on the
+  first solution or kernel read, and is kept, so every solve and every
+  kernel (`kernel_basis`) is one forward pass and at most one
+  back-substitution;
+- `rref` is the forward pass and its back-substitution, and a
+  `Subspace`'s canonical basis is one `rref`.
+
+`hermite_normal_form`, the one lattice routine, reduces over Z and names
+the rows that opened its pivots.
 """
 
 from __future__ import annotations
@@ -33,6 +43,11 @@ _ZERO = Fraction(0)
 _SMALL = {-1: Fraction(-1), 0: _ZERO, 1: Fraction(1)}
 # The strings read with int(): on these, int() and Fraction() agree.
 _int_literal = re.compile(r"-?[0-9]+").fullmatch
+
+
+# Identity matrices shared by Mat.identity, up to this size.
+_SHARED_IDENTITY_MAX = 64
+_IDENTITIES: dict[int, "Mat"] = {}
 
 
 def rat(value) -> Fraction:
@@ -190,11 +205,19 @@ class Mat:
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
-        return cls._new(
-            tuple([tuple([1 if i == j else 0 for j in range(n)]) for i in range(n)]),
-            1,
-            n,
-        )
+        """I_n. A Mat is immutable, so the small ones are built once and
+        shared; a larger one is built anew, so that none is held for the
+        life of the process."""
+        m = _IDENTITIES.get(n)
+        if m is None:
+            m = cls._new(
+                tuple([tuple([1 if i == j else 0 for j in range(n)]) for i in range(n)]),
+                1,
+                n,
+            )
+            if n <= _SHARED_IDENTITY_MAX:
+                _IDENTITIES[n] = m
+        return m
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Mat":
@@ -297,78 +320,92 @@ class Mat:
 
 
 def rref(m: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form and pivot columns (deterministic).
-
-    Fraction-free Gauss-Jordan on the integer rows of m (its denominator
-    scales every row alike and does not move the RREF): a pivot row r
-    eliminates column c from row i as p*row_i - f*row_r (p, f divided by
-    their gcd), and every updated row is divided by the gcd of its entries.
-    Each integer row stays a nonzero multiple of the row that Fraction
-    elimination would hold, so the pivots are the same. Scaling each pivot
-    row to the lcm of the pivots gives the unique RREF in integer form.
-    """
-    a = [list(row) for row in m.ints]
-    n_rows, n_cols = m.rows, m.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        pivot_row = None
-        for i in range(r, n_rows):
-            if a[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        prow = a[r]
-        p = prow[c]
-        for i in range(n_rows):
-            row = a[i]
-            f = row[c]
-            if f and i != r:
-                g = gcd(p, f)
-                pg, fg = p // g, f // g
-                row = [pg * x - fg * y for x, y in zip(row, prow)]
-                g = gcd(*row)
-                if g > 1:
-                    row = [x // g for x in row]
-                a[i] = row
-        pivots.append(c)
-        r += 1
-    den = lcm(*[a[i][c] for i, c in enumerate(pivots)])
-    out = []
-    for i, c in enumerate(pivots):
-        k = den // a[i][c]
-        out.append(tuple(a[i]) if k == 1 else tuple([k * x for x in a[i]]))
-    out += [(0,) * n_cols] * (n_rows - r)
-    return Mat._new(*_lowest(tuple(out), den), n_cols), pivots
+    """Reduced row echelon form and pivot columns (deterministic): the
+    forward pass of the integer rows of m (its denominator scales every row
+    alike and does not move the RREF), then its back-substitution. The
+    RREF is unique and the result is in lowest terms, so it is the matrix
+    that any exact Gauss-Jordan elimination gives."""
+    den, pivots, rows = _back_substitute(_echelon(m.ints)[1])
+    out = [tuple(row) for row in rows] + [(0,) * m.cols] * (m.rows - len(rows))
+    return Mat._new(*_lowest(tuple(out), den), m.cols), pivots
 
 
-def independent_rows(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Positions of the integer rows that are independent of the rows
-    before them, found greedily in order by fraction-free elimination: the
-    pivot columns of the rref of the transpose. Each kept row is reduced
-    against the kept rows before it, so its first nonzero entry is zero in
-    every row kept after it."""
+def _echelon(
+    rows: Sequence[Sequence[int]],
+) -> tuple[list[int], list[tuple[int, list[int]]]]:
+    """The forward pass, the one elimination of the package: the positions
+    of the integer rows that are independent of the rows before them, and
+    those rows reduced, as (pivot column, row) in the order they were kept.
+
+    Rows are read in order and each is reduced, fraction-free, against the
+    rows kept before it: where the kept row b of pivot c meets an entry
+    f != 0 of v at c, v becomes b[c] * v - f * b, divided by the gcd of its
+    entries. A row still nonzero is kept, its first nonzero entry its
+    pivot. So every kept row is zero left of its pivot and at the pivots of
+    the rows kept before it; sorted by pivot the kept rows are a row
+    echelon form of the rows, and their pivots are the RREF's. Reading
+    stops once as many rows are kept as there are columns."""
     chosen: list[int] = []
-    basis: list[tuple[int, list[int]]] = []  # (pivot column, reduced row)
+    kept: list[tuple[int, list[int]]] = []
     for i, row in enumerate(rows):
         v = list(row)
-        for c, b in basis:
-            if v[c]:
-                p, f = b[c], v[c]
+        for c, b in kept:
+            f = v[c]
+            if f:
+                p = b[c]
                 v = [p * x - f * y for x, y in zip(v, b)]
                 common = gcd(*v)
                 if common > 1:
                     v = [x // common for x in v]
         for c, x in enumerate(v):
             if x:
-                basis.append((c, v))
+                kept.append((c, v))
                 chosen.append(i)
                 break
-    return chosen
+        else:
+            continue
+        if len(kept) == len(v):
+            break
+    return chosen, kept
+
+
+def _back_substitute(
+    kept: Sequence[tuple[int, list[int]]],
+) -> tuple[int, list[int], list[list[int]]]:
+    """The back-substitution: the RREF of rows kept by `_echelon` (all of
+    them, or any of them in the order kept) as (den, pivots, rows), the
+    nonzero RREF rows times den, sorted by pivot, den the lcm of the pivot
+    entries. Taken last to first, each row is cleared, fraction-free, at
+    the pivots of the rows kept after it; those are cleared already, and
+    zero at its pivot and at every other pivot, so one pass over them
+    suffices."""
+    done: list[tuple[int, list[int]]] = []
+    for c, v in reversed(kept):
+        for cb, b in done:
+            f = v[cb]
+            if f:
+                p = b[cb]
+                g = gcd(p, f)
+                pg, fg = p // g, f // g
+                v = [pg * x - fg * y for x, y in zip(v, b)]
+                g = gcd(*v)
+                if g > 1:
+                    v = [x // g for x in v]
+        done.append((c, v))
+    done.sort()  # the pivots differ, so no two rows are compared
+    den = lcm(*[v[c] for c, v in done])
+    rows = []
+    for c, v in done:
+        k = den // v[c]
+        rows.append(v if k == 1 else [k * x for x in v])
+    return den, [c for c, _ in done], rows
+
+
+def independent_rows(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Positions of the integer rows that are independent of the rows
+    before them, found greedily in order: the positions of the forward
+    pass, which are the pivot columns of the rref of the transpose."""
+    return _echelon(rows)[0]
 
 
 def hermite_normal_form(
@@ -447,71 +484,92 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 class Reduction:
-    """The rref of [m.ints | c_1 ... c_k]: the integer rows of m (its
-    denominator dropped) with the integer columns c_j appended, reduced
-    once and read for every c_j; an m with no rows needs no rref.
+    """The system m x = c_1, ..., c_k, eliminated once and read for every
+    c_j: the forward pass (`_echelon`) of [m.ints | c_1 ... c_k], the
+    integer rows of m (its denominator dropped) with the integer columns
+    c_j appended. An m with no rows needs no elimination.
 
-    The first `rank` rows carry the pivots of m, and the rows below have a
-    zero m-part. Column c_j is consistent iff it is zero in every one of
-    those lower rows, and its solution reads the pivot entries off the
-    first rows with the free variables zero: the same as a one-column
-    solve, since a pivot in some c_i only adds a lower row, which is zero
-    in every consistent column.
+    `rank` counts the kept rows whose pivot lies in m's columns, and
+    `augmented_rank` every kept row: the ranks of m and of [m | c_1 ...].
+    The kept rows with a pivot past m's columns have a zero m-part, and
+    they span every row of the row space that has one, so column c_j is
+    consistent iff it is zero in each of them, as in the RREF.
+
+    The back-substitution of the rows that carry m's pivots runs on the
+    first `solution` or `kernel` and is kept. It gives the RREF's first
+    `rank` rows up to multiples of the rows with a zero m-part, which are
+    zero in m's columns and in every consistent column. A solution reads
+    the pivot entries off those rows with the free variables zero: the
+    same as a one-column solve, since a pivot in some c_i only adds a row
+    with a zero m-part.
     """
 
-    __slots__ = ("_m", "_red", "_pivots", "rank")
+    __slots__ = ("_m", "_top", "_lower", "_reduced", "rank", "augmented_rank")
 
     def __init__(self, m: Mat, columns: Sequence[Sequence[int]]):
         if any(len(c) != m.rows for c in columns):
             raise ValueError("rhs length mismatch")
-        width = m.cols + len(columns)
-        if m.rows == 0:
-            self._red, self._pivots = Mat.zeros(0, width), []
-        else:
-            extra = list(zip(*columns)) if columns else [()] * m.rows
-            aug = tuple([row + cs for row, cs in zip(m.ints, extra)])
-            self._red, self._pivots = rref(Mat._new(aug, 1, width))
+        kept = []
+        if m.rows:
+            rows = m.ints
+            if columns:
+                rows = [row + cs for row, cs in zip(rows, zip(*columns))]
+            kept = _echelon(rows)[1]
+        n = m.cols
         self._m = m
-        self.rank = sum(1 for c in self._pivots if c < m.cols)
+        self._top = [pair for pair in kept if pair[0] < n]
+        self._lower = [row for c, row in kept if c >= n]
+        self._reduced = None
+        self.rank = len(self._top)
+        self.augmented_rank = len(kept)
+
+    def _pivot_rows(self) -> tuple[int, list[int], list[list[int]]]:
+        """(den, pivots, rows): the back-substituted rows that carry m's
+        pivots, built on first use and kept; rank 0 needs none."""
+        if self._reduced is None:
+            self._reduced = _back_substitute(self._top) if self._top else (1, [], [])
+        return self._reduced
 
     def consistent(self, j: int) -> bool:
         """Whether m x = c_j has a solution."""
         col = self._m.cols + j
-        return not any(row[col] for row in self._red.ints[self.rank :])
+        return not any(row[col] for row in self._lower)
 
     def solution(self, j: int, den: int = 1) -> Optional[tuple[int, list[int]]]:
         """(den_x, x), not reduced, with x / den_x the solution of
         m x = c_j / den whose free variables are zero, or None when c_j is
         inconsistent. m.ints y = c_j gives x = y * m.den, and the pivot
-        rows read y at each pivot as row[col] / red.den."""
+        rows read y at each pivot as row[col] / red_den."""
         if not self.consistent(j):
             return None
         m = self._m
         col = m.cols + j
+        red_den, pivots, rows = self._pivot_rows()
         x = [0] * m.cols
-        for row, c in zip(self._red.ints[: self.rank], self._pivots):
+        for row, c in zip(rows, pivots):
             x[c] = row[col] * m.den
-        return self._red.den * den, x
+        return red_den * den, x
 
     def kernel(self) -> "Subspace":
         """ker m in canonical form, with no further elimination: for each
-        free column f, in increasing order, the vector with red.den at f and
+        free column f, in increasing order, the vector with red_den at f and
         minus column f of the pivot rows at their pivots. A pivot row is
         zero left of its pivot, so f is that vector's last nonzero entry,
         and every other vector is 0 at f: the vectors are the reverse RREF
-        of ker m."""
+        of ker m. A full-rank m has the zero kernel and needs no
+        back-substitution."""
         n = self._m.cols
-        top = self._red.ints[: self.rank]
-        pivots = self._pivots[: self.rank]
+        if self.rank == n:
+            return Subspace._canonical(Mat.zeros(0, n))
+        den, pivots, rows = self._pivot_rows()
         pivot_set = set(pivots)
-        den = self._red.den
         vectors = []
         for f in range(n):
             if f in pivot_set:
                 continue
             v = [0] * n
             v[f] = den
-            for row, c in zip(top, pivots):
+            for row, c in zip(rows, pivots):
                 v[c] = -row[f]
             vectors.append(tuple(v))
         return Subspace._canonical(Mat._new(*_lowest(tuple(vectors), den), n))
@@ -532,7 +590,8 @@ def solve(m: Mat, b: Sequence) -> Optional[tuple[Fraction, ...]]:
 
 def kernel_basis(m: Mat) -> "Subspace":
     """Kernel of m as a canonical subspace of the column domain: the kernel
-    of its Reduction, one rref, or none when m has no rows."""
+    of its Reduction, one forward pass and, unless m has full column rank,
+    one back-substitution; neither runs when m has no rows."""
     return Reduction(m, ()).kernel()
 
 

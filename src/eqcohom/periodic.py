@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
 from operator import itemgetter, mul, sub
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import GRAPH_BUDGET, TRUNCATION_BUDGET, InputError, PreconditionError
 from .graphs import Cochain0, Cochain1, Edge, Graph
@@ -112,11 +112,14 @@ class PeriodicGraph(Frozen):
         return cls._build(d, quotient, voltages, read)
 
     @classmethod
-    def _build(cls, d: int, quotient: Graph, voltages: dict, read) -> "PeriodicGraph":
+    def _build(
+        cls, d: int, quotient: Graph, voltages: dict, read: Optional[Callable] = None
+    ) -> "PeriodicGraph":
         """A periodic graph whose edge e has the voltage read(e, t) of the
-        entry t under e.id. An edge with no entry, a voltage whose length
-        is not d, and a key that names no edge are refused, and so is a d
-        that brings vertices plus edges plus d over GRAPH_BUDGET."""
+        entry t under e.id, or t itself when there is no `read` (entries
+        read already). An edge with no entry, a voltage whose length is not
+        d, and a key that names no edge are refused, and so is a d that
+        brings vertices plus edges plus d over GRAPH_BUDGET."""
         if d < 1:
             raise InputError("periodic rank d must be >= 1")
         size = quotient.n_vertices + quotient.n_edges + d
@@ -130,7 +133,9 @@ class PeriodicGraph(Frozen):
         for e in quotient.edges:
             if e.id not in voltages:
                 raise InputError(f"missing voltage for edge {e.id}")
-            t = read(e, voltages[e.id])
+            t = voltages[e.id]
+            if read is not None:
+                t = read(e, t)
             if len(t) != d:
                 raise InputError(f"voltage of edge {e.id} has length != d")
             volt[e.id] = t
@@ -159,17 +164,17 @@ class PeriodicGraph(Frozen):
             given = obj["voltages"]
             if type(given) is not dict:
                 raise TypeError('"voltages" is not a JSON object')
+            # One pass in the object's order: each entry is read, and its
+            # key becomes the edge id when it is one as str writes it; every
+            # other key stays a string, which names no edge.
+            ids = {str(e.id): e.id for e in graph.edges}
             voltages = {
-                key: tuple([integer(x) for x in json_list(t)])
+                ids.get(key, key): tuple([integer(x) for x in json_list(t)])
                 for key, t in given.items()
             }
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad periodic graph JSON: {exc}") from exc
-        # Keys that are edge ids as str writes them become the ids; every
-        # other key stays a string, which names no edge.
-        ids = {str(e.id): e.id for e in graph.edges}
-        voltages = {ids.get(key, key): t for key, t in voltages.items()}
-        return cls._build(d, graph, voltages, lambda e, t: t)
+        return cls._build(d, graph, voltages)
 
     @cached_property
     def edge_voltages(self) -> tuple[tuple[int, ...], ...]:

@@ -11,6 +11,7 @@ characterization.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from math import gcd
 from typing import NamedTuple, Sequence
 
@@ -23,7 +24,7 @@ from .instance import (
     slot_solutions,
     verify_iff,
 )
-from .linalg import Mat
+from .linalg import Mat, independent_rows
 from .records import Record
 
 MAX_GENS = 3  # most generators of a random linear instance
@@ -31,13 +32,14 @@ MAX_GENS = 3  # most generators of a random linear instance
 
 def random_invertible(rng: random.Random, n: int) -> Mat:
     """A random invertible n x n integer matrix: dense blocks with entries
-    in [-2, 2] are drawn until one is nonsingular."""
+    in [-2, 2] are drawn until one is nonsingular, tested on the drawn rows
+    before a Mat is made."""
     if n == 0:
         return Mat.zeros(0, 0)
     while True:
-        m = Mat.from_ints([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
-        if m.is_invertible():
-            return m
+        rows = [tuple([rng.randint(-2, 2) for _ in range(n)]) for _ in range(n)]
+        if len(independent_rows(rows)) == n:
+            return Mat._new(tuple(rows), 1, n)
 
 
 def _elementary_ops(rng: random.Random, n: int) -> list[tuple[int, ...]]:
@@ -99,9 +101,11 @@ def _beside(n: int, mats: list[Mat]) -> list[list[int]]:
     return rows
 
 
+@lru_cache(maxsize=256)
 def _adapted_pi(m: int, r: int, s: int) -> Mat:
     """pi0 = [0 I_r; 0 0], of shape (r + s) x (m + r): ker pi0 is spanned
-    by the first m coordinates of U."""
+    by the first m coordinates of U. A Mat is immutable, so one is built
+    per (m, r, s) and shared."""
     dim_u = m + r
     return Mat.from_ints(
         [[1 if c == m + row else 0 for c in range(dim_u)] for row in range(r)]
@@ -114,28 +118,41 @@ def _block_pair(
     a: Mat, b: Sequence[Sequence[int]], dmat: Mat, f: Sequence[Sequence[int]], h: Mat
 ) -> tuple[Mat, Mat]:
     """The adapted-basis generator gu0 = [a b; 0 dmat] on U and
-    gw0 = [dmat f; 0 h] on W, for square a (m x m), dmat (r x r) and h
-    (s x s), and integer rows b (m x r) and f (r x s). Both are block
-    triangular with the same dmat, so pi0 gu0 = [0 dmat; 0 0] = gw0 pi0
-    for pi0 = _adapted_pi(m, r, s)."""
+    gw0 = [dmat f; 0 h] on W, for square integer a (m x m), dmat (r x r)
+    and h (s x s), and integer rows b (m x r) and f (r x s); their integer
+    rows are wrapped as they are. Both are block triangular with the same
+    dmat, so pi0 gu0 = [0 dmat; 0 0] = gw0 pi0 for
+    pi0 = _adapted_pi(m, r, s)."""
     m, r, s = a.rows, dmat.rows, h.rows
-    gu0 = Mat.from_ints(
-        [a.ints[i] + tuple(b[i]) for i in range(m)]
-        + [(0,) * m + dmat.ints[i] for i in range(r)],
-        cols=m + r,
+    gu0 = Mat._new(
+        tuple(
+            [a.ints[i] + tuple(b[i]) for i in range(m)]
+            + [(0,) * m + dmat.ints[i] for i in range(r)]
+        ),
+        1,
+        m + r,
     )
-    gw0 = Mat.from_ints(
-        [dmat.ints[i] + tuple(f[i]) for i in range(r)]
-        + [(0,) * r + h.ints[i] for i in range(s)],
-        cols=r + s,
+    gw0 = Mat._new(
+        tuple(
+            [dmat.ints[i] + tuple(f[i]) for i in range(r)]
+            + [(0,) * r + h.ints[i] for i in range(s)]
+        ),
+        1,
+        r + s,
     )
     return gu0, gw0
 
 
 def random_linear_instance(rng: random.Random, max_dim: int = 6) -> LinearInstance:
-    """Valid random instance: adapted-basis block construction + conjugation."""
+    """Valid random instance, drawn from one of the two linear families:
+    the designed equality instances or the general block instances."""
     if rng.random() < 0.35:
         return _designed_equality_instance(rng, max_dim)
+    return _block_instance(rng, max_dim)
+
+
+def _block_instance(rng: random.Random, max_dim: int) -> LinearInstance:
+    """Adapted-basis block construction with random blocks + conjugation."""
     dim_u = rng.randint(1, max_dim)
     m = rng.randint(0, min(2, dim_u))
     r = dim_u - m

@@ -1,17 +1,21 @@
 import argparse
+import contextlib
 import functools
 import json
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
+
+import eqcohom.linalg
 
 from eqcohom.cli import cmd_analyze, cmd_fixtures, cmd_graph, cmd_periodic, cmd_verify
 from eqcohom.errors import PreconditionError
 from eqcohom.fixtures import FIXTURE_NAMES
 from eqcohom.graphs import ActionOrbits, Cochain1, Graph, GraphAction, potential
-from eqcohom.linalg import Mat, Subspace, rat, rref, solve, vec
+from eqcohom.linalg import Mat, Subspace, _lowest, rat, solve, vec
 from eqcohom.periodic import PeriodicGraph
 from eqcohom.randomized import _apply_ops, _elementary_ops
 
@@ -91,13 +95,96 @@ def subspace_sum(a, b):
     return Subspace(a.ambient_dim, list(a.basis.data) + list(b.basis.data))
 
 
+def rref_reference(m):
+    """Reduced row echelon form and pivot columns by column-by-column
+    Gauss-Jordan: the routine that linalg.rref's forward pass and
+    back-substitution replaced, kept as its reference.
+
+    Fraction-free Gauss-Jordan on the integer rows of m (its denominator
+    scales every row alike and does not move the RREF): a pivot row r
+    eliminates column c from row i as p*row_i - f*row_r (p, f divided by
+    their gcd), and every updated row is divided by the gcd of its entries.
+    Each integer row stays a nonzero multiple of the row that Fraction
+    elimination would hold, so the pivots are the same. Scaling each pivot
+    row to the lcm of the pivots gives the unique RREF in integer form.
+    """
+    a = [list(row) for row in m.ints]
+    n_rows, n_cols = m.rows, m.cols
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        if r == n_rows:
+            break
+        pivot_row = None
+        for i in range(r, n_rows):
+            if a[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        prow = a[r]
+        p = prow[c]
+        for i in range(n_rows):
+            row = a[i]
+            f = row[c]
+            if f and i != r:
+                g = gcd(p, f)
+                pg, fg = p // g, f // g
+                row = [pg * x - fg * y for x, y in zip(row, prow)]
+                g = gcd(*row)
+                if g > 1:
+                    row = [x // g for x in row]
+                a[i] = row
+        pivots.append(c)
+        r += 1
+    den = lcm(*[a[i][c] for i, c in enumerate(pivots)])
+    out = []
+    for i, c in enumerate(pivots):
+        k = den // a[i][c]
+        out.append(tuple(a[i]) if k == 1 else tuple([k * x for x in a[i]]))
+    out += [(0,) * n_cols] * (n_rows - r)
+    return Mat._new(*_lowest(tuple(out), den), n_cols), pivots
+
+
+@contextlib.contextmanager
+def counted_elimination():
+    """Inside the block, record every elimination that linalg runs: each
+    forward pass (`_echelon`) as the (rows, columns) it reads, each
+    back-substitution (`_back_substitute`) as the number of rows it
+    reduces, and each `rref` as the shape of its matrix. Yields the dict
+    of the three lists, keyed "forward", "back" and "rref"."""
+    linalg = eqcohom.linalg
+    calls = {"forward": [], "back": [], "rref": []}
+    echelon, back, rref = linalg._echelon, linalg._back_substitute, linalg.rref
+
+    def counted_echelon(rows):
+        calls["forward"].append((len(rows), len(rows[0]) if rows else 0))
+        return echelon(rows)
+
+    def counted_back(kept):
+        calls["back"].append(len(kept))
+        return back(kept)
+
+    def counted_rref(m):
+        calls["rref"].append((m.rows, m.cols))
+        return rref(m)
+
+    linalg._echelon, linalg._back_substitute = counted_echelon, counted_back
+    linalg.rref = counted_rref
+    try:
+        yield calls
+    finally:
+        linalg._echelon, linalg._back_substitute, linalg.rref = echelon, back, rref
+
+
 def kernel_reference(m):
-    """ker m as one vector per free column f of rref(m), red.den at f and
-    minus the RREF's integer column f at the pivots, canonicalized anew by
-    Subspace: a reference for linalg.kernel_basis that takes the full rref
-    of m rather than a Reduction and trusts no form of the vectors it
-    reads."""
-    red, pivots = rref(m)
+    """ker m as one vector per free column f of the RREF of m, red.den at f
+    and minus the RREF's integer column f at the pivots, canonicalized anew
+    by Subspace: a reference for linalg.kernel_basis that takes the
+    reference Gauss-Jordan of m rather than a Reduction and trusts no form
+    of the vectors it reads."""
+    red, pivots = rref_reference(m)
     vectors = []
     for f in range(m.cols):
         if f in pivots:

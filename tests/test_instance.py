@@ -40,9 +40,22 @@ from eqcohom.instance import (
     verify_iff,
 )
 from eqcohom.linalg import Mat, Subspace, kernel_basis, rat, vec
-from eqcohom.randomized import random_graph_instance, random_linear_instance
+from eqcohom.randomized import (
+    VerifyResult,
+    _block_instance,
+    _designed_equality_instance,
+    check_one_instance,
+    random_graph_instance,
+    random_linear_instance,
+)
 
-from conftest import READER_ENTRIES, find_ujk_reference, fixed_W, stacked_moves
+from conftest import (
+    READER_ENTRIES,
+    counted_elimination,
+    find_ujk_reference,
+    fixed_W,
+    stacked_moves,
+)
 
 
 def kernel_vectors(inst):
@@ -259,6 +272,51 @@ def test_rank_identity_matches_oracle():
     assert kinds >= {(True, True, False), (False, True, False), (False, False, True)}
 
 
+def test_rank_reading_matches_the_basis_formula():
+    # verify_iff reads dim = rank G - rank((gW - id) pi) - rank(G K) and
+    # check_condition_ii reads rank [G | T] = rank G; both against the
+    # basis formula dim U~ - dim U^G - rank(G K) and every slot target
+    # consistent, on 2,000 seeded draws of each linear family and of the
+    # graph family. The harness, run on each draw with ker pi already
+    # built, builds no RREF for an instance that does not decompose: no
+    # rref and no back-substitution.
+    rng = random.Random(8128)
+    # (dim == m*d, decomposes) as each family draws them: only the block
+    # family has m*d = 0, and only the graph family never decomposes.
+    expected_kinds = {
+        "block": {(True, True), (True, False), (False, False)},
+        "designed": {(True, True)},
+        "graph": {(False, False)},
+    }
+    families = {
+        "block": lambda i: _block_instance(rng, 2 + i % 5),
+        "designed": lambda i: _designed_equality_instance(rng, 2 + i % 5),
+        "graph": lambda i: random_graph_instance(rng),
+    }
+    result = VerifyResult(seed=0, count=0)
+    for name, draw in families.items():
+        kinds = set()
+        for i in range(2000):
+            inst = draw(i)
+            m, d = inst.m, inst.d  # ker pi, built before the count
+            with counted_elimination() as calls:
+                check_one_instance(inst, rng, result, i)
+            iff = verify_iff(inst)
+            decomposes = iff.condition_i and iff.condition_ii and m > 0
+            if not decomposes:
+                assert calls == {"forward": calls["forward"], "back": [], "rref": []}
+            basis_dim = (
+                inst.fixed_preimage.dim - inst.fixed_U.dim - inst.kernel_moves.rank()
+            )
+            assert iff.dim == basis_dim
+            reduction = inst.moves_reduction
+            every_target = all(reduction.consistent(t) for t in range(d * m))
+            assert iff.condition_ii == check_condition_ii(inst) == every_target
+            kinds.add((iff.dim == m * d, decomposes))
+        assert kinds == expected_kinds[name], (name, kinds)
+    assert result.ok and result.checked == 6000
+
+
 def test_condition_i_injective():
     inst = LinearInstance(
         2, 2, Mat.identity(2), ((Mat([[0, 1], [1, 0]]), Mat([[0, 1], [1, 0]])),), {}
@@ -344,41 +402,37 @@ def test_find_ujk_rejects_non_basis():
         find_ujk(shear_instance(), [[1, 0]])
 
 
-def test_find_ujk_and_condition_ii_run_one_rref(monkeypatch):
+def test_find_ujk_and_condition_ii_run_one_rref():
     # All d*m slot targets share one elimination of [G | T], kept on the
-    # instance beside ker pi: the first check_condition_ii runs it, and a
-    # repeat call and find_ujk on the canonical basis run no rref. Another
-    # basis costs one, the check that it spans ker pi: its u_jk are read
-    # from the canonical ones by a change of basis.
+    # instance beside ker pi. The first check_condition_ii runs its forward
+    # pass and reads (ii) off its two ranks, with no back-substitution; a
+    # repeat call runs nothing, and find_ujk on the canonical basis runs
+    # only the one back-substitution of G's pivot rows, and that only when
+    # (ii) holds. Another basis costs one rref, the check that it spans
+    # ker pi: its u_jk are read from the canonical ones by a change of
+    # basis. No rref runs for the canonical basis.
     rng = random.Random(41)
     instances = [double_shear_instance()]
     while len(instances) < 12:
         inst = random_linear_instance(rng)
         if inst.d * inst.m >= 2:
             instances.append(inst)
-    shapes = []
-    original = eqcohom.linalg.rref
-
-    def counted(m):
-        shapes.append((m.rows, m.cols))
-        return original(m)
-
     answers = set()
     for inst in instances:
         basis = inst.kernel.basis_vectors()
         n, d, m = inst.dim_U, inst.d, inst.m
-        monkeypatch.setattr(eqcohom.linalg, "rref", counted)
-        holds = check_condition_ii(inst)
-        assert shapes == [(d * n, n + d * m)]
-        shapes.clear()
-        assert check_condition_ii(inst) == holds
-        assert (find_ujk(inst, basis) is not None) == holds
-        assert shapes == []
-        scaled = [[2 * x for x in u] for u in basis]
-        assert (find_ujk(inst, scaled) is not None) == holds
-        assert shapes == [(m, n)]
-        shapes.clear()
-        monkeypatch.setattr(eqcohom.linalg, "rref", original)
+        with counted_elimination() as calls:
+            holds = check_condition_ii(inst)
+            assert calls == {"forward": [(d * n, n + d * m)], "back": [], "rref": []}
+            calls["forward"].clear()
+            assert check_condition_ii(inst) == holds
+            assert (find_ujk(inst, basis) is not None) == holds
+            rank = inst.moves_reduction.rank
+            assert calls == {"forward": [], "back": [rank] if holds else [], "rref": []}
+            calls["back"].clear()
+            scaled = [[2 * x for x in u] for u in basis]
+            assert (find_ujk(inst, scaled) is not None) == holds
+            assert calls == {"forward": [(m, n)], "back": [m], "rref": [(m, n)]}
         answers.add(holds)
     assert answers == {True, False}
 

@@ -1,5 +1,6 @@
 """Every elimination runs in linalg: no other module of src/eqcohom imports
-`rref` or reaches into a `Reduction`, and the one lattice routine, the HNF,
+`rref`, the forward pass `_echelon` or its back-substitution, or reaches
+into a `Reduction`, and the one lattice routine, the HNF,
 is linalg's. The package `__init__` re-exports `rref` as public API, and
 may, since it holds nothing but imports and assignments."""
 
@@ -10,7 +11,7 @@ from eqcohom import periodic
 from eqcohom.linalg import Reduction, hermite_normal_form
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "eqcohom"
-FORBIDDEN_NAMES = {"rref", "_rref_augmented"}
+FORBIDDEN_NAMES = {"rref", "_rref_augmented", "_echelon", "_back_substitute"}
 REDUCTION_INTERNALS = {name for name in Reduction.__slots__ if name.startswith("_")}
 
 

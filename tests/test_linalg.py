@@ -1,8 +1,10 @@
+import itertools
 import random
 import time
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 import pytest
 
@@ -25,9 +27,11 @@ from eqcohom.linalg import (
 
 from conftest import (
     RAT_STRINGS,
+    counted_elimination,
     fraction_of,
     hnf_reference,
     kernel_reference,
+    rref_reference,
     subspace_sum,
 )
 
@@ -241,11 +245,14 @@ def test_rank_nullity():
         assert len(rref(m)[1]) + kernel_basis(m).dim == cols
 
 
-def test_kernel_basis_one_rref_matches_reference(monkeypatch):
-    # The kernel read off the one rref of m (none when m has no rows)
-    # equals the free-column construction canonicalized by a second rref,
-    # on zero, empty, tall, wide and full-rank matrices, over non-unit
-    # denominators.
+def test_kernel_basis_one_rref_matches_reference():
+    # The kernel read off one forward pass of m and at most one
+    # back-substitution, of its rank(m) pivot rows (no elimination when m
+    # has no rows, and no back-substitution when its rank is 0 or it has
+    # full column rank), equals the free-column construction on the
+    # reference Gauss-Jordan canonicalized by an rref, on zero, empty,
+    # tall, wide and full-rank matrices, over non-unit denominators. No
+    # rref runs.
     rng = random.Random(29)
     mats = [
         Mat.zeros(0, 0), Mat.zeros(0, 4), Mat.zeros(3, 0), Mat.zeros(3, 5),
@@ -262,23 +269,27 @@ def test_kernel_basis_one_rref_matches_reference(monkeypatch):
             if m.rank() == min(rows, cols):
                 break
         mats.append(m)
-    calls = []
-
-    def counted(m):
-        calls.append((m.rows, m.cols))
-        return rref(m)
-
+    kinds = set()
     for m in mats:
         expected = kernel_reference(m)
-        monkeypatch.setattr(eqcohom.linalg, "rref", counted)
-        ker = kernel_basis(m)
-        monkeypatch.setattr(eqcohom.linalg, "rref", rref)
-        assert calls == ([(m.rows, m.cols)] if m.rows else [])
-        calls.clear()
+        rank = m.rank()
+        with counted_elimination() as calls:
+            ker = kernel_basis(m)
+        assert calls == {
+            "forward": [(m.rows, m.cols)] if m.rows else [],
+            "back": [rank] if 0 < rank < m.cols else [],
+            "rref": [],
+        }
+        kinds.add((m.rows > 0, rank > 0, rank == m.cols))
         assert ker == expected
         assert (ker.ambient_dim, ker.dim) == (m.cols, m.cols - m.rank())
         _check_normal_form(ker.basis)
         assert ker.basis == Subspace(m.cols, ker.basis).basis
+    # (rows, rank > 0, full column rank): every kind occurs.
+    assert kinds == set(itertools.product((False, True), repeat=3)) - {
+        (False, True, False),
+        (False, True, True),
+    }
 
 
 def test_kernel_vectors_annihilated():
@@ -415,6 +426,115 @@ def test_rank_counts_the_rref_pivots(monkeypatch):
     assert calls == []
     assert {(True, True, True), (True, False, True), (True, True, False)} <= kinds
     assert (True, False, False) in kinds
+
+
+def _reference_solution(m, column, den):
+    """The solution of m x = column / den with the free variables zero,
+    read off the reference Gauss-Jordan of [m.ints | column], or None when
+    the column raises the rank."""
+    aug = Mat.from_ints([row + (c,) for row, c in zip(m.ints, column)], cols=m.cols + 1)
+    red, pivots = rref_reference(aug)
+    if m.cols in pivots:
+        return None
+    x = [Fraction(0)] * m.cols
+    for row, c in zip(red.ints, pivots):
+        x[c] = Fraction(row[m.cols] * m.den, red.den * den)
+    return tuple(x)
+
+
+def _echelon_cases(rng):
+    """Seeded matrices of every kind the forward pass meets: no rows, no
+    columns, tall, wide, zero, with duplicate rows and with denominators
+    other than 1."""
+    mats = [
+        Mat.zeros(0, 0), Mat.zeros(0, 5), Mat.zeros(4, 0), Mat.zeros(3, 4),
+        Mat.identity(5), Mat([["1/2", "2/3"], ["3/4", "5/6"]]),
+        Mat([[1, 2, 3], [1, 2, 3], [2, 4, 6]]),
+    ]
+    shapes = [(1, 1), (2, 7), (7, 2), (8, 3), (3, 8), (5, 5), (6, 6), (1, 6), (6, 1)]
+    for rows, cols in shapes * 20:
+        kind = rng.randrange(4)
+        if kind == 0:
+            m = random_matrix(rng, rows, cols, denoms=(1, 2, 3, 7))
+        elif kind == 1:
+            m = _low_rank_matrix(rng, rows, cols)
+        elif kind == 2:
+            m = _sixths_matrix(rng, rows, cols)
+        else:
+            # Duplicate and zero rows spliced into a random one.
+            ints = [list(row) for row in random_matrix(rng, rows, cols).ints]
+            for _ in range(rng.randint(1, 3)):
+                ints.insert(rng.randint(0, len(ints)), list(rng.choice(ints)))
+            ints.insert(rng.randint(0, len(ints)), [0] * cols)
+            m = Mat.from_ints(ints, cols=cols)
+        mats.append(m)
+    return mats
+
+
+def test_forward_pass_and_lazy_rref_match_reference_gauss_jordan():
+    # Every reading of a Reduction against the reference Gauss-Jordan, on
+    # seeded matrices of every kind: rank m and rank [m | c_1 ...] from
+    # the forward pass, each c_j's consistency and its solution, and the
+    # kernel, read in either order, from one back-substitution at most;
+    # rref's output and pivots, and the positions of independent_rows.
+    rng = random.Random(97)
+    kinds = set()
+    for m in _echelon_cases(rng):
+        ref_red, ref_pivots = rref_reference(m)
+        red, pivots = rref(m)
+        assert (red.ints, red.den, red.cols, pivots) == (
+            ref_red.ints, ref_red.den, ref_red.cols, ref_pivots
+        )
+        if m.rows and m.cols:
+            transpose = rref_reference(m.transpose())[1]
+        else:
+            transpose = []
+        assert independent_rows(m.ints) == transpose
+        assert m.rank() == len(ref_pivots)
+        # Columns in the column space of m, and columns most likely not.
+        columns = []
+        for _ in range(rng.randint(0, 4)):
+            if rng.random() < 0.5:
+                x = [rng.randint(-3, 3) for _ in range(m.cols)]
+                columns.append([sum(map(mul, row, x)) for row in m.ints])
+            else:
+                columns.append([rng.randint(-3, 3) for _ in range(m.rows)])
+        den = rng.choice((1, 2, 5))
+        with counted_elimination() as calls:
+            reduction = Reduction(m, columns)
+            kernel_first = reduction.kernel() if rng.random() < 0.5 else None
+            answers = [
+                (reduction.consistent(j), reduction.solution(j, den))
+                for j in range(len(columns))
+            ]
+            kernel = reduction.kernel()
+        assert len(calls["back"]) <= 1 and calls["rref"] == []
+        assert calls["forward"] == ([(m.rows, m.cols + len(columns))] if m.rows else [])
+        aug_rows = m.ints
+        if columns:
+            aug_rows = [row + cs for row, cs in zip(m.ints, zip(*columns))]
+        aug = Mat.from_ints(aug_rows, cols=m.cols + len(columns))
+        aug_pivots = rref_reference(aug)[1]
+        assert reduction.rank == len(ref_pivots)
+        assert reduction.augmented_rank == len(aug_pivots)
+        assert kernel == kernel_reference(m)
+        assert kernel_first in (None, kernel)
+        for column, (consistent, sol) in zip(columns, answers):
+            expected = _reference_solution(m, column, den)
+            assert consistent == (expected is not None)
+            got = None if sol is None else tuple([Fraction(v, sol[0]) for v in sol[1]])
+            assert got == expected
+            kinds.add(("consistent", consistent))
+        kinds.add((m.rows == 0, m.cols == 0, m.rows > m.cols, m.den > 1))
+    assert ("consistent", True) in kinds and ("consistent", False) in kinds
+    assert {
+        (True, False, False, False),
+        (False, True, True, False),
+        (False, False, True, True),
+        (False, False, False, True),
+        (False, False, True, False),
+        (False, False, False, False),
+    } <= kinds
 
 
 def test_independent_rows_are_the_transpose_rref_pivots():

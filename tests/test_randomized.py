@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from eqcohom.randomized import (
     run_verification,
 )
 
-from conftest import random_unimodular, stacked_moves
+from conftest import counted_elimination, random_unimodular, stacked_moves
 
 
 def test_random_linear_instances_pass_full_validation():
@@ -201,44 +202,64 @@ def test_conjugated_runs_one_pass_per_side(monkeypatch):
 
 
 def test_fixed_spaces_and_kernel_built_once(monkeypatch):
-    # verify_iff, find_ujk and decompose build ker pi and U~ = pi^-1(W^G)
-    # once each, and the rref of [G | T] behind U^G, condition (ii) and the
-    # ujk once; U^G takes no kernel_basis of its own, and W^G is not built.
+    # verify_iff, find_ujk and decompose eliminate pi, [G | T] and
+    # (gW - id) pi once each, with one Reduction of [G | T] behind rank G,
+    # U^G, condition (ii) and the ujk; W^G is not eliminated. The
+    # back-substitutions run only where a basis or a solution is read: ker
+    # pi's in verify_iff, G's pivot rows for the ujk (U^G reads the same
+    # rows), and the decomposition's two solves once per target rather
+    # than once per choice of the ujk. U~'s basis is not read, since
+    # verify_iff reads its dimension as a rank.
     inst = double_shear_instance()
+    n, d = inst.dim_U, inst.d
+    kb = [list(v) for v in inst.kernel.basis_vectors()]
     stacks = {
-        "ker pi": inst.pi,
-        "U^G": stacked_moves([gu for gu, _ in inst.generators], inst.dim_U),
-        "U~": Mat.vstack([(gw - Mat.identity(inst.dim_W)) * inst.pi for _, gw in inst.generators]),
-        "W^G": stacked_moves([gw for _, gw in inst.generators], inst.dim_W),
+        "pi": inst.pi,
+        "G": stacked_moves([gu for gu, _ in inst.generators], n),
+        "(gW - id) pi": Mat.vstack(
+            [(gw - Mat.identity(inst.dim_W)) * inst.pi for _, gw in inst.generators]
+        ),
+        "gW - id": stacked_moves([gw for _, gw in inst.generators], inst.dim_W),
+        "K^T": Mat(kb).transpose(),
     }
     assert len(set(stacks.values())) == len(stacks)
-    built = {name: 0 for name in stacks}
+    inst = double_shear_instance()  # afresh, so that ker pi is counted too
+    built = Counter()
     reductions = []
-    kernel_basis = eqcohom.instance.kernel_basis
+    init = eqcohom.linalg.Reduction.__init__
     reduce_moves = eqcohom.instance._reduce_moves
 
-    def counting(m):
-        for name, stack in stacks.items():
-            if m == stack:
-                built[name] += 1
-        return kernel_basis(m)
+    def counting(self, m, columns):
+        names = [name for name, stack in stacks.items() if m == stack]
+        built[(*names, len(columns))] += 1
+        init(self, m, columns)
 
     def counting_reduction(inst):
         reductions.append(inst)
         return reduce_moves(inst)
 
-    monkeypatch.setattr(eqcohom.instance, "kernel_basis", counting)
+    monkeypatch.setattr(eqcohom.linalg.Reduction, "__init__", counting)
     monkeypatch.setattr(eqcohom.instance, "_reduce_moves", counting_reduction)
-    assert verify_iff(inst).iff_ok
-    kb = [list(v) for v in inst.kernel.basis_vectors()]
-    ujk = find_ujk(inst, kb)
-    assert find_ujk(inst, kb) == ujk
-    w = inst.pi.mulvec([2, -1, 3, 7])
-    first = decompose(inst, w, ujk, kb)
-    assert decompose(inst, w, ujk, kb) == first
-    assert inst.fixed_U.dim == 2
-    assert built == {"ker pi": 1, "U^G": 0, "U~": 1, "W^G": 0}
+    with counted_elimination() as calls:
+        assert verify_iff(inst).iff_ok
+        ujk = find_ujk(inst, kb)
+        assert find_ujk(inst, kb) == ujk
+        w = inst.pi.mulvec([2, -1, 3, 7])
+        first = decompose(inst, w, ujk, kb)
+        assert decompose(inst, w, ujk, kb) == first
+        assert inst.fixed_U.dim == 2
+    m, rank_pi = inst.m, inst.pi.rank()
+    assert built == {
+        ("pi", 0): 1,
+        ("G", d * m): 1,
+        ("(gW - id) pi", 0): 1,
+        ("pi", 1): 2,
+        ("K^T", d): 2,
+    }
     assert reductions == [inst]
+    rank_g = inst.moves_reduction.rank
+    assert calls["back"] == [rank_pi, rank_g, rank_pi, m, rank_pi, m]
+    assert calls["rref"] == []
 
 
 def test_verify_runs_no_subspace_oracle(monkeypatch):
@@ -255,32 +276,40 @@ def test_verify_runs_no_subspace_oracle(monkeypatch):
 
 
 def test_verify_rref_budget_per_request(monkeypatch):
-    # With one rref per kernel (none for a matrix with no rows), the
-    # quotient dimension read off ranks that build no rref, one rref of
-    # [G | T] per instance for U^G, condition (ii) and the ujk, no rref in
-    # the generator, the decomposition's two solves run once per target
+    # With one Reduction per kernel and per solve (no elimination for a
+    # matrix with no rows), the quotient dimension read off ranks, one
+    # Reduction of [G | T] per instance for rank G, condition (ii), U^G
+    # and the ujk, the decomposition's two solves run once per target
     # rather than once per choice of the ujk, and one product for U~, a
-    # `verify --count 10` request runs about 35 rrefs and 49 matrix
-    # products (seeds 0-19).
-    calls = []
+    # `verify --count 10` request runs about 35 forward passes behind a
+    # solve or a kernel, 25 rank tests (Mat.rank and the generator's
+    # draws, each a forward pass), 15 back-substitutions, no rref and 49
+    # matrix products (seeds 0-19). The back-substitutions run only for
+    # ker pi and for instances that decompose.
     products = []
-    rref = eqcohom.linalg.rref
+    rank_tests = []
     mul = Mat.__mul__
-
-    def counted(m):
-        calls.append(1)
-        return rref(m)
+    independent_rows = eqcohom.linalg.independent_rows
 
     def counted_mul(a, b):
         products.append(1)
         return mul(a, b)
 
-    monkeypatch.setattr(eqcohom.linalg, "rref", counted)
+    def counted_rank_test(rows):
+        rank_tests.append(1)
+        return independent_rows(rows)
+
     monkeypatch.setattr(Mat, "__mul__", counted_mul)
+    for module in (eqcohom.linalg, eqcohom.randomized):
+        monkeypatch.setattr(module, "independent_rows", counted_rank_test)
     seeds = range(20)
-    for seed in seeds:
-        assert run_verification(seed, 10).ok
-    assert len(calls) <= 36 * len(seeds)
+    with counted_elimination() as calls:
+        for seed in seeds:
+            assert run_verification(seed, 10).ok
+    assert len(calls["forward"]) - len(rank_tests) <= 36 * len(seeds)
+    assert len(rank_tests) <= 25 * len(seeds)
+    assert len(calls["back"]) <= 16 * len(seeds)
+    assert calls["rref"] == []
     assert len(products) <= 50 * len(seeds)
 
 

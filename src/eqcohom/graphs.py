@@ -20,7 +20,6 @@ alone.
 
 from __future__ import annotations
 
-from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
@@ -29,7 +28,7 @@ from typing import NamedTuple, Optional, Sequence
 from .errors import CLOSURE_ENTRY_BUDGET, GRAPH_BUDGET, InputError, PreconditionError
 from .instance import LinearInstance
 from .linalg import Mat, _cleared, _frac, integer, json_list
-from .records import Frozen, Record
+from .records import Frozen, Record, cached
 
 GROUP_CLOSURE_CAP = 100000
 
@@ -76,7 +75,7 @@ class Graph(Frozen):
     def n_edges(self) -> int:
         return len(self.edges)
 
-    @cached_property
+    @cached
     def forest(self) -> "Forest":
         """The BFS spanning forest, built on first use and kept with the graph."""
         return Forest.build(self)
@@ -386,7 +385,7 @@ class ActionOrbits:
         self.edge_maps: tuple[list[tuple[int, int]], ...] = () if issues else tuple(maps)
         self.vertex_orders: tuple[int, ...] = () if issues else tuple(orders)
 
-    @cached_property
+    @cached
     def orbit_sizes(self) -> list[int]:
         """The size of each vertex orbit, orbits ordered by their least
         vertex. Each orbit is grown from its least unseen vertex through the

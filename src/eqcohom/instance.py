@@ -13,8 +13,8 @@ The quotient dimension is read off three ranks, with no subspace
 intersection. Write K for the basis of ker pi (m vectors), G for the stack
 of the blocks gU_i - id, and U~ = pi^-1(W^G), the common kernel of the
 blocks (gW_i - id) pi. The moves are held in that one shape: `moves_U` is
-G and `moves_W` the stack of the blocks gW_i - id, each one Mat built once
-per instance, with no rows when d = 0. Then:
+G and `moves_W` the stack of the blocks gW_i - id, each one Mat written
+straight from the generators' integer rows, with no rows when d = 0. Then:
 
 - im(pi) ^ W^G = pi(U~), and ker pi lies in U~, so its dimension is
   dim U~ - m;
@@ -48,8 +48,8 @@ most once per instance:
   `preimage_reduction`, its own forward pass, so that the rank identity
   above is not true by construction; its kernel, U~ itself, is
   back-substituted only when read.
-- rank(G K): Mat.rank counts the independent rows of the (d * dim_U) x m
-  matrix G K (linalg.independent_rows, a forward pass).
+- rank(G K): Mat.rank counts the independent rows of G K, the dot
+  products of the rows of G and K (linalg.independent_rows, a forward pass).
 
 So verify_iff runs forward passes only, beyond the kernel of pi.
 
@@ -65,9 +65,9 @@ choice of the u_jk (Decomposer):
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain
 from math import gcd, isqrt, lcm
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DENSE_BUDGET, InputError, PreconditionError
@@ -77,6 +77,7 @@ from .linalg import (
     Subspace,
     _cleared,
     _frac,
+    _lowest,
     integer,
     json_list,
     kernel_basis,
@@ -85,7 +86,7 @@ from .linalg import (
     subspace_intersection,
     vec,
 )
-from .records import Frozen
+from .records import Frozen, cached
 
 
 class LinearInstance(Frozen):
@@ -100,7 +101,7 @@ class LinearInstance(Frozen):
     def d(self) -> int:
         return len(self.generators)
 
-    @cached_property
+    @cached
     def kernel(self) -> Subspace:
         """ker pi, computed on first use and kept with the instance."""
         return kernel_basis(self.pi)
@@ -109,48 +110,50 @@ class LinearInstance(Frozen):
     def m(self) -> int:
         return self.kernel.dim
 
-    @cached_property
+    @cached
     def moves_U(self) -> Mat:
         """G, the (d * dim_U) x dim_U stack of the blocks gU_i - id: the map
         u -> ((g_1 - id)u, ..., (g_d - id)u), kept like `kernel`."""
         return _stacked_moves([gu for gu, _ in self.generators], self.dim_U)
 
-    @cached_property
+    @cached
     def moves_W(self) -> Mat:
         """The (d * dim_W) x dim_W stack of the blocks gW_i - id, kept like
         `kernel`."""
         return _stacked_moves([gw for _, gw in self.generators], self.dim_W)
 
-    @cached_property
+    @cached
     def moves_reduction(self) -> Reduction:
         """The Reduction of [G | T] for the canonical basis of ker pi, kept
         like `kernel`: the one elimination behind rank G, U^G, condition
         (ii) and find_ujk."""
         return _reduce_moves(self)
 
-    @cached_property
+    @cached
     def fixed_U(self) -> Subspace:
         """U^G, the vectors of U fixed by every gU, kept like `kernel`: the
         kernel of G, read off the free columns of `moves_reduction`."""
         return self.moves_reduction.kernel()
 
-    @cached_property
+    @cached
     def preimage_reduction(self) -> Reduction:
         """The Reduction of the stacked (gW_i - id) pi, kept like `kernel`:
         its rank is dim_U - dim U~."""
         return Reduction(self.moves_W * self.pi, ())
 
-    @cached_property
+    @cached
     def fixed_preimage(self) -> Subspace:
         """U~ = pi^-1(W^G), the u with pi u fixed by every gW: the kernel
         of `preimage_reduction`, kept like `kernel`."""
         return self.preimage_reduction.kernel()
 
-    @cached_property
+    @cached
     def kernel_moves(self) -> Mat:
-        """G K, the (d * dim_U) x m matrix of the blocks gU_i - id applied
-        to the canonical basis of ker pi, kept like `kernel`."""
-        return self.moves_U * self.kernel.basis.transpose()
+        """G K, the (d * dim_U) x m matrix of the blocks gU_i - id on the
+        canonical basis of ker pi, dot products of rows, kept like `kernel`."""
+        moves, basis = self.moves_U, self.kernel.basis
+        ints = [tuple([sum(map(mul, row, u)) for u in basis.ints]) for row in moves.ints]
+        return Mat._new(*_lowest(tuple(ints), moves.den * basis.den), basis.rows)
 
     def to_json(self) -> dict:
         gens = []
@@ -276,19 +279,21 @@ def _power(m: Mat, n: int) -> Mat:
 
 
 def _stacked_moves(gens: Sequence[Mat], n: int) -> Mat:
-    """The blocks g - id of n x n matrices g, stacked behind a block with no
-    rows, so that d = 0 gives no rows: a matrix with no rows has the whole
-    space as its kernel. Each block is g.ints with g.den subtracted on the
-    diagonal, in lowest terms already, because gcd(den, a - den) =
-    gcd(den, a)."""
-    blocks = [Mat.zeros(0, n)]
+    """The blocks g - id of n x n matrices g, stacked, as rows of one tuple
+    over den = lcm(1, g.den, ...); d = 0 gives no rows, whose kernel is the
+    whole space. In lowest terms already: gcd(g.den, a - g.den) =
+    gcd(g.den, a), and the scales den // g.den have gcd 1."""
+    den = lcm(1, *[g.den for g in gens])
+    rows = []
     for g in gens:
         if (g.rows, g.cols) != (n, n):
             raise ValueError("shape mismatch")
-        den = g.den
-        rows = [row[:i] + (row[i] - den,) + row[i + 1 :] for i, row in enumerate(g.ints)]
-        blocks.append(Mat._new(tuple(rows), den, n))
-    return Mat.vstack(blocks)
+        k = den // g.den
+        for i, row in enumerate(g.ints):
+            if k != 1:
+                row = tuple([k * x for x in row])
+            rows.append(row[:i] + (row[i] - den,) + row[i + 1 :])
+    return Mat._new(tuple(rows), den, n)
 
 
 def _reduce_moves(inst: LinearInstance) -> Reduction:

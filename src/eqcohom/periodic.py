@@ -40,7 +40,6 @@ variant applies to its two table rows cut at its own two offsets.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import lcm, prod
 from operator import itemgetter, mul, sub
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -57,7 +56,7 @@ from .linalg import (
     json_list,
     rat_str,
 )
-from .records import Frozen, Record
+from .records import Frozen, Record, cached
 
 
 class PeriodLattice(Record):
@@ -176,12 +175,12 @@ class PeriodicGraph(Frozen):
             raise InputError(f"bad periodic graph JSON: {exc}") from exc
         return cls._build(d, graph, voltages)
 
-    @cached_property
+    @cached
     def edge_voltages(self) -> tuple[tuple[int, ...], ...]:
         """The voltage of each quotient edge, by stored position."""
         return tuple([self.voltages[e.id] for e in self.quotient.edges])
 
-    @cached_property
+    @cached
     def voltage_classes(self) -> dict[tuple[int, ...], list[int]]:
         """Each voltage, in order of first appearance, with the positions of
         the edges that carry it, in stored order; built in one pass and not
@@ -191,7 +190,7 @@ class PeriodicGraph(Frozen):
             classes.setdefault(t, []).append(pos)
         return classes
 
-    @cached_property
+    @cached
     def cycles(self) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
         """Per quotient component, (edge position, cycle voltage) of each
         non-tree edge of the quotient's spanning forest: the cycle voltage
@@ -215,7 +214,7 @@ class PeriodicGraph(Frozen):
                 cycles[forest.comp_of[e.o]].append((pos, tuple(cv)))
         return tuple([tuple(comp) for comp in cycles])
 
-    @cached_property
+    @cached
     def lattices(self) -> tuple["PeriodLattice", ...]:
         """Per quotient component, its period lattice, with the positions of
         the cycles that opened its pivots; see period_lattices."""

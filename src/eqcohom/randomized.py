@@ -6,6 +6,8 @@ blocks and build each generator pair through one `_block_pair`. They are
 then conjugated by random unimodular matrices. This guarantees validity by
 construction while still sampling instances on both sides of the sharp
 characterization.
+Every integer draw is `_below`'s, off rng.getrandbits: what randrange,
+randint or choice would draw, without their three Python frames per draw.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from math import gcd
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import VERIFY_BUDGET, InputError, PreconditionError
 from .graphs import Graph, GraphAction, to_instance
@@ -30,14 +32,28 @@ from .records import Record
 MAX_GENS = 3  # most generators of a random linear instance
 
 
+def _below(bits: Callable[[int], int], n: int) -> int:
+    """rng.randrange(n) for bits = rng.getrandbits, by the standard
+    library's own rejection loop on the same stream; rng.randint(a, b) is
+    a + _below(bits, b - a + 1) and rng.choice(seq) is seq[_below(bits, len(seq))]."""
+    if n < 1:
+        raise ValueError(f"no integer below {n} to draw")
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def random_invertible(rng: random.Random, n: int) -> Mat:
     """A random invertible n x n integer matrix: dense blocks with entries
     in [-2, 2] are drawn until one is nonsingular, tested on the drawn rows
     before a Mat is made."""
     if n == 0:
         return Mat.zeros(0, 0)
+    bits = rng.getrandbits
     while True:
-        rows = [tuple([rng.randint(-2, 2) for _ in range(n)]) for _ in range(n)]
+        rows = [tuple([_below(bits, 5) - 2 for _ in range(n)]) for _ in range(n)]
         if len(independent_rows(rows)) == n:
             return Mat._new(tuple(rows), 1, n)
 
@@ -46,12 +62,13 @@ def _elementary_ops(rng: random.Random, n: int) -> list[tuple[int, ...]]:
     """2n random elementary integer row operations, each of determinant
     +-1: (0, i, j, k) adds k times row i to row j, (1, i, j) swaps rows i
     and j, and (2, i) negates row i."""
+    bits = rng.getrandbits
     ops = []
     for _ in range(2 * n):
-        kind = rng.randrange(3)
-        i, j = rng.randrange(n), rng.randrange(n)
+        kind = _below(bits, 3)
+        i, j = _below(bits, n), _below(bits, n)
         if kind == 0 and i != j:
-            ops.append((0, i, j, rng.choice([-2, -1, 1, 2])))
+            ops.append((0, i, j, (-2, -1, 1, 2)[_below(bits, 4)]))
         elif kind == 1:
             ops.append((1, i, j))
         else:
@@ -153,12 +170,13 @@ def random_linear_instance(rng: random.Random, max_dim: int = 6) -> LinearInstan
 
 def _block_instance(rng: random.Random, max_dim: int) -> LinearInstance:
     """Adapted-basis block construction with random blocks + conjugation."""
-    dim_u = rng.randint(1, max_dim)
-    m = rng.randint(0, min(2, dim_u))
+    bits = rng.getrandbits
+    dim_u = 1 + _below(bits, max_dim)
+    m = _below(bits, min(2, dim_u) + 1)
     r = dim_u - m
     s_min = 0 if r > 0 else 1
-    s = rng.randint(s_min, max_dim - r)
-    d = rng.randint(1, MAX_GENS)
+    s = s_min + _below(bits, max_dim - r - s_min + 1)
+    d = 1 + _below(bits, MAX_GENS)
 
     pi0 = _adapted_pi(m, r, s)
 
@@ -166,8 +184,8 @@ def _block_instance(rng: random.Random, max_dim: int) -> LinearInstance:
     for _ in range(d):
         a = Mat.identity(m) if rng.random() < 0.6 else random_invertible(rng, m)
         dmat = Mat.identity(r) if rng.random() < 0.5 else random_invertible(rng, r)
-        b = [[rng.choice([-1, 0, 0, 1, 2]) for _ in range(r)] for _ in range(m)]
-        f = [[rng.choice([-1, 0, 0, 1]) for _ in range(s)] for _ in range(r)]
+        b = [[(-1, 0, 0, 1, 2)[_below(bits, 5)] for _ in range(r)] for _ in range(m)]
+        f = [[(-1, 0, 0, 1)[_below(bits, 4)] for _ in range(s)] for _ in range(r)]
         h = Mat.identity(s) if rng.random() < 0.5 else random_invertible(rng, s)
         gens0.append(_block_pair(a, b, dmat, f, h))
     return _conjugated(rng, pi0, gens0)
@@ -255,16 +273,17 @@ def _designed_equality_instance(rng: random.Random, max_dim: int) -> LinearInsta
         for d in range(1, MAX_GENS + 1)
         if m + m * d <= max_dim
     ]
-    m, d = rng.choice(choices)
-    r = m * d + rng.randint(0, max_dim - m - m * d)
-    s = rng.randint(0, max(0, max_dim - r))
+    bits = rng.getrandbits
+    m, d = choices[_below(bits, len(choices))]
+    r = m * d + _below(bits, max_dim - m - m * d + 1)
+    s = _below(bits, max(0, max_dim - r) + 1)
     pi0 = _adapted_pi(m, r, s)
     gens0 = []
     for j in range(d):
         b = [[0] * r for _ in range(m)]
         for k in range(m):
             b[k][j * m + k] = 1
-        f = [[rng.choice([-1, 0, 0, 1]) for _ in range(s)] for _ in range(r)]
+        f = [[(-1, 0, 0, 1)[_below(bits, 4)] for _ in range(s)] for _ in range(r)]
         h = Mat.identity(s) if rng.random() < 0.5 else random_invertible(rng, s)
         gens0.append(_block_pair(Mat.identity(m), b, Mat.identity(r), f, h))
     return _conjugated(rng, pi0, gens0)
@@ -272,24 +291,26 @@ def _designed_equality_instance(rng: random.Random, max_dim: int) -> LinearInsta
 
 def random_graph(rng: random.Random, max_vertices: int = 7) -> Graph:
     """Random graph allowing multi-edges, loops, and isolated vertices."""
-    n = rng.randint(1, max_vertices)
-    n_edges = rng.randint(0, 2 * n)
+    bits = rng.getrandbits
+    n = 1 + _below(bits, max_vertices)
+    n_edges = _below(bits, 2 * n + 1)
     edges = []
     for i in range(n_edges):
-        o = rng.randrange(n)
-        t = rng.randrange(n)
+        o = _below(bits, n)
+        t = _below(bits, n)
         edges.append((i, o, t))
     return Graph.make(n, edges)
 
 
 def random_graph_instance(rng: random.Random) -> LinearInstance:
     """Instance from a small graph-with-automorphism family."""
-    kind = rng.randrange(4)
+    bits = rng.getrandbits
+    kind = _below(bits, 4)
     if kind == 0:
         # Cycle with a rotation.
-        n = rng.randint(3, 6)
+        n = 3 + _below(bits, 4)
         g = Graph.make(n, [(i, i, (i + 1) % n) for i in range(n)])
-        shift = rng.randint(1, n - 1)
+        shift = 1 + _below(bits, n - 1)
         perm = tuple([(v + shift) % n for v in range(n)])
         act = GraphAction((perm,), {0: n // gcd(n, shift)})
     elif kind == 1:
@@ -305,7 +326,7 @@ def random_graph_instance(rng: random.Random) -> LinearInstance:
         act = GraphAction((perm,), {0: 2})
     elif kind == 2:
         # Path with the end-to-end reflection.
-        n = rng.randint(2, 6)
+        n = 2 + _below(bits, 5)
         g = Graph.make(n, [(i, i, i + 1) for i in range(n - 1)])
         perm = tuple([n - 1 - v for v in range(n)])
         act = GraphAction((perm,), {0: 2})
@@ -352,7 +373,8 @@ class VerifyResult(Record):
 def _combination(rng: random.Random, basis: Mat, bound: int) -> list[int]:
     """sum_i c_i b_i over the integer rows b_i of `basis`, each c_i drawn in
     turn from [-bound, bound]: an integer vector over basis.den."""
-    coeffs = [rng.randint(-bound, bound) for _ in range(basis.rows)]
+    bits = rng.getrandbits
+    coeffs = [_below(bits, 2 * bound + 1) - bound for _ in range(basis.rows)]
     out = [0] * basis.cols
     for c, row in zip(coeffs, basis.ints):
         if c:

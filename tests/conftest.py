@@ -204,6 +204,29 @@ def stacked_moves(gens, n):
     return Mat.vstack([Mat.zeros(0, n), *[g - Mat.identity(n) for g in gens]])
 
 
+def stacked_moves_by_blocks(gens, n):
+    """The blocks g - id, one Mat each with g.den subtracted on the
+    diagonal of g.ints, stacked by Mat.vstack behind a block with no rows:
+    the former `instance._stacked_moves`, kept as the reference for the
+    flat rows that replaced it."""
+    blocks = [Mat.zeros(0, n)]
+    for g in gens:
+        if (g.rows, g.cols) != (n, n):
+            raise ValueError("shape mismatch")
+        den = g.den
+        rows = [row[:i] + (row[i] - den,) + row[i + 1 :] for i, row in enumerate(g.ints)]
+        blocks.append(Mat._new(tuple(rows), den, n))
+    return Mat.vstack(blocks)
+
+
+def kernel_moves_reference(inst):
+    """G K by the general product with the transpose of the basis of
+    ker pi: the former `LinearInstance.kernel_moves`, kept as the
+    reference for its dot products."""
+    moves = stacked_moves_by_blocks([gu for gu, _ in inst.generators], inst.dim_U)
+    return moves * inst.kernel.basis.transpose()
+
+
 def fixed_W(inst):
     """W^G, the vectors of W fixed by every gW: the reference that the
     orbit forms and the fixture spaces are checked against."""

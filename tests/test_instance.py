@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 import pytest
@@ -54,7 +55,9 @@ from conftest import (
     counted_elimination,
     find_ujk_reference,
     fixed_W,
+    kernel_moves_reference,
     stacked_moves,
+    stacked_moves_by_blocks,
 )
 
 
@@ -673,6 +676,65 @@ def test_moves_U_blocks():
     bare = LinearInstance(inst.dim_U, inst.dim_W, inst.pi, ())
     assert (bare.moves_U.rows, bare.moves_U.cols) == (0, 4)
     assert bare.fixed_U == Subspace.full(4)
+
+
+def _rational_mat(rng, rows, cols):
+    """Entries p/q with q in 1..4, so that matrices differ in denominator."""
+    entries = [
+        [(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(cols)] for _ in range(rows)
+    ]
+    return Mat([[Fraction(p, q) for p, q in row] for row in entries], cols=cols)
+
+
+def _moves_cases():
+    rng = random.Random(31)
+    for _ in range(60):
+        n, w, d = rng.randint(0, 4), rng.randint(0, 4), rng.randint(1, 3)
+        # pi factors through Q^2, so ker pi is often not zero.
+        pi = _rational_mat(rng, w, 2) * _rational_mat(rng, 2, n)
+        gens = tuple(
+            [(_rational_mat(rng, n, n), _rational_mat(rng, w, w)) for _ in range(d)]
+        )
+        yield LinearInstance(n, w, pi, gens)
+    # d = 0, with ker pi all of U.
+    yield LinearInstance(3, 2, Mat.zeros(2, 3), ())
+    yield LinearInstance(2, 0, Mat.zeros(0, 2), ())
+    # m = 0: pi is injective.
+    gu = Mat([["1/3", 1], [0, 2]])
+    gw = Mat([[1, 0, 0], [0, "1/2", 0], [0, 0, 1]])
+    yield LinearInstance(2, 3, Mat([[1, 0], [0, "1/2"], [1, 1]]), ((gu, gw), (gu, gw)))
+    graphs = random.Random(5)
+    for _ in range(40):
+        yield random_graph_instance(graphs)
+
+
+def test_moves_and_kernel_moves_match_the_block_references():
+    # moves_U and moves_W are flat integer rows over the lcm of the
+    # generators' denominators, and G K dot products of rows: each equals
+    # its former construction and is in lowest terms.
+    def lowest(m):
+        return gcd(m.den, *chain.from_iterable(m.ints)) == 1
+
+    seen = set()
+    for inst in _moves_cases():
+        for side, n in ((0, inst.dim_U), (1, inst.dim_W)):
+            gens = [pair[side] for pair in inst.generators]
+            moves = inst.moves_W if side else inst.moves_U
+            assert moves == stacked_moves_by_blocks(gens, n) == stacked_moves(gens, n)
+            assert (moves.rows, moves.cols) == (inst.d * n, n) and lowest(moves)
+            if len({g.den for g in gens}) > 1:
+                seen.add("mixed denominators")
+        gk = inst.kernel_moves
+        assert gk == kernel_moves_reference(inst)
+        assert (gk.rows, gk.cols) == (inst.d * inst.dim_U, inst.m) and lowest(gk)
+        if inst.d == 0:
+            seen.add("d = 0")
+            assert inst.m == inst.dim_U
+        elif inst.m == 0:
+            seen.add("m = 0")
+        elif gk.den > 1:
+            seen.add("G K not integer")
+    assert seen == {"mixed denominators", "d = 0", "m = 0", "G K not integer"}
 
 
 def test_lemma_commutation_abelian():

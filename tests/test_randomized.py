@@ -20,7 +20,11 @@ from eqcohom.instance import (
 )
 from eqcohom.linalg import Mat, independent_rows, rref
 from eqcohom.randomized import (
+    VerifyResult,
+    _below,
     _conjugated,
+    check_one_instance,
+    random_graph_instance,
     random_linear_instance,
     run_verification,
 )
@@ -283,9 +287,10 @@ def test_verify_rref_budget_per_request(monkeypatch):
     # rather than once per choice of the ujk, and one product for U~, a
     # `verify --count 10` request runs about 35 forward passes behind a
     # solve or a kernel, 25 rank tests (Mat.rank and the generator's
-    # draws, each a forward pass), 15 back-substitutions, no rref and 49
-    # matrix products (seeds 0-19). The back-substitutions run only for
-    # ker pi and for instances that decompose.
+    # draws, each a forward pass), 15 back-substitutions, no rref and 40
+    # matrix products (seeds 0-19; G K is dot products of rows, not a
+    # product). The back-substitutions run only for ker pi and for
+    # instances that decompose.
     products = []
     rank_tests = []
     mul = Mat.__mul__
@@ -310,7 +315,65 @@ def test_verify_rref_budget_per_request(monkeypatch):
     assert len(rank_tests) <= 25 * len(seeds)
     assert len(calls["back"]) <= 16 * len(seeds)
     assert calls["rref"] == []
-    assert len(products) <= 50 * len(seeds)
+    assert len(products) <= 40 * len(seeds)
+
+
+def test_verify_products_per_linear_instance(monkeypatch):
+    # A linear instance of verify runs d equivariance pairs pi gU, gW pi in
+    # _conjugated and the one product (gW - id) pi behind U~: at most
+    # 2d + 1 products. G K is dot products of rows, with no product by K^T.
+    # The loop is run_verification's, and its report is checked to be.
+    products = []
+    mul = Mat.__mul__
+
+    def counted_mul(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    linear = 0
+    for seed in range(20):
+        rng = random.Random(seed)
+        result = VerifyResult(seed, 10)
+        monkeypatch.setattr(Mat, "__mul__", counted_mul)
+        for i in range(10):
+            products.clear()
+            if rng.random() < 0.8:
+                inst = random_linear_instance(rng)
+                check_one_instance(inst, rng, result, i)
+                assert len(products) <= 2 * inst.d + 1, (seed, i)
+                linear += 1
+            else:
+                check_one_instance(random_graph_instance(rng), rng, result, i)
+        monkeypatch.setattr(Mat, "__mul__", mul)
+        assert result.to_json() == run_verification(seed, 10).to_json()
+    assert linear >= 120
+
+
+def test_below_is_randrange_from_the_same_stream():
+    # _below runs the standard library's rejection loop on getrandbits, so
+    # every draw of the generator, and the state it leaves, is what
+    # randrange, randint and choice would give. Should a Python version
+    # change that loop, this test names the cause; the golden digests
+    # would only fail.
+    pairs = [(-2, 2), (1, 6), (0, 2), (0, 0), (1, 3), (-3, 3), (3, 6), (2, 6), (0, 14)]
+    seqs = [(-2, -1, 1, 2), (-1, 0, 0, 1, 2), (-1, 0, 0, 1), [(1, 1), (1, 2), (2, 1)]]
+    for seed in range(10):
+        ours, ref = random.Random(seed), random.Random(seed)
+        bits = ours.getrandbits
+        for _ in range(3):
+            assert [_below(bits, n) for n in range(1, 71)] == [
+                ref.randrange(n) for n in range(1, 71)
+            ]
+        for a, b in pairs:
+            assert a + _below(bits, b - a + 1) == ref.randint(a, b)
+        for seq in seqs:
+            assert seq[_below(bits, len(seq))] == ref.choice(seq)
+        assert ours.getstate() == ref.getstate()
+    # An empty range is refused, as randrange refuses it, not drawn from
+    # forever.
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            _below(random.Random(0).getrandbits, n)
 
 
 def test_smallest_max_dim_draws():

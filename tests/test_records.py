@@ -2,11 +2,12 @@
 exactly where the fields allow one, read-only fields on the classes that
 cache computed values, and a fresh default container per instance."""
 
+import functools
 from fractions import Fraction
 
 import pytest
 
-from eqcohom.graphs import ActionChecks, Cochain0, Edge, Graph, GraphAction
+from eqcohom.graphs import ActionChecks, ActionOrbits, Cochain0, Edge, Graph, GraphAction
 from eqcohom.instance import (
     Decomposition,
     IffReport,
@@ -18,6 +19,7 @@ from eqcohom.instance import (
 from eqcohom.linalg import Mat, Subspace, vec
 from eqcohom.periodic import PeriodicDecomposition, PeriodicGraph, PeriodLattice
 from eqcohom.randomized import VerifyResult, Violation
+from eqcohom.records import Frozen, cached
 
 
 def _verify_result(checked):
@@ -110,6 +112,49 @@ def test_caching_classes_refuse_assignment():
         assert getattr(obj, name) is before
     assert pg.lattices[0].index() == 2 and inst.kernel.dim == 0
     assert graph.forest.comps == ((0, 1),)
+
+
+def test_cached_computes_once_and_keeps_the_value():
+    calls = []
+
+    class Box(Frozen):
+        _fields = ("x",)
+
+        def __init__(self, x):
+            self.__dict__["x"] = x
+
+        @cached
+        def doubled(self):
+            """Twice x, in a new list."""
+            calls.append(self.x)
+            return [2 * self.x]
+
+    box = Box(3)
+    first = box.doubled
+    assert first == [6] and box.doubled is first and box.__dict__["doubled"] is first
+    assert Box(4).doubled == [8] and calls == [3, 4]
+    # A Frozen class still refuses assignment once the cache is filled.
+    for name in ("doubled", "x"):
+        with pytest.raises(AttributeError):
+            setattr(box, name, None)
+        with pytest.raises(AttributeError):
+            delattr(box, name)
+    assert box.doubled is first and calls == [3, 4]
+    # Read on the class, it is the descriptor, with the method's docstring.
+    assert isinstance(Box.doubled, cached)
+    assert Box.doubled.__doc__ == "Twice x, in a new list."
+
+
+def test_the_package_caches_through_records_cached():
+    classes = (LinearInstance, Graph, PeriodicGraph, ActionOrbits)
+    for cls in classes:
+        kept = [name for name, v in vars(cls).items() if isinstance(v, cached)]
+        assert kept, cls
+        for name in kept:
+            assert getattr(cls, name) is vars(cls)[name]
+        others = [v for v in vars(cls).values() if isinstance(v, functools.cached_property)]
+        assert not others, cls
+    assert LinearInstance.kernel.__doc__.startswith("ker pi")
 
 
 def test_defaults_are_fresh_per_instance():

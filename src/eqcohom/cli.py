@@ -69,6 +69,8 @@ EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 
+_STR, _INT = {str}, {int}
+
 
 def _load_json(path: str) -> tuple[dict, str]:
     """Read a JSON file and the sha256 digest of its bytes. The file is
@@ -103,7 +105,8 @@ def indented_json(value, indent: str = "\n") -> str:
     in `_quote`, or in `sorted` if the keys are of mixed types). With
     an indent, `json` encodes in pure Python; this writer does the same
     work without its generality. `indent` is the newline and indentation
-    that precede a line at the value's own depth."""
+    that precede a line at the value's own depth. A list of str alone, or
+    of exact ints alone (no bool), is written by one C-level map."""
     if isinstance(value, str):
         return _quote(value)
     if value is None:
@@ -118,7 +121,13 @@ def indented_json(value, indent: str = "\n") -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        items = [indented_json(v, inner) for v in value]
+        kinds = set(map(type, value))
+        if kinds == _STR:
+            items = map(_quote, value)
+        elif kinds == _INT:
+            items = map(int.__repr__, value)
+        else:
+            items = [indented_json(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     if isinstance(value, dict):
         if not value:

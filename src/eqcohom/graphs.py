@@ -1,15 +1,17 @@
 """Finite symmetric directed graphs, their 0/1-cochains, and group actions.
 
-A graph stores one chosen orientation per geometric edge; the reversed edge
-is implicit and 1-cochains obey w(reversed e) = -w(e) through accessors.
+A graph stores one chosen orientation per geometric edge, as three tuples
+of edge ids, origins and targets; the reversed edge is implicit and
+1-cochains obey w(reversed e) = -w(e) through accessors.
 Components, potentials and the periodic cycle voltages all read one BFS
 spanning forest per graph (`Graph.forest`), built on first use and kept on
 the Graph, whose fields are read-only (records.Frozen), so it cannot go stale.
 A graph automorphism lifts to a signed permutation of the edges as a
 homomorphism, so one group G acts on 0- and 1-cochains alike.
-`ActionOrbits` reads an action once: each generator's signed edge map and
-order, and the vertex orbit sizes. `analyze_graph_action` reports from
-those and from the averaging theorem (the quotient dimension of a finite
+`ActionOrbits` reads an action once: which generators are automorphisms
+and their orders, and, on first use, their signed edge maps and the vertex
+orbit sizes. `analyze_graph_action` reports from those and from the
+averaging theorem (the quotient dimension of a finite
 permutation group is 0), so a `graph` request builds no matrix and
 eliminates nothing. An action also compiles into a LinearInstance
 (0-cochains as U, 1-cochains as W, coboundary as pi), on which the tests'
@@ -23,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import CLOSURE_ENTRY_BUDGET, GRAPH_BUDGET, InputError, PreconditionError
 from .instance import LinearInstance
@@ -41,18 +43,24 @@ class Edge(Record):
 
 
 class Graph(Frozen):
+    """A graph kept as three tuples of equal length, `ids`, `origins` and
+    `targets`, sorted by edge id: the edge at position p (its row in C^1)
+    has id ids[p] and runs from origins[p] to targets[p]. Every traversal
+    reads these arrays; `edges`, the same edges as Edge records, is built
+    only when something reads it."""
+
     _fields = ("n_vertices", "edges")
 
-    def __init__(self, n_vertices: int, edges: tuple[Edge, ...]):
-        # edges sorted by id; row index in C^1 = position
-        self.__dict__.update(n_vertices=n_vertices, edges=edges)
+    def __init__(self, n_vertices: int, ids: tuple, origins: tuple, targets: tuple):
+        self.__dict__.update(n_vertices=n_vertices, ids=ids, origins=origins, targets=targets)
 
     @classmethod
     def make(cls, n_vertices: int, edges: Sequence[tuple[int, int, int]]) -> "Graph":
         """A validated graph, refused with PreconditionError("budget", ...)
         before anything is built when its vertices plus edges exceed
         GRAPH_BUDGET, and with InputError for a negative vertex count, a
-        repeated edge id or an endpoint that names no vertex."""
+        repeated edge id or an endpoint that names no vertex (the first
+        such edge by id), in that order."""
         size = n_vertices + len(edges)
         if size > GRAPH_BUDGET:
             raise PreconditionError(
@@ -60,20 +68,28 @@ class Graph(Frozen):
                 f"graph has {size} vertices plus edges, "
                 f"over the budget of {GRAPH_BUDGET}",
             )
-        es = tuple([Edge(i, o, t) for i, o, t in sorted(edges)])
+        rows = sorted(edges)
         if n_vertices < 0:
             raise InputError(f"vertex count {n_vertices} < 0")
-        ids = [e.id for e in es]
+        if not rows:
+            return cls(n_vertices, (), (), ())
+        ids, origins, targets = zip(*rows)
         if len(set(ids)) != len(ids):
             raise InputError("duplicate edge ids")
-        for e in es:
-            if not (0 <= e.o < n_vertices and 0 <= e.t < n_vertices):
-                raise InputError(f"edge {e.id} has a dangling endpoint")
-        return cls(n_vertices, es)
+        if min(min(origins), min(targets)) < 0 or max(max(origins), max(targets)) >= n_vertices:
+            for i, o, t in rows:
+                if not (0 <= o < n_vertices and 0 <= t < n_vertices):
+                    raise InputError(f"edge {i} has a dangling endpoint")
+        return cls(n_vertices, ids, origins, targets)
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.ids)
+
+    @cached
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges as Edge records, by position; built on first read."""
+        return tuple([Edge(*row) for row in zip(self.ids, self.origins, self.targets)])
 
     @cached
     def forest(self) -> "Forest":
@@ -83,15 +99,28 @@ class Graph(Frozen):
     def to_json(self) -> dict:
         return {
             "vertices": self.n_vertices,
-            "edges": [{"id": e.id, "o": e.o, "t": e.t} for e in self.edges],
+            "edges": [
+                {"id": i, "o": o, "t": t}
+                for i, o, t in zip(self.ids, self.origins, self.targets)
+            ],
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "Graph":
+        """Read "vertices" and "edges", a list of {"id", "o", "t"} objects.
+        Each entry is read with `integer`, which is called only on an entry
+        that is not exactly an int, so the first bad entry, in edge order
+        and id, o, t within an edge, is the one refused."""
         try:
-            n = integer(obj["vertices"])
+            n = obj["vertices"]
+            if type(n) is not int:
+                n = integer(n)
             edges = [
-                (integer(e["id"]), integer(e["o"]), integer(e["t"]))
+                (
+                    i if type(i := e["id"]) is int else integer(i),
+                    o if type(o := e["o"]) is int else integer(o),
+                    t if type(t := e["t"]) is int else integer(t),
+                )
                 for e in json_list(obj["edges"])
             ]
         except (KeyError, TypeError, ValueError) as exc:
@@ -127,38 +156,32 @@ class Forest(Record):
     def build(cls, graph: Graph) -> "Forest":
         n = graph.n_vertices
         adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-        for pos, e in enumerate(graph.edges):
-            if e.o != e.t:
-                adj[e.o].append((e.t, pos, +1))
-                adj[e.t].append((e.o, pos, -1))
+        for pos, (o, t) in enumerate(zip(graph.origins, graph.targets)):
+            if o != t:
+                adj[o].append((t, pos, +1))
+                adj[t].append((o, pos, -1))
         comp_of = [-1] * n
         parent: list[Optional[tuple[int, int, int]]] = [None] * n
         order: list[int] = []
         comps = []
+        tree = []
         for root in range(n):
             if comp_of[root] >= 0:
                 continue
             k = len(comps)
             comp_of[root] = k
-            start = len(order)
-            order.append(root)
-            i = start
-            while i < len(order):  # `order` doubles as the BFS queue
-                v = order[i]
-                i += 1
+            queue = [root]
+            for v in queue:  # `queue` grows as it is read
                 for u, pos, sign in adj[v]:
                     if comp_of[u] < 0:
                         comp_of[u] = k
                         parent[u] = (v, pos, sign)
-                        order.append(u)
-            comps.append(tuple(sorted(order[start:])))
-        return cls(
-            tuple(comps),
-            tuple(comp_of),
-            tuple(order),
-            tuple(parent),
-            frozenset(link[1] for link in parent if link is not None),
-        )
+                        tree.append(pos)
+                        queue.append(u)
+            order += queue
+            queue.sort()
+            comps.append(tuple(queue))
+        return cls(tuple(comps), tuple(comp_of), tuple(order), tuple(parent), frozenset(tree))
 
     def integrate(self, labels: Sequence[int]) -> list[int]:
         """Tree potential of integer edge labels: 0 at each root, and
@@ -232,7 +255,7 @@ class Cochain1:
                 src = obj["values"] if "values" in obj else obj
                 if type(src) is not dict:
                     raise TypeError("1-cochain values are not a JSON object")
-                keys = [str(e.id) for e in graph.edges]
+                keys = list(map(str, graph.ids))
                 # Lazily, so a missing key and a bad value are met in edge order.
                 den, ints = _cleared(map(src.__getitem__, keys))
             else:
@@ -259,11 +282,11 @@ class Cochain1:
 def coboundary(graph: Graph) -> Mat:
     """|E| x |V| matrix of f -> (e -> f(te) - f(oe)); loop rows are zero."""
     rows = []
-    for e in graph.edges:
+    for o, t in zip(graph.origins, graph.targets):
         row = [0] * graph.n_vertices
-        if e.o != e.t:
-            row[e.t] = 1
-            row[e.o] = -1
+        if o != t:
+            row[t] = 1
+            row[o] = -1
         rows.append(row)
     return Mat.from_ints(rows, cols=graph.n_vertices)
 
@@ -281,8 +304,8 @@ def potential(graph: Graph, w: Cochain1) -> Optional[Cochain0]:
     """
     forest = graph.forest
     f = forest.integrate(w.ints)
-    for pos, e in enumerate(graph.edges):
-        if pos not in forest.tree_positions and w.ints[pos] != f[e.t] - f[e.o]:
+    for pos, (o, t) in enumerate(zip(graph.origins, graph.targets)):
+        if pos not in forest.tree_positions and w.ints[pos] != f[t] - f[o]:
             return None
     return Cochain0(tuple([_frac(x, w.den) for x in f]))
 
@@ -306,11 +329,13 @@ class GraphAction(Frozen):
         generator index; null reads as no orders, and any other non-object
         is refused. As with 1-cochain and voltage keys, an order key
         must be the index exactly as str(index) writes it, so "00" and " 0"
-        are refused rather than read as generator 0."""
+        are refused rather than read as generator 0. An entry is read with
+        `integer` only when it is not exactly an int, so the first bad entry
+        is the one refused."""
         try:
             gens = tuple(
                 [
-                    tuple([integer(x) for x in json_list(p)])
+                    tuple([x if type(x) is int else integer(x) for x in json_list(p)])
                     for p in json_list(obj["generators"])
                 ]
             )
@@ -324,66 +349,83 @@ class GraphAction(Frozen):
                 i = integer(key)
                 if str(i) != key:
                     raise ValueError(f"order key {key!r} is not a generator index")
-                orders[i] = integer(n)
+                orders[i] = n if type(n) is int else integer(n)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad action JSON: {exc}") from exc
         return cls(gens, orders)
 
 
+def _pair_codes(n: int, origins: Iterable[int], targets: Iterable[int]) -> list[int]:
+    """Each edge's unordered endpoint pair {a, b}, a <= b < n, as a * n + b."""
+    return [a * n + b if a <= b else b * n + a for a, b in zip(origins, targets)]
+
+
 def _edge_image_map(
     graph: Graph, perm: tuple[int, ...], by_pair: dict[tuple[int, int], list[int]]
-) -> Optional[list[tuple[int, int]]]:
-    """Per stored edge position: (image position, sign), or None if the
-    permutation is not a graph automorphism. `by_pair` lists the edge
-    positions per unordered endpoint pair (a, b), a <= b, in id order. The
-    k-th edge of {a, b} maps to the k-th edge of {g a, g b}, with sign +1
-    iff g sends its origin to the image's origin, so a loop gets +1. This
-    lift is a homomorphism, lift(g o h) = lift(g) o lift(h), so gU^N = id
-    implies gW^N = id; and it takes time linear in the edges."""
-    edges = graph.edges
-    out: list = [None] * len(edges)
+) -> list[tuple[int, int]]:
+    """Per stored edge position of the automorphism `perm`: (image
+    position, sign). `by_pair` lists the edge positions per unordered
+    endpoint pair (a, b), a <= b, in id order. The k-th edge of {a, b} maps
+    to the k-th edge of {g a, g b}, which has as many, with sign +1 iff g
+    sends its origin to the image's origin, so a loop gets +1. This lift is
+    a homomorphism, lift(g o h) = lift(g) o lift(h), so gU^N = id implies
+    gW^N = id; and it takes time linear in the edges."""
+    origins = graph.origins
+    out: list = [None] * len(origins)
     for (a, b), positions in by_pair.items():
         ga, gb = perm[a], perm[b]
-        image = by_pair.get((ga, gb) if ga <= gb else (gb, ga))
-        if image is None or len(image) != len(positions):
-            return None
+        image = by_pair[(ga, gb) if ga <= gb else (gb, ga)]
         for src, dst in zip(positions, image):
-            out[src] = (dst, 1 if perm[edges[src].o] == edges[dst].o else -1)
+            out[src] = (dst, 1 if perm[origins[src]] == origins[dst] else -1)
     return out
 
 
 class ActionOrbits:
-    """A graph action read once: each generator's signed edge map and its
-    order as a vertex permutation, and the sizes of the vertex orbits of the
-    generated group, computed on first use.
+    """A graph action read once: whether each generator is an automorphism,
+    and its order as a vertex permutation; its signed edge map and the sizes
+    of the vertex orbits of the generated group are computed on first use.
 
-    `issues` names each generator that is no permutation of the vertices or
-    no automorphism; the action is an automorphism action iff it is empty,
-    and only then do `edge_maps` and `vertex_orders` (one entry per
-    generator) and `orbit_sizes` mean anything.
+    A permutation of the vertices is an automorphism iff it preserves the
+    multiset of unordered endpoint pairs, compared as sorted pair codes
+    (`_pair_codes`): exactly when every pair's k-th edge has a k-th edge to
+    map to (`_edge_image_map`). `issues` names each generator that is no
+    permutation of the vertices or no automorphism; the action is an
+    automorphism action iff it is empty, and only then do `edge_maps` and
+    `vertex_orders` (one entry per generator) and `orbit_sizes` mean
+    anything.
     """
 
     def __init__(self, graph: Graph, action: GraphAction):
         self.graph, self.action = graph, action
-        by_pair: dict[tuple[int, int], list[int]] = {}
-        for pos, e in enumerate(graph.edges):
-            o, t = e.o, e.t
-            by_pair.setdefault((o, t) if o <= t else (t, o), []).append(pos)
-        issues, maps, orders = [], [], []
-        n = graph.n_vertices
+        n, origins, targets = graph.n_vertices, graph.origins, graph.targets
+        issues, orders = [], []
+        vertices = list(range(n))
+        pairs = None
         for i, perm in enumerate(action.generators):
-            if len(perm) != n or sorted(perm) != list(range(n)):
+            if len(perm) != n or sorted(perm) != vertices:
                 issues.append(f"generator {i}: not a permutation of 0..{n - 1}")
                 continue
-            emap = _edge_image_map(graph, perm, by_pair)
-            if emap is None:
+            if pairs is None:
+                pairs = sorted(_pair_codes(n, origins, targets))
+            image = _pair_codes(n, map(perm.__getitem__, origins), map(perm.__getitem__, targets))
+            image.sort()
+            if image != pairs:
                 issues.append(f"generator {i}: does not map edges to edges")
             else:
-                maps.append(emap)
                 orders.append(_order(perm))
         self.issues: tuple[str, ...] = tuple(issues)
-        self.edge_maps: tuple[list[tuple[int, int]], ...] = () if issues else tuple(maps)
         self.vertex_orders: tuple[int, ...] = () if issues else tuple(orders)
+
+    @cached
+    def edge_maps(self) -> tuple[list[tuple[int, int]], ...]:
+        """Each generator's signed edge map (`_edge_image_map`), or () when
+        some generator is no automorphism."""
+        if self.issues:
+            return ()
+        by_pair: dict[tuple[int, int], list[int]] = {}
+        for pos, (o, t) in enumerate(zip(self.graph.origins, self.graph.targets)):
+            by_pair.setdefault((o, t) if o <= t else (t, o), []).append(pos)
+        return tuple([_edge_image_map(self.graph, p, by_pair) for p in self.action.generators])
 
     @cached
     def orbit_sizes(self) -> list[int]:
@@ -409,17 +451,13 @@ class ActionOrbits:
         return sizes
 
 
-def close_group(
-    generators: Sequence[tuple[int, ...]], n: int, orders: Sequence[int]
-) -> set[tuple[int, ...]]:
-    """Closure of the group generated by permutations of 0..n-1, given with
-    their orders, refused with PreconditionError("closure-cap", ...) when it
-    has more than GROUP_CLOSURE_CAP elements or more than
-    CLOSURE_ENTRY_BUDGET entries (|G| * n). |G| is a multiple of the lcm of
-    the orders, so a group whose lcm passes a bound is refused before any
-    product is built; otherwise the element that would pass a bound is
-    never stored. Repeated generators are dropped first: a repeat adds no
-    element and no order, but costs a product per element."""
+def _closure_bound(n: int, orders: Sequence[int]) -> tuple[int, str]:
+    """The most elements a group of permutations of 0..n-1 may have, the
+    lesser of GROUP_CLOSURE_CAP and CLOSURE_ENTRY_BUDGET // n, with the
+    detail that refuses one over it. A group generated by permutations of
+    these orders has a multiple of their lcm as its order, so one whose lcm
+    passes the bound is refused here, with PreconditionError("closure-cap",
+    ...)."""
     cap = GROUP_CLOSURE_CAP
     if n and CLOSURE_ENTRY_BUDGET // n < cap:
         limit = CLOSURE_ENTRY_BUDGET // n
@@ -431,6 +469,21 @@ def close_group(
         limit, detail = cap, f"group closure exceeded the cap of {cap} elements"
     if lcm(*orders) > limit:
         raise PreconditionError("closure-cap", detail)
+    return limit, detail
+
+
+def close_group(
+    generators: Sequence[tuple[int, ...]], n: int, orders: Sequence[int]
+) -> set[tuple[int, ...]]:
+    """Closure of the group generated by permutations of 0..n-1, given with
+    their orders, refused with PreconditionError("closure-cap", ...) when it
+    has more than GROUP_CLOSURE_CAP elements or more than
+    CLOSURE_ENTRY_BUDGET entries (|G| * n). A group whose orders' lcm passes
+    a bound is refused before any product is built (`_closure_bound`);
+    otherwise the element that would pass a bound is never stored.
+    Repeated generators are dropped first: a repeat adds no element and no
+    order, but costs a product per element."""
+    limit, detail = _closure_bound(n, orders)
     ident = tuple(range(n))
     els = {ident}
     if n < 2:  # only the identity; and itemgetter of one index returns no tuple
@@ -465,12 +518,21 @@ def action_checks(orbits: ActionOrbits) -> ActionChecks:
     Freeness is read off the orbits (orbit-stabilizer: every stabilizer is
     trivial iff every vertex orbit has |G| elements), and closedness off the
     generators, since products of component-preserving permutations preserve
-    components. Only the group order needs the capped closure.
+    components. With at most one distinct generator g the group is cyclic,
+    and |<g>| = ord(g) is read off g's cycles (`orbits.vertex_orders`; 1
+    with no generator), after the bound checks that `close_group` makes
+    first, so it is refused exactly where the closure would be. Only two or
+    more distinct generators are closed, under the same caps.
     """
     graph, gens = orbits.graph, orbits.action.generators
-    order = len(close_group(gens, graph.n_vertices, orbits.vertex_orders))
-    comp_of = graph.forest.comp_of
-    closed = all(comp_of[u] == comp_of[v] for perm in gens for v, u in enumerate(perm))
+    n, orders = graph.n_vertices, orbits.vertex_orders
+    if len(set(gens)) > 1:
+        order = len(close_group(gens, n, orders))
+    else:
+        _closure_bound(n, orders)
+        order = lcm(*orders)
+    comp_of = list(graph.forest.comp_of)
+    closed = all(list(map(comp_of.__getitem__, perm)) == comp_of for perm in gens)
     return ActionChecks(all(k == order for k in orbits.orbit_sizes), closed, order)
 
 

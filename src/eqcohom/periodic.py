@@ -40,12 +40,13 @@ variant applies to its two table rows cut at its own two offsets.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import lcm, prod
-from operator import itemgetter, mul, sub
+from operator import eq, itemgetter, mul, sub
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import GRAPH_BUDGET, TRUNCATION_BUDGET, InputError, PreconditionError
-from .graphs import Cochain0, Cochain1, Edge, Graph
+from .graphs import Cochain0, Cochain1, Graph
 from .linalg import (
     Mat,
     Reduction,
@@ -102,11 +103,11 @@ class PeriodicGraph(Frozen):
         id. Each entry is read once with `integer`, so a float or a bool is
         refused rather than truncated, and so is a key that names no edge."""
 
-        def read(e: Edge, t: Sequence) -> tuple[int, ...]:
+        def read(i: int, t: Sequence) -> tuple[int, ...]:
             try:
                 return tuple([integer(x) for x in t])
             except (TypeError, ValueError) as exc:
-                raise InputError(f"bad voltage of edge {e.id}: {exc}") from exc
+                raise InputError(f"bad voltage of edge {i}: {exc}") from exc
 
         return cls._build(d, quotient, voltages, read)
 
@@ -114,8 +115,8 @@ class PeriodicGraph(Frozen):
     def _build(
         cls, d: int, quotient: Graph, voltages: dict, read: Optional[Callable] = None
     ) -> "PeriodicGraph":
-        """A periodic graph whose edge e has the voltage read(e, t) of the
-        entry t under e.id, or t itself when there is no `read` (entries
+        """A periodic graph whose edge of id i has the voltage read(i, t) of
+        the entry t under i, or t itself when there is no `read` (entries
         read already). An edge with no entry, a voltage whose length is not
         d, and a key that names no edge are refused, and so is a d that
         brings vertices plus edges plus d over GRAPH_BUDGET."""
@@ -129,15 +130,15 @@ class PeriodicGraph(Frozen):
                 f"over the budget of {GRAPH_BUDGET}",
             )
         volt = {}
-        for e in quotient.edges:
-            if e.id not in voltages:
-                raise InputError(f"missing voltage for edge {e.id}")
-            t = voltages[e.id]
+        for i in quotient.ids:
+            if i not in voltages:
+                raise InputError(f"missing voltage for edge {i}")
+            t = voltages[i]
             if read is not None:
-                t = read(e, t)
+                t = read(i, t)
             if len(t) != d:
-                raise InputError(f"voltage of edge {e.id} has length != d")
-            volt[e.id] = t
+                raise InputError(f"voltage of edge {i} has length != d")
+            volt[i] = t
         if len(volt) != len(voltages):
             unknown = sorted(key for key in voltages if key not in volt)
             raise InputError(
@@ -156,19 +157,25 @@ class PeriodicGraph(Frozen):
     def from_json(cls, obj: dict) -> "PeriodicGraph":
         """Read a graph with "d" and "voltages", an object keyed by edge id.
         As with 1-cochains, a key must be an edge id exactly as str(id)
-        writes it, so "01" and " 1" name no edge rather than edge 1."""
+        writes it, so "01" and " 1" name no edge rather than edge 1. An
+        entry is read with `integer` only when it is not exactly an int, so
+        the first bad entry is the one refused."""
         graph = Graph.from_json(obj)
         try:
-            d = integer(obj["d"])
+            d = obj["d"]
+            if type(d) is not int:
+                d = integer(d)
             given = obj["voltages"]
             if type(given) is not dict:
                 raise TypeError('"voltages" is not a JSON object')
             # One pass in the object's order: each entry is read, and its
             # key becomes the edge id when it is one as str writes it; every
             # other key stays a string, which names no edge.
-            ids = {str(e.id): e.id for e in graph.edges}
+            ids = dict(zip(map(str, graph.ids), graph.ids))
             voltages = {
-                ids.get(key, key): tuple([integer(x) for x in json_list(t)])
+                ids.get(key, key): tuple(
+                    [x if type(x) is int else integer(x) for x in json_list(t)]
+                )
                 for key, t in given.items()
             }
         except (KeyError, TypeError, ValueError) as exc:
@@ -178,7 +185,7 @@ class PeriodicGraph(Frozen):
     @cached
     def edge_voltages(self) -> tuple[tuple[int, ...], ...]:
         """The voltage of each quotient edge, by stored position."""
-        return tuple([self.voltages[e.id] for e in self.quotient.edges])
+        return tuple(list(map(self.voltages.__getitem__, self.quotient.ids)))
 
     @cached
     def voltage_classes(self) -> dict[tuple[int, ...], list[int]]:
@@ -206,12 +213,12 @@ class PeriodicGraph(Frozen):
         )
         b = {j: forest.integrate([t[j] for t in volts]) for j in moved}
         cycles: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in forest.comps]
-        for pos, e in enumerate(g.edges):
+        for pos, (o, t) in enumerate(zip(g.origins, g.targets)):
             if pos not in forest.tree_positions:
                 cv = list(volts[pos])
                 for j, bj in b.items():
-                    cv[j] += bj[e.o] - bj[e.t]
-                cycles[forest.comp_of[e.o]].append((pos, tuple(cv)))
+                    cv[j] += bj[o] - bj[t]
+                cycles[forest.comp_of[o]].append((pos, tuple(cv)))
         return tuple([tuple(comp) for comp in cycles])
 
     @cached
@@ -271,11 +278,11 @@ def _period_coefficients(pg: PeriodicGraph, w_int: Sequence[int]):
     Yields lazily, so a caller may stop at the first None.
     """
     g = pg.quotient
+    origins, targets = g.origins, g.targets
     pw = g.forest.integrate(w_int)
     for comp_cycles, lat in zip(pg.cycles, pg.lattices):
         sums = [
-            w_int[pos] + pw[g.edges[pos].o] - pw[g.edges[pos].t]
-            for pos, _ in comp_cycles
+            w_int[pos] + pw[origins[pos]] - pw[targets[pos]] for pos, _ in comp_cycles
         ]
         chosen = lat.independent_cycles
         block = Mat.from_ints([comp_cycles[i][1] for i in chosen], cols=pg.d)
@@ -320,10 +327,12 @@ class PeriodicDecomposition(NamedTuple):
 def parse_invariant_cochain(pg: PeriodicGraph, obj) -> Cochain1:
     """Parse a 1-cochain on the quotient. Only zero-voltage loops lift to
     genuine loops, so only those are forced to carry value 0."""
-    w = Cochain1.from_json(pg.quotient, obj)
-    for e, x, t in zip(pg.quotient.edges, w.ints, pg.edge_voltages):
-        if x and e.o == e.t and not any(t):
-            raise InputError(f"zero-voltage loop edge {e.id} must carry value 0")
+    g = pg.quotient
+    w = Cochain1.from_json(g, obj)
+    volts = pg.edge_voltages
+    for pos in compress(range(g.n_edges), map(eq, g.origins, g.targets)):  # the loops
+        if w.ints[pos] and not any(volts[pos]):
+            raise InputError(f"zero-voltage loop edge {g.ids[pos]} must carry value 0")
     return w
 
 
@@ -361,8 +370,8 @@ def decompose_periodic(pg: PeriodicGraph, w: Cochain1) -> PeriodicDecomposition:
     f_int = pg.quotient.forest.integrate(list(map(sub, w_int, periods)))
     # The round trip w = reconstruct(a, f): on the tree edges it holds by
     # construction, and on the others it is the residual's exactness.
-    edges = pg.quotient.edges
-    if [f_int[e.t] - f_int[e.o] + p for e, p in zip(edges, periods)] != w_int:
+    g = pg.quotient
+    if [f_int[t] - f_int[o] + p for o, t, p in zip(g.origins, g.targets, periods)] != w_int:
         raise AssertionError("round trip w = reconstruct(a, f) fails")
     den = den_w * den_a
     a = tuple([tuple([_frac(row[j], den) for row in a_int]) for j in range(pg.d)])
@@ -376,10 +385,11 @@ def _reconstruct_ints(
 ) -> list[int]:
     """w(e) = f(te) - f(oe) + sum_j a_{j,k} t(e)_j on integers, with a_int
     one row per quotient component."""
-    comp_of = pg.quotient.forest.comp_of
+    g = pg.quotient
+    comp_of = g.forest.comp_of
     return [
-        f_int[e.t] - f_int[e.o] + sum(map(mul, a_int[comp_of[e.o]], t))
-        for e, t in zip(pg.quotient.edges, pg.edge_voltages)
+        f_int[t] - f_int[o] + sum(map(mul, a_int[comp_of[o]], v))
+        for o, t, v in zip(g.origins, g.targets, pg.edge_voltages)
     ]
 
 
@@ -520,11 +530,11 @@ def truncation_oracle(
                 plan[pos] = entry
 
     checks = 0
-    for e, value, entry in zip(g.edges, w_int, plan):
+    for edge_id, oe, te, value, entry in zip(g.ids, g.origins, g.targets, w_int, plan):
         if entry is None:
             continue
         index, o_near, gather_near, gather_far, cut_near, cut_far, span = entry
-        near, far = table[e.o], table[e.t]
+        near, far = table[oe], table[te]
         if cut_near:
             near = near[cut_near : cut_near + span]
         if cut_far:
@@ -533,7 +543,7 @@ def truncation_oracle(
         if diffs.count(value) != len(diffs):
             at = o_near + index[next(i for i, x in enumerate(diffs) if x != value)]
             cell = tuple([at // stride % side + lo for stride in strides])
-            raise AssertionError(f"truncation mismatch on edge {e.id} at cell {cell}")
+            raise AssertionError(f"truncation mismatch on edge {edge_id} at cell {cell}")
         checks += len(diffs)
     return {"radius": radius, "checks": checks, "ok": True}
 

@@ -160,9 +160,19 @@ def _block_pair(
     return gu0, gw0
 
 
+def _check_max_dim(max_dim: int) -> None:
+    """Refuse a max_dim below 2, which leaves no designed equality
+    instance to draw (it needs dim_U >= 2)."""
+    if max_dim < 2:
+        raise InputError(f"max_dim must be >= 2, got {max_dim}")
+
+
 def random_linear_instance(rng: random.Random, max_dim: int = 6) -> LinearInstance:
     """Valid random instance, drawn from one of the two linear families:
-    the designed equality instances or the general block instances."""
+    the designed equality instances or the general block instances. A
+    designed equality instance needs dim_U >= 2, so a max_dim below 2 is
+    refused with InputError before anything is drawn."""
+    _check_max_dim(max_dim)
     if rng.random() < 0.35:
         return _designed_equality_instance(rng, max_dim)
     return _block_instance(rng, max_dim)
@@ -317,9 +327,10 @@ def random_graph_instance(rng: random.Random) -> LinearInstance:
         # Two disjoint copies of a random graph, swapped.
         base = random_graph(rng, 3)
         n = base.n_vertices
-        edges = [(e.id, e.o, e.t) for e in base.edges]
+        edges = list(zip(base.ids, base.origins, base.targets))
         edges += [
-            (len(edges) + i, e.o + n, e.t + n) for i, e in enumerate(base.edges)
+            (len(edges) + i, o + n, t + n)
+            for i, (o, t) in enumerate(zip(base.origins, base.targets))
         ]
         g = Graph.make(2 * n, edges)
         perm = tuple(list(range(n, 2 * n)) + list(range(n)))
@@ -456,8 +467,7 @@ def run_verification(seed: int, count: int, max_dim: int = 6) -> VerifyResult:
     raises PreconditionError("budget", ...) before any instance is drawn."""
     if count < 0:
         raise InputError(f"count must be >= 0, got {count}")
-    if max_dim < 2:
-        raise InputError(f"max_dim must be >= 2, got {max_dim}")
+    _check_max_dim(max_dim)
     cells = MAX_GENS * max_dim**3
     if cells > VERIFY_BUDGET:
         raise PreconditionError(

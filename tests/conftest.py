@@ -12,10 +12,10 @@ import pytest
 import eqcohom.linalg
 
 from eqcohom.cli import cmd_analyze, cmd_fixtures, cmd_graph, cmd_periodic, cmd_verify
-from eqcohom.errors import PreconditionError
+from eqcohom.errors import GRAPH_BUDGET, InputError, PreconditionError
 from eqcohom.fixtures import FIXTURE_NAMES
-from eqcohom.graphs import ActionOrbits, Cochain1, Graph, GraphAction, potential
-from eqcohom.linalg import Mat, Subspace, _lowest, rat, solve, vec
+from eqcohom.graphs import ActionOrbits, Cochain1, Edge, Graph, GraphAction, potential
+from eqcohom.linalg import Mat, Subspace, _lowest, integer, json_list, rat, solve, vec
 from eqcohom.periodic import PeriodicGraph
 from eqcohom.randomized import _apply_ops, _elementary_ops
 
@@ -502,6 +502,112 @@ def reference_decompose_periodic(pg, w):
     a = tuple(tuple(a_k[j] for a_k in per_comp_a) for j in range(pg.d))
     assert reference_reconstruct(pg, a, f).values == w.values
     return a, f.values
+
+
+# The graph loaders as they were when a Graph kept a tuple of Edge records
+# and every entry was read with `integer`: the references for the endpoint
+# arrays and the typed reads that replaced them. Each returns plain values
+# (or raises what the loader raised).
+
+
+def reference_graph_make(n_vertices, edges):
+    """The former Graph.make: (n_vertices, the Edge records sorted by id)."""
+    size = n_vertices + len(edges)
+    if size > GRAPH_BUDGET:
+        raise PreconditionError(
+            "budget",
+            f"graph has {size} vertices plus edges, "
+            f"over the budget of {GRAPH_BUDGET}",
+        )
+    es = tuple([Edge(i, o, t) for i, o, t in sorted(edges)])
+    if n_vertices < 0:
+        raise InputError(f"vertex count {n_vertices} < 0")
+    ids = [e.id for e in es]
+    if len(set(ids)) != len(ids):
+        raise InputError("duplicate edge ids")
+    for e in es:
+        if not (0 <= e.o < n_vertices and 0 <= e.t < n_vertices):
+            raise InputError(f"edge {e.id} has a dangling endpoint")
+    return n_vertices, es
+
+
+def reference_graph_from_json(obj):
+    """The former Graph.from_json, through reference_graph_make."""
+    try:
+        n = integer(obj["vertices"])
+        edges = [
+            (integer(e["id"]), integer(e["o"]), integer(e["t"]))
+            for e in json_list(obj["edges"])
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"bad graph JSON: {exc}") from exc
+    return reference_graph_make(n, edges)
+
+
+def reference_action_from_json(obj):
+    """The former GraphAction.from_json: (generators, orders)."""
+    try:
+        gens = tuple(
+            [
+                tuple([integer(x) for x in json_list(p)])
+                for p in json_list(obj["generators"])
+            ]
+        )
+        given = obj.get("orders")
+        if given is None:
+            given = {}
+        elif type(given) is not dict:
+            raise TypeError('"orders" is not a JSON object')
+        orders = {}
+        for key, n in given.items():
+            i = integer(key)
+            if str(i) != key:
+                raise ValueError(f"order key {key!r} is not a generator index")
+            orders[i] = integer(n)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"bad action JSON: {exc}") from exc
+    return gens, orders
+
+
+def reference_periodic_from_json(obj):
+    """The former PeriodicGraph.from_json and _build: (d, n_vertices, the
+    Edge records, voltages keyed by edge id in edge order)."""
+    n_vertices, edges = reference_graph_from_json(obj)
+    try:
+        d = integer(obj["d"])
+        given = obj["voltages"]
+        if type(given) is not dict:
+            raise TypeError('"voltages" is not a JSON object')
+        ids = {str(e.id): e.id for e in edges}
+        voltages = {
+            ids.get(key, key): tuple([integer(x) for x in json_list(t)])
+            for key, t in given.items()
+        }
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"bad periodic graph JSON: {exc}") from exc
+    if d < 1:
+        raise InputError("periodic rank d must be >= 1")
+    size = n_vertices + len(edges) + d
+    if size > GRAPH_BUDGET:
+        raise PreconditionError(
+            "budget",
+            f"periodic graph has {size} vertices plus edges plus rank d, "
+            f"over the budget of {GRAPH_BUDGET}",
+        )
+    volt = {}
+    for e in edges:
+        if e.id not in voltages:
+            raise InputError(f"missing voltage for edge {e.id}")
+        t = voltages[e.id]
+        if len(t) != d:
+            raise InputError(f"voltage of edge {e.id} has length != d")
+        volt[e.id] = t
+    if len(volt) != len(voltages):
+        unknown = sorted(key for key in voltages if key not in volt)
+        raise InputError(
+            "voltage keys name no edge of the graph: " + ", ".join(map(str, unknown))
+        )
+    return d, n_vertices, edges, volt
 
 
 @pytest.fixture

@@ -235,10 +235,24 @@ def _random_report_value(rng: random.Random, depth: int):
     return {_random_text(rng, 3): v for v in items}
 
 
+# Lists that the one-map writing of all-str and all-int lists must tell
+# apart: bool beside int (a bool is an int, but is written true/false),
+# non-ASCII, escaped and lone-surrogate strings, tuples, and empty lists
+# nested in lists.
+EDGE_LISTS = [
+    [True, 1], [1, True], [False, 0, 1], [True, False], [1, 2**70, -3],
+    ["\u00e9", "\u20ac", "\U0001d11e"], ['"', "\\", "\n", "\x00", "\x7f", "\u2028"],
+    ["\ud800", "a\udfff"], ["a", 1], ["1", None], (1, 2), ("a", "b"), (True, 1),
+    [[]], [[], []], [[[]], [], [[], [1]]], [["a"], [1, 2], [True]], {"k": [[], ["x"]]},
+]
+
+
 def test_indented_json_matches_json_dumps():
     rng = random.Random(29)
     for _ in range(3000):
         value = _random_report_value(rng, rng.randint(0, 4))
+        assert indented_json(value) == json.dumps(value, sort_keys=True, indent=2)
+    for value in EDGE_LISTS:
         assert indented_json(value) == json.dumps(value, sort_keys=True, indent=2)
 
 

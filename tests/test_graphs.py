@@ -779,6 +779,117 @@ def test_action_checks_match_whole_group_definition():
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
+def small_actions():
+    """Every graph on at most 3 vertices with at most 3 edges (one multiset
+    of stored (origin, target) pairs per graph, ids in order), with every
+    tuple of at most 2 of its automorphisms as generators."""
+    for n in range(4):
+        pairs = [(o, t) for o in range(n) for t in range(n)]
+        perms = list(itertools.permutations(range(n)))
+        for m in range(4):
+            for ends in itertools.combinations_with_replacement(pairs, m):
+                g = Graph.make(n, [(i, o, t) for i, (o, t) in enumerate(ends)])
+                autos = [p for p in perms if not ActionOrbits(g, GraphAction((p,))).issues]
+                for d in range(3):
+                    for gens in itertools.product(autos, repeat=d):
+                        yield g, gens
+
+
+def test_group_order_matches_the_closure():
+    # The order of <g> read off g's cycles, for at most one distinct
+    # generator, and the closure's size for more, are |close_group|: on the
+    # seeded actions and in the bounded-exhaustive scope.
+    rng = random.Random(83)
+    actions = [random_action(rng, k) for k in range(400)]
+    cases = Counter()
+    for g, gens in itertools.chain(actions, small_actions()):
+        orbits = ActionOrbits(g, GraphAction(gens))
+        closure = close_group(gens, g.n_vertices, orbits.vertex_orders)
+        assert action_checks(orbits).group_order == len(closure)
+        cases[min(len(set(gens)), 2), len(closure) > 1] += 1
+    assert sum(cases.values()) == 400 + 1592
+    # Two distinct generators always generate more than the identity.
+    assert min(cases[0, False], cases[1, False], cases[1, True], cases[2, True]) > 20
+
+
+def test_cyclic_action_order_needs_no_closure(monkeypatch):
+    # With at most one distinct generator no group is enumerated: one
+    # generator, a repeated one, the identity, no generator, and n = 0 and
+    # 1. Two distinct generators are closed.
+    def forbidden(*args):
+        raise AssertionError("close_group called")
+
+    monkeypatch.setattr(eqcohom.graphs, "close_group", forbidden)
+    c6 = cycle_graph(6)
+    rot = tuple((v + 1) % 6 for v in range(6))
+    refl = tuple((-v) % 6 for v in range(6))
+    ident = tuple(range(6))
+    cases = [
+        (c6, (rot,), 6),
+        (c6, (rot, rot), 6),
+        (c6, (refl, refl, refl), 2),
+        (c6, (ident,), 1),
+        (c6, (ident, ident), 1),
+        (c6, (), 1),
+        (Graph.make(0, []), ((),), 1),
+        (Graph.make(0, []), ((), ()), 1),
+        (Graph.make(0, []), (), 1),
+        (Graph.make(1, [(0, 0, 0)]), ((0,),), 1),
+        (Graph.make(1, []), ((0,), (0,)), 1),
+    ]
+    for g, gens, order in cases:
+        checks = action_checks(ActionOrbits(g, GraphAction(gens)))
+        assert checks.group_order == order
+        assert analyze_graph_action(g, GraphAction(gens))["group_order"] == order
+    # Cycles of lengths 16, 9, 25 and 7: 25,200 elements, none enumerated.
+    perm = []
+    for start, length in ((0, 16), (16, 9), (25, 25), (50, 7)):
+        perm += [start + (i + 1) % length for i in range(length)]
+    rep = analyze_graph_action(Graph.make(57, []), GraphAction((tuple(perm),)))
+    assert (rep["group_order"], rep["is_free"]) == (25200, False)
+    with pytest.raises(AssertionError, match="close_group called"):
+        action_checks(ActionOrbits(c6, GraphAction((rot, refl))))
+
+
+def test_cyclic_action_refusals_match_the_closure(monkeypatch):
+    # The element cap and the entry budget refuse <g> with the closure's
+    # code and detail, and admit it at the boundary.
+    c6 = cycle_graph(6)
+    rot = tuple((v + 1) % 6 for v in range(6))
+
+    def refusal(run):
+        with pytest.raises(PreconditionError) as err:
+            run()
+        return err.value.code, err.value.detail
+
+    def checks():
+        return action_checks(ActionOrbits(c6, GraphAction((rot, rot))))
+
+    for name, limit, detail in (
+        ("GROUP_CLOSURE_CAP", 6, "group closure exceeded the cap of 5 elements"),
+        (
+            "CLOSURE_ENTRY_BUDGET",
+            36,
+            "group closure exceeded the budget of 35 entries "
+            "(at most 5 permutations of 6 vertices)",
+        ),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(eqcohom.graphs, name, limit)
+            assert checks().group_order == len(close_group([rot], 6, (6,))) == 6
+            m.setattr(eqcohom.graphs, name, limit - 1)
+            assert refusal(checks) == refusal(lambda: close_group([rot], 6, (6,)))
+            assert refusal(checks) == ("closure-cap", detail)
+    # Cycles of lengths 47, 53 and 59: 146,969 elements, over the cap.
+    perm = []
+    for start, length in ((0, 47), (47, 53), (100, 59)):
+        perm += [start + (i + 1) % length for i in range(length)]
+    code, detail = refusal(
+        lambda: analyze_graph_action(Graph.make(159, []), GraphAction((tuple(perm),)))
+    )
+    assert (code, detail) == ("closure-cap", "group closure exceeded the cap of 100000 elements")
+
+
 def test_orbit_quotient_dim_forced_zero_reflection():
     # Reflecting C5 in vertex 0 maps edge 2 = (2, 3) to itself reversed, so
     # its orbit carries no invariant form. Edges 0 and 4, and 1 and 3, pair

@@ -10,6 +10,7 @@ import pytest
 import eqcohom.instance
 import eqcohom.linalg
 import eqcohom.randomized
+from eqcohom.errors import InputError
 from eqcohom.fixtures import double_shear_instance
 from eqcohom.instance import (
     LinearInstance,
@@ -380,3 +381,21 @@ def test_smallest_max_dim_draws():
     # max_dim 2 is the least that verify accepts; it must draw and pass.
     result = run_verification(3, 60, max_dim=2)
     assert result.ok and result.checked == 60
+
+
+def test_random_linear_instance_refuses_max_dim_below_2():
+    # A designed equality instance needs dim_U >= 2: max_dim 0 and 1 are
+    # refused as run_verification refuses them, before any draw, so the
+    # generator's state is left as it was. max_dim 2 draws.
+    for seed in range(50):
+        for max_dim in (0, 1):
+            rng = random.Random(seed)
+            state = rng.getstate()
+            with pytest.raises(InputError) as err:
+                random_linear_instance(rng, max_dim)
+            assert str(err.value) == f"max_dim must be >= 2, got {max_dim}"
+            assert rng.getstate() == state
+        rng = random.Random(seed)
+        state = rng.getstate()
+        assert random_linear_instance(rng, 2).dim_U <= 2
+        assert rng.getstate() != state

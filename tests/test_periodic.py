@@ -3,7 +3,7 @@ import io
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import lcm, prod
 from pathlib import Path
 
@@ -604,19 +604,18 @@ def wide_voltage_quotient(rng, d, n_comps, radius):
     return PeriodicGraph.make(d, g, {i: t for i, (_, _, t) in enumerate(raw)})
 
 
-def corner_box(u, side):
-    """(cells, index span) of the corner box of |t| = u in a window of
-    side `side`: per coordinate j the first side - u_j cells, coordinate j
-    at stride side**j."""
-    size = prod(max(0, side - x) for x in u)
-    return size, 1 + sum((side - x - 1) * side**j for j, x in enumerate(u))
+def box_cells(u, side):
+    """Cells of the corner box of |t| = u in a window of side `side`: per
+    coordinate j the first side - u_j cells."""
+    return prod(max(0, side - x) for x in u)
 
 
 def is_sparse(u, side):
-    """Whether the oracle gathers the corner box of u per voltage, from
-    shifted index lists, because it spans more than twice its cells."""
-    size, span = corner_box(u, side)
-    return size and span > 2 * size
+    """Whether the oracle gathers the box of |t| = u from list rows rather
+    than comparing packed rows: a nonempty box holding fewer than a quarter
+    of the window's cells."""
+    cells = box_cells(u, side)
+    return cells and side ** len(u) > 4 * cells
 
 
 def test_corner_box_oracle_matches_brute_force():
@@ -671,91 +670,309 @@ def test_corner_box_oracle_matches_brute_force():
         assert seen[key] >= 10, (key, seen)
 
 
-def test_sign_variants_share_one_corner_gather(monkeypatch):
-    # One gather per distinct |t| with a nonempty box: t, -t and every
-    # sign variant of t read the same corner box at their own offsets.
-    # Only a sparse corner box, spanning more than twice its cells in the
-    # index, is gathered per voltage instead, from two shifted lists.
-    built = []
-    real_gather = periodic._gather
+@pytest.fixture
+def oracle_paths(monkeypatch):
+    """Record the oracle's two paths: the corner boxes packed as ints (the
+    slot ones, once per |t|) and the gathers built for a sparse box (near
+    and far ends per voltage), each with its index list."""
+    seen = {"boxes": [], "gathers": []}
+    real_box, real_gather = periodic._corner_box_int, periodic._gather
 
-    def counted(indices):
-        built.append(list(indices))
+    def box(slot, u, side):
+        seen["boxes"].append(tuple(u))
+        return real_box(slot, u, side)
+
+    def gather(indices):
+        seen["gathers"].append(list(indices))
         return real_gather(indices)
 
-    monkeypatch.setattr(periodic, "_gather", counted)
+    monkeypatch.setattr(periodic, "_corner_box_int", box)
+    monkeypatch.setattr(periodic, "_gather", gather)
+    return seen
+
+
+def test_voltage_classes_split_between_packed_rows_and_gathers(oracle_paths):
+    # t, -t and every sign variant of t share one corner box. Where the
+    # window holds at most four times its cells, the box is packed once per
+    # |t| and no index list is gathered; a sparser box gets,
+    # per voltage, the corner list shifted by each of its two offsets.
     volts = [(1, -2), (-1, 2), (1, 2), (-1, -2), (2, 1), (0, 0), (5, 0), (-5, 1), (1, 0), (0, 1)]
     g = Graph.make(2, [(i, i % 2, (i // 2) % 2) for i in range(len(volts))])
     pg = PeriodicGraph.make(2, g, dict(enumerate(volts)))
     w = reconstruct(pg, [[Fraction(1, 2)], [-3]], Cochain0(vec([0, 4])))
     dec = decompose_periodic(pg, w)
-    built.clear()
     report = truncation_oracle(pg, w, dec, 2)
     assert report == {"radius": 2, "checks": 4 * 12 + 12 + 25 + 2 * 20, "ok": True}
-    # |t| = (1, 2), (2, 1), (0, 0), (1, 0) and (0, 1); (5, 0) and (5, 1)
-    # leave the window of side 5, so their boxes are empty.
-    side = 5
-
-    def corner(u):  # lexicographic: the first coordinate is the slowest
+    # |t| = (1, 2), (2, 1), (0, 0), (1, 0) and (0, 1) fill at least a quarter
+    # of the window of side 5; (5, 0) and (5, 1) leave it, so their boxes
+    # are empty.
+    corners = [(1, 2), (2, 1), (0, 0), (1, 0), (0, 1)]
+    assert sorted(oracle_paths["boxes"]) == sorted(corners)
+    assert oracle_paths["gathers"] == []
+    # At radius 4 (side 9) the box of |t| = (1, 2) holds 8 * 7 = 56 of 81
+    # cells and is packed; at radius 1 (side 3) it holds 2 * 1 of 9 and each
+    # of its four sign variants gathers its own shifted lists.
+    def corner(u, side):  # lexicographic: the first coordinate is the slowest
         return [i + j * side for i in range(side - u[0]) for j in range(side - u[1])]
 
-    assert sorted(built) == sorted(corner(u) for u in [(1, 2), (2, 1), (0, 0), (1, 0), (0, 1)])
-    # Over seeded quotients, the count is the number of distinct |t| with
-    # a nonempty box that is not sparse, plus two per voltage whose box is.
+    for radius in (1, 4):
+        oracle_paths["boxes"].clear()
+        oracle_paths["gathers"].clear()
+        truncation_oracle(pg, w, dec, radius)
+        side = 2 * radius + 1
+        sparse = [t for t in volts if is_sparse(tuple(map(abs, t)), side)]
+        assert ((1, 2) in [tuple(map(abs, t)) for t in sparse]) == (radius == 1)
+        assert len(oracle_paths["gathers"]) == 2 * len(sparse)
+        for t, near, far in zip(sparse, *[oracle_paths["gathers"][i::2] for i in (0, 1)]):
+            shift = t[0] + t[1] * side
+            o_near = -min(t[0], 0) - min(t[1], 0) * side
+            base = corner(tuple(map(abs, t)), side)
+            assert near == [b + o_near for b in base]
+            assert far == [b + o_near + shift for b in base]
+    # Over seeded quotients: one box int per distinct |t| that is packed,
+    # two gathers per voltage whose box is sparse, and both paths are seen.
     rng = random.Random(86)
-    seen_sparse = 0
+    seen = Counter()
     for _ in range(60):
         d, radius = rng.randint(1, 3), rng.randint(0, 2)
         pg = wide_voltage_quotient(rng, d, rng.randint(1, 2), radius)
         _, _, w = random_cochain_pair(rng, pg)
         dec = decompose_periodic(pg, w)
-        built.clear()
+        oracle_paths["boxes"].clear()
+        oracle_paths["gathers"].clear()
         truncation_oracle(pg, w, dec, radius)
         side = 2 * radius + 1
         corners = {tuple(map(abs, t)) for t in pg.voltages.values()}
+        packed = [u for u in corners if box_cells(u, side) and not is_sparse(u, side)]
         sparse = {t for t in pg.voltages.values() if is_sparse(tuple(map(abs, t)), side)}
-        dense = [u for u in corners if corner_box(u, side)[0] and not is_sparse(u, side)]
-        assert len(built) == len(dense) + 2 * len(sparse)
-        seen_sparse += bool(sparse)
-    assert seen_sparse >= 10, seen_sparse
+        assert sorted(oracle_paths["boxes"]) == sorted(packed)
+        assert len(oracle_paths["gathers"]) == 2 * len(sparse)
+        seen["packed"] += bool(packed)
+        seen["sparse"] += bool(sparse)
+    assert seen["packed"] >= 10 and seen["sparse"] >= 10, seen
 
 
 def test_oracle_reads_a_bounded_multiple_of_its_boxes(monkeypatch):
     # A large |t_0| at a large radius makes a box of few cells that spans
-    # almost the whole row in the index. Slicing each row at the edge's
-    # offset would copy that span for every edge; the entries the oracle
-    # gathers and copies must stay within a fixed multiple of the box
-    # cells its work prediction counts.
+    # almost the whole row in the index. Shifting a packed row for each such
+    # edge would cost the whole window per edge, and so would slicing a list
+    # row at its offset; the entries the oracle reads must stay within a
+    # fixed multiple of the box cells its work prediction counts. A packed
+    # edge is charged its whole window, and a packed box int its window.
     radius, side = 100, 201
+    window = side**2
     touched = [0]
-    real_gather = periodic._gather
+    real_box, real_gather = periodic._corner_box_int, periodic._gather
 
-    def counted(indices):
+    def box(slot, u, side):
+        touched[0] += window
+        return real_box(slot, u, side)
+
+    def gather(indices):
         touched[0] += len(indices)
-        gather = real_gather(indices)
+        read = real_gather(indices)
 
-        def read(row):
-            # A row shorter than the window is a slice the oracle copied.
-            touched[0] += len(indices) + (len(row) if len(row) < side**2 else 0)
-            return gather(row)
+        def counted(row):
+            assert len(row) == window  # a whole table row, never a slice
+            touched[0] += len(indices)
+            return read(row)
 
-        return read
+        return counted
 
-    monkeypatch.setattr(periodic, "_gather", counted)
+    monkeypatch.setattr(periodic, "_corner_box_int", box)
+    monkeypatch.setattr(periodic, "_gather", gather)
     volts = [(1, 0), (0, 1)] + [(200, 0), (-200, 3), (190, -2), (-199, -1)] * 100
     g = Graph.make(2, [(i, i % 2, (i // 3) % 2) for i in range(len(volts))])
     pg = PeriodicGraph.make(2, g, dict(enumerate(volts)))
     w = reconstruct(pg, [[Fraction(1, 2)], [-3]], Cochain0(vec([0, 4])))
     dec = decompose_periodic(pg, w)
-    cells = sum(corner_box(tuple(map(abs, t)), side)[0] for t in volts)
+    cells = sum(box_cells(tuple(map(abs, t)), side) for t in volts)
     assert side**2 * 2 + cells <= periodic.TRUNCATION_BUDGET
     assert truncation_oracle(pg, w, dec, radius) == {"radius": radius, "checks": cells, "ok": True}
+    packed = [t for t in volts if not is_sparse(tuple(map(abs, t)), side)]
+    assert packed == [(1, 0), (0, 1)]
+    touched[0] += window * len(packed)
     assert touched[0] <= 8 * cells, (touched[0], cells)
     # A wrong f is still named at its first cell.
     moved = dec._replace(f=Cochain0((dec.f.values[0] + 1, dec.f.values[1])))
     with pytest.raises(AssertionError) as err:
         truncation_oracle(pg, w, moved, radius)
     assert str(err.value) == "truncation mismatch on edge 1 at cell (-100, -100)"
+
+
+def test_one_cell_boxes_are_gathered_not_shifted(oracle_paths):
+    # 20,000 edges whose boxes are one cell of a window of 401^2 cells: each
+    # is checked from one gathered entry per end. Packing them would shift a
+    # whole window per edge. Only the unit loops' boxes, most of the window,
+    # are packed.
+    radius, side = 200, 401
+    signs = [(400, 400), (-400, 400), (400, -400), (-400, -400)]
+    volts = [(1, 0), (0, 1)] + [signs[i % 4] for i in range(20000)]
+    g = Graph.make(2, [(i, i % 2, (i // 3) % 2) for i in range(len(volts))])
+    pg = PeriodicGraph.make(2, g, dict(enumerate(volts)))
+    w = reconstruct(pg, [[Fraction(1, 2)], [-3]], Cochain0(vec([0, 4])))
+    dec = decompose_periodic(pg, w)
+    cells = 2 * 400 * side + 20000
+    assert 2 * side**2 + cells <= periodic.TRUNCATION_BUDGET
+    assert truncation_oracle(pg, w, dec, radius) == {"radius": radius, "checks": cells, "ok": True}
+    assert sorted(oracle_paths["boxes"]) == [(0, 1), (1, 0)]
+    gathers = oracle_paths["gathers"]
+    assert len(gathers) == 2 * len(signs) and all(len(x) == 1 for x in gathers)
+    # The far end of (400, 400) from cell (-200, -200) is (200, 200): the
+    # last index of the window.
+    assert gathers[:2] == [[0], [side**2 - 1]]
+    # A wrong value on one edge of a one-cell box names that edge and cell.
+    values = list(w.values)
+    values[5] += 1  # voltage (-400, -400): its one cell is (200, 200)
+    with pytest.raises(AssertionError) as err:
+        truncation_oracle(pg, Cochain1(values), dec, radius)
+    assert str(err.value) == "truncation mismatch on edge 5 at cell (200, 200)"
+
+
+def slot_edge_case(rng, magnitude, loop):
+    """A small quotient (d in {1, 2}, one or two components) with a
+    decomposition whose a and f have numerators within 3 of +-magnitude
+    over mixed denominators: the values whose packed slots sit near a byte
+    boundary. Each vertex also carries a loop of voltage +-loop along the
+    first coordinate, whose box at radius loop / 2 is one cell wide."""
+    d, n_comps = rng.randint(1, 2), rng.randint(1, 2)
+    pg = random_multi_component_quotient(rng, d, n_comps)
+    g = pg.quotient
+    extra = [(v, v, tuple(rng.choice((-loop, loop)) * (j == 0) for j in range(d))) for v in range(g.n_vertices)]
+    raw = [(o, t, pg.voltages[i]) for i, o, t in zip(g.ids, g.origins, g.targets)] + extra
+    g = Graph.make(g.n_vertices, [(i, o, t) for i, (o, t, _) in enumerate(raw)])
+    pg = PeriodicGraph.make(d, g, {i: t for i, (_, _, t) in enumerate(raw)})
+
+    def near_edge():
+        return Fraction(rng.choice((-1, 1)) * (magnitude + rng.randint(-3, 3)), rng.choice(DENS))
+
+    a = [[near_edge() for _ in range(n_comps)] for _ in range(d)]
+    f = Cochain0(tuple(near_edge() for _ in range(g.n_vertices)))
+    return pg, periodic.PeriodicDecomposition(tuple(map(tuple, a)), f, pg.lattices)
+
+
+def slot_bits(w, dec, radius):
+    """The oracle's slot width: 8 * ceil((bits + 2) / 8) for the bit-length
+    bits of max(2 * bound, max |w|), on the common denominator of w, f and
+    a, where bound = max |f| + radius * max_k sum_j |a_jk|."""
+    den = lcm(*(x.denominator for x in (*w.values, *dec.f.values, *chain(*dec.a))))
+    bound = max(abs(x) for x in dec.f.values) + radius * max(
+        sum(abs(x) for x in col) for col in zip(*dec.a)
+    )
+    top = int(max(2 * bound, *(abs(x) for x in w.values)) * den)
+    return 8 * -(-(top.bit_length() + 2) // 8)
+
+
+@pytest.mark.parametrize("magnitude", [2**7, 2**8, 2**63, 2**64, 2**200, 2**219, 2**300])
+def test_packed_rows_exact_near_slot_widths(magnitude, oracle_paths):
+    # Each slot holds F + bound in B = 8 * ceil((bits + 2) / 8) bits. With
+    # values about 2^7, 2^8, 2^63, 2^64, 2^200, 2^219 and 2^300, the oracle
+    # must agree with the brute-force lift on the decomposition and on single
+    # edge mutations of w by +-1 and +-2^(8k) for every k up to a byte past
+    # the values, which a slot too narrow for them would alias. Rows are
+    # packed exactly when some box fills a quarter of the window and B is at
+    # most MAX_SLOT_BITS; about 2^219 the width crosses that cap.
+    rng = random.Random(magnitude.bit_length())
+    deltas = [1, -1]
+    deltas += [s * 2 ** (8 * k) for k in range(1, magnitude.bit_length() // 8 + 2) for s in (1, -1)]
+    caught = 0
+    seen = Counter()
+    for trial in range(6):
+        pg, dec = slot_edge_case(rng, magnitude, 2)
+        w = reconstruct(pg, dec.a, dec.f)
+        radius = trial % 2
+        checks, first = lift_mismatches(pg, w, dec.a, dec.f.values, radius)
+        assert first is None
+        oracle_paths["boxes"].clear()
+        assert truncation_oracle(pg, w, dec, radius) == {"radius": radius, "checks": checks, "ok": True}
+        side = 2 * radius + 1
+        fills = any(
+            box_cells(u, side) and not is_sparse(u, side)
+            for u in {tuple(map(abs, t)) for t in pg.edge_voltages}
+        )
+        packs = fills and slot_bits(w, dec, radius) <= periodic.MAX_SLOT_BITS
+        assert bool(oracle_paths["boxes"]) == packs
+        seen[fills, packs] += 1
+        # Edges with a nonempty box; at radius 1 these include the loops of
+        # voltage +-2, whose boxes are one cell.
+        live = [pos for pos, t in enumerate(pg.edge_voltages) if max(map(abs, t)) <= 2 * radius]
+        for delta in deltas if live else ():
+            values = list(w.values)
+            pos = rng.choice(live)
+            values[pos] += delta * Fraction(1, rng.choice(DENS))
+            moved = Cochain1(values)
+            checks, first = lift_mismatches(pg, moved, dec.a, dec.f.values, radius)
+            assert first[0] == pg.quotient.ids[pos]
+            with pytest.raises(AssertionError) as err:
+                truncation_oracle(pg, moved, dec, radius)
+            assert str(err.value) == f"truncation mismatch on edge {first[0]} at cell {first[1]}"
+            caught += 1
+    assert caught >= 3 * len(deltas), caught
+    # Whether the trials with a box that fills its window were packed.
+    packed = {True} if magnitude < 2**210 else {True, False} if magnitude < 2**250 else {False}
+    assert {packs for fills, packs in seen if fills} == packed, seen
+
+
+def test_packed_and_gathered_paths_agree_with_brute_force(oracle_paths):
+    # Values near byte boundaries at radius 2 (side 5), where the loops of
+    # voltage +-4 have boxes of at most 5 of the window's cells and are
+    # gathered while the rest is packed: both paths must name the brute
+    # force's first mismatch when f moves at one vertex by +-1 or +-2^(8k).
+    rng = random.Random(8)
+    caught = 0
+    for magnitude in (2**7, 2**8, 2**63, 2**64):
+        for trial in range(3):
+            pg, dec = slot_edge_case(rng, magnitude, 4)
+            w = reconstruct(pg, dec.a, dec.f)
+            checks, first = lift_mismatches(pg, w, dec.a, dec.f.values, 2)
+            assert truncation_oracle(pg, w, dec, 2) == {"radius": 2, "checks": checks, "ok": True}
+            for delta in (1, -1, 2**8, -(2**64), 2**72):
+                f = list(dec.f.values)
+                f[rng.randrange(len(f))] += delta
+                moved = dec._replace(f=Cochain0(tuple(f)))
+                checks, first = lift_mismatches(pg, w, dec.a, f, 2)
+                if first is None:
+                    assert truncation_oracle(pg, w, moved, 2)["checks"] == checks
+                    continue
+                with pytest.raises(AssertionError) as err:
+                    truncation_oracle(pg, w, moved, 2)
+                assert str(err.value) == f"truncation mismatch on edge {first[0]} at cell {first[1]}"
+                caught += 1
+    assert caught >= 30, caught
+    assert oracle_paths["boxes"] and oracle_paths["gathers"]
+
+
+def test_truncation_oracle_refuses_misshaped_input(monkeypatch):
+    # A 3-vertex, 4-edge graph: each wrong shape of w, f or a is refused
+    # with InputError before any work, even where the window is over the
+    # budget; it is never checked on fewer edges or cells, or an IndexError.
+    g = Graph.make(3, [(0, 0, 0), (1, 0, 1), (2, 1, 2), (3, 2, 0)])
+    pg = PeriodicGraph.make(2, g, {0: (1, 0), 1: (0, 1), 2: (0, 0), 3: (0, 0)})
+    w = reconstruct(pg, [[1], [2]], Cochain0(vec([0, 3, -1])))
+    dec = decompose_periodic(pg, w)
+    assert truncation_oracle(pg, w, dec, 1) == {"radius": 1, "checks": 6 + 6 + 9 + 9, "ok": True}
+    f = list(dec.f.values)
+    a = [list(row) for row in dec.a]
+    bad = {
+        "w of 2 entries": (Cochain1(w.values[:2]), dec),
+        "w of 5 entries": (Cochain1(w.values + (0,)), dec),
+        "f longer than |V|": (w, dec._replace(f=Cochain0(tuple(f + [0])))),
+        "short f": (w, dec._replace(f=Cochain0(tuple(f[:2])))),
+        "a with an extra row": (w, dec._replace(a=tuple(map(tuple, a + [[0]])))),
+        "a short of a row": (w, dec._replace(a=(tuple(a[0]),))),
+        "a with no columns": (w, dec._replace(a=((), ()))),
+        "a with an extra column": (w, dec._replace(a=tuple(tuple(row + [0]) for row in a))),
+    }
+
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(periodic, "_corner_box_int", no_work)
+    monkeypatch.setattr(periodic, "_gather", no_work)
+    for name, (w_bad, dec_bad) in bad.items():
+        for radius in (1, 10**4):
+            with pytest.raises(InputError):
+                truncation_oracle(pg, w_bad, dec_bad, radius)
 
 
 def brute_force_classes(pg):

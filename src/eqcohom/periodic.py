@@ -5,8 +5,9 @@ with a free Z^d translation action. All invariant data lives on the
 quotient: period lattices of fundamental-cycle voltages decide whether the
 translation action is closed in lift components, and an invariant closed
 1-form decomposes into period coefficients (one per generator and quotient
-component) plus a periodic potential. The lift is only ever materialized by
-the finite-window truncation oracle.
+component) plus a periodic potential. The lift is never materialized, not
+even by the finite-window truncation oracle, which checks the lift's edges
+through the one identity described below.
 
 Every traversal reads the quotient's one spanning forest (`Graph.forest`),
 and a PeriodicGraph keeps its fundamental-cycle voltages and period lattices
@@ -28,24 +29,19 @@ PeriodicDecomposition.
 
 A PeriodicGraph also keeps its voltages by edge position and its voltage
 classes: each voltage with the positions of the edges that carry it. The
-truncation oracle likewise brings w, f and a to one common denominator
-and packs the lift window of each quotient vertex into one int of
-fixed-width slots, one slot per cell (Kronecker substitution). The box of
-cells on which the edges of voltage t are checked is a translate of one
-corner box that depends on |t| alone. Where that box holds at least a
-quarter of the window (and the slots are narrow), an edge is checked on
-its whole box by one big-int comparison: its two rows shifted to its own
-two offsets and masked to the corner box, which t, -t and every sign
-variant share. A sparser box is gathered per voltage from list rows
-instead, so no per-edge operation grows with the window.
+truncation oracle likewise brings w, f and a to one common denominator.
+On the lift, F(v, c) = f(v) + <a_k(v), c>, so F(te, c + t) - F(oe, c) is
+the same integer f(te) - f(oe) + <a_k, t> at every cell c of an edge's
+window box: one comparison per edge with a nonempty box checks every cell
+of it, and the voltage classes give the number of those cells.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, product
+from itertools import compress
 from math import lcm, prod
-from operator import add, eq, itemgetter, mul, sub
+from operator import eq, mul, ne, sub
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import GRAPH_BUDGET, TRUNCATION_BUDGET, InputError, PreconditionError
@@ -413,59 +409,36 @@ def reconstruct(
     return Cochain1.from_ints(den, values)
 
 
-# The widest slot the truncation oracle packs. A packed edge costs a few
-# big-int passes over its window's slots plus a product by w(e) that grows
-# with the slot's digits; at radius 30, d = 2, the packed check and the list
-# gathers of the same boxes took about as long with values near 2^220 (slots
-# of 240 bits), and wider slots favour the gathers.
-MAX_SLOT_BITS = 224
-
-
 def truncation_oracle(
     pg: PeriodicGraph, w: Cochain1, dec: PeriodicDecomposition, radius: int
 ) -> dict:
-    """Materialize the lift on the window [-radius, radius]^d and verify the
-    given decomposition of w edge by edge against w itself.
+    """Verify the given decomposition of w against w itself on every edge of
+    the lift whose two ends lie in the window [-radius, radius]^d.
 
     w must have one value per quotient edge, dec.f one per quotient vertex
     and dec.a d rows of one coefficient per quotient component; any other
     shape raises InputError before any work. All values are scaled by one
     common denominator of w, f and a, so every comparison is on Python ints.
 
-    The lift potential F(v, cell) = f(v) + sum_j a_{j,k(v)} cell_j is
-    tabulated on the window once per quotient vertex, in the cell order
-    index(cell) = sum_j (cell_j + radius) * side**j, and every lift edge
-    whose two ends lie in the window is checked exactly against it. The box
-    of voltage t, the cells c with c and c + t both in the window, is the
-    product of one range per coordinate, and it is a translate of the
-    corner box of |t|: per coordinate j, the first side - |t_j| cells from
-    the low corner. Its near ends are the corner box moved by o_near =
-    sum_{t_j<0} |t_j| * side**j in the index, and its far ends c + t the
-    corner box moved by o_far = sum_{t_j>0} t_j * side**j.
+    The lift potential is F(v, c) = f(v) + sum_j a_{j,k(v)} c_j, so the lift
+    edge of quotient edge e from (oe, c) to (te, c + t), t its voltage, asks
+    F(te, c + t) - F(oe, c) = w(e). The left side is
+    f(te) - f(oe) + sum_j a_{j,k} t_j whatever the cell c, the value
+    `_reconstruct_ints` gives, so each edge's whole box (the cells c with c
+    and c + t both in the window: per coordinate j, side - |t_j| cells,
+    side = 2 * radius + 1) is checked by that one identity, and an edge with
+    an empty box (some |t_j| > 2 * radius) is not checked at all. The
+    returned report counts the cells of every box, sum_e prod_j
+    max(0, side - |t_j|), as `checks`. Any mismatch means `dec` does not
+    decompose w and raises AssertionError naming the first failing edge in
+    stored order and the lexicographically first cell of its box,
+    (max(-radius, -radius - t_j))_j, where every cell of that box fails.
 
-    Each vertex's row is packed into one int of B-bit slots, F + bound in
-    the slot of each cell, where bound bounds |F|, and B (a multiple of 8)
-    exceeds the bit-length of max(2 * bound, max |w|) by at least 2. Then
-    every slot of far - near - w(e) lies strictly between -2^(B-1) and
-    2^(B-1), so the far row shifted by o_far slots and masked to the corner
-    box equals the masked near row shifted by o_near plus w(e) in every box
-    slot exactly when every cell of the box checks. Where the window holds
-    at most 4 times the box's cells and B is at most MAX_SLOT_BITS, an edge
-    is checked on its whole box by that one big-int comparison; the packed
-    rows and the ones of each corner box are built from bytes. A box much
-    sparser than the window (a large |t_j|) would make the shift cost a
-    window per edge, so such a voltage, and every voltage when the slots
-    are wider, instead gathers its box from list rows (built only then) at
-    C level, from the corner index list shifted by each offset. Either way
-    an edge reads a bounded multiple of its box's cells. Any mismatch means
-    `dec` does not decompose w and raises AssertionError naming the first
-    failing edge in stored order and the first bad cell of its box in
-    lexicographic order; the returned report counts the checks performed.
-
-    The work is predicted first, from the voltage classes' sizes alone, as
-    (2r+1)^d table entries per quotient vertex plus, per edge of voltage t,
-    the prod_j max(0, 2r+1-|t_j|) cells of its box; above TRUNCATION_BUDGET
-    it raises PreconditionError("budget", ...) before any row is built.
+    The radius comes from outside, so the window it asks for is bounded:
+    (2r+1)^d table entries per quotient vertex plus the checks, predicted
+    from the voltage classes' sizes alone, may not exceed TRUNCATION_BUDGET,
+    or PreconditionError("budget", ...) is raised before any value is
+    scaled.
     """
     if radius < 0:
         raise InputError(f"truncation radius must be >= 0, got {radius}")
@@ -482,17 +455,13 @@ def truncation_oracle(
         # No vertex and no edge: no window cell, whatever d is.
         return {"radius": radius, "checks": 0, "ok": True}
     side = 2 * radius + 1
-    window = side**pg.d
-    # |t| -> (the number of cells of its corner box, [(t, positions), ...])
-    corners = {}
-    work = window * g.n_vertices
-    for t, positions in pg.voltage_classes.items():
-        u = tuple([abs(tj) for tj in t])
-        corner = corners.get(u)
-        if corner is None:
-            corner = corners[u] = (prod([max(0, side - uj) for uj in u]), [])
-        corner[1].append((t, positions))
-        work += len(positions) * corner[0]
+    checks = sum(
+        [
+            len(positions) * prod([max(0, side - abs(tj)) for tj in t])
+            for t, positions in pg.voltage_classes.items()
+        ]
+    )
+    work = side**pg.d * g.n_vertices + checks
     if work > TRUNCATION_BUDGET:
         raise PreconditionError(
             "budget",
@@ -510,123 +479,14 @@ def truncation_oracle(
 
     w_scale = den // w.den
     w_int = [x * w_scale for x in w.ints] if w_scale > 1 else w.ints
-    f_int = scaled(dec.f.values)
-    a_int = [scaled(row) for row in dec.a]
-    strides = [side**j for j in range(pg.d)]
-    origins, targets = g.origins, g.targets
-    a_cols = list(zip(*a_int))
-    bound = max(map(abs, f_int)) + radius * max([sum(map(abs, col)) for col in a_cols])
-    n_bytes = (max([2 * bound, *map(abs, w_int)]).bit_length() + 9) // 8
-    width = 8 * n_bytes
-    packed, gathered = [], []
-    for u, (size, members) in corners.items():
-        if size:
-            fills = window <= 4 * size and width <= MAX_SLOT_BITS
-            (packed if fills else gathered).append((u, size, members))
-
-    checks = 0
-    failed = []  # the first failing edge position of each voltage class
-    if packed:
-        slot_one = (1).to_bytes(n_bytes, "little")
-        ones = int.from_bytes(slot_one * window, "little")
-        # Per coordinate j some a_{j,k} moves: cell_j + radius in every slot.
-        # Such a j has bound >= radius, so 2 * radius fits a slot.
-        coords = {}
-        for j, stride in enumerate(strides):
-            if any(a_int[j]):
-                line = b"".join([e.to_bytes(n_bytes, "little") * stride for e in range(side)])
-                coords[j] = int.from_bytes(line * (window // (side * stride)), "little")
-        comp_rows = []
-        for col in a_cols:
-            row = 0
-            for j, coord in coords.items():
-                row += col[j] * coord
-            comp_rows.append((row, bound - radius * sum(col)))
-        rows = []
-        for fv, k in zip(f_int, g.forest.comp_of):
-            row, offset = comp_rows[k]
-            rows.append(row + (fv + offset) * ones)
-        for u, size, members in packed:
-            checks += size * sum([len(positions) for _, positions in members])
-            box_ones = _corner_box_int(slot_one, u, side)
-            mask = box_ones * ((1 << width) - 1)
-            reach = sum(map(mul, u, strides))
-            for t, positions in members:
-                shift = sum(map(mul, t, strides))
-                near_bits = width * ((reach - shift) // 2)
-                far_bits = near_bits + width * shift
-                for pos in positions:
-                    if (rows[targets[pos]] >> far_bits) & mask != (
-                        (rows[origins[pos]] >> near_bits) & mask
-                    ) + w_int[pos] * box_ones:
-                        failed.append(pos)
-                        break
-
-    if gathered:
-        # Per component k, sum_j a_{j,k} cell_j at every cell index; F(v, .)
-        # is f(v) plus the row of v's component.
-        shift_rows = []
-        for k in range(n_comps):
-            row = [0]
-            for j in range(pg.d):
-                a_jk = a_int[j][k]
-                row = [s + a_jk * c for c in range(-radius, radius + 1) for s in row]
-            shift_rows.append(row)
-        table = [
-            [fv + s for s in shift_rows[k]] for fv, k in zip(f_int, g.forest.comp_of)
-        ]
-        for u, size, members in gathered:
-            checks += size * sum([len(positions) for _, positions in members])
-            index = [0]  # the cell indices of the corner box
-            for uj, stride in zip(u, strides):
-                index = [b + c for b in index for c in range(0, (side - uj) * stride, stride)]
-            reach = sum(map(mul, u, strides))
-            for t, positions in members:
-                shift = sum(map(mul, t, strides))
-                o_near = (reach - shift) // 2
-                near = _gather([b + o_near for b in index])
-                far = _gather([b + o_near + shift for b in index])
-                for pos in positions:
-                    value = w_int[pos]
-                    diffs = list(map(sub, far(table[targets[pos]]), near(table[origins[pos]])))
-                    if diffs.count(value) != size:
-                        failed.append(pos)
-                        break
-
-    if failed:
-        pos = min(failed)
-        oe, te = origins[pos], targets[pos]
+    a_int = list(zip(*[scaled(row) for row in dec.a]))
+    lifted = _reconstruct_ints(pg, a_int, scaled(dec.f.values))
+    for pos in compress(range(g.n_edges), map(ne, lifted, w_int)):
         t = pg.edge_voltages[pos]
-        col = [row[g.forest.comp_of[oe]] for row in a_int]
-        ranges = [range(max(-radius, -radius - tj), min(radius, radius - tj) + 1) for tj in t]
-        cell = next(
-            c
-            for c in product(*ranges)
-            if f_int[te] + sum(map(mul, col, map(add, c, t))) - f_int[oe] - sum(map(mul, col, c))
-            != w_int[pos]
-        )
-        raise AssertionError(f"truncation mismatch on edge {g.ids[pos]} at cell {cell}")
+        if max(map(abs, t)) <= 2 * radius:  # a nonempty box
+            cell = tuple([max(-radius, -radius - tj) for tj in t])
+            raise AssertionError(f"truncation mismatch on edge {g.ids[pos]} at cell {cell}")
     return {"radius": radius, "checks": checks, "ok": True}
-
-
-def _corner_box_int(slot: bytes, u: Sequence[int], side: int) -> int:
-    """The int of len(slot)-byte slots, one per window cell in index order,
-    holding `slot` at the cells of the corner box of u (per coordinate j,
-    the first side - u_j cells) and zero elsewhere."""
-    block = slot
-    for uj in u:
-        block = block * (side - uj) + bytes(len(block) * uj)
-    return int.from_bytes(block, "little")
-
-
-def _gather(indices: Sequence[int]):
-    """A function reading the entries at `indices` (nonempty) of a list as
-    a tuple, at C level; itemgetter alone returns a bare entry for one
-    index."""
-    if len(indices) == 1:
-        (i,) = indices
-        return lambda row: (row[i],)
-    return itemgetter(*indices)
 
 
 def realized_quotient_dim(pg: PeriodicGraph) -> int:
